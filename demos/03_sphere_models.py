@@ -8,8 +8,8 @@ agrees, as it must.  Suspension identities come along for free.
 """
 
 from lodayhom import (
-    Coefficients, build_complex, build_space, homology_dims,
-    suspension_invariance_check, truncated_poly, validate,
+    Coefficients, build_complex, build_space, compare_spaces, homology_dims,
+    truncated_poly, validate,
 )
 
 UNIT = Coefficients.unit()
@@ -36,5 +36,5 @@ for left, right in (("susp(S1)", "sphere(2)"),
                     ("susp(S1)", "simplexsphere(2)"),
                     ("susp(simplexsphere(2))", "sphere(3)")):
     degree = 2 if "3" not in right else 1
-    report = suspension_invariance_check(left, right, A, UNIT, degree)
+    report = compare_spaces(left, right, A, UNIT, degree)
     print(f"  {left:>24} vs {right}: {report.verdict}")

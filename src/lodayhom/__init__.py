@@ -35,7 +35,7 @@ from .oracle import (
 )
 from .stability import (
     ComparisonReport, NotConnected, PRESET_EQUIVALENT_PAIRS, compare_spaces,
-    compare_tables, product_decomposition_check, suspension_invariance_check,
+    compare_tables, product_decomposition_check,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +54,7 @@ __all__ = [
     "is_connected", "kernel_dim", "load_algebra", "make_field",
     "parse_algebra_expr", "parse_space_expr", "point", "polynomial", "product",
     "product_decomposition_check", "rank", "simplex_sphere", "smash",
-    "suspension", "suspension_invariance_check", "torus_bicomplex",
+    "suspension", "torus_bicomplex",
     "total_homology", "truncated_poly", "unit_coefficient_algebra",
     "validate", "validate_algebra", "wedge", "wedge_kunneth_dims",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
-from .algebra import Coefficients, exterior, polynomial, truncated_poly
+from .algebra import Coefficients, parse_algebra_expr, polynomial
 from .loday import build_complex, homology_dims
 from .oracle import check_total_square, torus_bicomplex, total_homology, wedge_kunneth_dims
 from .simplicial import build_space, parse_space_expr
@@ -36,16 +36,6 @@ class CriterionResult:
     detail: str
 
 
-def _make_algebra(spec: str, field):
-    if spec == "poly":
-        return polynomial(field)
-    if spec == "exterior":
-        return exterior(field)
-    if spec.startswith("truncpoly("):
-        return truncated_poly(field, int(spec[len("truncpoly("):-1]))
-    raise ValueError(spec)
-
-
 class Workspace:
     """Memoized homology tables plus a registry of boundary-square checks."""
 
@@ -59,7 +49,7 @@ class Workspace:
                normalized)
         if key in self.tables:
             return self.tables[key]
-        algebra = _make_algebra(algebra_spec, field)
+        algebra = parse_algebra_expr(algebra_spec, field)
         space = build_space(parse_space_expr(space_expr), max_degree + 1)
         complex_ = build_complex(space, algebra, Coefficients.unit(),
                                  max_degree, weight_bound, normalized)
@@ -76,7 +66,7 @@ class Workspace:
         key = ("bicomplex", algebra_spec, str(field), max_degree, weight_bound)
         if key in self.tables:
             return self.tables[key]
-        algebra = _make_algebra(algebra_spec, field)
+        algebra = parse_algebra_expr(algebra_spec, field)
         bicomplex = torus_bicomplex(algebra, Coefficients.unit(), max_degree,
                                     weight_bound)
         ok = not bicomplex.check_squares() and check_total_square(bicomplex)

@@ -11,12 +11,24 @@ restricts to its complement.
 
 All boundaries preserve the total weight, so every matrix is assembled and
 ranked blockwise per (degree, weight).
+
+Two pushforward paths build the same matrices.  When every product of basis
+elements up to the weight bound, and every coefficient action c . action(a),
+is zero or a single basis element with coefficient one, a face sends a
+labeling to one labeling or to nothing: the face is pushed with lookups in
+two tables built once per complex, and boundary entries are summed as plain
++-1 integers.  This holds for truncpoly(m), poly and exterior with unit or
+self coefficients, and for any monomial custom coefficients.  Every other
+algebra (a file algebra whose products carry other coefficients or several
+terms) takes the generic path, which multiplies sparse linear combinations
+in the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exactlinalg import FieldSpec, SparseMatrix, rank
@@ -349,6 +361,146 @@ def _push_labeling(algebra, c_alg, action, plan, labeling, field):
     return out
 
 
+class _NotMonomial(Exception):
+    """A product or coefficient action is not zero or one unit-coefficient
+    basis element."""
+
+
+def _monomial_tables(algebra, c_alg, action, bound):
+    """Lookup tables ``mul[i][j] -> k`` and ``act[c][a] -> c'`` (None for a
+    zero product) over the basis up to the weight bound, or None when some
+    product or coefficient action there is not a single basis element of
+    the expected weight with coefficient one.
+
+    Entries whose total weight exceeds the bound stay None; no labeling of a
+    block can reach them, since every partial product of its labels has at
+    most the block's weight.
+    """
+    field = algebra.field
+    zero, one = field.zero, field.one
+
+    def image(lin, alg, weight):
+        if not lin:
+            return None
+        if len(lin) == 1:
+            (k, v), = lin.items()
+            if v == one and alg.weight(k) == weight:
+                return k
+        raise _NotMonomial
+
+    a_idx = list(algebra.basis_indices(bound))
+    c_idx = list(c_alg.basis_indices(bound))
+    mul = [[None] * (a_idx[-1] + 1) for _ in range(a_idx[-1] + 1)]
+    act = [[None] * (a_idx[-1] + 1) for _ in range(c_idx[-1] + 1)]
+    try:
+        for i in a_idx:
+            for j in a_idx:
+                w = algebra.weight(i) + algebra.weight(j)
+                if w <= bound:
+                    mul[i][j] = image(algebra.mul(i, j), algebra, w)
+        for c in c_idx:
+            for a in a_idx:
+                w = c_alg.weight(c) + algebra.weight(a)
+                if w > bound:
+                    continue
+                if a == algebra.unit:
+                    act[c][a] = c
+                    continue
+                lin = {}
+                for k, v in action(a).items():
+                    for r, s in c_alg.mul(c, k).items():
+                        lin[r] = field.add(lin.get(r, zero), field.mul(v, s))
+                act[c][a] = image({r: v for r, v in lin.items() if v != zero},
+                                  c_alg, w)
+    except _NotMonomial:
+        return None
+    return mul, act
+
+
+def _table_face(plan, tables, unit):
+    """Pushforward along one face by table lookups: the image labeling as a
+    plain ``(assignment, coeff)`` tuple, or None when it vanishes."""
+    mul, act = tables
+    pre, to_base = plan
+    firsts = tuple(srcs[0] if srcs else None for srcs in pre)
+    merges = tuple((q, srcs[1:]) for q, srcs in enumerate(pre)
+                   if len(srcs) > 1)
+    if len(firsts) > 1 and None not in firsts:
+        gather = itemgetter(*firsts)
+    else:
+        def gather(a):
+            return tuple(unit if q is None else a[q] for q in firsts)
+
+    def push(labeling):
+        a, c = labeling
+        for q in to_base:
+            c = act[c][a[q]]
+            if c is None:
+                return None
+        if not merges:
+            return gather(a), c
+        labels = list(gather(a))
+        for slot, rest in merges:
+            x = labels[slot]
+            for q in rest:
+                x = mul[x][a[q]]
+                if x is None:
+                    return None
+            labels[slot] = x
+        return tuple(labels), c
+
+    return push
+
+
+def _boundary_block(plans, cols, row_index, n_rows, algebra, c_alg, action,
+                    tables):
+    """Matrix of the alternating face sum over ``plans`` from the labelings
+    ``cols`` to the rows of ``row_index``; images missing from ``row_index``
+    (degenerate ones) are dropped.  ``tables`` from ``_monomial_tables``
+    selects the table path, None the generic ``_push_labeling`` path."""
+    field = algebra.field
+    zero = field.zero
+    entries = {}
+    if tables is not None:
+        faces = [(-1 if i % 2 else 1, _table_face(plan, tables, algebra.unit))
+                 for i, plan in enumerate(plans)]
+        normalize = field.normalize
+        for col, lab in enumerate(cols):
+            acc = {}
+            for sign, push in faces:
+                row = row_index.get(push(lab))
+                if row is None:
+                    continue
+                tot = acc.get(row, 0) + sign
+                if tot:
+                    acc[row] = tot
+                else:
+                    del acc[row]
+            for row, tot in acc.items():
+                val = normalize(tot)
+                if val != zero:
+                    entries[(row, col)] = val
+        return SparseMatrix(n_rows, len(cols), entries, field)
+    for col, lab in enumerate(cols):
+        acc = {}
+        for i, plan in enumerate(plans):
+            terms = _push_labeling(algebra, c_alg, action, plan, lab, field)
+            for out_lab, val in terms.items():
+                row = row_index.get(out_lab)
+                if row is None:
+                    continue
+                if i % 2:
+                    val = field.neg(val)
+                tot = field.add(acc.get(row, zero), val)
+                if tot == zero:
+                    acc.pop(row, None)
+                else:
+                    acc[row] = tot
+        for row, val in acc.items():
+            entries[(row, col)] = val
+    return SparseMatrix(n_rows, len(cols), entries, field)
+
+
 def _degenerate_test(space, p, slots, unit):
     """Predicate: the assignment is a degeneracy pushforward from level p-1."""
     if p == 0:
@@ -387,7 +539,6 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
     if coefficients.mode == "custom" and not coefficients.algebra.is_finite:
         raise WeightBoundRequired("custom coefficient algebras must be finite")
     ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-    field = algebra.field
     c_alg, action = _resolve_coefficients(algebra, coefficients)
 
     slots_per_level = []
@@ -421,39 +572,17 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
             index[(p, w)] = {lab: r for r, lab in enumerate(labs)}
 
     boundaries = {}
-    zero = field.zero
+    tables = _monomial_tables(algebra, c_alg, action, bound)
     for p in range(1, d + 2):
         slots = slots_per_level[p]
         slots_low = slots_per_level[p - 1]
         slot_pos_low = {sid: q for q, sid in enumerate(slots_low)}
         plans = _face_plans(space, p, slots, slot_pos_low,
                             space.basepoints[p - 1])
-        weights_here = sorted(w for (q, w) in bases if q == p)
-        for w in weights_here:
-            cols = bases[(p, w)]
-            row_index = index.get((p - 1, w), {})
-            entries = {}
-            for col, lab in enumerate(cols):
-                acc = {}
-                for i, plan in enumerate(plans):
-                    terms = _push_labeling(algebra, c_alg, action, plan, lab,
-                                           field)
-                    for out_lab, val in terms.items():
-                        row = row_index.get(out_lab)
-                        if row is None:
-                            # dropped by normalization
-                            continue
-                        if i % 2:
-                            val = field.neg(val)
-                        tot = field.add(acc.get(row, zero), val)
-                        if tot == zero:
-                            acc.pop(row, None)
-                        else:
-                            acc[row] = tot
-                for row, val in acc.items():
-                    entries[(row, col)] = val
-            n_rows = len(bases.get((p - 1, w), ()))
-            boundaries[(p, w)] = SparseMatrix(n_rows, len(cols), entries, field)
+        for w in sorted(w for (q, w) in bases if q == p):
+            boundaries[(p, w)] = _boundary_block(
+                plans, bases[(p, w)], index.get((p - 1, w), {}),
+                len(bases.get((p - 1, w), ())), algebra, c_alg, action, tables)
 
     return LodayComplex(space, algebra, coefficients, d, weight_bound,
                         normalized, bases, boundaries, coefficients.mode)

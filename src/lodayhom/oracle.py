@@ -18,8 +18,8 @@ from .exactlinalg import SparseMatrix, rank
 from .algebra import Coefficients
 from .loday import (
     BasisSizeExceeded, DEFAULT_MAX_BLOCK, HomologyTable, WeightBoundRequired,
-    _block_counts, _enumerate_block_bases, _push_labeling,
-    _resolve_coefficients,
+    _block_counts, _boundary_block, _enumerate_block_bases,
+    _monomial_tables, _resolve_coefficients,
 )
 from .simplicial import circle
 
@@ -91,7 +91,6 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
         raise WeightBoundRequired(
             "the algebra has unbounded weights; supply a weight bound")
     ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-    field = algebra.field
     c_alg, action = _resolve_coefficients(algebra, coefficients)
     s1 = circle(d + 1)
 
@@ -100,6 +99,7 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
     else:
         max_slots = (d + 2) * (d + 2) - 1
         bound = algebra.max_basis_weight * max_slots + c_alg.max_basis_weight
+    tables = _monomial_tables(algebra, c_alg, action, bound)
 
     grid = {}
     terms = {}
@@ -138,30 +138,11 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
                 else:
                     pre[pos_low[cell]].append(q)
             plans.append((tuple(tuple(x) for x in pre), tuple(to_base)))
-        out = {}
-        zero = field.zero
-        for w in sorted(w for (a, b, w) in terms if (a, b) == (n, m)):
-            cols = terms[(n, m, w)]
-            row_index = index.get(low_key + (w,), {})
-            entries = {}
-            for col, lab in enumerate(cols):
-                acc = {}
-                for i, plan in enumerate(plans):
-                    for out_lab, val in _push_labeling(
-                            algebra, c_alg, action, plan, lab, field).items():
-                        row = row_index[out_lab]
-                        if i % 2:
-                            val = field.neg(val)
-                        tot = field.add(acc.get(row, zero), val)
-                        if tot == zero:
-                            acc.pop(row, None)
-                        else:
-                            acc[row] = tot
-                for row, val in acc.items():
-                    entries[(row, col)] = val
-            n_rows = len(terms.get(low_key + (w,), ()))
-            out[w] = SparseMatrix(n_rows, len(cols), entries, field)
-        return out
+        return {w: _boundary_block(plans, terms[(n, m, w)],
+                                   index.get(low_key + (w,), {}),
+                                   len(terms.get(low_key + (w,), ())),
+                                   algebra, c_alg, action, tables)
+                for w in sorted(w for (a, b, w) in terms if (a, b) == (n, m))}
 
     horizontal = {}
     vertical = {}

@@ -148,12 +148,3 @@ def product_decomposition_check(x, y, algebra, coefficients: Coefficients,
     return ComparisonReport(left_name, right_name, algebra.description,
                             str(algebra.field), coefficients.mode, max_degree,
                             weight_bound, rows, verdict)
-
-
-def suspension_invariance_check(left_model, right_model, algebra,
-                                coefficients: Coefficients, max_degree: int,
-                                weight_bound=None, normalized: bool = True,
-                                max_block_size=None) -> ComparisonReport:
-    """Compare two models the caller asserts to be homotopy equivalent."""
-    return compare_spaces(left_model, right_model, algebra, coefficients,
-                          max_degree, weight_bound, normalized, max_block_size)
