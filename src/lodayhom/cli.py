@@ -3,8 +3,9 @@
 Commands: compute, compare, check-product, oracle-bicomplex, validate and
 seed-suite.  Reports go to stdout in text, csv or json form; diagnostics go to
 stderr.  Exit codes: 0 success/agreement, 10 a comparison reported a
-discrepancy, 1 internal error, 2 usage error.  Output bytes depend only on the
-configuration.
+discrepancy, 1 internal error or a failed check (validate reported violations,
+seed-suite had a failing criterion), 2 usage error.  Output bytes depend only
+on the configuration.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
                 out.write(f"space: {expr}\n")
                 out.write("result: pass\n" if report.ok else
                           "result: fail\n" + "\n".join(report.violations) + "\n")
-            return 0
+            return 0 if report.ok else 1
         field = _parse_field_string(cfg.field)
         algebra = parse_algebra_expr(cfg.algebra, field)
         coefficients = _parse_coeff_string(cfg.coeff)

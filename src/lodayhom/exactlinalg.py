@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 class NonPrimeModulus(ValueError):
@@ -205,7 +206,9 @@ def _row_elimination_rank(row_data, field) -> int:
     """Structured Gaussian elimination on a list of {col: scalar} rows.
 
     Pivot rows are chosen sparsest-first, pivot columns by lowest fill; ties
-    break on the smaller index, so the result is deterministic.
+    break on the smaller index, so the result is deterministic.  Rows wait in
+    a heap keyed (length, index); a row whose length changes is pushed again,
+    and entries of eliminated rows or of stale lengths are skipped on pop.
     """
     rows = [dict(r) for r in row_data]
     col_count: dict = {}
@@ -215,17 +218,22 @@ def _row_elimination_rank(row_data, field) -> int:
             col_count[c] = col_count.get(c, 0) + 1
             col_rows.setdefault(c, set()).add(i)
     active = set(i for i, row in enumerate(rows) if row)
+    heap = [(len(rows[i]), i) for i in active]
+    heapify(heap)
     zero = field.zero
     rank = 0
-    while active:
-        pi = min(active, key=lambda i: (len(rows[i]), i))
+    while heap:
+        n, pi = heappop(heap)
         prow = rows[pi]
+        if pi not in active or n != len(prow):
+            continue
         pc = min(prow, key=lambda c: (col_count[c], c))
         pinv = field.inv(prow[pc])
         for j in sorted(col_rows[pc]):
             if j == pi or j not in active:
                 continue
             jrow = rows[j]
+            before = len(jrow)
             factor = field.mul(jrow[pc], pinv)
             for c, v in prow.items():
                 cur = jrow.get(c, zero)
@@ -242,6 +250,8 @@ def _row_elimination_rank(row_data, field) -> int:
                     jrow[c] = nv
             if not jrow:
                 active.discard(j)
+            elif len(jrow) != before:
+                heappush(heap, (len(jrow), j))
         for c in prow:
             col_count[c] -= 1
             col_rows[c].discard(pi)

@@ -6,8 +6,10 @@ simplex of X_p (slots ordered by simplex identifier) plus a coefficient basis
 index for the basepoint.  The boundary is the alternating sum of the face
 pushforwards: labels landing on a common simplex multiply in A, labels landing
 on the basepoint act on the coefficient factor.  Degeneracy pushforwards insert
-units, so the degenerate chains have an evident basis and normalization just
-restricts to its complement.
+units, so the degenerate chains have an evident basis: the labelings that put
+the unit on every slot outside the image of some degeneracy.  The normalized
+complex is spanned by the others, and the enumerator prunes degenerate
+assignments while it walks, so they are never built.
 
 All boundaries preserve the total weight, so every matrix is assembled and
 ranked blockwise per (degree, weight).
@@ -170,12 +172,22 @@ def _block_counts(algebra, c_alg, n_slots, bound):
     return out
 
 
-def _enumerate_block_bases(algebra, c_alg, n_slots, bound, degenerate_test=None):
+def _enumerate_block_bases(algebra, c_alg, n_slots, bound, complements=()):
     """Bases of labelings grouped by total weight, in lexicographic order.
 
-    ``degenerate_test`` filters assignments (normalized complexes); the
-    surviving labelings keep their lexicographic order.
+    ``complements`` (normalized complexes) holds per degeneracy the slot
+    positions outside its image; an assignment that is the unit on all of
+    one is degenerate.  The walk skips the subtree when it puts the unit on
+    a complement's last position and its earlier positions are unit too, so
+    degenerate labelings are never built.
     """
+    if not all(complements):
+        return {}
+    unit = algebra.unit
+    closing = [[] for _ in range(n_slots)]
+    for comp in complements:
+        last = max(comp)
+        closing[last].append(sum(1 << q for q in comp if q != last))
     by_weight = {w: [] for w in range(bound + 1)}
     slot_indices = [(i, algebra.weight(i)) for i in algebra.basis_indices(bound)]
     coeff_by_budget = {}
@@ -183,27 +195,28 @@ def _enumerate_block_bases(algebra, c_alg, n_slots, bound, degenerate_test=None)
         coeff_by_budget.setdefault(c_alg.weight(i), []).append(i)
     coeff_budgets = sorted(coeff_by_budget)
 
-    def emit(assignment, used):
-        if degenerate_test is not None and degenerate_test(assignment):
-            return
-        for budget in coeff_budgets:
-            if used + budget > bound:
-                break
-            for ci in coeff_by_budget[budget]:
-                by_weight[used + budget].append(Labeling(assignment, ci))
-
-    def rec(prefix, used, slots_left):
-        if slots_left == 0:
-            emit(tuple(prefix), used)
+    def rec(prefix, used, units, q):
+        if q == n_slots:
+            assignment = tuple(prefix)
+            for budget in coeff_budgets:
+                if used + budget > bound:
+                    break
+                for ci in coeff_by_budget[budget]:
+                    by_weight[used + budget].append(Labeling(assignment, ci))
             return
         for i, w in slot_indices:
             if used + w > bound:
                 continue
+            marked = units
+            if i == unit:
+                if any(units & m == m for m in closing[q]):
+                    continue
+                marked |= 1 << q
             prefix.append(i)
-            rec(prefix, used + w, slots_left - 1)
+            rec(prefix, used + w, marked, q + 1)
             prefix.pop()
 
-    rec([], 0, n_slots)
+    rec([], 0, 0, 0)
     return {w: labs for w, labs in by_weight.items() if labs}
 
 
@@ -501,23 +514,11 @@ def _boundary_block(plans, cols, row_index, n_rows, algebra, c_alg, action,
     return SparseMatrix(n_rows, len(cols), entries, field)
 
 
-def _degenerate_test(space, p, slots, unit):
-    """Predicate: the assignment is a degeneracy pushforward from level p-1."""
-    if p == 0:
-        return None
-    complements = []
-    for j in range(p):
-        image = set(space.degeneracy(p - 1, j))
-        comp = tuple(q for q, sid in enumerate(slots) if sid not in image)
-        complements.append(comp)
-
-    def test(assignment):
-        for comp in complements:
-            if all(assignment[q] == unit for q in comp):
-                return True
-        return False
-
-    return test
+def _degenerate_complements(space, p, slots):
+    """Per degeneracy s_j into level p, the slot positions outside its image."""
+    images = [set(space.degeneracy(p - 1, j)) for j in range(p)]
+    return tuple(tuple(q for q, sid in enumerate(slots) if sid not in image)
+                 for image in images)
 
 
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,
@@ -562,11 +563,10 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
                 raise BasisSizeExceeded(
                     f"block (degree={p}, weight={w}) needs {count} labelings, "
                     f"ceiling is {ceiling}")
-        degtest = None
-        if normalized:
-            degtest = _degenerate_test(space, p, slots_per_level[p],
-                                       algebra.unit)
-        blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound, degtest)
+        complements = (_degenerate_complements(space, p, slots_per_level[p])
+                       if normalized else ())
+        blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound,
+                                        complements)
         for w, labs in blocks.items():
             bases[(p, w)] = labs
             index[(p, w)] = {lab: r for r, lab in enumerate(labs)}

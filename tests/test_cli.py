@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from lodayhom import cli
 from lodayhom.cli import RunConfig, main, parse_args, run
 from lodayhom.algebra import dump_algebra, truncated_poly
+from lodayhom.simplicial import ValidationReport
 
 TORUS = "prod(S1,S1)"
 WEDGE = "wedge(wedge(S1,S1),sphere(2))"
@@ -180,6 +182,15 @@ class TestOtherCommands:
         code, out, err = run_cli(["validate", "--space", "wedge(S1)"])
         assert code == 1
         assert "error" in err
+
+    def test_validate_violations_exit_one(self, monkeypatch):
+        monkeypatch.setattr(
+            cli, "validate",
+            lambda space: ValidationReport(["d_0 at level 1 is broken"]))
+        code, out, _ = run_cli(["validate", "--space", "S1"])
+        assert code == 1
+        assert "result: fail" in out
+        assert "d_0 at level 1 is broken" in out
 
     def test_algebra_file(self, tmp_path):
         doc = dump_algebra(truncated_poly(3, 2))

@@ -175,3 +175,28 @@ def test_rank_invariant_under_permutations(data, modulus, seed):
         {(row_perm[r], col_perm[c]): v for (r, c), v in m.entries.items()},
         field)
     assert rank(permuted) == base
+
+
+@st.composite
+def tied_sparse_rows(draw):
+    """Dense 0/+-1 rows with the same number of nonzeros each, so pivot
+    candidates tie on length and elimination leaves stale heap entries."""
+    nrows = draw(st.integers(min_value=2, max_value=10))
+    cols = draw(st.integers(min_value=nrows, max_value=12))
+    length = draw(st.integers(min_value=1, max_value=min(3, cols)))
+    data = []
+    for _ in range(nrows):
+        support = draw(st.lists(st.integers(0, cols - 1), min_size=length,
+                                max_size=length, unique=True))
+        row = [0] * cols
+        for c in support:
+            row[c] = draw(st.sampled_from([1, -1]))
+        data.append(row)
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=tied_sparse_rows(), field=st.sampled_from([F2, F3, Q]))
+def test_rank_with_tied_row_lengths_matches_dense_oracle(data, field):
+    assert rank(SparseMatrix.from_dense(data, field)) == \
+        _dense_rank_oracle(data, field)

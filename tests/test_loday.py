@@ -4,13 +4,15 @@ from random import Random
 
 import pytest
 
+from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
     Coefficients, exterior, polynomial, truncated_poly,
 )
 from lodayhom.exactlinalg import make_field
 from lodayhom.loday import (
     BasisSizeExceeded, FieldMismatch, Labeling, TruncationTooShallow,
-    WeightBoundRequired, build_complex, chain_dims, homology_dims,
+    WeightBoundRequired, _degenerate_complements, _enumerate_block_bases,
+    _resolve_coefficients, build_complex, chain_dims, homology_dims,
 )
 from lodayhom.simplicial import (
     PointedSimplicialSet, build_space, circle, point, simplex_sphere, validate,
@@ -96,6 +98,69 @@ class TestNormalizationCriterion:
             degenerate = degenerate_span_count(space, algebra, 1, p, below,
                                                algebra.unit)
             assert kept == total - degenerate, (space_text, p)
+
+
+def filtered_block_bases(algebra, c_alg, n_slots, bound, complements):
+    """Reference enumeration: every labeling within the weight bound, in
+    lexicographic order, then drop those that are the unit on all slots of
+    some complement."""
+    unit = algebra.unit
+    slot_indices = list(algebra.basis_indices(bound))
+    coeffs = sorted(c_alg.basis_indices(bound), key=c_alg.weight)
+    out = {}
+
+    def walk(prefix, used):
+        if len(prefix) == n_slots:
+            if any(all(prefix[q] == unit for q in comp)
+                   for comp in complements):
+                return
+            for ci in coeffs:
+                w = used + c_alg.weight(ci)
+                if w <= bound:
+                    out.setdefault(w, []).append(Labeling(tuple(prefix), ci))
+            return
+        for i in slot_indices:
+            if used + algebra.weight(i) <= bound:
+                walk(prefix + [i], used + algebra.weight(i))
+
+    walk([], 0)
+    return out
+
+
+def enumeration_levels():
+    """Every level of the random small inputs and of a few named spaces, with
+    its slots and degeneracy complements."""
+    inputs = [(expr, max_degree + 1)
+              for expr, _, _, max_degree in random_small_inputs()]
+    inputs += [(expr, 3) for expr in ("S1", "sphere(2)", "simplexsphere(2)",
+                                      "prod(S1,S1)", "smash(S1,S1)")]
+    for expr, top in inputs:
+        space = build_space(expr, top)
+        for p in range(top + 1):
+            bp = space.basepoints[p]
+            slots = tuple(s for s in range(space.size(p)) if s != bp)
+            yield expr, p, slots, _degenerate_complements(space, p, slots)
+
+
+class TestPrunedEnumeration:
+    @pytest.mark.parametrize("algebra,bound", [
+        (truncated_poly(3, 2), 30), (exterior(3), 30), (polynomial(3), 4),
+    ], ids=["truncpoly(2)", "exterior", "poly"])
+    @pytest.mark.parametrize("coeffs", [UNIT, Coefficients.self_algebra()],
+                             ids=["unit", "self"])
+    def test_matches_filtered_enumeration(self, algebra, bound, coeffs):
+        c_alg, _ = _resolve_coefficients(algebra, coeffs)
+        saw_degenerate_level = False
+        for expr, p, slots, complements in enumeration_levels():
+            got = _enumerate_block_bases(algebra, c_alg, len(slots), bound,
+                                         complements)
+            want = filtered_block_bases(algebra, c_alg, len(slots), bound,
+                                        complements)
+            assert got == want, (expr, p)
+            if not all(complements):
+                saw_degenerate_level = True
+                assert got == {}, (expr, p)
+        assert saw_degenerate_level
 
 
 class TestHomology:
