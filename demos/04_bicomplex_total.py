@@ -4,8 +4,11 @@
 The grid bicomplex evaluates the labeling functor on S^1_n x S^1_m directly:
 the (n, m) term is one copy of the algebra for each of the (n+1)(m+1) - 1
 non-basepoint cells.  Totalizing with a sign twist must give the same
-dimensions as the diagonal product-space complex (Eilenberg-Zilber); the two
-pipelines share almost no code, so this is a strong cross-check.
+dimensions as the diagonal product-space complex (Eilenberg-Zilber).  Both
+pipelines label cells, enumerate bases and assemble boundaries with the same
+core; what the check exercises independently is the bisimplicial cell
+structure of the grid, its per-axis face maps and the twisted totalization,
+against the diagonal simplicial.product.
 """
 
 from lodayhom import (

@@ -2,10 +2,13 @@
 
 Commands: compute, compare, check-product, oracle-bicomplex, validate and
 seed-suite.  Reports go to stdout in text, csv or json form; diagnostics go to
-stderr.  Exit codes: 0 success/agreement, 10 a comparison reported a
-discrepancy, 1 internal error or a failed check (validate reported violations,
-seed-suite had a failing criterion), 2 usage error.  Output bytes depend only
-on the configuration.
+stderr.  Output bytes depend only on the configuration.
+
+Exit codes: 0 success/agreement; 10 a comparison reported a discrepancy;
+2 arguments rejected by ``parse_args``; 1 anything ``run`` rejects, including
+malformed --space, --algebra and --coeff text, unreadable algebra files, an
+exceeded basis ceiling and failed checks (validate reported violations,
+seed-suite had a failing criterion).
 """
 
 from __future__ import annotations
@@ -41,14 +44,6 @@ class RunConfig:
     output: str = "text"
     max_basis: int | None = None
     only: str | None = None
-
-
-def _parse_field_string(text: str):
-    if text == "Q":
-        return make_field("Q")
-    if text.startswith("F") and text[1:].isdigit():
-        return make_field(int(text[1:]))
-    raise ValueError(f"bad field {text!r}: use F<p> or Q")
 
 
 def _parse_coeff_string(text: str) -> Coefficients:
@@ -136,7 +131,7 @@ def parse_args(argv) -> RunConfig:
     if cfg.max_degree < 0:
         parser.error("--max-degree must be >= 0")
     try:
-        _parse_field_string(cfg.field)
+        make_field(cfg.field)
     except ValueError as exc:
         parser.error(str(exc))
     if cfg.algebra == "poly" and cfg.weight_bound is None:
@@ -280,7 +275,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
                 out.write("result: pass\n" if report.ok else
                           "result: fail\n" + "\n".join(report.violations) + "\n")
             return 0 if report.ok else 1
-        field = _parse_field_string(cfg.field)
+        field = make_field(cfg.field)
         algebra = parse_algebra_expr(cfg.algebra, field)
         coefficients = _parse_coeff_string(cfg.coeff)
         if cfg.command == "compute":

@@ -93,14 +93,17 @@ class FieldSpec:
 
 
 def make_field(kind) -> FieldSpec:
-    """Build a FieldSpec from a descriptor: a prime int, or "Q"/"rationals"."""
+    """Build a FieldSpec from a descriptor: a prime int, its spelling "F<p>",
+    or "Q"/"rationals"."""
     if isinstance(kind, FieldSpec):
         return kind
     if isinstance(kind, int):
         return FieldSpec(kind)
     if isinstance(kind, str) and kind in ("Q", "rationals"):
         return FieldSpec(None)
-    raise ValueError(f"unrecognized field descriptor {kind!r}")
+    if isinstance(kind, str) and kind[:1] == "F" and kind[1:].isdigit():
+        return FieldSpec(int(kind[1:]))
+    raise ValueError(f"unrecognized field descriptor {kind!r}: use F<p> or Q")
 
 
 class SparseMatrix:

@@ -14,6 +14,10 @@ assignments while it walks, so they are never built.
 All boundaries preserve the total weight, so every matrix is assembled and
 ranked blockwise per (degree, weight).
 
+Levels are keyed by tuples, so one core serves any complex whose levels are
+cells with face maps between them: ``build_complex`` keys the diagonal complex
+``(p,)``, ``oracle.torus_bicomplex`` the grid ``(n, m)``.
+
 Two pushforward paths build the same matrices.  When every product of basis
 elements up to the weight bound, and every coefficient action c . action(a),
 is zero or a single basis element with coefficient one, a face sends a
@@ -51,7 +55,7 @@ class FieldMismatch(ValueError):
 
 
 class BasisSizeExceeded(RuntimeError):
-    """A (degree, weight) block would exceed the labeling ceiling."""
+    """A block of labelings (level, weight) would exceed the ceiling."""
 
 
 DEFAULT_MAX_BLOCK = 5_000_000
@@ -284,20 +288,21 @@ class LodayComplex:
         return violations
 
 
-def _face_plans(space, p, slots, slot_pos_low, bp_low):
-    """Per face map at level p: preimages of each low slot and the list of
-    source slot positions falling into the basepoint."""
+def _face_plans(fmaps, slots, slots_low, bp_low):
+    """Per face map (a lookup from the cells of ``slots`` to cells one level
+    down): preimages of each low slot and the list of source slot positions
+    falling into the basepoint ``bp_low``."""
+    pos_low = {cell: q for q, cell in enumerate(slots_low)}
     plans = []
-    for i in range(p + 1):
-        fmap = space.face(p, i)
-        pre = [[] for _ in slot_pos_low]
+    for fmap in fmaps:
+        pre = [[] for _ in slots_low]
         to_base = []
-        for q, sid in enumerate(slots):
-            target = fmap[sid]
+        for q, cell in enumerate(slots):
+            target = fmap[cell]
             if target == bp_low:
                 to_base.append(q)
             else:
-                pre[slot_pos_low[target]].append(q)
+                pre[pos_low[target]].append(q)
         plans.append((tuple(tuple(x) for x in pre), tuple(to_base)))
     return plans
 
@@ -347,15 +352,6 @@ def _push_labeling(algebra, c_alg, action, plan, labeling, field):
             if not lin:
                 return {}
         slot_lins.append(lin)
-    # fast path: everything stayed monomial
-    if all(len(l) == 1 for l in slot_lins) and len(coeff_lin) == 1:
-        labels = tuple(next(iter(l)) for l in slot_lins)
-        scalar = one
-        for l in slot_lins:
-            scalar = field.mul(scalar, next(iter(l.values())))
-        (ci, cv), = coeff_lin.items()
-        scalar = field.mul(scalar, cv)
-        return {Labeling(labels, ci): scalar}
     out = {}
     slot_items = [sorted(l.items()) for l in slot_lins]
     for combo in iter_product(*slot_items):
@@ -521,69 +517,85 @@ def _degenerate_complements(space, p, slots):
                  for image in images)
 
 
-def build_complex(space: PointedSimplicialSet, algebra, coefficients,
-                  max_degree: int, weight_bound=None, normalized: bool = True,
-                  max_block_size: int | None = None) -> LodayComplex:
-    """Assemble bases and boundary matrices through degree max_degree + 1."""
+def _chain_setup(algebra, coefficients, max_degree, weight_bound):
+    """Check the arguments every labeling complex shares; returns
+    (C_algebra, action) as ``_resolve_coefficients`` does."""
     if not isinstance(coefficients, Coefficients):
         raise TypeError("coefficients must be a Coefficients value")
-    d = max_degree
-    if d < 0:
+    if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if space.top_level < d + 1:
-        raise TruncationTooShallow(
-            f"degree {d} homology needs top_level >= {d + 1}, "
-            f"got {space.top_level}")
     if not algebra.is_finite and weight_bound is None:
         raise WeightBoundRequired(
             "the algebra has unbounded weights; supply a weight bound")
     if coefficients.mode == "custom" and not coefficients.algebra.is_finite:
         raise WeightBoundRequired("custom coefficient algebras must be finite")
-    ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-    c_alg, action = _resolve_coefficients(algebra, coefficients)
+    return _resolve_coefficients(algebra, coefficients)
 
-    slots_per_level = []
-    for p in range(d + 2):
-        bp = space.basepoints[p]
-        slots_per_level.append(tuple(s for s in range(space.size(p)) if s != bp))
 
+def _labeling_bases(algebra, c_alg, slot_counts, complements, weight_bound,
+                    max_block_size):
+    """Guarded bases of the levels ``slot_counts`` maps to their slot counts;
+    the levels in ``complements`` are normalized.  Returns the weight bound (by
+    default the largest reachable weight), the bases keyed ``key + (w,)`` and
+    their row indices."""
     if weight_bound is not None:
         bound = weight_bound
     else:
-        max_slots = max(len(s) for s in slots_per_level)
-        bound = algebra.max_basis_weight * max_slots + c_alg.max_basis_weight
-
+        bound = (algebra.max_basis_weight * max(slot_counts.values())
+                 + c_alg.max_basis_weight)
+    ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
     bases = {}
     index = {}
-    for p in range(d + 2):
-        n_slots = len(slots_per_level[p])
-        counts = _block_counts(algebra, c_alg, n_slots, bound)
-        for w, count in enumerate(counts):
+    for key, n_slots in slot_counts.items():
+        for w, count in enumerate(_block_counts(algebra, c_alg, n_slots, bound)):
             if count > ceiling:
                 raise BasisSizeExceeded(
-                    f"block (degree={p}, weight={w}) needs {count} labelings, "
+                    f"block {key + (w,)} needs {count} labelings, "
                     f"ceiling is {ceiling}")
-        complements = (_degenerate_complements(space, p, slots_per_level[p])
-                       if normalized else ())
         blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound,
-                                        complements)
+                                        complements.get(key, ()))
         for w, labs in blocks.items():
-            bases[(p, w)] = labs
-            index[(p, w)] = {lab: r for r, lab in enumerate(labs)}
+            bases[key + (w,)] = labs
+            index[key + (w,)] = {lab: r for r, lab in enumerate(labs)}
+    return bound, bases, index
 
-    boundaries = {}
+
+def _boundary_blocks(plans, key, key_low, bases, index, algebra, c_alg,
+                     action, tables):
+    """Every weight block of the face sum over ``plans`` from level ``key``
+    to level ``key_low``, keyed ``key + (w,)``."""
+    weights = sorted(k[-1] for k in bases if k[:-1] == key)
+    return {key + (w,): _boundary_block(
+                plans, bases[key + (w,)], index.get(key_low + (w,), {}),
+                len(bases.get(key_low + (w,), ())), algebra, c_alg, action,
+                tables)
+            for w in weights}
+
+
+def build_complex(space: PointedSimplicialSet, algebra, coefficients,
+                  max_degree: int, weight_bound=None, normalized: bool = True,
+                  max_block_size: int | None = None) -> LodayComplex:
+    """Assemble bases and boundary matrices through degree max_degree + 1."""
+    d = max_degree
+    if space.top_level < d + 1:
+        raise TruncationTooShallow(
+            f"degree {d} homology needs top_level >= {d + 1}, "
+            f"got {space.top_level}")
+    c_alg, action = _chain_setup(algebra, coefficients, d, weight_bound)
+    slots = [tuple(s for s in range(space.size(p)) if s != space.basepoints[p])
+             for p in range(d + 2)]
+    complements = ({(p,): _degenerate_complements(space, p, slots[p])
+                    for p in range(d + 2)} if normalized else {})
+    bound, bases, index = _labeling_bases(
+        algebra, c_alg, {(p,): len(s) for p, s in enumerate(slots)},
+        complements, weight_bound, max_block_size)
     tables = _monomial_tables(algebra, c_alg, action, bound)
+    boundaries = {}
     for p in range(1, d + 2):
-        slots = slots_per_level[p]
-        slots_low = slots_per_level[p - 1]
-        slot_pos_low = {sid: q for q, sid in enumerate(slots_low)}
-        plans = _face_plans(space, p, slots, slot_pos_low,
-                            space.basepoints[p - 1])
-        for w in sorted(w for (q, w) in bases if q == p):
-            boundaries[(p, w)] = _boundary_block(
-                plans, bases[(p, w)], index.get((p - 1, w), {}),
-                len(bases.get((p - 1, w), ())), algebra, c_alg, action, tables)
-
+        plans = _face_plans([space.face(p, i) for i in range(p + 1)],
+                            slots[p], slots[p - 1], space.basepoints[p - 1])
+        boundaries.update(_boundary_blocks(plans, (p,), (p - 1,), bases, index,
+                                           algebra, c_alg, action, tables))
     return LodayComplex(space, algebra, coefficients, d, weight_bound,
                         normalized, bases, boundaries, coefficients.mode)
 

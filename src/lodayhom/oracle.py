@@ -6,7 +6,9 @@ S^1 x S^1 directly: the term in bidegree (n, m) is the labeling space of the
 alternating face sum in the first circle direction, the vertical one in the
 second.  ``total_homology`` ranks its total complex, with the sign twist
 (-1)^n placed on the vertical differential at horizontal degree n; the result
-must agree blockwise with the diagonal product complex.
+must agree blockwise with the diagonal product complex.  Both run on the
+labeling core of ``loday``; the check is independent in the grid's cells,
+its per-axis face maps and the twisted totalization.
 
 ``wedge_kunneth_dims`` convolves homology tables over a field, predicting
 wedge homology from the factors.
@@ -14,12 +16,11 @@ wedge homology from the factors.
 
 from __future__ import annotations
 
-from .exactlinalg import SparseMatrix, rank
+from .exactlinalg import SparseMatrix
 from .algebra import Coefficients
 from .loday import (
-    BasisSizeExceeded, DEFAULT_MAX_BLOCK, HomologyTable, WeightBoundRequired,
-    _block_counts, _boundary_block, _enumerate_block_bases,
-    _monomial_tables, _resolve_coefficients,
+    HomologyTable, LodayComplex, _boundary_blocks, _chain_setup, _face_plans,
+    _labeling_bases, _monomial_tables, homology_dims,
 )
 from .simplicial import circle
 
@@ -85,152 +86,93 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
     """Labeling bicomplex of the two-circle grid through total degree
     max_degree + 1."""
     d = max_degree
-    if d < 0:
-        raise ValueError("max_degree must be >= 0")
-    if not algebra.is_finite and weight_bound is None:
-        raise WeightBoundRequired(
-            "the algebra has unbounded weights; supply a weight bound")
-    ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-    c_alg, action = _resolve_coefficients(algebra, coefficients)
-    s1 = circle(d + 1)
-
-    if weight_bound is not None:
-        bound = weight_bound
-    else:
-        max_slots = (d + 2) * (d + 2) - 1
-        bound = algebra.max_basis_weight * max_slots + c_alg.max_basis_weight
+    c_alg, action = _chain_setup(algebra, coefficients, d, weight_bound)
+    grid = {(n, m): _grid_slots(n, m)
+            for n in range(d + 2) for m in range(d + 2 - n)}
+    bound, terms, index = _labeling_bases(
+        algebra, c_alg, {nm: len(slots) for nm, slots in grid.items()}, {},
+        weight_bound, max_block_size)
     tables = _monomial_tables(algebra, c_alg, action, bound)
-
-    grid = {}
-    terms = {}
-    index = {}
-    for n in range(d + 2):
-        for m in range(d + 2 - n):
-            slots = _grid_slots(n, m)
-            grid[(n, m)] = slots
-            counts = _block_counts(algebra, c_alg, len(slots), bound)
-            for w, count in enumerate(counts):
-                if count > ceiling:
-                    raise BasisSizeExceeded(
-                        f"bicomplex term ({n},{m}) weight {w} needs {count} "
-                        f"labelings, ceiling is {ceiling}")
-            blocks = _enumerate_block_bases(algebra, c_alg, len(slots), bound)
-            for w, labs in blocks.items():
-                terms[(n, m, w)] = labs
-                index[(n, m, w)] = {lab: r for r, lab in enumerate(labs)}
+    s1 = circle(d + 1)
 
     def boundary_blocks(n, m, horizontal):
         """All weight blocks of one directional boundary out of (n, m)."""
-        level = n if horizontal else m
         slots = grid[(n, m)]
-        low_key = (n - 1, m) if horizontal else (n, m - 1)
-        slots_low = grid[low_key]
-        pos_low = {cell: q for q, cell in enumerate(slots_low)}
-        plans = []
-        for i in range(level + 1):
-            fmap = s1.face(level, i)
-            pre = [[] for _ in slots_low]
-            to_base = []
-            for q, (a, b) in enumerate(slots):
-                cell = (fmap[a], b) if horizontal else (a, fmap[b])
-                if cell == (0, 0):
-                    to_base.append(q)
-                else:
-                    pre[pos_low[cell]].append(q)
-            plans.append((tuple(tuple(x) for x in pre), tuple(to_base)))
-        return {w: _boundary_block(plans, terms[(n, m, w)],
-                                   index.get(low_key + (w,), {}),
-                                   len(terms.get(low_key + (w,), ())),
-                                   algebra, c_alg, action, tables)
-                for w in sorted(w for (a, b, w) in terms if (a, b) == (n, m))}
+        low = (n - 1, m) if horizontal else (n, m - 1)
+        fmaps = []
+        for i in range((n if horizontal else m) + 1):
+            face = s1.face(n if horizontal else m, i)
+            fmaps.append({(a, b): (face[a], b) if horizontal else (a, face[b])
+                          for (a, b) in slots})
+        plans = _face_plans(fmaps, slots, grid[low], (0, 0))
+        return _boundary_blocks(plans, (n, m), low, terms, index, algebra,
+                                c_alg, action, tables)
 
     horizontal = {}
     vertical = {}
     for (n, m) in grid:
         if n >= 1:
-            for w, mat in boundary_blocks(n, m, True).items():
-                horizontal[(n, m, w)] = mat
+            horizontal.update(boundary_blocks(n, m, True))
         if m >= 1:
-            for w, mat in boundary_blocks(n, m, False).items():
-                vertical[(n, m, w)] = mat
+            vertical.update(boundary_blocks(n, m, False))
 
     return Bicomplex(algebra, coefficients, d, weight_bound, terms,
                      horizontal, vertical, coefficients.mode)
 
 
-def _component_order(k):
-    return [(n, k - n) for n in range(k + 1)]
+def _total_complex(bicomplex: Bicomplex, d: int) -> LodayComplex:
+    """The total complex through degree d + 1, keyed (k, w).
 
-
-def _total_matrices(bicomplex: Bicomplex, d: int):
-    """Total differentials T_k -> T_{k-1} per weight, for k = 1..d+1.
-
-    Summands are stacked in ascending horizontal degree; the (n, m) summand
-    maps by the horizontal boundary plus (-1)^n times the vertical one.
+    The summands of T_k are stacked in ascending horizontal degree; the
+    (n, m) summand maps by the horizontal boundary plus (-1)^n times the
+    vertical one.  Its space is None: the grid is not a simplicial set.
     """
     field = bicomplex.field
     weights = sorted({w for (_, _, w) in bicomplex.terms})
-
-    def offsets(k, w):
-        off = {}
-        total = 0
-        for nm in _component_order(k):
-            off[nm] = total
-            total += len(bicomplex.terms.get(nm + (w,), ()))
-        return off, total
-
-    out = {}
+    bases = {}
+    offsets = {}
+    for k in range(d + 2):
+        for w in weights:
+            chains = []
+            for n in range(k + 1):
+                offsets[(n, k - n, w)] = len(chains)
+                chains.extend(bicomplex.terms.get((n, k - n, w), ()))
+            if chains:
+                bases[(k, w)] = chains
+    boundaries = {}
     for k in range(1, d + 2):
         for w in weights:
-            row_off, n_rows = offsets(k - 1, w)
-            col_off, n_cols = offsets(k, w)
             entries = {}
-            for (n, m) in _component_order(k):
-                c0 = col_off[(n, m)]
-                h = bicomplex.horizontal.get((n, m, w))
-                if h is not None and n >= 1:
-                    r0 = row_off[(n - 1, m)]
-                    for (r, c), v in h.entries.items():
-                        entries[(r0 + r, c0 + c)] = v
-                v_mat = bicomplex.vertical.get((n, m, w))
-                if v_mat is not None and m >= 1:
-                    r0 = row_off[(n, m - 1)]
-                    neg = n % 2 == 1
-                    for (r, c), v in v_mat.entries.items():
-                        entries[(r0 + r, c0 + c)] = field.neg(v) if neg else v
-            out[(k, w)] = SparseMatrix(n_rows, n_cols, entries, field)
-    return out, weights
+            for n in range(k + 1):
+                m = k - n
+                col0 = offsets[(n, m, w)]
+                for mat, low, neg in (
+                        (bicomplex.horizontal.get((n, m, w)), (n - 1, m, w), False),
+                        (bicomplex.vertical.get((n, m, w)), (n, m - 1, w), n % 2)):
+                    if mat is None:
+                        continue
+                    row0 = offsets[low]
+                    for (r, c), v in mat.entries.items():
+                        entries[(row0 + r, col0 + c)] = field.neg(v) if neg else v
+            boundaries[(k, w)] = SparseMatrix(
+                len(bases.get((k - 1, w), ())), len(bases.get((k, w), ())),
+                entries, field)
+    return LodayComplex(None, bicomplex.algebra, bicomplex.coefficients, d,
+                        bicomplex.weight_bound, False, bases, boundaries,
+                        bicomplex.coeff_mode)
 
 
 def total_homology(bicomplex: Bicomplex, max_degree: int) -> HomologyTable:
     """Homology dimensions of the total complex, per (degree, weight)."""
-    d = max_degree
-    if d > bicomplex.max_degree:
+    if max_degree > bicomplex.max_degree:
         raise ValueError("bicomplex was not built deep enough")
-    total_matrices, weights = _total_matrices(bicomplex, d)
-    ranks = {key: rank(mat) for key, mat in total_matrices.items()}
-    dims = {}
-    for k in range(d + 1):
-        for w in weights:
-            n_chains = sum(len(bicomplex.terms.get(nm + (w,), ()))
-                           for nm in _component_order(k))
-            if n_chains == 0:
-                continue
-            value = n_chains - ranks.get((k, w), 0) - ranks.get((k + 1, w), 0)
-            if value:
-                dims[(k, w)] = value
-    return HomologyTable(dims, d, bicomplex.weight_bound, bicomplex.coeff_mode,
-                         bicomplex.field)
+    return homology_dims(_total_complex(bicomplex, max_degree))
 
 
 def check_total_square(bicomplex: Bicomplex) -> bool:
     """The twisted total differential squares to zero."""
-    mats, _ = _total_matrices(bicomplex, bicomplex.max_degree)
-    for (k, w), mat in sorted(mats.items()):
-        prev = mats.get((k - 1, w))
-        if prev is not None and not prev.matmul(mat).is_zero:
-            return False
-    return True
+    return not _total_complex(bicomplex,
+                              bicomplex.max_degree).check_boundary_squares()
 
 
 def wedge_kunneth_dims(left: HomologyTable, right: HomologyTable,

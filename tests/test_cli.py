@@ -106,6 +106,19 @@ class TestComputeCommand:
                                 "--max-degree", "2", "--no-normalize"])
         assert code == 0 and "[1, 1, 1]" in out
 
+    @pytest.mark.parametrize("algebra,coeff", [
+        ("truncpoly(x)", "unit"),
+        ("truncpoly(2)", "bogus"),
+        ("file(/nonexistent.json)", "unit"),
+    ])
+    def test_rejected_by_run_exits_one(self, algebra, coeff):
+        code, out, err = run_cli(["compute", "--space", "S1", "--algebra",
+                                  algebra, "--field", "F3", "--coeff", coeff,
+                                  "--max-degree", "1"])
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
     def test_basis_ceiling_is_internal_error(self):
         code, out, err = run_cli(["compute", "--space", TORUS, "--algebra",
                                   "truncpoly(2)", "--field", "F3",
@@ -171,6 +184,14 @@ class TestOtherCommands:
                                 "--field", "F3", "--max-degree", "2"])
         assert code == 0
         assert "totals by degree: [1, 2, 3]" in out
+
+    def test_oracle_bicomplex_basis_ceiling(self):
+        code, out, err = run_cli(["oracle-bicomplex", "--algebra",
+                                  "truncpoly(2)", "--field", "F3",
+                                  "--max-degree", "3", "--max-basis", "10"])
+        assert code == 1
+        assert out == ""
+        assert "error" in err
 
     def test_validate(self):
         code, out, _ = run_cli(["validate", "--space", "smash(S1,sphere(2))",

@@ -31,6 +31,15 @@ class TestMakeField:
         assert Q.is_rational
         assert str(Q) == "Q"
 
+    def test_cli_spelling(self):
+        assert make_field("F5") == F5
+        assert make_field("Q") == Q
+        with pytest.raises(NonPrimeModulus):
+            make_field("F4")
+        for bad in ("G5", "F", "Fp:5", "F-3"):
+            with pytest.raises(ValueError):
+                make_field(bad)
+
     def test_arithmetic_is_exact(self):
         assert F5.inv(3) == 2
         assert F5.mul(3, F5.inv(3)) == F5.one

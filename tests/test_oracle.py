@@ -3,7 +3,10 @@
 import pytest
 
 from lodayhom.algebra import Coefficients, polynomial, truncated_poly
-from lodayhom.loday import HomologyTable, build_complex, homology_dims
+from lodayhom.loday import (
+    BasisSizeExceeded, HomologyTable, WeightBoundRequired, build_complex,
+    homology_dims,
+)
 from lodayhom.oracle import (
     CoefficientMismatch, check_total_square, torus_bicomplex, total_homology,
     wedge_kunneth_dims,
@@ -74,6 +77,28 @@ class TestTotalHomology:
             build_space("prod(S1,S1)", 3), polynomial(3), UNIT, 2,
             weight_bound=3))
         assert via_grid.dims == direct.dims
+
+
+class TestArgumentChecks:
+    """The grid runs the same argument checks and basis guard as the
+    diagonal complex."""
+
+    def test_basis_ceiling(self):
+        with pytest.raises(BasisSizeExceeded):
+            # term (1, 3) has 7 cells, so C(7, 3) = 35 labelings of weight 3
+            torus_bicomplex(truncated_poly(3, 2), UNIT, 3, max_block_size=10)
+
+    def test_unbounded_algebra_needs_weight_bound(self):
+        with pytest.raises(WeightBoundRequired):
+            torus_bicomplex(polynomial(3), UNIT, 2)
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            torus_bicomplex(truncated_poly(3, 2), UNIT, -1)
+
+    def test_coefficients_must_be_typed(self):
+        with pytest.raises(TypeError):
+            torus_bicomplex(truncated_poly(3, 2), "unit", 2)
 
 
 @pytest.fixture(scope="module")

@@ -55,9 +55,8 @@ def test_table_face_equals_push_labeling(expr, algebra_spec, p, d, mode):
                  if s != space.basepoints[level]]
         slots_low = [s for s in range(space.size(level - 1))
                      if s != space.basepoints[level - 1]]
-        plans = _face_plans(space, level, slots,
-                            {sid: q for q, sid in enumerate(slots_low)},
-                            space.basepoints[level - 1])
+        plans = _face_plans([space.face(level, i) for i in range(level + 1)],
+                            slots, slots_low, space.basepoints[level - 1])
         labelings = [lab for (q, _), labs in complex_.bases.items()
                      if q == level for lab in labs]
         for plan in plans:
