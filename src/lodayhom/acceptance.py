@@ -19,7 +19,7 @@ from random import Random
 
 from .algebra import Coefficients, parse_algebra_expr, polynomial
 from .loday import build_complex, homology_dims
-from .oracle import check_total_square, torus_bicomplex, total_homology, wedge_kunneth_dims
+from .oracle import _total_complex, torus_bicomplex, wedge_kunneth_dims
 from .simplicial import build_space, parse_space_expr
 from .stability import compare_tables, product_decomposition_check
 
@@ -69,10 +69,12 @@ class Workspace:
         algebra = parse_algebra_expr(algebra_spec, field)
         bicomplex = torus_bicomplex(algebra, Coefficients.unit(), max_degree,
                                     weight_bound)
-        ok = not bicomplex.check_squares() and check_total_square(bicomplex)
+        total = _total_complex(bicomplex, max_degree)
+        ok = (not bicomplex.check_squares()
+              and not total.check_boundary_squares())
         self.square_checks.append(
             (f"bicomplex / {algebra_spec} / {field}", ok))
-        table = total_homology(bicomplex, max_degree)
+        table = homology_dims(total)
         self.tables[key] = table
         return table
 

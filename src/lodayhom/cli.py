@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from . import acceptance
-from .algebra import Coefficients, load_algebra, parse_algebra_expr
+from .algebra import Coefficients, parse_algebra_expr
 from .exactlinalg import make_field
 from .loday import build_complex, homology_dims
 from .oracle import torus_bicomplex, total_homology
@@ -46,16 +46,13 @@ class RunConfig:
     only: str | None = None
 
 
-def _parse_coeff_string(text: str) -> Coefficients:
+def _parse_coeff_string(text: str, field) -> Coefficients:
     if text == "unit":
         return Coefficients.unit()
     if text == "self":
         return Coefficients.self_algebra()
     if text.startswith("file(") and text.endswith(")"):
-        path = text[len("file("):-1]
-        with open(path, "r", encoding="utf-8") as fh:
-            c_alg = load_algebra(fh.read())
-        return Coefficients.through_augmentation(c_alg)
+        return Coefficients.through_augmentation(parse_algebra_expr(text, field))
     raise ValueError(f"bad coefficients {text!r}: use unit, self or file(<path>)")
 
 
@@ -277,7 +274,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
             return 0 if report.ok else 1
         field = make_field(cfg.field)
         algebra = parse_algebra_expr(cfg.algebra, field)
-        coefficients = _parse_coeff_string(cfg.coeff)
+        coefficients = _parse_coeff_string(cfg.coeff, field)
         if cfg.command == "compute":
             expr = parse_space_expr(cfg.space)
             space = build_space(expr, cfg.max_degree + 1)

@@ -85,9 +85,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero in Q")
         return Fraction(1) / a
 
-    def format(self, a) -> str:
-        return str(a)
-
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
 

@@ -73,18 +73,17 @@ def _resolve_coefficients(algebra, coefficients: Coefficients):
     image in C as a sparse linear combination."""
     field = algebra.field
     mode = coefficients.mode
-    if mode == "unit":
-        c_alg = unit_coefficient_algebra(field)
-        action = lambda i: ({0: algebra.aug(i)} if algebra.aug(i) != field.zero else {})
-        return c_alg, action
     if mode == "self":
         one = field.one
         return algebra, (lambda i: {i: one})
-    c_alg = coefficients.algebra
-    if c_alg.field != field:
-        raise FieldMismatch(
-            f"coefficient algebra over {c_alg.field}, algebra over {field}")
-    if coefficients.action is None:
+    if mode == "unit":
+        c_alg = unit_coefficient_algebra(field)
+    else:
+        c_alg = coefficients.algebra
+        if c_alg.field != field:
+            raise FieldMismatch(
+                f"coefficient algebra over {c_alg.field}, algebra over {field}")
+    if mode == "unit" or coefficients.action is None:
         # act through the augmentation of A
         unit_c = c_alg.unit
         action = lambda i: ({unit_c: algebra.aug(i)}
@@ -269,12 +268,6 @@ class LodayComplex:
         self.bases = bases            # (degree, weight) -> list of Labelings
         self.boundaries = boundaries  # (degree, weight) -> SparseMatrix
         self.coeff_mode = coeff_mode
-
-    def chain_dim(self, degree: int, weight: int) -> int:
-        return len(self.bases.get((degree, weight), ()))
-
-    def boundary(self, degree: int, weight: int):
-        return self.boundaries.get((degree, weight))
 
     def check_boundary_squares(self):
         """Verify boundary . boundary = 0 on every composable block pair."""

@@ -8,16 +8,19 @@ level is the canonical simplex order used downstream for tensor-factor bases.
 
 Conventions for the built-in constructors:
 
-* ``circle`` is the one-vertex model of S^1: level p is the basepoint (id 0)
-  followed by the p degenerate images of the single non-degenerate 1-simplex.
-  Identifier j >= 1 at level p corresponds to the non-constant monotone map
-  [p] -> [1] whose value tuple is (0^(p+1-j), 1^j); the tuples are in
-  lexicographic order, matching the quotient model Delta^1/boundary.
-* ``simplex_sphere(n)`` is the quotient of the standard n-simplex by its
-  boundary; quotients identify collapsed simplices with the basepoint using a
-  union-find whose class representative is the smallest identifier.
-* products are levelwise cartesian products with identifier x*|Y_p| + y, and
-  the smash is the product collapsed along both axes through the basepoint.
+* Every constructor tabulates its space from simplex keys: each level lists
+  its keys in identifier order, and the face and degeneracy maps are given on
+  keys.  The identifier of a simplex is the position of its key.
+* ``simplex_sphere(n)`` is Delta^n/boundary: level p is the basepoint (id 0)
+  followed by the surjective monotone maps [p] -> [n], as value tuples in
+  lexicographic order; a face that is not surjective is the basepoint.
+  ``circle`` is ``simplex_sphere(1)``, i.e. Delta^1/boundary.
+* products are levelwise cartesian products with identifier x*|Y_p| + y; in a
+  wedge X keeps its identifiers and Y's non-basepoint ones follow in order.
+* ``collapse`` identifies simplices with the basepoint using a union-find
+  whose class representative is the smallest identifier, and keeps the
+  representatives in order; the smash is the product collapsed along both
+  axes through the basepoint.
 """
 
 from __future__ import annotations
@@ -92,64 +95,38 @@ class PointedSimplicialSet:
         return f"<{name} levels={list(self.level_sizes)}>"
 
 
+def _tabulate(levels, base, face, degeneracy, label) -> PointedSimplicialSet:
+    """Tabulate a space given by simplex keys.
+
+    ``levels[p]`` lists the keys of level p in identifier order, ``base[p]``
+    is the basepoint key, and ``face(p, i, key)`` / ``degeneracy(p, i, key)``
+    return the key of d_i / s_i of the simplex ``key`` at level p.
+    """
+    index = [{key: k for k, key in enumerate(keys)} for keys in levels]
+    n = len(levels) - 1
+    faces = {(p, i): [index[p - 1][face(p, i, key)] for key in levels[p]]
+             for p in range(1, n + 1) for i in range(p + 1)}
+    degens = {(p, i): [index[p + 1][degeneracy(p, i, key)] for key in levels[p]]
+              for p in range(n) for i in range(p + 1)}
+    return PointedSimplicialSet([len(keys) for keys in levels],
+                                [index[p][key] for p, key in enumerate(base)],
+                                faces, degens, label)
+
+
 def point(top_level: int) -> PointedSimplicialSet:
     """The one-point space."""
-    sizes = [1] * (top_level + 1)
-    faces = {(p, i): (0,) for p in range(1, top_level + 1) for i in range(p + 1)}
-    degens = {(p, i): (0,) for p in range(top_level) for i in range(p + 1)}
-    return PointedSimplicialSet(sizes, [0] * (top_level + 1), faces, degens, "pt")
+    same = lambda p, i, key: key
+    return _tabulate([[()]] * (top_level + 1), [()] * (top_level + 1),
+                     same, same, "pt")
 
 
 def circle(top_level: int) -> PointedSimplicialSet:
     """Minimal model of S^1: one vertex, one non-degenerate 1-simplex."""
     if top_level < 1:
         raise ValueError("circle needs top_level >= 1")
-    sizes = [p + 1 for p in range(top_level + 1)]
-    faces = {}
-    for p in range(1, top_level + 1):
-        for i in range(p + 1):
-            m = [0]
-            for j in range(1, p + 1):
-                j2 = j if i < p + 1 - j else j - 1
-                m.append(j2 if 1 <= j2 <= p - 1 else 0)
-            faces[(p, i)] = tuple(m)
-    degens = {}
-    for p in range(top_level):
-        for i in range(p + 1):
-            m = [0]
-            for j in range(1, p + 1):
-                m.append(j if i < p + 1 - j else j + 1)
-            degens[(p, i)] = tuple(m)
-    return PointedSimplicialSet(sizes, [0] * (top_level + 1), faces, degens, "S1")
-
-
-def standard_simplex(n: int, top_level: int) -> PointedSimplicialSet:
-    """Delta^n truncated at top_level, pointed at vertex 0.
-
-    Level p consists of the monotone maps [p] -> [n] stored as value tuples in
-    lexicographic order; the all-zero tuple (id 0) is the basepoint.
-    """
-    levels = []
-    index = []
-    for p in range(top_level + 1):
-        simplices = sorted(combinations_with_replacement(range(n + 1), p + 1))
-        levels.append(simplices)
-        index.append({s: k for k, s in enumerate(simplices)})
-    sizes = [len(lv) for lv in levels]
-    faces = {}
-    for p in range(1, top_level + 1):
-        for i in range(p + 1):
-            faces[(p, i)] = tuple(
-                index[p - 1][s[:i] + s[i + 1:]] for s in levels[p]
-            )
-    degens = {}
-    for p in range(top_level):
-        for i in range(p + 1):
-            degens[(p, i)] = tuple(
-                index[p + 1][s[: i + 1] + s[i:]] for s in levels[p]
-            )
-    return PointedSimplicialSet(sizes, [0] * (top_level + 1), faces, degens,
-                                f"Delta{n}")
+    out = simplex_sphere(1, top_level)
+    out.label = "S1"
+    return out
 
 
 class _UnionFind:
@@ -183,112 +160,70 @@ def collapse(space: PointedSimplicialSet, doomed_by_level, label="") -> PointedS
     """
     n = space.top_level
     finds = []
-    newid = []
-    sizes = []
     for p in range(n + 1):
         uf = _UnionFind(space.size(p))
         for d in doomed_by_level.get(p, ()):
             uf.union(space.basepoints[p], d)
-        reps = sorted({uf.find(x) for x in range(space.size(p))})
-        ids = {rep: k for k, rep in enumerate(reps)}
-        finds.append(uf)
-        newid.append(ids)
-        sizes.append(len(reps))
-    basepoints = [newid[p][finds[p].find(space.basepoints[p])] for p in range(n + 1)]
-    faces = {}
-    for p in range(1, n + 1):
-        for i in range(p + 1):
-            old = space.face(p, i)
-            faces[(p, i)] = tuple(
-                newid[p - 1][finds[p - 1].find(old[rep])]
-                for rep in sorted(newid[p])
-            )
-    degens = {}
-    for p in range(n):
-        for i in range(p + 1):
-            old = space.degeneracy(p, i)
-            degens[(p, i)] = tuple(
-                newid[p + 1][finds[p + 1].find(old[rep])]
-                for rep in sorted(newid[p])
-            )
-    return PointedSimplicialSet(sizes, basepoints, faces, degens, label)
+        finds.append(uf.find)
+    return _tabulate(
+        [sorted({find(x) for x in range(space.size(p))})
+         for p, find in enumerate(finds)],
+        [find(bp) for find, bp in zip(finds, space.basepoints)],
+        lambda p, i, rep: finds[p - 1](space.face(p, i)[rep]),
+        lambda p, i, rep: finds[p + 1](space.degeneracy(p, i)[rep]),
+        label)
 
 
 def simplex_sphere(n: int, top_level: int) -> PointedSimplicialSet:
     """Delta^n / boundary: every non-surjective simplex collapses to the point."""
     if n < 1:
         raise ValueError("simplex_sphere needs n >= 1")
-    delta = standard_simplex(n, top_level)
-    doomed = {}
-    for p in range(top_level + 1):
-        simplices = sorted(combinations_with_replacement(range(n + 1), p + 1))
-        doomed[p] = [k for k, s in enumerate(simplices) if len(set(s)) != n + 1]
-    return collapse(delta, doomed, f"simplexsphere({n})")
+
+    def onto(s):
+        return s if len(set(s)) == n + 1 else ()
+
+    return _tabulate(
+        [[()] + [s for s in combinations_with_replacement(range(n + 1), p + 1)
+                 if onto(s)] for p in range(top_level + 1)],
+        [()] * (top_level + 1),
+        lambda p, i, s: onto(s[:i] + s[i + 1:]),
+        lambda p, i, s: s[: i + 1] + s[i:],
+        f"simplexsphere({n})")
 
 
 def product(x: PointedSimplicialSet, y: PointedSimplicialSet) -> PointedSimplicialSet:
     """Levelwise cartesian product; pair (a, b) gets identifier a*|Y_p| + b."""
     if x.top_level != y.top_level:
         raise TruncationMismatch("product factors have different top levels")
-    n = x.top_level
-    sizes = [x.size(p) * y.size(p) for p in range(n + 1)]
-    basepoints = [x.basepoints[p] * y.size(p) + y.basepoints[p] for p in range(n + 1)]
-    faces = {}
-    for p in range(1, n + 1):
-        for i in range(p + 1):
-            fx, fy = x.face(p, i), y.face(p, i)
-            ylow = y.size(p - 1)
-            faces[(p, i)] = tuple(
-                fx[a] * ylow + fy[b]
-                for a in range(x.size(p)) for b in range(y.size(p))
-            )
-    degens = {}
-    for p in range(n):
-        for i in range(p + 1):
-            sx, sy = x.degeneracy(p, i), y.degeneracy(p, i)
-            yhigh = y.size(p + 1)
-            degens[(p, i)] = tuple(
-                sx[a] * yhigh + sy[b]
-                for a in range(x.size(p)) for b in range(y.size(p))
-            )
-    return PointedSimplicialSet(sizes, basepoints, faces, degens,
-                                f"prod({x.label},{y.label})")
+    return _tabulate(
+        [[(a, b) for a in range(x.size(p)) for b in range(y.size(p))]
+         for p in range(x.top_level + 1)],
+        list(zip(x.basepoints, y.basepoints)),
+        lambda p, i, ab: (x.face(p, i)[ab[0]], y.face(p, i)[ab[1]]),
+        lambda p, i, ab: (x.degeneracy(p, i)[ab[0]], y.degeneracy(p, i)[ab[1]]),
+        f"prod({x.label},{y.label})")
 
 
 def wedge(x: PointedSimplicialSet, y: PointedSimplicialSet) -> PointedSimplicialSet:
     """One-point union: X keeps its identifiers, Y's non-basepoint ones follow."""
     if x.top_level != y.top_level:
         raise TruncationMismatch("wedge summands have different top levels")
-    n = x.top_level
 
-    def yid(p, b):
-        by = y.basepoints[p]
-        if b == by:
-            return x.basepoints[p]
-        return x.size(p) + (b if b < by else b - 1)
+    part = {"x": x, "y": y}
 
-    sizes = [x.size(p) + y.size(p) - 1 for p in range(n + 1)]
-    basepoints = [x.basepoints[p] for p in range(n + 1)]
-    faces = {}
-    for p in range(1, n + 1):
-        for i in range(p + 1):
-            fx, fy = x.face(p, i), y.face(p, i)
-            m = list(fx)
-            by = y.basepoints[p]
-            for b in list(range(by)) + list(range(by + 1, y.size(p))):
-                m.append(yid(p - 1, fy[b]))
-            faces[(p, i)] = tuple(m)
-    degens = {}
-    for p in range(n):
-        for i in range(p + 1):
-            sx, sy = x.degeneracy(p, i), y.degeneracy(p, i)
-            m = list(sx)
-            by = y.basepoints[p]
-            for b in list(range(by)) + list(range(by + 1, y.size(p))):
-                m.append(yid(p + 1, sy[b]))
-            degens[(p, i)] = tuple(m)
-    return PointedSimplicialSet(sizes, basepoints, faces, degens,
-                                f"wedge({x.label},{y.label})")
+    def key(p, side, a):
+        if side == "y" and a == y.basepoints[p]:
+            return ("x", x.basepoints[p])
+        return (side, a)
+
+    return _tabulate(
+        [[("x", a) for a in range(x.size(p))]
+         + [("y", b) for b in range(y.size(p)) if b != y.basepoints[p]]
+         for p in range(x.top_level + 1)],
+        [("x", bp) for bp in x.basepoints],
+        lambda p, i, k: key(p - 1, k[0], part[k[0]].face(p, i)[k[1]]),
+        lambda p, i, k: key(p + 1, k[0], part[k[0]].degeneracy(p, i)[k[1]]),
+        f"wedge({x.label},{y.label})")
 
 
 def smash(x: PointedSimplicialSet, y: PointedSimplicialSet) -> PointedSimplicialSet:
@@ -319,9 +254,11 @@ def suspension(x: PointedSimplicialSet) -> PointedSimplicialSet:
 
 # --- space expressions -----------------------------------------------------
 
-_ATOMS = ("pt", "S1")
-_INT_COMBINATORS = ("sphere", "simplexsphere", "torus")
-_BINARY = ("wedge", "prod", "smash")
+# constructor -> argument kinds: "n" an integer >= 1, "e" a subexpression
+_GRAMMAR = {
+    "pt": "", "S1": "", "sphere": "n", "simplexsphere": "n", "torus": "n",
+    "wedge": "ee", "prod": "ee", "smash": "ee", "susp": "e",
+}
 
 
 @dataclass(frozen=True)
@@ -333,22 +270,17 @@ class SpaceExpr:
     args: tuple = dataclass_field(default=())
 
     def __post_init__(self):
-        if self.op in _ATOMS:
-            if self.args:
-                raise MalformedExpr(f"{self.op} takes no arguments")
-        elif self.op in _INT_COMBINATORS:
-            if len(self.args) != 1 or not isinstance(self.args[0], int):
-                raise MalformedExpr(f"{self.op} takes one integer argument")
-            if self.args[0] < 1:
-                raise MalformedExpr(f"{self.op} needs n >= 1")
-        elif self.op in _BINARY:
-            if len(self.args) != 2 or not all(isinstance(a, SpaceExpr) for a in self.args):
-                raise MalformedExpr(f"{self.op} takes two space arguments")
-        elif self.op == "susp":
-            if len(self.args) != 1 or not isinstance(self.args[0], SpaceExpr):
-                raise MalformedExpr("susp takes one space argument")
-        else:
+        kinds = _GRAMMAR.get(self.op)
+        if kinds is None:
             raise MalformedExpr(f"unknown space constructor {self.op!r}")
+        if len(self.args) != len(kinds) or not all(
+                isinstance(a, int if kind == "n" else SpaceExpr)
+                for kind, a in zip(kinds, self.args)):
+            shape = ", ".join("integer" if kind == "n" else "space"
+                              for kind in kinds)
+            raise MalformedExpr(f"{self.op} takes ({shape})")
+        if kinds == "n" and self.args[0] < 1:
+            raise MalformedExpr(f"{self.op} needs n >= 1")
 
     def __str__(self) -> str:
         if not self.args:
@@ -369,26 +301,16 @@ class _ExprParser:
 
     def expr(self) -> SpaceExpr:
         name = self.name()
-        if name in _ATOMS:
-            return SpaceExpr(name)
-        if name in _INT_COMBINATORS:
-            self.expect("(")
-            n = self.integer()
+        kinds = _GRAMMAR.get(name)
+        if kinds is None:
+            raise MalformedExpr(f"unknown space constructor {name!r}")
+        args = []
+        for k, kind in enumerate(kinds):
+            self.expect("," if k else "(")
+            args.append(self.integer() if kind == "n" else self.expr())
+        if kinds:
             self.expect(")")
-            return SpaceExpr(name, (n,))
-        if name in _BINARY:
-            self.expect("(")
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(")")
-            return SpaceExpr(name, (a, b))
-        if name == "susp":
-            self.expect("(")
-            a = self.expr()
-            self.expect(")")
-            return SpaceExpr(name, (a,))
-        raise MalformedExpr(f"unknown space constructor {name!r}")
+        return SpaceExpr(name, tuple(args))
 
     def name(self) -> str:
         start = self.pos
@@ -423,36 +345,22 @@ def build_space(expr, top_level: int) -> PointedSimplicialSet:
     """Evaluate a SpaceExpr (or its string form) at the given truncation."""
     if isinstance(expr, str):
         expr = parse_space_expr(expr)
-    if expr.op == "pt":
+    op, args = expr.op, expr.args
+    if op == "pt":
         return point(top_level)
-    if expr.op == "S1":
-        return circle(top_level)
-    if expr.op == "sphere":
+    if op == "simplexsphere":
+        return simplex_sphere(args[0], top_level)
+    if op in ("S1", "sphere", "torus"):
+        # S1, the smash power sphere(n) and the product power torus(n)
+        join = product if op == "torus" else smash
         out = circle(top_level)
-        for _ in range(expr.args[0] - 1):
-            out = smash(out, circle(top_level))
+        for _ in range(args[0] - 1 if args else 0):
+            out = join(out, circle(top_level))
         out.label = str(expr)
         return out
-    if expr.op == "simplexsphere":
-        return simplex_sphere(expr.args[0], top_level)
-    if expr.op == "torus":
-        out = circle(top_level)
-        for _ in range(expr.args[0] - 1):
-            out = product(out, circle(top_level))
-        out.label = str(expr)
-        return out
-    if expr.op == "wedge":
-        return wedge(build_space(expr.args[0], top_level),
-                     build_space(expr.args[1], top_level))
-    if expr.op == "prod":
-        return product(build_space(expr.args[0], top_level),
-                       build_space(expr.args[1], top_level))
-    if expr.op == "smash":
-        return smash(build_space(expr.args[0], top_level),
-                     build_space(expr.args[1], top_level))
-    if expr.op == "susp":
-        return suspension(build_space(expr.args[0], top_level))
-    raise MalformedExpr(f"unknown space constructor {expr.op!r}")
+    spaces = [build_space(a, top_level) for a in args]
+    return {"wedge": wedge, "prod": product, "smash": smash,
+            "susp": suspension}[op](*spaces)
 
 
 # --- validation ------------------------------------------------------------

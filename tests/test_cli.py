@@ -234,6 +234,17 @@ class TestOtherCommands:
         # H(S^1; k) tensored with the two-dimensional coefficient algebra
         assert "totals by degree: [2, 2, 2]" in out
 
+    def test_coefficient_file_over_another_field_exits_one(self, tmp_path):
+        doc = dump_algebra(truncated_poly(5, 2))
+        path = tmp_path / "coeffs_f5.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["compute", "--space", "S1", "--algebra",
+                                  "truncpoly(2)", "--field", "F3", "--coeff",
+                                  f"file({path})", "--max-degree", "1"])
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
     def test_seed_suite_subset(self):
         code, out, err = run_cli(["seed-suite", "--only", "3,4,10"])
         assert code == 0

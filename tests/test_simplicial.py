@@ -1,5 +1,6 @@
 """Construction, combination and validation of pointed simplicial sets."""
 
+import hashlib
 from itertools import combinations_with_replacement
 from random import Random
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lodayhom.acceptance import random_small_inputs
 from lodayhom.simplicial import (
     MalformedExpr, PointedSimplicialSet, SpaceExpr, TruncationMismatch,
-    are_isomorphic, build_space, circle, is_connected, parse_space_expr,
-    point, product, simplex_sphere, smash, suspension, validate, wedge,
+    are_isomorphic, build_space, circle, collapse, is_connected,
+    parse_space_expr, point, product, simplex_sphere, smash, suspension,
+    validate, wedge,
 )
 
 
@@ -297,3 +300,80 @@ def test_random_expressions_validate_and_count(expr, top):
             expected = {"wedge": a + b - 1, "prod": a * b,
                         "smash": a * b - a - b + 2}[expr.op]
             assert space.size(p) == expected
+
+
+def _relabeled(space, rng, label):
+    """``space`` with the identifiers of every level permuted at random, the
+    basepoint moved off id 0 wherever the level has two or more simplices.
+    Returns the space and the per-level permutations (old id -> new id)."""
+    perms = []
+    for p, bp in enumerate(space.basepoints):
+        perm = list(range(space.size(p)))
+        rng.shuffle(perm)
+        if len(perm) > 1 and perm[bp] == 0:
+            j = (bp + 1) % len(perm)
+            perm[bp], perm[j] = perm[j], perm[bp]
+        perms.append(perm)
+
+    def moved(table, src, dst):
+        new = [0] * len(table)
+        for x, y in enumerate(table):
+            new[src[x]] = dst[y]
+        return new
+
+    n = space.top_level
+    faces = {(p, i): moved(space.face(p, i), perms[p], perms[p - 1])
+             for p in range(1, n + 1) for i in range(p + 1)}
+    degens = {(p, i): moved(space.degeneracy(p, i), perms[p], perms[p + 1])
+              for p in range(n) for i in range(p + 1)}
+    basepoints = [perms[p][bp] for p, bp in enumerate(space.basepoints)]
+    return (PointedSimplicialSet(space.level_sizes, basepoints, faces, degens,
+                                 label), perms)
+
+
+def _table_digest(spaces):
+    h = hashlib.sha256()
+    for s in spaces:
+        n = s.top_level
+        h.update(repr((
+            s.label, s.level_sizes, s.basepoints,
+            [s.face(p, i) for p in range(1, n + 1) for i in range(p + 1)],
+            [s.degeneracy(p, i) for p in range(n) for i in range(p + 1)],
+        )).encode())
+    return h.hexdigest()
+
+
+TABLE_EXPRS = (
+    "pt", "S1", "sphere(1)", "sphere(2)", "sphere(3)", "simplexsphere(1)",
+    "simplexsphere(2)", "simplexsphere(3)", "torus(1)", "torus(2)", "torus(3)",
+    "wedge(S1,sphere(2))", "wedge(wedge(S1,S1),sphere(2))", "wedge(pt,S1)",
+    "prod(S1,S1)", "prod(S1,simplexsphere(2))", "prod(sphere(2),pt)",
+    "smash(S1,S1)", "smash(simplexsphere(2),S1)", "susp(S1)", "susp(pt)",
+    "susp(simplexsphere(2))", "susp(wedge(S1,S1))",
+)
+
+# sha256 of the level tables below as built at the commit that introduced
+# this test; every downstream basis order and matrix is read off these tables
+TABLE_DIGEST = "57ab8cc0037fefb3193de722e2ff7b0d452c834c13fabd40304f6940b329c15a"
+
+
+def test_level_tables_are_pinned():
+    spaces = [build_space(text, top) for top in range(1, 5)
+              for text in TABLE_EXPRS]
+    spaces += [build_space(text, d + 1)
+               for text, _, _, d in random_small_inputs()]
+    rng = Random(5)
+    x, _ = _relabeled(build_space("wedge(S1,sphere(2))", 3), rng, "X")
+    y, _ = _relabeled(build_space("prod(S1,simplexsphere(2))", 3), rng, "Y")
+    c, _ = _relabeled(circle(3), rng, "C")
+    assert all(s.basepoints[1:] != (0,) * 3 for s in (x, y, c))
+    spaces += [product(x, y), product(c, x), wedge(x, y), wedge(c, y),
+               smash(x, c), smash(y, x), suspension(x), suspension(y)]
+    xc = wedge(x, c)
+    spaces.append(collapse(xc, {p: range(x.size(p), xc.size(p))
+                                for p in range(4)}, "X"))
+    w, perms = _relabeled(wedge(circle(3), simplex_sphere(2, 3)), rng, "W")
+    spaces.append(collapse(w, {p: [perms[p][k] for k in range(p + 1, w.size(p))]
+                               for p in range(4)}, "S1"))
+    assert all(validate(s).ok for s in spaces[-2:])
+    assert _table_digest(spaces) == TABLE_DIGEST
