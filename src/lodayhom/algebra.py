@@ -448,6 +448,8 @@ class Coefficients:
             raise ValueError(f"unknown coefficient mode {mode!r}")
         if mode == "custom" and algebra is None:
             raise ValueError("custom coefficients need a coefficient algebra")
+        if mode != "custom" and (algebra is not None or action is not None):
+            raise ValueError(f"{mode} coefficients take no algebra or action")
         self.mode = mode
         self.algebra = algebra
         # action=None in custom mode means: act through the augmentation of A

@@ -18,22 +18,19 @@ Levels are keyed by tuples, so one core serves any complex whose levels are
 cells with face maps between them: ``build_complex`` keys the diagonal complex
 ``(p,)``, ``oracle.torus_bicomplex`` the grid ``(n, m)``.
 
-Two pushforward paths build the same matrices.  When every product of basis
-elements up to the weight bound, and every coefficient action c . action(a),
-is zero or a single basis element with coefficient one, a face sends a
-labeling to one labeling or to nothing: the face is pushed with lookups in
-two tables built once per complex, and boundary entries are summed as plain
-+-1 integers.  This holds for truncpoly(m), poly and exterior with unit or
-self coefficients, and for any monomial custom coefficients.  Every other
-algebra (a file algebra whose products carry other coefficients or several
-terms) takes the generic path, which multiplies sparse linear combinations
-in the field.
+Face pushforwards read one structure table per complex: every product of
+basis elements up to the weight bound and every coefficient action
+c . action(a), as (basis index, scalar) pairs.  When each entry is zero or one
+basis element with coefficient one (truncpoly(m), poly and exterior with unit
+or self coefficients, and monomial custom coefficients), a face sends a
+labeling to one labeling or to nothing and is pushed by chained lookups;
+otherwise the push multiplies the pairs out.  Both feed one boundary loop,
+which sums plain numbers and normalizes once per matrix entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -144,35 +141,22 @@ def _check_action(algebra, c_alg, table):
 
 def _weight_multiplicities(algebra, bound):
     """Number of basis elements per weight 0..bound."""
-    mult = [0] * (bound + 1)
-    for w in range(bound + 1):
-        mult[w] = len(algebra.indices_of_weight(w))
-    return mult
+    return [len(algebra.indices_of_weight(w)) for w in range(bound + 1)]
 
 
 def _block_counts(algebra, c_alg, n_slots, bound):
-    """Labeling counts per total weight 0..bound, computed before enumeration."""
+    """Labeling counts per total weight 0..bound, computed before enumeration:
+    the weight multiplicities of n_slots copies of A and one of C convolved."""
     mult = _weight_multiplicities(algebra, bound)
-    counts = [0] * (bound + 1)
-    counts[0] = 1
-    for _ in range(n_slots):
+    counts = [1] + [0] * bound
+    for factor in [mult] * n_slots + [_weight_multiplicities(c_alg, bound)]:
         nxt = [0] * (bound + 1)
         for w, c in enumerate(counts):
-            if not c:
-                continue
-            for dw, m in enumerate(mult):
-                if m and w + dw <= bound:
+            if c:
+                for dw, m in enumerate(factor[:bound + 1 - w]):
                     nxt[w + dw] += c * m
         counts = nxt
-    cmult = _weight_multiplicities(c_alg, bound)
-    out = [0] * (bound + 1)
-    for w, c in enumerate(counts):
-        if not c:
-            continue
-        for dw, m in enumerate(cmult):
-            if m and w + dw <= bound:
-                out[w + dw] += c * m
-    return out
+    return counts
 
 
 def _enumerate_block_bases(algebra, c_alg, n_slots, bound, complements=()):
@@ -300,206 +284,143 @@ def _face_plans(fmaps, slots, slots_low, bp_low):
     return plans
 
 
-def _push_labeling(algebra, c_alg, action, plan, labeling, field):
-    """Pushforward of a basis labeling along one face map, expanded into a
-    sparse combination of labelings one level down."""
-    pre, to_base = plan
-    one = field.one
-    assignment = labeling.assignment
-    coeff_lin = {labeling.coeff: one}
-    for q in to_base:
-        a = assignment[q]
-        if a == algebra.unit:
-            continue
-        img = action(a)
-        if not img:
-            return {}
-        nxt = {}
-        for c0, v0 in coeff_lin.items():
-            for k, v in img.items():
-                out = c_alg.mul(c0, k)
-                for r, s in out.items():
-                    key = r
-                    val = field.mul(field.mul(v0, v), s)
-                    cur = nxt.get(key, field.zero)
-                    tot = field.add(cur, val)
-                    if tot == field.zero:
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = tot
-        coeff_lin = nxt
-        if not coeff_lin:
-            return {}
-    slot_lins = []
-    unit = algebra.unit
-    for srcs in pre:
-        if not srcs:
-            slot_lins.append({unit: one})
-            continue
-        if len(srcs) == 1:
-            slot_lins.append({assignment[srcs[0]]: one})
-            continue
-        lin = {assignment[srcs[0]]: one}
-        for q in srcs[1:]:
-            lin = algebra.mul_lincomb(lin, assignment[q])
-            if not lin:
-                return {}
-        slot_lins.append(lin)
-    out = {}
-    slot_items = [sorted(l.items()) for l in slot_lins]
-    for combo in iter_product(*slot_items):
-        labels = tuple(k for k, _ in combo)
-        scalar = one
-        for _, v in combo:
-            scalar = field.mul(scalar, v)
-        for ci, cv in sorted(coeff_lin.items()):
-            s = field.mul(scalar, cv)
-            key = Labeling(labels, ci)
-            tot = field.add(out.get(key, field.zero), s)
-            if tot == field.zero:
-                out.pop(key, None)
-            else:
-                out[key] = tot
-    return out
+def _structure_tables(algebra, c_alg, action, bound):
+    """Structure constants over the basis up to the weight bound: ``mul[i][j]``
+    is a_i . a_j and ``act[c][a]`` is c . action(a), each a tuple of
+    ``(basis index, scalar)`` pairs.
 
-
-class _NotMonomial(Exception):
-    """A product or coefficient action is not zero or one unit-coefficient
-    basis element."""
-
-
-def _monomial_tables(algebra, c_alg, action, bound):
-    """Lookup tables ``mul[i][j] -> k`` and ``act[c][a] -> c'`` (None for a
-    zero product) over the basis up to the weight bound, or None when some
-    product or coefficient action there is not a single basis element of
-    the expected weight with coefficient one.
-
-    Entries whose total weight exceeds the bound stay None; no labeling of a
-    block can reach them, since every partial product of its labels has at
-    most the block's weight.
+    An entry is ``()`` when it is zero or when its total weight exceeds the
+    bound; no labeling of a block can reach the latter, since every partial
+    product of its labels has at most the block's weight.
     """
     field = algebra.field
-    zero, one = field.zero, field.one
-
-    def image(lin, alg, weight):
-        if not lin:
-            return None
-        if len(lin) == 1:
-            (k, v), = lin.items()
-            if v == one and alg.weight(k) == weight:
-                return k
-        raise _NotMonomial
-
+    zero = field.zero
     a_idx = list(algebra.basis_indices(bound))
     c_idx = list(c_alg.basis_indices(bound))
-    mul = [[None] * (a_idx[-1] + 1) for _ in range(a_idx[-1] + 1)]
-    act = [[None] * (a_idx[-1] + 1) for _ in range(c_idx[-1] + 1)]
-    try:
-        for i in a_idx:
-            for j in a_idx:
-                w = algebra.weight(i) + algebra.weight(j)
-                if w <= bound:
-                    mul[i][j] = image(algebra.mul(i, j), algebra, w)
-        for c in c_idx:
-            for a in a_idx:
-                w = c_alg.weight(c) + algebra.weight(a)
-                if w > bound:
-                    continue
-                if a == algebra.unit:
-                    act[c][a] = c
-                    continue
+    mul = [[()] * (a_idx[-1] + 1) for _ in range(a_idx[-1] + 1)]
+    act = [[()] * (a_idx[-1] + 1) for _ in range(c_idx[-1] + 1)]
+    for i in a_idx:
+        for j in a_idx:
+            if algebra.weight(i) + algebra.weight(j) <= bound:
+                mul[i][j] = tuple((k, v) for k, v in algebra.mul(i, j).items()
+                                  if v != zero)
+    for c in c_idx:
+        for a in a_idx:
+            if c_alg.weight(c) + algebra.weight(a) <= bound:
                 lin = {}
                 for k, v in action(a).items():
                     for r, s in c_alg.mul(c, k).items():
                         lin[r] = field.add(lin.get(r, zero), field.mul(v, s))
-                act[c][a] = image({r: v for r, v in lin.items() if v != zero},
-                                  c_alg, w)
-    except _NotMonomial:
-        return None
+                act[c][a] = tuple((r, v) for r, v in lin.items() if v != zero)
     return mul, act
 
 
-def _table_face(plan, tables, unit):
-    """Pushforward along one face by table lookups: the image labeling as a
-    plain ``(assignment, coeff)`` tuple, or None when it vanishes."""
-    mul, act = tables
-    pre, to_base = plan
-    firsts = tuple(srcs[0] if srcs else None for srcs in pre)
-    merges = tuple((q, srcs[1:]) for q, srcs in enumerate(pre)
-                   if len(srcs) > 1)
-    if len(firsts) > 1 and None not in firsts:
-        gather = itemgetter(*firsts)
-    else:
-        def gather(a):
-            return tuple(unit if q is None else a[q] for q in firsts)
-
-    def push(labeling):
-        a, c = labeling
-        for q in to_base:
-            c = act[c][a[q]]
-            if c is None:
-                return None
-        if not merges:
-            return gather(a), c
-        labels = list(gather(a))
-        for slot, rest in merges:
-            x = labels[slot]
-            for q in rest:
-                x = mul[x][a[q]]
-                if x is None:
+def _index_tables(tables, algebra, c_alg):
+    """The tables as lookups ``x -> k`` (None for a zero entry) when every
+    entry is zero or one basis element of the summed weight with coefficient
+    one; otherwise None."""
+    for table, alg in zip(tables, (algebra, c_alg)):
+        for x, row in enumerate(table):
+            for y, terms in enumerate(row):
+                if terms and (len(terms) > 1 or terms[0][1] != 1 or
+                              alg.weight(terms[0][0])
+                              != alg.weight(x) + algebra.weight(y)):
                     return None
-            labels[slot] = x
-        return tuple(labels), c
-
-    return push
+    return [[[terms[0][0] if terms else None for terms in row] for row in table]
+            for table in tables]
 
 
-def _boundary_block(plans, cols, row_index, n_rows, algebra, c_alg, action,
-                    tables):
-    """Matrix of the alternating face sum over ``plans`` from the labelings
-    ``cols`` to the rows of ``row_index``; images missing from ``row_index``
-    (degenerate ones) are dropped.  ``tables`` from ``_monomial_tables``
-    selects the table path, None the generic ``_push_labeling`` path."""
-    field = algebra.field
-    zero = field.zero
+def _times(lin, table, y):
+    """A sparse combination ``{x: scalar}`` times the basis element y, read
+    off ``table``; scalars are summed as plain numbers."""
+    out = {}
+    for x, v in lin.items():
+        for k, s in table[x][y]:
+            out[k] = out.get(k, 0) + v * s
+    return out
+
+
+def _face_pusher(tables, algebra, c_alg):
+    """A function ``plan -> push``: each push maps a labeling to the terms
+    ``((assignment, coeff), scalar)`` of its image along the plan's face.
+
+    When ``_index_tables`` gives lookups, the push chains them and returns at
+    most one term, with scalar 1.  Otherwise it multiplies out the pairs of
+    ``tables``; its scalars are plain numbers that the caller normalizes.
+    """
+    unit = algebra.unit
+    index = _index_tables(tables, algebra, c_alg)
+    mul, act = tables if index is None else index
+
+    def pusher(plan):
+        pre, to_base = plan
+        firsts = tuple(srcs[0] if srcs else None for srcs in pre)
+        merges = tuple((q, srcs[1:]) for q, srcs in enumerate(pre)
+                       if len(srcs) > 1)
+        if len(firsts) > 1 and None not in firsts:
+            gather = itemgetter(*firsts)
+        else:
+            def gather(a):
+                return tuple(unit if q is None else a[q] for q in firsts)
+
+        def lookup_push(labeling):
+            a, c = labeling
+            for q in to_base:
+                c = act[c][a[q]]
+                if c is None:
+                    return ()
+            if not merges:
+                return (((gather(a), c), 1),)
+            labels = list(gather(a))
+            for slot, rest in merges:
+                x = labels[slot]
+                for q in rest:
+                    x = mul[x][a[q]]
+                    if x is None:
+                        return ()
+                labels[slot] = x
+            return (((tuple(labels), c), 1),)
+
+        def term_push(labeling):
+            a, c = labeling
+            coeffs = {c: 1}
+            for q in to_base:
+                coeffs = _times(coeffs, act, a[q])
+            firsts = gather(a)
+            terms = [((), 1)]
+            done = 0
+            for slot, rest in merges:
+                lin = {firsts[slot]: 1}
+                for q in rest:
+                    lin = _times(lin, mul, a[q])
+                terms = [(labels + firsts[done:slot] + (k,), v * s)
+                         for labels, v in terms for k, s in lin.items()]
+                done = slot + 1
+            return [((labels + firsts[done:], ci), v * cv)
+                    for labels, v in terms for ci, cv in coeffs.items()]
+
+        return term_push if index is None else lookup_push
+
+    return pusher
+
+
+def _boundary_block(pushes, cols, row_index, n_rows, field):
+    """Matrix of the signed face sum ``pushes`` (pairs of sign and push)
+    from the labelings ``cols`` to the rows of ``row_index``; images missing
+    from ``row_index`` (degenerate ones) are dropped."""
+    normalize, zero = field.normalize, field.zero
     entries = {}
-    if tables is not None:
-        faces = [(-1 if i % 2 else 1, _table_face(plan, tables, algebra.unit))
-                 for i, plan in enumerate(plans)]
-        normalize = field.normalize
-        for col, lab in enumerate(cols):
-            acc = {}
-            for sign, push in faces:
-                row = row_index.get(push(lab))
-                if row is None:
-                    continue
-                tot = acc.get(row, 0) + sign
-                if tot:
-                    acc[row] = tot
-                else:
-                    del acc[row]
-            for row, tot in acc.items():
-                val = normalize(tot)
-                if val != zero:
-                    entries[(row, col)] = val
-        return SparseMatrix(n_rows, len(cols), entries, field)
     for col, lab in enumerate(cols):
         acc = {}
-        for i, plan in enumerate(plans):
-            terms = _push_labeling(algebra, c_alg, action, plan, lab, field)
-            for out_lab, val in terms.items():
-                row = row_index.get(out_lab)
-                if row is None:
-                    continue
-                if i % 2:
-                    val = field.neg(val)
-                tot = field.add(acc.get(row, zero), val)
-                if tot == zero:
-                    acc.pop(row, None)
-                else:
-                    acc[row] = tot
-        for row, val in acc.items():
-            entries[(row, col)] = val
+        for sign, push in pushes:
+            for image, scalar in push(lab):
+                row = row_index.get(image)
+                if row is not None:
+                    acc[row] = acc.get(row, 0) + sign * scalar
+        for row, tot in acc.items():
+            val = normalize(tot)
+            if val != zero:
+                entries[(row, col)] = val
     return SparseMatrix(n_rows, len(cols), entries, field)
 
 
@@ -553,15 +474,15 @@ def _labeling_bases(algebra, c_alg, slot_counts, complements, weight_bound,
     return bound, bases, index
 
 
-def _boundary_blocks(plans, key, key_low, bases, index, algebra, c_alg,
-                     action, tables):
+def _boundary_blocks(pusher, plans, key, key_low, bases, index, field):
     """Every weight block of the face sum over ``plans`` from level ``key``
-    to level ``key_low``, keyed ``key + (w,)``."""
+    to level ``key_low``, keyed ``key + (w,)``; ``pusher`` is from
+    ``_face_pusher``."""
+    pushes = [(-1 if i % 2 else 1, pusher(plan)) for i, plan in enumerate(plans)]
     weights = sorted(k[-1] for k in bases if k[:-1] == key)
     return {key + (w,): _boundary_block(
-                plans, bases[key + (w,)], index.get(key_low + (w,), {}),
-                len(bases.get(key_low + (w,), ())), algebra, c_alg, action,
-                tables)
+                pushes, bases[key + (w,)], index.get(key_low + (w,), {}),
+                len(bases.get(key_low + (w,), ())), field)
             for w in weights}
 
 
@@ -582,13 +503,14 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
     bound, bases, index = _labeling_bases(
         algebra, c_alg, {(p,): len(s) for p, s in enumerate(slots)},
         complements, weight_bound, max_block_size)
-    tables = _monomial_tables(algebra, c_alg, action, bound)
+    pusher = _face_pusher(_structure_tables(algebra, c_alg, action, bound),
+                          algebra, c_alg)
     boundaries = {}
     for p in range(1, d + 2):
         plans = _face_plans([space.face(p, i) for i in range(p + 1)],
                             slots[p], slots[p - 1], space.basepoints[p - 1])
-        boundaries.update(_boundary_blocks(plans, (p,), (p - 1,), bases, index,
-                                           algebra, c_alg, action, tables))
+        boundaries.update(_boundary_blocks(pusher, plans, (p,), (p - 1,),
+                                           bases, index, algebra.field))
     return LodayComplex(space, algebra, coefficients, d, weight_bound,
                         normalized, bases, boundaries, coefficients.mode)
 

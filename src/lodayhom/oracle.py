@@ -20,7 +20,7 @@ from .exactlinalg import SparseMatrix
 from .algebra import Coefficients
 from .loday import (
     HomologyTable, LodayComplex, _boundary_blocks, _chain_setup, _face_plans,
-    _labeling_bases, _monomial_tables, homology_dims,
+    _face_pusher, _labeling_bases, _structure_tables, homology_dims,
 )
 from .simplicial import circle
 
@@ -92,7 +92,8 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
     bound, terms, index = _labeling_bases(
         algebra, c_alg, {nm: len(slots) for nm, slots in grid.items()}, {},
         weight_bound, max_block_size)
-    tables = _monomial_tables(algebra, c_alg, action, bound)
+    pusher = _face_pusher(_structure_tables(algebra, c_alg, action, bound),
+                          algebra, c_alg)
     s1 = circle(d + 1)
 
     def boundary_blocks(n, m, horizontal):
@@ -105,8 +106,8 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
             fmaps.append({(a, b): (face[a], b) if horizontal else (a, face[b])
                           for (a, b) in slots})
         plans = _face_plans(fmaps, slots, grid[low], (0, 0))
-        return _boundary_blocks(plans, (n, m), low, terms, index, algebra,
-                                c_alg, action, tables)
+        return _boundary_blocks(pusher, plans, (n, m), low, terms, index,
+                                algebra.field)
 
     horizontal = {}
     vertical = {}

@@ -211,6 +211,15 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             Coefficients("custom")
 
+    @pytest.mark.parametrize("mode", ["unit", "self"])
+    def test_unit_and_self_reject_algebra_and_action(self, mode):
+        with pytest.raises(ValueError):
+            Coefficients(mode, algebra=exterior(5))
+        with pytest.raises(ValueError):
+            Coefficients(mode, action=[{0: 1}, {}])
+        with pytest.raises(ValueError):
+            Coefficients(mode, algebra=exterior(5), action=[{0: 1}, {}])
+
     def test_unit_coefficient_algebra(self):
         k = unit_coefficient_algebra(make_field(7))
         assert k.dim == 1 and k.weight(0) == 0

@@ -11,7 +11,8 @@ from lodayhom.algebra import (
 from lodayhom.exactlinalg import make_field
 from lodayhom.loday import (
     BasisSizeExceeded, FieldMismatch, Labeling, TruncationTooShallow,
-    WeightBoundRequired, _degenerate_complements, _enumerate_block_bases,
+    WeightBoundRequired, _block_counts, _degenerate_complements,
+    _enumerate_block_bases,
     _resolve_coefficients, build_complex, chain_dims, homology_dims,
 )
 from lodayhom.simplicial import (
@@ -161,6 +162,22 @@ class TestPrunedEnumeration:
                 saw_degenerate_level = True
                 assert got == {}, (expr, p)
         assert saw_degenerate_level
+
+
+class TestBlockCounts:
+    @pytest.mark.parametrize("algebra,bound", [
+        (truncated_poly(3, 2), 8), (truncated_poly(2, 4), 8), (exterior(2), 6),
+        (polynomial(3), 5),
+    ], ids=["truncpoly(2)", "truncpoly(4)", "exterior", "poly"])
+    @pytest.mark.parametrize("coeffs", [UNIT, Coefficients.self_algebra()],
+                             ids=["unit", "self"])
+    def test_counts_equal_unnormalized_block_sizes(self, algebra, bound,
+                                                   coeffs):
+        c_alg, _ = _resolve_coefficients(algebra, coeffs)
+        for n_slots in range(6):
+            blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound)
+            assert _block_counts(algebra, c_alg, n_slots, bound) == \
+                [len(blocks.get(w, ())) for w in range(bound + 1)], n_slots
 
 
 class TestHomology:

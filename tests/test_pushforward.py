@@ -1,9 +1,15 @@
-"""The table-driven face pushforward against the generic one.
+"""Face pushforwards read off the structure tables, against a reference.
 
-Monomial algebras (every product and coefficient action zero or one basis
-element with coefficient one) are assembled by table lookups; every other
-algebra goes through ``_push_labeling``, which serves as the reference here.
+``_face_pusher`` chains index lookups when every product and coefficient
+action is zero or one basis element with coefficient one, and otherwise
+takes the generic push, which multiplies out ``(basis index, scalar)``
+pairs.  ``_push_labeling`` below is the reference for both: it re-derives
+every product through ``algebra.mul`` and ``mul_lincomb`` with field
+arithmetic.  Patching ``_index_tables`` to None forces the generic push.
 """
+
+import hashlib
+from itertools import product as iter_product
 
 import pytest
 
@@ -13,12 +19,84 @@ from lodayhom.algebra import (
     Coefficients, load_algebra, parse_algebra_expr, truncated_poly,
 )
 from lodayhom.loday import (
-    Labeling, _face_plans, _monomial_tables, _push_labeling,
-    _resolve_coefficients, _table_face, build_complex, homology_dims,
+    Labeling, _face_plans, _face_pusher, _index_tables, _resolve_coefficients,
+    _structure_tables, build_complex, homology_dims,
 )
 from lodayhom.simplicial import build_space, circle
 
 SMALL_INPUTS = random_small_inputs()
+
+
+def _push_labeling(algebra, c_alg, action, plan, labeling, field):
+    """Pushforward of a basis labeling along one face map, expanded into a
+    sparse combination of labelings one level down."""
+    pre, to_base = plan
+    one = field.one
+    assignment = labeling.assignment
+    coeff_lin = {labeling.coeff: one}
+    for q in to_base:
+        a = assignment[q]
+        if a == algebra.unit:
+            continue
+        img = action(a)
+        if not img:
+            return {}
+        nxt = {}
+        for c0, v0 in coeff_lin.items():
+            for k, v in img.items():
+                out = c_alg.mul(c0, k)
+                for r, s in out.items():
+                    key = r
+                    val = field.mul(field.mul(v0, v), s)
+                    cur = nxt.get(key, field.zero)
+                    tot = field.add(cur, val)
+                    if tot == field.zero:
+                        nxt.pop(key, None)
+                    else:
+                        nxt[key] = tot
+        coeff_lin = nxt
+        if not coeff_lin:
+            return {}
+    slot_lins = []
+    unit = algebra.unit
+    for srcs in pre:
+        if not srcs:
+            slot_lins.append({unit: one})
+            continue
+        if len(srcs) == 1:
+            slot_lins.append({assignment[srcs[0]]: one})
+            continue
+        lin = {assignment[srcs[0]]: one}
+        for q in srcs[1:]:
+            lin = algebra.mul_lincomb(lin, assignment[q])
+            if not lin:
+                return {}
+        slot_lins.append(lin)
+    out = {}
+    slot_items = [sorted(l.items()) for l in slot_lins]
+    for combo in iter_product(*slot_items):
+        labels = tuple(k for k, _ in combo)
+        scalar = one
+        for _, v in combo:
+            scalar = field.mul(scalar, v)
+        for ci, cv in sorted(coeff_lin.items()):
+            s = field.mul(scalar, cv)
+            key = Labeling(labels, ci)
+            tot = field.add(out.get(key, field.zero), s)
+            if tot == field.zero:
+                out.pop(key, None)
+            else:
+                out[key] = tot
+    return out
+
+
+def _collected(terms, field):
+    """The terms of a push summed per labeling, zeros dropped."""
+    out = {}
+    for image, scalar in terms:
+        out[image] = out.get(image, 0) + scalar
+    out = {Labeling(*image): field.normalize(v) for image, v in out.items()}
+    return {key: v for key, v in out.items() if v != field.zero}
 
 
 def _coefficients(mode, algebra):
@@ -34,22 +112,44 @@ def _coefficients(mode, algebra):
 
 
 def _generic_only(monkeypatch):
-    monkeypatch.setattr(loday, "_monomial_tables", lambda *args: None)
-    monkeypatch.setattr(oracle, "_monomial_tables", lambda *args: None)
+    monkeypatch.setattr(loday, "_index_tables", lambda *args: None)
 
 
-@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
-@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
-def test_table_face_equals_push_labeling(expr, algebra_spec, p, d, mode):
-    algebra = parse_algebra_expr(algebra_spec, p)
-    coefficients = _coefficients(mode, algebra)
-    space = build_space(expr, d + 1)
+def _cube_truncation_without_monomials(field_tag):
+    """k[x]/x^3 on the basis 1, x, y with x*x = 2y: not monomial, since the
+    square of x carries the coefficient 2."""
+    unit_products = [{"left": "1", "right": b, "value": [{"basis": b,
+                                                          "coeff": 1}]}
+                     for b in ("1", "x", "y")]
+    return load_algebra({
+        "field": field_tag,
+        "basis": [{"name": "1", "weight": 0}, {"name": "x", "weight": 1},
+                  {"name": "y", "weight": 2}],
+        "unit": "1",
+        "structure": unit_products + [
+            {"left": "x", "right": "x", "value": [{"basis": "y", "coeff": 2}]}],
+        "augmentation": [{"basis": "1", "coeff": 1}],
+    })
+
+
+CUBE_FIELDS = [("Fp:3", 3), ("Fp:5", 5), ("Q", "Q")]
+
+
+def _assert_pushes_equal_reference(space, algebra, coefficients, d,
+                                   monkeypatch):
+    """Every face of the unnormalized complex through degree d, pushed from
+    every basis labeling by the default push and by the generic push,
+    against ``_push_labeling``.  Returns whether the default push is the
+    lookup one."""
+    field = algebra.field
     complex_ = build_complex(space, algebra, coefficients, d, normalized=False)
     c_alg, action = _resolve_coefficients(algebra, coefficients)
     bound = max(w for (_, w) in complex_.bases)
-    tables = _monomial_tables(algebra, c_alg, action, bound)
-    assert tables is not None
-    one = algebra.field.one
+    tables = _structure_tables(algebra, c_alg, action, bound)
+    pushers = [_face_pusher(tables, algebra, c_alg)]
+    with monkeypatch.context() as patch:
+        _generic_only(patch)
+        pushers.append(_face_pusher(tables, algebra, c_alg))
     for level in range(1, d + 2):
         slots = [s for s in range(space.size(level))
                  if s != space.basepoints[level]]
@@ -60,13 +160,35 @@ def test_table_face_equals_push_labeling(expr, algebra_spec, p, d, mode):
         labelings = [lab for (q, _), labs in complex_.bases.items()
                      if q == level for lab in labs]
         for plan in plans:
-            push = _table_face(plan, tables, algebra.unit)
+            pushes = [pusher(plan) for pusher in pushers]
             for lab in labelings:
-                got = push(lab)
                 expected = _push_labeling(algebra, c_alg, action, plan, lab,
-                                          algebra.field)
-                assert ({} if got is None else {Labeling(*got): one}) \
-                    == expected, (level, plan, lab)
+                                          field)
+                for push in pushes:
+                    assert _collected(push(lab), field) == expected, \
+                        (level, plan, lab, push.__name__)
+    return _index_tables(tables, algebra, c_alg) is not None
+
+
+@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
+@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
+def test_table_face_equals_push_labeling(expr, algebra_spec, p, d, mode,
+                                         monkeypatch):
+    algebra = parse_algebra_expr(algebra_spec, p)
+    assert _assert_pushes_equal_reference(
+        build_space(expr, d + 1), algebra, _coefficients(mode, algebra), d,
+        monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["unit", "self"])
+@pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
+def test_table_face_on_non_monomial_presentation(field_tag, field, mode,
+                                                 monkeypatch):
+    algebra = _cube_truncation_without_monomials(field_tag)
+    coefficients = _coefficients(mode, algebra)
+    for space, d in ((circle(4), 3), (build_space("sphere(2)", 2), 1)):
+        assert not _assert_pushes_equal_reference(space, algebra, coefficients,
+                                                  d, monkeypatch)
 
 
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
@@ -95,31 +217,14 @@ def test_grid_bicomplex_equals_generic_path(field, monkeypatch):
                 == {k: m.entries for k, m in getattr(generic, name).items()})
 
 
-def _cube_truncation_without_monomials(field_tag):
-    """k[x]/x^3 on the basis 1, x, y with x*x = 2y: not monomial, since the
-    square of x carries the coefficient 2."""
-    unit_products = [{"left": "1", "right": b, "value": [{"basis": b,
-                                                          "coeff": 1}]}
-                     for b in ("1", "x", "y")]
-    return load_algebra({
-        "field": field_tag,
-        "basis": [{"name": "1", "weight": 0}, {"name": "x", "weight": 1},
-                  {"name": "y", "weight": 2}],
-        "unit": "1",
-        "structure": unit_products + [
-            {"left": "x", "right": "x", "value": [{"basis": "y", "coeff": 2}]}],
-        "augmentation": [{"basis": "1", "coeff": 1}],
-    })
-
-
-@pytest.mark.parametrize("field_tag,field", [("Fp:3", 3), ("Fp:5", 5),
-                                             ("Q", "Q")])
+@pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
 def test_generic_path_on_non_monomial_presentation(field_tag, field):
     algebra = _cube_truncation_without_monomials(field_tag)
     reference = truncated_poly(field, 3)
     for coefficients in (Coefficients.unit(), Coefficients.self_algebra()):
         c_alg, action = _resolve_coefficients(algebra, coefficients)
-        assert _monomial_tables(algebra, c_alg, action, 8) is None
+        tables = _structure_tables(algebra, c_alg, action, 8)
+        assert _index_tables(tables, algebra, c_alg) is None
     cases = ((circle(4), Coefficients.unit(), 3),
              (circle(4), Coefficients.self_algebra(), 3),
              (build_space("sphere(2)", 3), Coefficients.unit(), 2))
@@ -128,3 +233,37 @@ def test_generic_path_on_non_monomial_presentation(field_tag, field):
         want = homology_dims(build_complex(space, reference, coefficients,
                                            degree))
         assert got.dims == want.dims, (coefficients, degree)
+
+
+def _digest_update(h, bases, matrices):
+    h.update(repr(sorted(bases.items())).encode())
+    for key, mat in sorted(matrices.items()):
+        h.update(repr((key, mat.rows, mat.cols,
+                       sorted(mat.entries.items()))).encode())
+
+
+# sha256 of the bases and boundary matrices below as assembled at the commit
+# before the face pushes were built on the structure tables (the lookup and
+# the generic push then lived in separate code)
+MATRIX_DIGEST = \
+    "a6430f9fe1dff8ac0dc453afc37d9c08a8e0b141c1b6f127ca0d17a9f9556800"
+
+
+def test_boundary_matrices_are_pinned():
+    h = hashlib.sha256()
+    for expr, algebra_spec, p, d in SMALL_INPUTS:
+        algebra = parse_algebra_expr(algebra_spec, p)
+        for mode in ("unit", "self", "custom"):
+            complex_ = build_complex(build_space(expr, d + 1), algebra,
+                                     _coefficients(mode, algebra), d)
+            _digest_update(h, complex_.bases, complex_.boundaries)
+    for field_tag, _ in CUBE_FIELDS:
+        algebra = _cube_truncation_without_monomials(field_tag)
+        for coefficients in (Coefficients.unit(), Coefficients.self_algebra()):
+            for space, d in ((circle(4), 3), (build_space("sphere(2)", 2), 1)):
+                complex_ = build_complex(space, algebra, coefficients, d)
+                _digest_update(h, complex_.bases, complex_.boundaries)
+            grid = oracle.torus_bicomplex(algebra, coefficients, 1)
+            _digest_update(h, grid.terms, grid.horizontal)
+            _digest_update(h, {}, grid.vertical)
+    assert h.hexdigest() == MATRIX_DIGEST
