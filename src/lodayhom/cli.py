@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from . import acceptance
 from .algebra import Coefficients, parse_algebra_expr
 from .exactlinalg import make_field
-from .loday import build_complex, homology_dims
+from .loday import DEFAULT_MAX_BLOCK, build_complex, homology_dims
 from .oracle import torus_bicomplex, total_homology
 from .simplicial import build_space, parse_space_expr, validate
 from .stability import (
@@ -77,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-normalize", action="store_true")
         p.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
-        p.add_argument("--max-basis", type=int, default=None)
+        p.add_argument("--max-basis", type=int, default=None,
+                       help="ceiling on the total number of labelings of a "
+                            f"complex (default {DEFAULT_MAX_BLOCK})")
 
     common(sub.add_parser("compute", help="homology table of one space"), 1)
     common(sub.add_parser("compare", help="compare two spaces"), 2)
@@ -115,18 +116,16 @@ def parse_args(argv) -> RunConfig:
     cfg.normalized = not ns.no_normalize
     cfg.output = ns.format
     cfg.max_basis = ns.max_basis
-    if cfg.max_basis is None and os.environ.get("LODAY_MAX_BASIS"):
-        try:
-            cfg.max_basis = int(os.environ["LODAY_MAX_BASIS"])
-        except ValueError:
-            parser.error("LODAY_MAX_BASIS must be an integer")
     if ns.command in ("compare", "check-product"):
         cfg.space = ns.space_a
         cfg.space_b = ns.space_b
     elif ns.command == "compute":
         cfg.space = ns.space
-    if cfg.max_degree < 0:
-        parser.error("--max-degree must be >= 0")
+    for flag, value in (("--max-degree", cfg.max_degree),
+                        ("--max-weight", cfg.weight_bound),
+                        ("--max-basis", cfg.max_basis)):
+        if value is not None and value < 0:
+            parser.error(f"{flag} must be >= 0")
     try:
         make_field(cfg.field)
     except ValueError as exc:

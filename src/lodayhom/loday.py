@@ -14,9 +14,10 @@ assignments while it walks, so they are never built.
 All boundaries preserve the total weight, so every matrix is assembled and
 ranked blockwise per (degree, weight).
 
-Levels are keyed by tuples, so one core serves any complex whose levels are
-cells with face maps between them: ``build_complex`` keys the diagonal complex
-``(p,)``, ``oracle.torus_bicomplex`` the grid ``(n, m)``.
+One evaluator, ``_labeling_complex``, labels the cells of a product of
+simplicial sets (its axes) per tuple of levels and sums faces along each axis:
+``build_complex`` is one axis, ``oracle.torus_bicomplex`` two circles.  One
+ceiling bounds the labelings of the whole complex before any is enumerated.
 
 Face pushforwards read one structure table per complex: every product of
 basis elements up to the weight bound and every coefficient action
@@ -31,6 +32,7 @@ which sums plain numbers and normalizes once per matrix entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -52,10 +54,11 @@ class FieldMismatch(ValueError):
 
 
 class BasisSizeExceeded(RuntimeError):
-    """A block of labelings (level, weight) would exceed the ceiling."""
+    """The labelings of a whole complex, predicted before any is built, would
+    exceed the ceiling."""
 
 
-DEFAULT_MAX_BLOCK = 5_000_000
+DEFAULT_MAX_BLOCK = 5_000_000  # ceiling on the labelings of one complex
 
 
 class Labeling(NamedTuple):
@@ -404,7 +407,7 @@ def _face_pusher(tables, algebra, c_alg):
     return pusher
 
 
-def _boundary_block(pushes, cols, row_index, n_rows, field):
+def _boundary_block(pushes, cols, row_index, field):
     """Matrix of the signed face sum ``pushes`` (pairs of sign and push)
     from the labelings ``cols`` to the rows of ``row_index``; images missing
     from ``row_index`` (degenerate ones) are dropped."""
@@ -421,96 +424,97 @@ def _boundary_block(pushes, cols, row_index, n_rows, field):
             val = normalize(tot)
             if val != zero:
                 entries[(row, col)] = val
-    return SparseMatrix(n_rows, len(cols), entries, field)
+    return SparseMatrix(len(row_index), len(cols), entries, field)
 
 
-def _degenerate_complements(space, p, slots):
-    """Per degeneracy s_j into level p, the slot positions outside its image."""
-    images = [set(space.degeneracy(p - 1, j)) for j in range(p)]
-    return tuple(tuple(q for q, sid in enumerate(slots) if sid not in image)
-                 for image in images)
+def _degenerate_complements(axes, key, slots):
+    """Per degeneracy s_j along axis i into level ``key``, the positions of
+    the cells of ``slots`` whose coordinate i is outside its image."""
+    return tuple(tuple(q for q, cell in enumerate(slots) if cell[i] not in image)
+                 for i, (axis, p) in enumerate(zip(axes, key))
+                 for image in (set(axis.degeneracy(p - 1, j)) for j in range(p)))
 
 
-def _chain_setup(algebra, coefficients, max_degree, weight_bound):
-    """Check the arguments every labeling complex shares; returns
-    (C_algebra, action) as ``_resolve_coefficients`` does."""
+def _labeling_complex(axes, keys, algebra, coefficients, d, weight_bound,
+                      normalized, max_block_size):
+    """Bases keyed ``key + (w,)`` of the labelings of the non-basepoint cells
+    of the product of ``axes`` at the levels ``keys``, and per axis the
+    boundary blocks out of the levels positive on it.
+
+    A cell is a tuple of per-axis simplex identifiers, in lexicographic order;
+    face j along axis i replaces coordinate i by its image under
+    ``axes[i].face(key[i], j)``.  Lowering a positive coordinate of a key must
+    give a key again.
+    """
     if not isinstance(coefficients, Coefficients):
         raise TypeError("coefficients must be a Coefficients value")
-    if max_degree < 0:
+    if d < 0:
         raise ValueError("max_degree must be >= 0")
+    if weight_bound is not None and weight_bound < 0:
+        raise ValueError("weight_bound must be >= 0")
     if not algebra.is_finite and weight_bound is None:
         raise WeightBoundRequired(
             "the algebra has unbounded weights; supply a weight bound")
     if coefficients.mode == "custom" and not coefficients.algebra.is_finite:
         raise WeightBoundRequired("custom coefficient algebras must be finite")
-    return _resolve_coefficients(algebra, coefficients)
-
-
-def _labeling_bases(algebra, c_alg, slot_counts, complements, weight_bound,
-                    max_block_size):
-    """Guarded bases of the levels ``slot_counts`` maps to their slot counts;
-    the levels in ``complements`` are normalized.  Returns the weight bound (by
-    default the largest reachable weight), the bases keyed ``key + (w,)`` and
-    their row indices."""
+    c_alg, action = _resolve_coefficients(algebra, coefficients)
+    basepoints = {key: tuple(axis.basepoints[p] for axis, p in zip(axes, key))
+                  for key in keys}
+    slots = {key: tuple(cell for cell in product(*(range(axis.size(p))
+                                                   for axis, p in zip(axes, key)))
+                        if cell != basepoints[key])
+             for key in keys}
     if weight_bound is not None:
         bound = weight_bound
     else:
-        bound = (algebra.max_basis_weight * max(slot_counts.values())
+        bound = (algebra.max_basis_weight * max(map(len, slots.values()))
                  + c_alg.max_basis_weight)
     ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-    bases = {}
-    index = {}
-    for key, n_slots in slot_counts.items():
-        for w, count in enumerate(_block_counts(algebra, c_alg, n_slots, bound)):
-            if count > ceiling:
-                raise BasisSizeExceeded(
-                    f"block {key + (w,)} needs {count} labelings, "
-                    f"ceiling is {ceiling}")
-        blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound,
-                                        complements.get(key, ()))
-        for w, labs in blocks.items():
-            bases[key + (w,)] = labs
-            index[key + (w,)] = {lab: r for r, lab in enumerate(labs)}
-    return bound, bases, index
-
-
-def _boundary_blocks(pusher, plans, key, key_low, bases, index, field):
-    """Every weight block of the face sum over ``plans`` from level ``key``
-    to level ``key_low``, keyed ``key + (w,)``; ``pusher`` is from
-    ``_face_pusher``."""
-    pushes = [(-1 if i % 2 else 1, pusher(plan)) for i, plan in enumerate(plans)]
-    weights = sorted(k[-1] for k in bases if k[:-1] == key)
-    return {key + (w,): _boundary_block(
-                pushes, bases[key + (w,)], index.get(key_low + (w,), {}),
-                len(bases.get(key_low + (w,), ())), field)
-            for w in weights}
+    total = sum(sum(_block_counts(algebra, c_alg, len(cells), bound))
+                for cells in slots.values())
+    if total > ceiling:
+        raise BasisSizeExceeded(
+            f"the complex needs {total} labelings, ceiling is {ceiling}")
+    levels = {key: _enumerate_block_bases(
+                  algebra, c_alg, len(cells), bound,
+                  _degenerate_complements(axes, key, cells) if normalized else ())
+              for key, cells in slots.items()}
+    bases = {key + (w,): labs for key, blocks in levels.items()
+             for w, labs in blocks.items()}
+    index = {k: {lab: r for r, lab in enumerate(labs)} for k, labs in bases.items()}
+    pusher = _face_pusher(_structure_tables(algebra, c_alg, action, bound),
+                          algebra, c_alg)
+    boundaries = tuple({} for _ in axes)
+    for key, cells in slots.items():
+        for i, p in enumerate(key):
+            if not p:
+                continue
+            low = key[:i] + (p - 1,) + key[i + 1:]
+            fmaps = [{c: c[:i] + (face[c[i]],) + c[i + 1:] for c in cells}
+                     for face in (axes[i].face(p, j) for j in range(p + 1))]
+            plans = _face_plans(fmaps, cells, slots[low], basepoints[low])
+            pushes = [(-1 if j % 2 else 1, pusher(plan))
+                      for j, plan in enumerate(plans)]
+            for w, cols in levels[key].items():
+                boundaries[i][key + (w,)] = _boundary_block(
+                    pushes, cols, index.get(low + (w,), {}), algebra.field)
+    return bases, boundaries
 
 
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,
                   max_degree: int, weight_bound=None, normalized: bool = True,
                   max_block_size: int | None = None) -> LodayComplex:
-    """Assemble bases and boundary matrices through degree max_degree + 1."""
+    """Assemble bases and boundary matrices through degree max_degree + 1;
+    ``max_block_size`` (default ``DEFAULT_MAX_BLOCK``) bounds their total
+    number of labelings."""
     d = max_degree
     if space.top_level < d + 1:
         raise TruncationTooShallow(
             f"degree {d} homology needs top_level >= {d + 1}, "
             f"got {space.top_level}")
-    c_alg, action = _chain_setup(algebra, coefficients, d, weight_bound)
-    slots = [tuple(s for s in range(space.size(p)) if s != space.basepoints[p])
-             for p in range(d + 2)]
-    complements = ({(p,): _degenerate_complements(space, p, slots[p])
-                    for p in range(d + 2)} if normalized else {})
-    bound, bases, index = _labeling_bases(
-        algebra, c_alg, {(p,): len(s) for p, s in enumerate(slots)},
-        complements, weight_bound, max_block_size)
-    pusher = _face_pusher(_structure_tables(algebra, c_alg, action, bound),
-                          algebra, c_alg)
-    boundaries = {}
-    for p in range(1, d + 2):
-        plans = _face_plans([space.face(p, i) for i in range(p + 1)],
-                            slots[p], slots[p - 1], space.basepoints[p - 1])
-        boundaries.update(_boundary_blocks(pusher, plans, (p,), (p - 1,),
-                                           bases, index, algebra.field))
+    bases, (boundaries,) = _labeling_complex(
+        (space,), [(p,) for p in range(d + 2)], algebra, coefficients, d,
+        weight_bound, normalized, max_block_size)
     return LodayComplex(space, algebra, coefficients, d, weight_bound,
                         normalized, bases, boundaries, coefficients.mode)
 

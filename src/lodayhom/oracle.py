@@ -1,14 +1,14 @@
 """Independent cross-checks for the main chain pipeline.
 
 ``torus_bicomplex`` evaluates the labeling functor on the bisimplicial grid
-S^1 x S^1 directly: the term in bidegree (n, m) is the labeling space of the
-(n+1)(m+1) - 1 non-basepoint cells of the grid, the horizontal boundary is the
-alternating face sum in the first circle direction, the vertical one in the
+S^1 x S^1 directly: ``loday``'s evaluator runs on two circle axes instead of
+the one diagonal axis, so the term in bidegree (n, m) is the labeling space of
+the (n+1)(m+1) - 1 non-basepoint cells of the grid, the horizontal boundary is
+the alternating face sum along the first circle, the vertical one along the
 second.  ``total_homology`` ranks its total complex, with the sign twist
 (-1)^n placed on the vertical differential at horizontal degree n; the result
-must agree blockwise with the diagonal product complex.  Both run on the
-labeling core of ``loday``; the check is independent in the grid's cells,
-its per-axis face maps and the twisted totalization.
+must agree blockwise with the diagonal product complex.  The check is
+independent in its two axes and the twisted totalization.
 
 ``wedge_kunneth_dims`` convolves homology tables over a field, predicting
 wedge homology from the factors.
@@ -19,8 +19,7 @@ from __future__ import annotations
 from .exactlinalg import SparseMatrix
 from .algebra import Coefficients
 from .loday import (
-    HomologyTable, LodayComplex, _boundary_blocks, _chain_setup, _face_plans,
-    _face_pusher, _labeling_bases, _structure_tables, homology_dims,
+    HomologyTable, LodayComplex, _labeling_complex, homology_dims,
 )
 from .simplicial import circle
 
@@ -74,49 +73,17 @@ class Bicomplex:
         return violations
 
 
-def _grid_slots(n: int, m: int):
-    """Non-basepoint cells of S^1_n x S^1_m in lexicographic order; the cell
-    identifiers of the minimal circle are 0..level with 0 the basepoint."""
-    return tuple((a, b) for a in range(n + 1) for b in range(m + 1)
-                 if (a, b) != (0, 0))
-
-
 def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
                     weight_bound=None, max_block_size=None) -> Bicomplex:
     """Labeling bicomplex of the two-circle grid through total degree
-    max_degree + 1."""
+    max_degree + 1; ``max_block_size`` bounds its total number of
+    labelings."""
     d = max_degree
-    c_alg, action = _chain_setup(algebra, coefficients, d, weight_bound)
-    grid = {(n, m): _grid_slots(n, m)
-            for n in range(d + 2) for m in range(d + 2 - n)}
-    bound, terms, index = _labeling_bases(
-        algebra, c_alg, {nm: len(slots) for nm, slots in grid.items()}, {},
-        weight_bound, max_block_size)
-    pusher = _face_pusher(_structure_tables(algebra, c_alg, action, bound),
-                          algebra, c_alg)
     s1 = circle(d + 1)
-
-    def boundary_blocks(n, m, horizontal):
-        """All weight blocks of one directional boundary out of (n, m)."""
-        slots = grid[(n, m)]
-        low = (n - 1, m) if horizontal else (n, m - 1)
-        fmaps = []
-        for i in range((n if horizontal else m) + 1):
-            face = s1.face(n if horizontal else m, i)
-            fmaps.append({(a, b): (face[a], b) if horizontal else (a, face[b])
-                          for (a, b) in slots})
-        plans = _face_plans(fmaps, slots, grid[low], (0, 0))
-        return _boundary_blocks(pusher, plans, (n, m), low, terms, index,
-                                algebra.field)
-
-    horizontal = {}
-    vertical = {}
-    for (n, m) in grid:
-        if n >= 1:
-            horizontal.update(boundary_blocks(n, m, True))
-        if m >= 1:
-            vertical.update(boundary_blocks(n, m, False))
-
+    terms, (horizontal, vertical) = _labeling_complex(
+        (s1, s1), [(n, m) for n in range(d + 2) for m in range(d + 2 - n)],
+        algebra, coefficients, d, weight_bound, normalized=False,
+        max_block_size=max_block_size)
     return Bicomplex(algebra, coefficients, d, weight_bound, terms,
                      horizontal, vertical, coefficients.mode)
 

@@ -54,18 +54,19 @@ class TestParseArgs:
                         "--max-degree", "2"])
         assert err.value.code == 2
 
-    def test_max_basis_env(self, monkeypatch):
-        monkeypatch.setenv("LODAY_MAX_BASIS", "123")
-        cfg = parse_args(["compute", "--space", "S1", "--algebra",
-                          "truncpoly(2)", "--field", "F3", "--max-degree", "1"])
-        assert cfg.max_basis == 123
-
     def test_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("LODAY_MAX_BASIS", "123")
         cfg = parse_args(["compute", "--space", "S1", "--algebra",
                           "truncpoly(2)", "--field", "F3", "--max-degree", "1",
                           "--max-basis", "77"])
         assert cfg.max_basis == 77
+
+    @pytest.mark.parametrize("flag", ["--max-weight", "--max-basis"])
+    def test_negative_bound_is_usage_error(self, flag):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["compute", "--space", "S1", "--algebra", "poly",
+                        "--field", "F3", "--max-degree", "1",
+                        "--max-weight", "1", flag, "-1"])
+        assert err.value.code == 2
 
 
 class TestComputeCommand:

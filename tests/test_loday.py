@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from lodayhom import loday
 from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
     Coefficients, exterior, polynomial, truncated_poly,
@@ -140,7 +141,8 @@ def enumeration_levels():
         for p in range(top + 1):
             bp = space.basepoints[p]
             slots = tuple(s for s in range(space.size(p)) if s != bp)
-            yield expr, p, slots, _degenerate_complements(space, p, slots)
+            yield expr, p, slots, _degenerate_complements(
+                (space,), (p,), [(s,) for s in slots])
 
 
 class TestPrunedEnumeration:
@@ -338,6 +340,21 @@ class TestErrors:
         with pytest.raises(BasisSizeExceeded):
             build_complex(build_space("prod(S1,S1)", 3), truncated_poly(3, 2),
                           UNIT, 2, max_block_size=100)
+
+    def test_total_ceiling_fails_before_enumerating(self, monkeypatch):
+        # every (degree, weight) block of the degree-2 torus over k[t]/t^3
+        # fits under the default ceiling; the whole complex does not
+        def enumerate_nothing(*args):
+            raise AssertionError("enumerated past the ceiling")
+        monkeypatch.setattr(loday, "_enumerate_block_bases", enumerate_nothing)
+        total = 3 ** 0 + 3 ** 3 + 3 ** 8 + 3 ** 15
+        with pytest.raises(BasisSizeExceeded, match=f"needs {total} labelings"):
+            build_complex(build_space("prod(S1,S1)", 3), truncated_poly(2, 3),
+                          UNIT, 2)
+
+    def test_negative_weight_bound(self):
+        with pytest.raises(ValueError, match="weight_bound"):
+            build_complex(circle(2), polynomial(3), UNIT, 1, weight_bound=-1)
 
     def test_deterministic_bases_and_boundaries(self):
         def build():

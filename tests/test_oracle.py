@@ -4,14 +4,14 @@ import pytest
 
 from lodayhom.algebra import Coefficients, polynomial, truncated_poly
 from lodayhom.loday import (
-    BasisSizeExceeded, HomologyTable, WeightBoundRequired, build_complex,
-    homology_dims,
+    BasisSizeExceeded, HomologyTable, WeightBoundRequired, _labeling_complex,
+    build_complex, homology_dims,
 )
 from lodayhom.oracle import (
-    CoefficientMismatch, check_total_square, torus_bicomplex, total_homology,
-    wedge_kunneth_dims,
+    Bicomplex, CoefficientMismatch, check_total_square, torus_bicomplex,
+    total_homology, wedge_kunneth_dims,
 )
-from lodayhom.simplicial import build_space
+from lodayhom.simplicial import build_space, circle
 from lodayhom.exactlinalg import make_field
 
 UNIT = Coefficients.unit()
@@ -77,6 +77,49 @@ class TestTotalHomology:
             build_space("prod(S1,S1)", 3), polynomial(3), UNIT, 2,
             weight_bound=3))
         assert via_grid.dims == direct.dims
+
+
+def grid(axes, algebra, coefficients, d, normalized=False, weight_bound=None):
+    """The two-axis labeling bicomplex through total degree d + 1."""
+    terms, (horizontal, vertical) = _labeling_complex(
+        axes, [(n, m) for n in range(d + 2) for m in range(d + 2 - n)],
+        algebra, coefficients, d, weight_bound, normalized, None)
+    return Bicomplex(algebra, coefficients, d, weight_bound, terms,
+                     horizontal, vertical, coefficients.mode)
+
+
+class TestAnyAxes:
+    """The evaluator behind the torus grid is not specific to two circles."""
+
+    @pytest.mark.parametrize("field", [3, 2, "Q"])
+    @pytest.mark.parametrize("left,right", [("S1", "simplexsphere(2)"),
+                                            ("simplexsphere(2)", "S1")])
+    def test_eilenberg_zilber(self, field, left, right):
+        # the twisted total complex of X x Y as a bicomplex computes the
+        # homology of the diagonal prod(X, Y)
+        axes = (build_space(left, 3), build_space(right, 3))
+        via_axes = total_homology(grid(axes, truncated_poly(field, 2), UNIT, 2), 2)
+        direct = homology_dims(build_complex(
+            build_space(f"prod({left},{right})", 3), truncated_poly(field, 2),
+            UNIT, 2))
+        assert via_axes.dims == direct.dims
+
+    @pytest.mark.parametrize("field", [3, 2, "Q"])
+    @pytest.mark.parametrize("make,bound", [
+        (lambda f: truncated_poly(f, 2), None),
+        (lambda f: truncated_poly(f, 3), None), (polynomial, 3),
+    ], ids=["truncpoly(2)", "truncpoly(3)", "poly"])
+    @pytest.mark.parametrize("coeffs", [UNIT, Coefficients.self_algebra()],
+                             ids=["unit", "self"])
+    def test_per_axis_normalization(self, field, make, bound, coeffs):
+        algebra = make(field)
+        s1 = circle(3)
+        full = grid((s1, s1), algebra, coeffs, 2, weight_bound=bound)
+        normalized = grid((s1, s1), algebra, coeffs, 2, True, bound)
+        assert total_homology(normalized, 2).dims == \
+            total_homology(full, 2).dims
+        assert sum(map(len, normalized.terms.values())) < \
+            sum(map(len, full.terms.values()))
 
 
 class TestArgumentChecks:
