@@ -3,6 +3,13 @@ computations.
 
 Scalars are plain Python ``int`` (reduced mod p) over a prime field and
 ``fractions.Fraction`` over the rationals; there is no floating point anywhere.
+
+Rank eliminates on plain ints in both cases: reduced with ``% p`` over F_p,
+and fraction-free over Q, where each row is kept as the primitive integer
+multiple of its rational value (scaled by the lcm of its denominators, then
+divided by the gcd of its entries after every update).  Scaling a row by a
+nonzero factor leaves its zero pattern alone, and the pivot order reads only
+zero patterns, so the pivots and the fill-in are those of field arithmetic.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class NonPrimeModulus(ValueError):
@@ -107,7 +115,9 @@ class SparseMatrix:
     """Immutable sparse matrix over an exact field.
 
     Entries are stored as a mapping (row, col) -> nonzero scalar; zero scalars
-    and duplicate positions are rejected at construction.
+    and duplicate positions are rejected at construction.  Matrices the
+    library builds from entries it has already normalized skip these checks
+    through ``_trusted``.
     """
 
     __slots__ = ("rows", "cols", "field", "entries")
@@ -130,10 +140,22 @@ class SparseMatrix:
             if v == field.zero:
                 raise ValueError(f"stored zero scalar at {key}")
             stored[key] = v
+        self._adopt(rows, cols, stored, field)
+
+    def _adopt(self, rows, cols, entries, field):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", stored)
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict,
+                 field: FieldSpec) -> "SparseMatrix":
+        """Take ownership of ``entries``, a dict of in-bounds positions to
+        normalized nonzero scalars of ``field``, without checking it."""
+        matrix = object.__new__(cls)
+        matrix._adopt(rows, cols, entries, field)
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseMatrix is immutable")
@@ -150,7 +172,7 @@ class SparseMatrix:
                 v = field.normalize(v)
                 if v != field.zero:
                     entries[(r, c)] = v
-        return cls(rows, cols, entries, field)
+        return cls._trusted(rows, cols, entries, field)
 
     @classmethod
     def identity(cls, n: int, field: FieldSpec) -> "SparseMatrix":
@@ -169,7 +191,7 @@ class SparseMatrix:
         return not self.entries
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
+        return SparseMatrix._trusted(
             self.cols, self.rows,
             {(c, r): v for (r, c), v in self.entries.items()}, self.field,
         )
@@ -190,7 +212,7 @@ class SparseMatrix:
                     acc.pop(key, None)
                 else:
                     acc[key] = s
-        return SparseMatrix(self.rows, other.cols, acc, field)
+        return SparseMatrix._trusted(self.rows, other.cols, acc, field)
 
     def to_dense(self):
         out = [[self.field.zero] * self.cols for _ in range(self.rows)]
@@ -202,15 +224,41 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz}, {self.field})"
 
 
-def _row_elimination_rank(row_data, field) -> int:
-    """Structured Gaussian elimination on a list of {col: scalar} rows.
+def _primitive(row) -> None:
+    """Divide an integer row, in place, by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g != 1:
+        for c, v in row.items():
+            row[c] = v // g
+
+
+def _row_elimination_rank(rows, field) -> list:
+    """Structured Gaussian elimination on a list of {col: scalar} rows, which
+    it owns and overwrites; returns the (row, column) pivots in the order
+    they were taken, so their number is the rank.
 
     Pivot rows are chosen sparsest-first, pivot columns by lowest fill; ties
     break on the smaller index, so the result is deterministic.  Rows wait in
     a heap keyed (length, index); a row whose length changes is pushed again,
     and entries of eliminated rows or of stale lengths are skipped on pop.
+
+    Entries are plain ints.  Over F_p a row update is ``(x - f * v) % p``.
+    Over Q every row is first scaled to its primitive integer multiple, and
+    eliminated fraction-free: with ``g = gcd(pv, jv)`` of the pivot entry and
+    the eliminated one, ``jrow <- (pv/g) jrow - (jv/g) prow``, divided by its
+    content.  A stored row is thus always a nonzero multiple of the row that
+    rational arithmetic would hold, with the same zero pattern; as the
+    choices above read only zero patterns, the pivots and the fill-in are
+    those of elimination with field arithmetic.
     """
-    rows = [dict(r) for r in row_data]
+    p = field.p
+    if p is None:
+        for row in rows:
+            if row:
+                den = lcm(*[v.denominator for v in row.values()])
+                for c, v in row.items():
+                    row[c] = v.numerator * (den // v.denominator)
+                _primitive(row)
     col_count: dict = {}
     col_rows: dict = {}
     for i, row in enumerate(rows):
@@ -220,44 +268,62 @@ def _row_elimination_rank(row_data, field) -> int:
     active = set(i for i, row in enumerate(rows) if row)
     heap = [(len(rows[i]), i) for i in active]
     heapify(heap)
-    zero = field.zero
-    rank = 0
+    pivots = []
     while heap:
         n, pi = heappop(heap)
         prow = rows[pi]
         if pi not in active or n != len(prow):
             continue
         pc = min(prow, key=lambda c: (col_count[c], c))
-        pinv = field.inv(prow[pc])
+        pv = prow[pc]
+        if p is not None:
+            pinv = pow(pv, -1, p)
+        # column pc leaves every row it clears, and no later pivot row
+        # holds it, so its counts are not kept up to date
+        rest = [(c, v) for c, v in prow.items() if c != pc]
         for j in sorted(col_rows[pc]):
             if j == pi or j not in active:
                 continue
             jrow = rows[j]
             before = len(jrow)
-            factor = field.mul(jrow[pc], pinv)
-            for c, v in prow.items():
-                cur = jrow.get(c, zero)
-                nv = field.sub(cur, field.mul(factor, v))
-                if nv == zero:
-                    if c in jrow:
-                        del jrow[c]
-                        col_count[c] -= 1
-                        col_rows[c].discard(j)
+            jv = jrow.pop(pc)
+            if p is not None:
+                f = jv * pinv % p
+            else:
+                g = gcd(pv, jv)
+                if pv < 0:
+                    g = -g
+                scale, f = pv // g, jv // g
+                if scale != 1:
+                    for c, x in jrow.items():
+                        jrow[c] = scale * x
+            for c, v in rest:
+                x = jrow.get(c)
+                if x is None:
+                    jrow[c] = -f * v % p if p else -f * v
+                    col_count[c] += 1
+                    col_rows[c].add(j)
+                    continue
+                x = (x - f * v) % p if p else x - f * v
+                if x:
+                    jrow[c] = x
                 else:
-                    if c not in jrow:
-                        col_count[c] = col_count.get(c, 0) + 1
-                        col_rows.setdefault(c, set()).add(j)
-                    jrow[c] = nv
+                    del jrow[c]
+                    col_count[c] -= 1
+                    col_rows[c].discard(j)
             if not jrow:
                 active.discard(j)
-            elif len(jrow) != before:
+                continue
+            if p is None:
+                _primitive(jrow)
+            if len(jrow) != before:
                 heappush(heap, (len(jrow), j))
         for c in prow:
             col_count[c] -= 1
             col_rows[c].discard(pi)
         active.discard(pi)
-        rank += 1
-    return rank
+        pivots.append((pi, pc))
+    return pivots
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -274,7 +340,7 @@ def rank(matrix: SparseMatrix) -> int:
             rows[c][r] = v
         else:
             rows[r][c] = v
-    return _row_elimination_rank(rows, matrix.field)
+    return len(_row_elimination_rank(rows, matrix.field))
 
 
 def kernel_dim(matrix: SparseMatrix) -> int:

@@ -244,7 +244,7 @@ class LodayComplex:
     """Blockwise chain data for one space/algebra/coefficient configuration."""
 
     def __init__(self, space, algebra, coefficients, max_degree, weight_bound,
-                 normalized, bases, boundaries, coeff_mode):
+                 normalized, bases, boundaries):
         self.space = space
         self.algebra = algebra
         self.coefficients = coefficients
@@ -254,7 +254,10 @@ class LodayComplex:
         self.normalized = normalized
         self.bases = bases            # (degree, weight) -> list of Labelings
         self.boundaries = boundaries  # (degree, weight) -> SparseMatrix
-        self.coeff_mode = coeff_mode
+
+    @property
+    def coeff_mode(self) -> str:
+        return self.coefficients.mode
 
     def check_boundary_squares(self):
         """Verify boundary . boundary = 0 on every composable block pair."""
@@ -424,7 +427,7 @@ def _boundary_block(pushes, cols, row_index, field):
             val = normalize(tot)
             if val != zero:
                 entries[(row, col)] = val
-    return SparseMatrix(len(row_index), len(cols), entries, field)
+    return SparseMatrix._trusted(len(row_index), len(cols), entries, field)
 
 
 def _degenerate_complements(axes, key, slots):
@@ -516,7 +519,7 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
         (space,), [(p,) for p in range(d + 2)], algebra, coefficients, d,
         weight_bound, normalized, max_block_size)
     return LodayComplex(space, algebra, coefficients, d, weight_bound,
-                        normalized, bases, boundaries, coefficients.mode)
+                        normalized, bases, boundaries)
 
 
 def chain_dims(complex_: LodayComplex) -> dict:

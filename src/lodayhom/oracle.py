@@ -32,7 +32,7 @@ class Bicomplex:
     """Grid of labeling bases with commuting horizontal/vertical boundaries."""
 
     def __init__(self, algebra, coefficients, max_degree, weight_bound,
-                 terms, horizontal, vertical, coeff_mode):
+                 terms, horizontal, vertical):
         self.algebra = algebra
         self.coefficients = coefficients
         self.field = algebra.field
@@ -41,7 +41,10 @@ class Bicomplex:
         self.terms = terms            # (n, m, w) -> list of Labelings
         self.horizontal = horizontal  # (n, m, w) -> SparseMatrix to (n-1, m, w)
         self.vertical = vertical      # (n, m, w) -> SparseMatrix to (n, m-1, w)
-        self.coeff_mode = coeff_mode
+
+    @property
+    def coeff_mode(self) -> str:
+        return self.coefficients.mode
 
     def term_dim(self, n: int, m: int, weight=None) -> int:
         if weight is not None:
@@ -85,7 +88,7 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
         algebra, coefficients, d, weight_bound, normalized=False,
         max_block_size=max_block_size)
     return Bicomplex(algebra, coefficients, d, weight_bound, terms,
-                     horizontal, vertical, coefficients.mode)
+                     horizontal, vertical)
 
 
 def _total_complex(bicomplex: Bicomplex, d: int) -> LodayComplex:
@@ -122,12 +125,11 @@ def _total_complex(bicomplex: Bicomplex, d: int) -> LodayComplex:
                     row0 = offsets[low]
                     for (r, c), v in mat.entries.items():
                         entries[(row0 + r, col0 + c)] = field.neg(v) if neg else v
-            boundaries[(k, w)] = SparseMatrix(
+            boundaries[(k, w)] = SparseMatrix._trusted(
                 len(bases.get((k - 1, w), ())), len(bases.get((k, w), ())),
                 entries, field)
     return LodayComplex(None, bicomplex.algebra, bicomplex.coefficients, d,
-                        bicomplex.weight_bound, False, bases, boundaries,
-                        bicomplex.coeff_mode)
+                        bicomplex.weight_bound, False, bases, boundaries)
 
 
 def total_homology(bicomplex: Bicomplex, max_degree: int) -> HomologyTable:

@@ -54,7 +54,7 @@ class TestParseArgs:
                         "--max-degree", "2"])
         assert err.value.code == 2
 
-    def test_flag_overrides_env(self, monkeypatch):
+    def test_max_basis_flag(self):
         cfg = parse_args(["compute", "--space", "S1", "--algebra",
                           "truncpoly(2)", "--field", "F3", "--max-degree", "1",
                           "--max-basis", "77"])

@@ -85,7 +85,7 @@ def grid(axes, algebra, coefficients, d, normalized=False, weight_bound=None):
         axes, [(n, m) for n in range(d + 2) for m in range(d + 2 - n)],
         algebra, coefficients, d, weight_bound, normalized, None)
     return Bicomplex(algebra, coefficients, d, weight_bound, terms,
-                     horizontal, vertical, coefficients.mode)
+                     horizontal, vertical)
 
 
 class TestAnyAxes:
@@ -128,7 +128,8 @@ class TestArgumentChecks:
 
     def test_basis_ceiling(self):
         with pytest.raises(BasisSizeExceeded):
-            # term (1, 3) has 7 cells, so C(7, 3) = 35 labelings of weight 3
+            # the grid through total degree 4 holds, summed over n + m <= 4,
+            # 2^((n+1)(m+1) - 1) labelings: 645 in all
             torus_bicomplex(truncated_poly(3, 2), UNIT, 3, max_block_size=10)
 
     def test_unbounded_algebra_needs_weight_bound(self):

@@ -9,6 +9,7 @@ arithmetic.  Patching ``_index_tables`` to None forces the generic push.
 """
 
 import hashlib
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
@@ -18,6 +19,7 @@ from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
     Coefficients, load_algebra, parse_algebra_expr, truncated_poly,
 )
+from lodayhom.exactlinalg import SparseMatrix
 from lodayhom.loday import (
     Labeling, _face_plans, _face_pusher, _index_tables, _resolve_coefficients,
     _structure_tables, build_complex, homology_dims,
@@ -267,3 +269,42 @@ def test_boundary_matrices_are_pinned():
             _digest_update(h, grid.terms, grid.horizontal)
             _digest_update(h, {}, grid.vertical)
     assert h.hexdigest() == MATRIX_DIGEST
+
+
+def _entries_digest(matrices):
+    h = hashlib.sha256()
+    for key, mat in sorted(matrices.items()):
+        h.update(repr((key, sorted(mat.entries.items()))).encode())
+    return h.hexdigest()
+
+
+def _assert_blocks_pass_public_checks(complex_):
+    """Boundary blocks are built without validation: each must pass the
+    public constructor's checks unchanged, and ranking them (the rank kernel
+    overwrites the rows it is handed) must leave their entries as they were."""
+    field = complex_.field
+    for mat in complex_.boundaries.values():
+        again = SparseMatrix(mat.rows, mat.cols, mat.entries, field)
+        assert again.entries == mat.entries
+        if field.is_rational:
+            assert all(type(v) is Fraction for v in mat.entries.values())
+    before = _entries_digest(complex_.boundaries)
+    homology_dims(complex_)
+    assert _entries_digest(complex_.boundaries) == before
+
+
+@pytest.mark.parametrize("field", [2, 3, "Q"])
+@pytest.mark.parametrize("mode", ["unit", "self"])
+@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
+def test_boundary_blocks_pass_public_checks(expr, algebra_spec, p, d, mode,
+                                            field):
+    algebra = parse_algebra_expr(algebra_spec, field)
+    _assert_blocks_pass_public_checks(build_complex(
+        build_space(expr, d + 1), algebra, _coefficients(mode, algebra), d))
+
+
+@pytest.mark.parametrize("field", [2, 3, "Q"])
+def test_total_complex_blocks_pass_public_checks(field):
+    grid = oracle.torus_bicomplex(truncated_poly(field, 2),
+                                  Coefficients.unit(), 2)
+    _assert_blocks_pass_public_checks(oracle._total_complex(grid, 2))
