@@ -42,7 +42,7 @@ class RunConfig:
     normalized: bool = True
     output: str = "text"
     max_basis: int | None = None
-    only: str | None = None
+    only: tuple | None = None  # seed-suite criterion numbers
 
 
 def _parse_coeff_string(text: str, field) -> Coefficients:
@@ -96,6 +96,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_criteria(text: str, parser) -> tuple:
+    """The criterion numbers of ``--only``; anything but a comma-separated
+    list of known criteria is a usage error."""
+    known = range(1, len(acceptance.CRITERIA) + 1)
+    try:
+        numbers = tuple(sorted({int(x) for x in text.split(",")}))
+    except ValueError:
+        numbers = ()
+    if not numbers or any(n not in known for n in numbers):
+        parser.error(f"--only takes comma-separated criterion numbers "
+                     f"{known.start}-{known.stop - 1}, got {text!r}")
+    return numbers
+
+
 def parse_args(argv) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
@@ -106,7 +120,8 @@ def parse_args(argv) -> RunConfig:
         cfg.output = ns.format
         return cfg
     if ns.command == "seed-suite":
-        cfg.only = ns.only
+        if ns.only is not None:
+            cfg.only = _parse_criteria(ns.only, parser)
         return cfg
     cfg.algebra = ns.algebra
     cfg.field = ns.field
@@ -242,10 +257,8 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     try:
         if cfg.command == "seed-suite":
-            only = None
-            if cfg.only:
-                only = {int(x) for x in cfg.only.split(",")}
-            results = acceptance.run_all(only=only, log=lambda s: print(s, file=err))
+            results = acceptance.run_all(only=cfg.only,
+                                         log=lambda s: print(s, file=err))
             failed = [r for r in results if not r.passed]
             for r in results:
                 status = "PASS" if r.passed else "FAIL"

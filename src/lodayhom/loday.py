@@ -27,6 +27,22 @@ or self coefficients, and monomial custom coefficients), a face sends a
 labeling to one labeling or to nothing and is pushed by chained lookups;
 otherwise the push multiplies the pairs out.  Both feed one boundary loop,
 which sums plain numbers and normalizes once per matrix entry.
+
+With lookups, a block can also be assembled the other way, from its rows:
+``_pull_block`` lists the preimages of each row labeling along each face by
+inverting the lookups (``_factorizations``) and keeps those in the block's
+basis.  A push costs one lookup chain per column and face, wasted whenever a
+merge multiplies to zero; a pull costs about one placed and looked-up
+candidate per surviving entry.  So a pull wins where most pushes vanish and
+the block is much wider than its rows, and loses where products rarely
+vanish.  Measured per block on a 2-core host: on the degree-3 torus over
+truncpoly(2), blocks 16 to 800 times wider than their rows pull 1.3 to 12
+times faster than they push; on S1 with truncpoly(4) and self coefficients
+the two break even between 2 and 5 times wider; on the degree-3 torus over
+poly, whose products vanish only past the weight bound, a 750 x 9315 block
+(12 times wider) still pulls 1.1 to 1.4 times slower.  A block is therefore
+pulled when it is at least ``PULL_RATIO`` = 16 times wider than its rows, and
+pushed otherwise; both give the same matrix.
 """
 
 from __future__ import annotations
@@ -59,6 +75,10 @@ class BasisSizeExceeded(RuntimeError):
 
 
 DEFAULT_MAX_BLOCK = 5_000_000  # ceiling on the labelings of one complex
+
+# A block is pulled (``_pull_block``) when its columns outnumber its rows at
+# least this many times, and pushed (``_boundary_block``) otherwise.
+PULL_RATIO = 16
 
 
 class Labeling(NamedTuple):
@@ -346,16 +366,15 @@ def _times(lin, table, y):
     return out
 
 
-def _face_pusher(tables, algebra, c_alg):
+def _face_pusher(tables, index, unit):
     """A function ``plan -> push``: each push maps a labeling to the terms
     ``((assignment, coeff), scalar)`` of its image along the plan's face.
 
-    When ``_index_tables`` gives lookups, the push chains them and returns at
-    most one term, with scalar 1.  Otherwise it multiplies out the pairs of
-    ``tables``; its scalars are plain numbers that the caller normalizes.
+    When ``index`` (``_index_tables``) gives lookups, the push chains them and
+    returns at most one term, with scalar 1.  Otherwise it multiplies out the
+    pairs of ``tables``; its scalars are plain numbers that the caller
+    normalizes.
     """
-    unit = algebra.unit
-    index = _index_tables(tables, algebra, c_alg)
     mul, act = tables if index is None else index
 
     def pusher(plan):
@@ -430,6 +449,120 @@ def _boundary_block(pushes, cols, row_index, field):
     return SparseMatrix._trusted(len(row_index), len(cols), entries, field)
 
 
+def _factorizations(index, unit):
+    """Memoized inverses of the lookups ``index`` (``_index_tables``), as
+    ``(split, cosplit)``.
+
+    ``split(b, k, banned)`` lists the k-tuples of labels whose product, folded
+    from the left as a push merges them, is b.  ``cosplit(c, k, banned)``
+    lists the tuples ``(c0, x1, ..., xk)`` whose chained action
+    ``(c0 . x1) ... . xk`` is c.  Both leave out the tuples with the unit at a
+    position whose bit is set in ``banned``; bit 0 of a cosplit tuple, its
+    coefficient, is never set.
+    """
+    inverses = []
+    for table in index:
+        inverse = {}
+        for x, row in enumerate(table):
+            for y, z in enumerate(row):
+                if z is not None:
+                    inverse.setdefault(z, []).append((x, y))
+        inverses.append(inverse)
+    memo = {}
+
+    def unfold(kind, z, k, banned):
+        """Tuples of one bottom entry and k labels; table ``kind`` takes
+        them to z."""
+        key = (kind, z, k, banned)
+        tuples = memo.get(key)
+        if tuples is None:
+            if k == 0:
+                tuples = () if banned & 1 and z == unit else ((z,),)
+            else:
+                bit = 1 << k
+                tuples = tuple(t + (y,) for x, y in inverses[kind].get(z, ())
+                               if not (banned & bit and y == unit)
+                               for t in unfold(kind, x, k - 1, banned & ~bit))
+            memo[key] = tuples
+        return tuples
+
+    return ((lambda b, k, banned: unfold(0, b, k - 1, banned)),
+            (lambda c, k, banned: unfold(1, c, k, banned)))
+
+
+def _pull_faces(signed_plans, n_slots, complements):
+    """Per signed face plan, what ``_pull_block`` reads: the sign; two bitmasks
+    of low slots, those that must hold the unit (no preimage) and those that
+    must not (one preimage, which is the only cell outside the image of some
+    degeneracy in ``complements``, so the unit there makes the labeling
+    degenerate); the merged low slots with their preimage counts and banned
+    bitmasks (``_factorizations``); the count and banned bitmask of the
+    labels acting on the coefficient; a placer of the source slots; and the
+    position of the coefficient.
+
+    A candidate preimage of a row ``(b, c)`` is read off the flat tuple
+    ``b + split tuples + cosplit tuple``.
+    """
+    lone = {comp[0] for comp in complements if len(comp) == 1}
+    faces = []
+    for sign, (pre, to_base) in signed_plans:
+        need_unit = sum(1 << r for r, srcs in enumerate(pre) if not srcs)
+        no_unit = sum(1 << r for r, srcs in enumerate(pre)
+                      if len(srcs) == 1 and srcs[0] in lone)
+        place = [None] * n_slots
+        merges = []
+        off = len(pre)
+        for r, srcs in enumerate(pre):
+            if len(srcs) == 1:
+                place[srcs[0]] = r
+            elif srcs:
+                merges.append((r, len(srcs), sum(1 << i for i, q in enumerate(srcs)
+                                                 if q in lone)))
+                for i, q in enumerate(srcs):
+                    place[q] = off + i
+                off += len(srcs)
+        for i, q in enumerate(to_base):
+            place[q] = off + 1 + i
+        banned = sum(2 << i for i, q in enumerate(to_base) if q in lone)
+        if n_slots > 1:
+            placer = itemgetter(*place)
+        else:
+            def placer(flat, place=tuple(place)):
+                return tuple(flat[q] for q in place)
+        faces.append((sign, need_unit, no_unit, tuple(merges), len(to_base),
+                      banned, placer, off))
+    return faces
+
+
+def _pull_block(faces, rows, col_index, field, unit, split, cosplit):
+    """Matrix of the signed face sum from the labelings of ``col_index`` to
+    ``rows``, built row by row from the preimages of each row along each
+    face (``_pull_faces``, ``_factorizations``); preimages missing from
+    ``col_index`` (degenerate ones) are dropped.  Equal to ``_boundary_block``
+    for monomial tables."""
+    normalize, zero = field.normalize, field.zero
+    acc = {}
+    for row, (b, c) in enumerate(rows):
+        units = sum(1 << r for r, x in enumerate(b) if x == unit)
+        for (sign, need_unit, no_unit, merges, n_act, banned, placer,
+             cpos) in faces:
+            if units & need_unit != need_unit or units & no_unit:
+                continue
+            lists = [split(b[r], k, kb) for r, k, kb in merges]
+            lists.append(cosplit(c, n_act, banned))
+            for combo in product(*lists):
+                flat = sum(combo, b)
+                col = col_index.get((placer(flat), flat[cpos]))
+                if col is not None:
+                    acc[(row, col)] = acc.get((row, col), 0) + sign
+    entries = {}
+    for pos, tot in acc.items():
+        val = normalize(tot)
+        if val != zero:
+            entries[pos] = val
+    return SparseMatrix._trusted(len(rows), len(col_index), entries, field)
+
+
 def _degenerate_complements(axes, key, slots):
     """Per degeneracy s_j along axis i into level ``key``, the positions of
     the cells of ``slots`` whose coordinate i is outside its image."""
@@ -478,15 +611,20 @@ def _labeling_complex(axes, keys, algebra, coefficients, d, weight_bound,
     if total > ceiling:
         raise BasisSizeExceeded(
             f"the complex needs {total} labelings, ceiling is {ceiling}")
-    levels = {key: _enumerate_block_bases(
-                  algebra, c_alg, len(cells), bound,
-                  _degenerate_complements(axes, key, cells) if normalized else ())
+    complements = {key: _degenerate_complements(axes, key, cells)
+                   if normalized else () for key, cells in slots.items()}
+    levels = {key: _enumerate_block_bases(algebra, c_alg, len(cells), bound,
+                                          complements[key])
               for key, cells in slots.items()}
     bases = {key + (w,): labs for key, blocks in levels.items()
              for w, labs in blocks.items()}
     index = {k: {lab: r for r, lab in enumerate(labs)} for k, labs in bases.items()}
-    pusher = _face_pusher(_structure_tables(algebra, c_alg, action, bound),
-                          algebra, c_alg)
+    tables = _structure_tables(algebra, c_alg, action, bound)
+    lookups = _index_tables(tables, algebra, c_alg)
+    pusher = _face_pusher(tables, lookups, algebra.unit)
+    if lookups is not None:
+        split, cosplit = _factorizations(lookups, algebra.unit)
+    field = algebra.field
     boundaries = tuple({} for _ in axes)
     for key, cells in slots.items():
         for i, p in enumerate(key):
@@ -495,12 +633,22 @@ def _labeling_complex(axes, keys, algebra, coefficients, d, weight_bound,
             low = key[:i] + (p - 1,) + key[i + 1:]
             fmaps = [{c: c[:i] + (face[c[i]],) + c[i + 1:] for c in cells}
                      for face in (axes[i].face(p, j) for j in range(p + 1))]
-            plans = _face_plans(fmaps, cells, slots[low], basepoints[low])
-            pushes = [(-1 if j % 2 else 1, pusher(plan))
-                      for j, plan in enumerate(plans)]
+            signed = [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
+                _face_plans(fmaps, cells, slots[low], basepoints[low]))]
+            pushes = pulls = None
             for w, cols in levels[key].items():
-                boundaries[i][key + (w,)] = _boundary_block(
-                    pushes, cols, index.get(low + (w,), {}), algebra.field)
+                rows = bases.get(low + (w,), ())
+                if lookups is not None and PULL_RATIO * len(rows) <= len(cols):
+                    if pulls is None:
+                        pulls = _pull_faces(signed, len(cells), complements[key])
+                    block = _pull_block(pulls, rows, index[key + (w,)], field,
+                                        algebra.unit, split, cosplit)
+                else:
+                    if pushes is None:
+                        pushes = [(sign, pusher(plan)) for sign, plan in signed]
+                    block = _boundary_block(pushes, cols,
+                                            index.get(low + (w,), {}), field)
+                boundaries[i][key + (w,)] = block
     return bases, boundaries
 
 

@@ -153,9 +153,10 @@ def wedge_kunneth_dims(left: HomologyTable, right: HomologyTable,
             "wedge convolution needs tables computed with unit coefficients")
     if left.field != right.field:
         raise CoefficientMismatch("tables computed over different fields")
-    bound = None
-    if left.weight_bound is not None and right.weight_bound is not None:
-        bound = min(left.weight_bound, right.weight_bound)
+    # a table is only complete up to its bound, so their product is only
+    # complete up to the smaller bound that is set
+    bounds = [t.weight_bound for t in (left, right) if t.weight_bound is not None]
+    bound = min(bounds, default=None)
     dims = {}
     for (n1, w1), d1 in left.dims.items():
         if n1 > max_degree or not d1:
@@ -164,7 +165,6 @@ def wedge_kunneth_dims(left: HomologyTable, right: HomologyTable,
             if not d2 or n1 + n2 > max_degree:
                 continue
             if bound is not None and w1 + w2 > bound:
-                # the inputs are only complete up to the bound
                 continue
             key = (n1 + n2, w1 + w2)
             dims[key] = dims.get(key, 0) + d1 * d2

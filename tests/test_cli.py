@@ -54,6 +54,16 @@ class TestParseArgs:
                         "--max-degree", "2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("only", ["99", "x", "3,12", "0", "", "3,,4"])
+    def test_seed_suite_only_outside_the_criteria_is_usage_error(self, only):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["seed-suite", "--only", only])
+        assert err.value.code == 2
+
+    def test_seed_suite_only_is_parsed(self):
+        assert parse_args(["seed-suite", "--only", "10,3,4,3"]).only == (3, 4, 10)
+        assert parse_args(["seed-suite"]).only is None
+
     def test_max_basis_flag(self):
         cfg = parse_args(["compute", "--space", "S1", "--algebra",
                           "truncpoly(2)", "--field", "F3", "--max-degree", "1",

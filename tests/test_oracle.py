@@ -257,3 +257,18 @@ class TestKunneth:
             weight_bound=3))
         assert predicted.weight_bound == 3
         assert predicted.dims == direct.dims
+
+    def test_one_bounded_table_bounds_the_convolution(self):
+        def circle_table(bound):
+            return homology_dims(build_complex(
+                build_space("S1", 3), truncated_poly(3, 3), UNIT, 2,
+                weight_bound=bound))
+        direct = homology_dims(build_complex(
+            build_space("wedge(S1,S1)", 3), truncated_poly(3, 3), UNIT, 2,
+            weight_bound=2))
+        unbounded, bounded = circle_table(None), circle_table(2)
+        for left, right in ((unbounded, bounded), (bounded, unbounded)):
+            predicted = wedge_kunneth_dims(left, right, 2)
+            assert predicted.weight_bound == 2
+            assert predicted.dims == direct.dims
+            assert (2, 3) not in predicted.dims

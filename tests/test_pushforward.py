@@ -6,9 +6,14 @@ takes the generic push, which multiplies out ``(basis index, scalar)``
 pairs.  ``_push_labeling`` below is the reference for both: it re-derives
 every product through ``algebra.mul`` and ``mul_lincomb`` with field
 arithmetic.  Patching ``_index_tables`` to None forces the generic push.
+
+With lookups, blocks much wider than their rows are built from the rows by
+``_pull_block``; patching ``PULL_RATIO`` to 0 or to infinity makes every
+block pulled or pushed, and both must give the same matrices.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -137,8 +142,7 @@ def _cube_truncation_without_monomials(field_tag):
 CUBE_FIELDS = [("Fp:3", 3), ("Fp:5", 5), ("Q", "Q")]
 
 
-def _assert_pushes_equal_reference(space, algebra, coefficients, d,
-                                   monkeypatch):
+def _assert_pushes_equal_reference(space, algebra, coefficients, d):
     """Every face of the unnormalized complex through degree d, pushed from
     every basis labeling by the default push and by the generic push,
     against ``_push_labeling``.  Returns whether the default push is the
@@ -148,10 +152,9 @@ def _assert_pushes_equal_reference(space, algebra, coefficients, d,
     c_alg, action = _resolve_coefficients(algebra, coefficients)
     bound = max(w for (_, w) in complex_.bases)
     tables = _structure_tables(algebra, c_alg, action, bound)
-    pushers = [_face_pusher(tables, algebra, c_alg)]
-    with monkeypatch.context() as patch:
-        _generic_only(patch)
-        pushers.append(_face_pusher(tables, algebra, c_alg))
+    lookups = _index_tables(tables, algebra, c_alg)
+    pushers = [_face_pusher(tables, index, algebra.unit)
+               for index in (lookups, None)]
     for level in range(1, d + 2):
         slots = [s for s in range(space.size(level))
                  if s != space.basepoints[level]]
@@ -169,28 +172,25 @@ def _assert_pushes_equal_reference(space, algebra, coefficients, d,
                 for push in pushes:
                     assert _collected(push(lab), field) == expected, \
                         (level, plan, lab, push.__name__)
-    return _index_tables(tables, algebra, c_alg) is not None
+    return lookups is not None
 
 
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
 @pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
-def test_table_face_equals_push_labeling(expr, algebra_spec, p, d, mode,
-                                         monkeypatch):
+def test_table_face_equals_push_labeling(expr, algebra_spec, p, d, mode):
     algebra = parse_algebra_expr(algebra_spec, p)
     assert _assert_pushes_equal_reference(
-        build_space(expr, d + 1), algebra, _coefficients(mode, algebra), d,
-        monkeypatch)
+        build_space(expr, d + 1), algebra, _coefficients(mode, algebra), d)
 
 
 @pytest.mark.parametrize("mode", ["unit", "self"])
 @pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
-def test_table_face_on_non_monomial_presentation(field_tag, field, mode,
-                                                 monkeypatch):
+def test_table_face_on_non_monomial_presentation(field_tag, field, mode):
     algebra = _cube_truncation_without_monomials(field_tag)
     coefficients = _coefficients(mode, algebra)
     for space, d in ((circle(4), 3), (build_space("sphere(2)", 2), 1)):
         assert not _assert_pushes_equal_reference(space, algebra, coefficients,
-                                                  d, monkeypatch)
+                                                  d)
 
 
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
@@ -308,3 +308,123 @@ def test_total_complex_blocks_pass_public_checks(field):
     grid = oracle.torus_bicomplex(truncated_poly(field, 2),
                                   Coefficients.unit(), 2)
     _assert_blocks_pass_public_checks(oracle._total_complex(grid, 2))
+
+
+def _directed_build(monkeypatch, build, ratio=None):
+    """``build()`` with ``PULL_RATIO`` set to ``ratio`` (None: unchanged);
+    returns its result and a map from each boundary block made to "pull" or
+    "push"."""
+    made = {}
+    with monkeypatch.context() as patch:
+        if ratio is not None:
+            patch.setattr(loday, "PULL_RATIO", ratio)
+        for name, direction in (("_pull_block", "pull"),
+                                ("_boundary_block", "push")):
+            def record(*args, original=getattr(loday, name),
+                       direction=direction):
+                block = original(*args)
+                made[id(block)] = direction
+                return block
+            patch.setattr(loday, name, record)
+        result = build()
+    return result, made
+
+
+def _directions(matrices, made):
+    return {key: made[id(mat)] for key, mat in matrices.items()}
+
+
+def _pulled_and_pushed(monkeypatch, build, names):
+    """``build()`` once with every block pulled and once with every block
+    pushed, each as {name: {key: entries}} over the matrix dicts ``names``,
+    and the two results."""
+    out = []
+    for ratio, direction in ((0, "pull"), (math.inf, "push")):
+        result, made = _directed_build(monkeypatch, build, ratio)
+        blocks = {}
+        for name in names:
+            matrices = getattr(result, name)
+            assert set(_directions(matrices, made).values()) <= {direction}
+            blocks[name] = {k: m.entries for k, m in matrices.items()}
+        out.append((blocks, result))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
+@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
+def test_pull_equals_push(expr, algebra_spec, p, d, mode, monkeypatch):
+    space = build_space(expr, d + 1)
+    for field in (2, 3, "Q"):
+        algebra = parse_algebra_expr(algebra_spec, field)
+        coefficients = _coefficients(mode, algebra)
+        for normalized in (True, False):
+            (pulled, a), (pushed, b) = _pulled_and_pushed(
+                monkeypatch,
+                lambda: build_complex(space, algebra, coefficients, d,
+                                      normalized=normalized),
+                ("boundaries",))
+            assert a.bases == b.bases
+            assert pulled == pushed, (field, normalized)
+
+
+@pytest.mark.parametrize("field", [2, 3, "Q"])
+def test_grid_pull_equals_push(field, monkeypatch):
+    (pulled, _), (pushed, _) = _pulled_and_pushed(
+        monkeypatch,
+        lambda: oracle.torus_bicomplex(truncated_poly(field, 2),
+                                       Coefficients.unit(), 2),
+        ("horizontal", "vertical"))
+    assert pulled == pushed
+
+
+def test_diagonal_torus_pull_equals_push(monkeypatch):
+    space = build_space("prod(S1,S1)", 3)
+    cells = tuple((s,) for s in range(space.size(3))
+                  if s != space.basepoints[3])
+    assert len(cells) == 15
+    # a degeneracy missing several top cells bans the unit from none of
+    # them alone: such degenerate candidates are dropped by the column
+    # lookup, not by the unit bitmasks
+    assert any(len(comp) > 1 for comp in
+               loday._degenerate_complements((space,), (3,), cells))
+    (pulled, _), (pushed, _) = _pulled_and_pushed(
+        monkeypatch,
+        lambda: build_complex(space, truncated_poly(3, 2), Coefficients.unit(),
+                              2),
+        ("boundaries",))
+    assert pulled == pushed
+
+
+def test_selection_pulls_the_wide_torus_blocks(monkeypatch):
+    complex_, made = _directed_build(monkeypatch, lambda: build_complex(
+        build_space("prod(S1,S1)", 3), truncated_poly(3, 2),
+        Coefficients.unit(), 2))
+    top = {w: direction for (p, w), direction
+           in _directions(complex_.boundaries, made).items() if p == 3}
+    # weights 2 and 3 are 22 x 30 and 54 x 290; from weight 4 on, 70 x 1155
+    # to 1 x 6432 and then no rows at all
+    assert top == {w: "push" if w < 4 else "pull" for w in range(2, 16)}
+
+
+@pytest.mark.parametrize("space_text,algebra,field,coefficients,d,bound", [
+    ("S1", "truncpoly(4)", 3, Coefficients.self_algebra(), 7, None),
+    ("S1", "poly", "Q", Coefficients.unit(), 8, 12),
+])
+def test_selection_pushes_the_square_blocks(space_text, algebra, field,
+                                            coefficients, d, bound,
+                                            monkeypatch):
+    """Blocks of S1 are about as tall as they are wide, except at the top
+    weights of truncpoly(4): there a few rows face many columns, and those
+    are pulled (e.g. 28 rows by 532 columns in degree 7)."""
+    complex_, made = _directed_build(monkeypatch, lambda: build_complex(
+        build_space(space_text, d + 1), parse_algebra_expr(algebra, field),
+        coefficients, d, bound))
+    faces = {"pull": 0, "push": 0}
+    for (p, w), direction in _directions(complex_.boundaries, made).items():
+        rows = complex_.boundaries[(p, w)].rows
+        if p >= 2 and rows:
+            faces[direction] += (p + 1) * len(complex_.bases[(p, w)])
+            if direction == "pull":
+                assert algebra == "truncpoly(4)"
+                assert loday.PULL_RATIO * rows <= len(complex_.bases[(p, w)])
+    assert faces["pull"] < 0.1 * faces["push"]
