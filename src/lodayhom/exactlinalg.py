@@ -10,6 +10,13 @@ multiple of its rational value (scaled by the lcm of its denominators, then
 divided by the gcd of its entries after every update).  Scaling a row by a
 nonzero factor leaves its zero pattern alone, and the pivot order reads only
 zero patterns, so the pivots and the fill-in are those of field arithmetic.
+
+``pivots`` returns the (row, column) pairs that elimination takes, in the
+matrix's own orientation, and can leave a set of rows out; ``rank`` is their
+number.  ``loday.homology_dims`` uses the row set to clear boundary blocks:
+the pivot columns of ``∂_p`` are left out of the rows of ``∂_{p+1}``, which
+by ``∂∂ = 0`` keeps the rank (Chen–Kerber's clearing, in the cohomology
+direction of de Silva–Morozov–Vejdemo-Johansson).
 """
 
 from __future__ import annotations
@@ -326,21 +333,35 @@ def _row_elimination_rank(rows, field) -> list:
     return pivots
 
 
-def rank(matrix: SparseMatrix) -> int:
-    """Exact rank of a sparse matrix over its field."""
+def pivots(matrix: SparseMatrix, skip_rows=frozenset()) -> list:
+    """The (row, column) pivots that elimination takes on ``matrix`` with the
+    rows in ``skip_rows`` left out, in the order it takes them; their number
+    is the rank of the rows kept.  The rows are distinct, the columns are
+    distinct, and the square submatrix they span is nonsingular.
+
+    The matrix is not modified.  Elimination runs along the shorter side of
+    the kept rows, which bounds the pivot count; when that is the column
+    side the pairs are flipped back, so they are always (row, column) of
+    ``matrix``.  ``skip_rows`` holds row indices of ``matrix``.
+    """
     if not matrix.entries:
-        return 0
-    # Eliminating along the shorter side bounds the pivot count; rank is
-    # invariant under transposition.
-    transposed = matrix.rows > matrix.cols
-    nrows = matrix.cols if transposed else matrix.rows
-    rows = [dict() for _ in range(nrows)]
+        return []
+    transposed = matrix.rows - len(skip_rows) > matrix.cols
+    rows = [dict() for _ in range(matrix.cols if transposed else matrix.rows)]
     for (r, c), v in matrix.entries.items():
+        if r in skip_rows:
+            continue
         if transposed:
             rows[c][r] = v
         else:
             rows[r][c] = v
-    return len(_row_elimination_rank(rows, matrix.field))
+    found = _row_elimination_rank(rows, matrix.field)
+    return [(r, c) for c, r in found] if transposed else found
+
+
+def rank(matrix: SparseMatrix) -> int:
+    """Exact rank of a sparse matrix over its field."""
+    return len(pivots(matrix))
 
 
 def kernel_dim(matrix: SparseMatrix) -> int:

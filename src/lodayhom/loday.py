@@ -52,7 +52,7 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
-from .exactlinalg import FieldSpec, SparseMatrix, rank
+from .exactlinalg import FieldSpec, SparseMatrix, pivots
 from .algebra import Coefficients, unit_coefficient_algebra
 from .simplicial import PointedSimplicialSet
 
@@ -676,11 +676,24 @@ def chain_dims(complex_: LodayComplex) -> dict:
 
 
 def homology_dims(complex_: LodayComplex) -> HomologyTable:
-    """dim H_n per (degree <= max_degree, weight) block."""
+    """dim H_n per (degree <= max_degree, weight) block.
+
+    Each weight's boundary blocks are ranked from degree 1 upward, and the
+    rank of ``∂_{p+1}`` leaves out the rows that are pivot columns of
+    ``∂_p`` (clearing, in the cohomology direction).  Those columns span a
+    subspace on which ``∂_p`` is injective, and ``im ∂_{p+1}`` lies in the
+    kernel of ``∂_p``, so the two meet only in zero and the rank is
+    unchanged.  This relies on ``∂∂ = 0``, which
+    ``LodayComplex.check_boundary_squares`` and acceptance criterion 9
+    verify.
+    """
     d = complex_.max_degree
     ranks = {}
-    for key, mat in complex_.boundaries.items():
-        ranks[key] = rank(mat)
+    cleared = {}
+    for (p, w), mat in sorted(complex_.boundaries.items()):
+        found = pivots(mat, cleared.pop((p, w), frozenset()))
+        ranks[(p, w)] = len(found)
+        cleared[(p + 1, w)] = {c for _, c in found}
     dims = {}
     for (p, w), labs in complex_.bases.items():
         if p > d:

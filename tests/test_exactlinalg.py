@@ -14,7 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from lodayhom.exactlinalg import (
     FieldSpec, NonPrimeModulus, SparseMatrix, _row_elimination_rank,
-    kernel_dim, make_field, rank,
+    kernel_dim, make_field, pivots, rank,
 )
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
@@ -371,3 +371,42 @@ def test_integer_kernel_takes_the_field_method_pivots(field):
                 c = next(iter(got))
                 ratio = Fraction(got[c]) / want[c]
                 assert all(got[k] == ratio * want[k] for k in got)
+
+
+def _assert_pivots_span_a_nonsingular_block(matrix, skip_rows):
+    """The pivots of ``matrix`` without ``skip_rows``: distinct rows and
+    columns inside the matrix, as many as the dense rank of the rows kept,
+    spanning a nonsingular square submatrix."""
+    field = matrix.field
+    dense = matrix.to_dense()
+    found = pivots(matrix, skip_rows)
+    prows = [r for r, _ in found]
+    pcols = [c for _, c in found]
+    assert len(set(prows)) == len(prows)
+    assert len(set(pcols)) == len(pcols)
+    assert all(0 <= r < matrix.rows and r not in skip_rows for r in prows)
+    assert all(0 <= c < matrix.cols for c in pcols)
+    kept = [row for r, row in enumerate(dense) if r not in skip_rows]
+    assert len(found) == _dense_rank_oracle(kept, field)
+    square = [[dense[r][c] for c in pcols] for r in prows]
+    assert _dense_rank_oracle(square, field) == len(found)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, Q])
+def test_pivots_of_tall_and_wide_matrices(field):
+    """Both orientations of the elimination, with and without rows left
+    out."""
+    rng = Random(2011)
+    shapes = {"tall": 0, "wide": 0}
+    for _ in range(40):
+        rows, ncols = _random_sparse_rows(rng, field, 14)
+        built = SparseMatrix(len(rows), ncols,
+                             {(r, c): v for r, row in enumerate(rows)
+                              for c, v in row.items()}, field)
+        for matrix in (built, built.transpose()):
+            if matrix.rows != matrix.cols:
+                shapes["tall" if matrix.rows > matrix.cols else "wide"] += 1
+            _assert_pivots_span_a_nonsingular_block(matrix, frozenset())
+            skip = {r for r in range(matrix.rows) if rng.random() < 0.3}
+            _assert_pivots_span_a_nonsingular_block(matrix, skip)
+    assert min(shapes.values()) >= 20

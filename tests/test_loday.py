@@ -4,12 +4,12 @@ from random import Random
 
 import pytest
 
-from lodayhom import loday
+from lodayhom import loday, oracle
 from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
-    Coefficients, exterior, polynomial, truncated_poly,
+    Coefficients, exterior, parse_algebra_expr, polynomial, truncated_poly,
 )
-from lodayhom.exactlinalg import make_field
+from lodayhom.exactlinalg import make_field, rank
 from lodayhom.loday import (
     BasisSizeExceeded, FieldMismatch, Labeling, TruncationTooShallow,
     WeightBoundRequired, _block_counts, _degenerate_complements,
@@ -225,6 +225,54 @@ class TestHomology:
         complex_ = build_complex(build_space("smash(S1,simplexsphere(2))", 3),
                                  truncated_poly(3, 3), UNIT, 2)
         assert complex_.check_boundary_squares() == []
+
+
+def plain_rank_dims(complex_):
+    """Homology dims from the rank of every full boundary block, without
+    clearing: the reference for ``homology_dims``."""
+    ranks = {key: rank(mat) for key, mat in complex_.boundaries.items()}
+    dims = {}
+    for (p, w), labs in complex_.bases.items():
+        if p <= complex_.max_degree:
+            value = len(labs) - ranks.get((p, w), 0) - ranks.get((p + 1, w), 0)
+            if value:
+                dims[(p, w)] = value
+    return dims
+
+
+class TestClearedRank:
+    """``homology_dims`` leaves the pivot columns of each block out of the
+    rows of the block above; the dims must equal those of plain ranks."""
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("mode", ["unit", "self"])
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_small_inputs(self, field, mode, normalized):
+        for expr, algebra_spec, _, d in random_small_inputs():
+            algebra = parse_algebra_expr(algebra_spec, field)
+            coefficients = Coefficients(mode)
+            complex_ = build_complex(build_space(expr, d + 1), algebra,
+                                     coefficients, d, normalized=normalized)
+            assert homology_dims(complex_).dims == \
+                plain_rank_dims(complex_), (expr, algebra_spec)
+
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    def test_grid_total_complex(self, field):
+        grid = oracle.torus_bicomplex(truncated_poly(field, 2), UNIT, 2)
+        total = oracle._total_complex(grid, 2)
+        assert homology_dims(total).dims == plain_rank_dims(total)
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("field,positive", [(2, 4), (3, 3), ("Q", 3)])
+    def test_circle_truncpoly_four_self(self, field, positive, normalized):
+        """HH of k[t]/t^4 to degree 4: four blocks per weight above the
+        first, so a cleared set carried past the next block shows."""
+        complex_ = build_complex(circle(5), truncated_poly(field, 4),
+                                 Coefficients.self_algebra(), 4,
+                                 normalized=normalized)
+        table = homology_dims(complex_)
+        assert table.dims == plain_rank_dims(complex_)
+        assert table.totals() == [4] + [positive] * 4
 
 
 class TestSelfAndCustomCoefficients:
