@@ -115,6 +115,8 @@ def parse_args(argv) -> RunConfig:
     ns = parser.parse_args(argv)
     cfg = RunConfig(command=ns.command)
     if ns.command == "validate":
+        if ns.top_level < 0:
+            parser.error("--top-level must be >= 0")
         cfg.space = ns.space
         cfg.max_degree = ns.top_level
         cfg.output = ns.format

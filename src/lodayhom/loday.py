@@ -14,8 +14,8 @@ assignments while it walks, so they are never built.
 All boundaries preserve the total weight, so every matrix is assembled and
 ranked blockwise per (degree, weight).
 
-One evaluator, ``_labeling_complex``, labels the cells of a product of
-simplicial sets (its axes) per tuple of levels and sums faces along each axis:
+One evaluator, ``_Labelings``, labels the cells of a product of simplicial
+sets (its axes) per tuple of levels and sums faces along each axis:
 ``build_complex`` is one axis, ``oracle.torus_bicomplex`` two circles.  One
 ceiling bounds the labelings of the whole complex before any is enumerated.
 
@@ -43,6 +43,20 @@ poly, whose products vanish only past the weight bound, a 750 x 9315 block
 (12 times wider) still pulls 1.1 to 1.4 times slower.  A block is therefore
 pulled when it is at least ``PULL_RATIO`` = 16 times wider than its rows, and
 pushed otherwise; both give the same matrix.
+
+Homology through degree d reads the top level d + 1 only through the rank of
+the boundary out of it, and that level is most of the basis: 32 023 of the
+32 272 labelings of the degree-2 torus over truncpoly(2).  So
+``build_complex`` defers it.  Reading ``LodayComplex.bases`` or
+``.boundaries`` lists it and assembles it like every other level;
+``homology_dims`` on a complex whose top is still deferred builds its blocks
+from implicit columns instead, after Ripser's implicit coboundary matrix
+(Bauer, J. Appl. Comput. Topol. 2021).  ``_normalized_counts`` sizes each
+top block exactly before anything is enumerated.  A block that the rule above
+pulls numbers the non-degenerate columns its rows reach and never lists the
+others, which are zero columns.  The pushed weights alone are listed, up to
+the largest of them, and pushed.  Ranks, and with them the clearing of rows
+that ``homology_dims`` does, are the same as on the listed level.
 """
 
 from __future__ import annotations
@@ -182,6 +196,37 @@ def _block_counts(algebra, c_alg, n_slots, bound):
     return counts
 
 
+def _normalized_counts(algebra, c_alg, n_slots, bound, complements=()):
+    """The block sizes of ``_enumerate_block_bases`` per total weight
+    0..bound, computed before enumeration.
+
+    A labeling is degenerate when it is the unit on all of some complement,
+    so inclusion-exclusion over the sets S of complements gives the others:
+    the sum of (-1)^|S| times the labelings with the unit forced on the
+    union of S, which are counted by ``_block_counts`` on the slots left
+    free.  Sets are grouped by the size of their union, so each free-slot
+    count is convolved once.
+    """
+    masks = [sum(1 << q for q in comp) for comp in complements]
+    signs = {0: 1}
+    for mask in masks:
+        # each union reached so far, once without this complement, once with
+        grown = dict(signs)
+        for union, sign in signs.items():
+            grown[union | mask] = grown.get(union | mask, 0) - sign
+        signs = grown
+    by_size = {}
+    for union, sign in signs.items():
+        size = union.bit_count()
+        by_size[size] = by_size.get(size, 0) + sign
+    counts = [0] * (bound + 1)
+    for size, sign in by_size.items():
+        if sign:
+            free = _block_counts(algebra, c_alg, n_slots - size, bound)
+            counts = [c + sign * f for c, f in zip(counts, free)]
+    return counts
+
+
 def _enumerate_block_bases(algebra, c_alg, n_slots, bound, complements=()):
     """Bases of labelings grouped by total weight, in lexicographic order.
 
@@ -261,7 +306,15 @@ class HomologyTable:
 
 
 class LodayComplex:
-    """Blockwise chain data for one space/algebra/coefficient configuration."""
+    """Blockwise chain data for one space/algebra/coefficient configuration.
+
+    ``build_complex`` defers its top level max_degree + 1, which homology
+    needs only for the rank of the boundary out of it.  The first read of
+    ``bases`` or ``boundaries`` lists that level and assembles its blocks as
+    for every other level, so both always hold every level;
+    ``homology_dims`` on a complex whose top is not yet built ranks the top
+    blocks without listing the level.
+    """
 
     def __init__(self, space, algebra, coefficients, max_degree, weight_bound,
                  normalized, bases, boundaries):
@@ -272,12 +325,37 @@ class LodayComplex:
         self.max_degree = max_degree
         self.weight_bound = weight_bound
         self.normalized = normalized
-        self.bases = bases            # (degree, weight) -> list of Labelings
-        self.boundaries = boundaries  # (degree, weight) -> SparseMatrix
+        self._bases = bases            # (degree, weight) -> list of Labelings
+        self._boundaries = boundaries  # (degree, weight) -> SparseMatrix
+        self._top = None               # deferred (_Labelings, top key)
 
     @property
     def coeff_mode(self) -> str:
         return self.coefficients.mode
+
+    @property
+    def bases(self) -> dict:
+        self._build_top()
+        return self._bases
+
+    @property
+    def boundaries(self) -> dict:
+        self._build_top()
+        return self._boundaries
+
+    def _build_top(self):
+        if self._top is not None:
+            labelings, key = self._top
+            labelings.build([key], self._bases, (self._boundaries,))
+            self._top = None
+
+    def _blocks(self):
+        """The boundary blocks ``((degree, weight), matrix)`` in key order;
+        those of a deferred top come last, one at a time."""
+        yield from sorted(self._boundaries.items())
+        if self._top is not None:
+            labelings, key = self._top
+            yield from labelings.implicit_blocks(key, self._bases)
 
     def check_boundary_squares(self):
         """Verify boundary . boundary = 0 on every composable block pair."""
@@ -571,103 +649,185 @@ def _degenerate_complements(axes, key, slots):
                  for image in (set(axis.degeneracy(p - 1, j)) for j in range(p)))
 
 
-def _labeling_complex(axes, keys, algebra, coefficients, d, weight_bound,
-                      normalized, max_block_size):
-    """Bases keyed ``key + (w,)`` of the labelings of the non-basepoint cells
-    of the product of ``axes`` at the levels ``keys``, and per axis the
-    boundary blocks out of the levels positive on it.
+class _Reached(dict):
+    """Column index of a block whose labelings are not listed: ``get``
+    numbers each labeling the first time a row reaches it, in that order,
+    and returns None for the degenerate ones (the unit on all of one of
+    ``complements``, which are not empty)."""
+
+    def __init__(self, unit, complements):
+        super().__init__()
+        self.units = [(itemgetter(*comp), (unit,) * len(comp) if len(comp) > 1
+                       else unit) for comp in complements]
+
+    def get(self, lab):
+        col = dict.get(self, lab)
+        if col is None:
+            if any(labels(lab[0]) == units for labels, units in self.units):
+                return None
+            col = self[lab] = len(self)
+        return col
+
+
+class _Labelings:
+    """The labelings of the non-basepoint cells of the product of ``axes`` at
+    the levels ``keys``, with what all their levels share: cells, weight
+    bound, degeneracy complements and structure tables.  Bases are keyed
+    ``key + (w,)``; the boundary blocks out of the levels positive on an
+    axis go to that axis's dict.
 
     A cell is a tuple of per-axis simplex identifiers, in lexicographic order;
     face j along axis i replaces coordinate i by its image under
     ``axes[i].face(key[i], j)``.  Lowering a positive coordinate of a key must
     give a key again.
     """
-    if not isinstance(coefficients, Coefficients):
-        raise TypeError("coefficients must be a Coefficients value")
-    if d < 0:
-        raise ValueError("max_degree must be >= 0")
-    if weight_bound is not None and weight_bound < 0:
-        raise ValueError("weight_bound must be >= 0")
-    if not algebra.is_finite and weight_bound is None:
-        raise WeightBoundRequired(
-            "the algebra has unbounded weights; supply a weight bound")
-    if coefficients.mode == "custom" and not coefficients.algebra.is_finite:
-        raise WeightBoundRequired("custom coefficient algebras must be finite")
-    c_alg, action = _resolve_coefficients(algebra, coefficients)
-    basepoints = {key: tuple(axis.basepoints[p] for axis, p in zip(axes, key))
-                  for key in keys}
-    slots = {key: tuple(cell for cell in product(*(range(axis.size(p))
-                                                   for axis, p in zip(axes, key)))
-                        if cell != basepoints[key])
-             for key in keys}
-    if weight_bound is not None:
-        bound = weight_bound
-    else:
-        bound = (algebra.max_basis_weight * max(map(len, slots.values()))
-                 + c_alg.max_basis_weight)
-    ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-    total = sum(sum(_block_counts(algebra, c_alg, len(cells), bound))
-                for cells in slots.values())
-    if total > ceiling:
-        raise BasisSizeExceeded(
-            f"the complex needs {total} labelings, ceiling is {ceiling}")
-    complements = {key: _degenerate_complements(axes, key, cells)
-                   if normalized else () for key, cells in slots.items()}
-    levels = {key: _enumerate_block_bases(algebra, c_alg, len(cells), bound,
-                                          complements[key])
-              for key, cells in slots.items()}
-    bases = {key + (w,): labs for key, blocks in levels.items()
-             for w, labs in blocks.items()}
-    index = {k: {lab: r for r, lab in enumerate(labs)} for k, labs in bases.items()}
-    tables = _structure_tables(algebra, c_alg, action, bound)
-    lookups = _index_tables(tables, algebra, c_alg)
-    pusher = _face_pusher(tables, lookups, algebra.unit)
-    if lookups is not None:
-        split, cosplit = _factorizations(lookups, algebra.unit)
-    field = algebra.field
-    boundaries = tuple({} for _ in axes)
-    for key, cells in slots.items():
-        for i, p in enumerate(key):
-            if not p:
-                continue
-            low = key[:i] + (p - 1,) + key[i + 1:]
-            fmaps = [{c: c[:i] + (face[c[i]],) + c[i + 1:] for c in cells}
-                     for face in (axes[i].face(p, j) for j in range(p + 1))]
-            signed = [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
-                _face_plans(fmaps, cells, slots[low], basepoints[low]))]
-            pushes = pulls = None
-            for w, cols in levels[key].items():
-                rows = bases.get(low + (w,), ())
-                if lookups is not None and PULL_RATIO * len(rows) <= len(cols):
-                    if pulls is None:
-                        pulls = _pull_faces(signed, len(cells), complements[key])
-                    block = _pull_block(pulls, rows, index[key + (w,)], field,
-                                        algebra.unit, split, cosplit)
-                else:
-                    if pushes is None:
-                        pushes = [(sign, pusher(plan)) for sign, plan in signed]
-                    block = _boundary_block(pushes, cols,
-                                            index.get(low + (w,), {}), field)
-                boundaries[i][key + (w,)] = block
-    return bases, boundaries
+
+    def __init__(self, axes, keys, algebra, coefficients, d, weight_bound,
+                 normalized, max_block_size):
+        if not isinstance(coefficients, Coefficients):
+            raise TypeError("coefficients must be a Coefficients value")
+        if d < 0:
+            raise ValueError("max_degree must be >= 0")
+        if weight_bound is not None and weight_bound < 0:
+            raise ValueError("weight_bound must be >= 0")
+        if not algebra.is_finite and weight_bound is None:
+            raise WeightBoundRequired(
+                "the algebra has unbounded weights; supply a weight bound")
+        if coefficients.mode == "custom" and not coefficients.algebra.is_finite:
+            raise WeightBoundRequired("custom coefficient algebras must be finite")
+        self.axes, self.algebra = axes, algebra
+        self.field, self.unit = algebra.field, algebra.unit
+        self.c_alg, action = _resolve_coefficients(algebra, coefficients)
+        self.basepoints = {key: tuple(axis.basepoints[p]
+                                      for axis, p in zip(axes, key))
+                           for key in keys}
+        self.slots = {key: tuple(cell for cell in product(
+                          *(range(axis.size(p)) for axis, p in zip(axes, key)))
+                                 if cell != self.basepoints[key])
+                      for key in keys}
+        if weight_bound is not None:
+            self.bound = weight_bound
+        else:
+            self.bound = (algebra.max_basis_weight
+                          * max(map(len, self.slots.values()))
+                          + self.c_alg.max_basis_weight)
+        ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
+        total = sum(sum(_block_counts(algebra, self.c_alg, len(cells), self.bound))
+                    for cells in self.slots.values())
+        if total > ceiling:
+            raise BasisSizeExceeded(
+                f"the complex needs {total} labelings, ceiling is {ceiling}")
+        self.complements = {key: _degenerate_complements(axes, key, cells)
+                            if normalized else ()
+                            for key, cells in self.slots.items()}
+        tables = _structure_tables(algebra, self.c_alg, action, self.bound)
+        self.lookups = _index_tables(tables, algebra, self.c_alg)
+        self.pusher = _face_pusher(tables, self.lookups, self.unit)
+        if self.lookups is not None:
+            self.split, self.cosplit = _factorizations(self.lookups, self.unit)
+
+    def level(self, key, bound=None):
+        """The labelings of level ``key`` per weight, up to ``bound``
+        (default: the bound of the complex)."""
+        return _enumerate_block_bases(
+            self.algebra, self.c_alg, len(self.slots[key]),
+            self.bound if bound is None else bound, self.complements[key])
+
+    def pulls(self, rows, cols):
+        """Whether a block of ``rows`` x ``cols`` is pulled."""
+        return self.lookups is not None and PULL_RATIO * rows <= cols
+
+    def build(self, keys, bases=None, boundaries=None):
+        """Enumerate the levels ``keys`` into ``bases`` and assemble the
+        boundary blocks out of them into ``boundaries``, one dict per axis
+        (both new when not given); the rows of a block are read from
+        ``bases``.  Returns both."""
+        if bases is None:
+            bases, boundaries = {}, tuple({} for _ in self.axes)
+        levels = {key: self.level(key) for key in keys}
+        for key, level in levels.items():
+            bases.update((key + (w,), labs) for w, labs in level.items())
+        for key, level in levels.items():
+            widths = {w: len(labs) for w, labs in level.items()}
+            for i, p in enumerate(key):
+                if p:
+                    boundaries[i].update(self.blocks(key, i, bases, widths, level))
+        return bases, boundaries
+
+    def implicit_blocks(self, key, bases):
+        """The blocks out of the one-axis level ``key`` whose rows are in
+        ``bases``, without listing the level where a block is pulled.
+
+        Each block's width is its exact count (``_normalized_counts``).  The
+        pushed weights are enumerated up to the largest of them and pushed;
+        a pulled block numbers the columns its rows reach (``_Reached``).
+        The columns it never reaches are zero columns of the listed block,
+        so its rank, and the rank of every row subset, is unchanged.
+        """
+        low = (key[0] - 1,)
+        counts = _normalized_counts(self.algebra, self.c_alg,
+                                    len(self.slots[key]), self.bound,
+                                    self.complements[key])
+        widths = {w: n for w, n in enumerate(counts) if n and low + (w,) in bases}
+        pushed = [w for w, n in widths.items()
+                  if not self.pulls(len(bases[low + (w,)]), n)]
+        level = self.level(key, max(pushed)) if pushed else {}
+        return self.blocks(key, 0, bases, widths, {w: level[w] for w in pushed})
+
+    def blocks(self, key, i, bases, widths, listed):
+        """Yield ``(key + (w,), block)``, the boundary along axis i out of
+        level ``key`` in weight w, for each weight of ``widths`` (weight ->
+        column count).  A pushed block pushes ``listed[w]``; a pulled one
+        indexes ``listed[w]`` when it is given and otherwise numbers the
+        columns it reaches.  Row and column indexes live for one block."""
+        p = key[i]
+        low = key[:i] + (p - 1,) + key[i + 1:]
+        cells = self.slots[key]
+        fmaps = [{c: c[:i] + (face[c[i]],) + c[i + 1:] for c in cells}
+                 for face in (self.axes[i].face(p, j) for j in range(p + 1))]
+        signed = [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
+            _face_plans(fmaps, cells, self.slots[low], self.basepoints[low]))]
+        pushes = pulls = None
+        for w, width in widths.items():
+            rows = bases.get(low + (w,), ())
+            cols = listed.get(w)
+            if self.pulls(len(rows), width):
+                if pulls is None:
+                    pulls = _pull_faces(signed, len(cells), self.complements[key])
+                block = _pull_block(
+                    pulls, rows,
+                    _Reached(self.unit, self.complements[key]) if cols is None
+                    else {lab: c for c, lab in enumerate(cols)},
+                    self.field, self.unit, self.split, self.cosplit)
+            else:
+                if pushes is None:
+                    pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
+                block = _boundary_block(
+                    pushes, cols, {lab: r for r, lab in enumerate(rows)},
+                    self.field)
+            yield key + (w,), block
 
 
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,
                   max_degree: int, weight_bound=None, normalized: bool = True,
                   max_block_size: int | None = None) -> LodayComplex:
-    """Assemble bases and boundary matrices through degree max_degree + 1;
-    ``max_block_size`` (default ``DEFAULT_MAX_BLOCK``) bounds their total
-    number of labelings."""
+    """Assemble bases and boundary matrices through degree max_degree, and
+    defer the top level max_degree + 1 (``LodayComplex``);
+    ``max_block_size`` (default ``DEFAULT_MAX_BLOCK``) bounds the number of
+    labelings of all levels, the top one included."""
     d = max_degree
     if space.top_level < d + 1:
         raise TruncationTooShallow(
             f"degree {d} homology needs top_level >= {d + 1}, "
             f"got {space.top_level}")
-    bases, (boundaries,) = _labeling_complex(
-        (space,), [(p,) for p in range(d + 2)], algebra, coefficients, d,
-        weight_bound, normalized, max_block_size)
-    return LodayComplex(space, algebra, coefficients, d, weight_bound,
-                        normalized, bases, boundaries)
+    keys = [(p,) for p in range(d + 2)]
+    labelings = _Labelings((space,), keys, algebra, coefficients, d,
+                           weight_bound, normalized, max_block_size)
+    bases, (boundaries,) = labelings.build(keys[:-1])
+    complex_ = LodayComplex(space, algebra, coefficients, d, weight_bound,
+                            normalized, bases, boundaries)
+    complex_._top = (labelings, keys[-1])
+    return complex_
 
 
 def chain_dims(complex_: LodayComplex) -> dict:
@@ -686,16 +846,21 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
     unchanged.  This relies on ``∂∂ = 0``, which
     ``LodayComplex.check_boundary_squares`` and acceptance criterion 9
     verify.
+
+    Only the rank of ``∂_{d+1}`` is read from the top level d + 1.  When
+    the top of a ``build_complex`` complex has not been built, its blocks
+    are assembled one at a time and ranked without listing the level
+    (``_Labelings.implicit_blocks``), and nothing of them is kept.
     """
     d = complex_.max_degree
     ranks = {}
     cleared = {}
-    for (p, w), mat in sorted(complex_.boundaries.items()):
+    for (p, w), mat in complex_._blocks():
         found = pivots(mat, cleared.pop((p, w), frozenset()))
         ranks[(p, w)] = len(found)
         cleared[(p + 1, w)] = {c for _, c in found}
     dims = {}
-    for (p, w), labs in complex_.bases.items():
+    for (p, w), labs in complex_._bases.items():
         if p > d:
             continue
         value = len(labs) - ranks.get((p, w), 0) - ranks.get((p + 1, w), 0)

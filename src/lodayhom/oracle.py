@@ -19,7 +19,7 @@ from __future__ import annotations
 from .exactlinalg import SparseMatrix
 from .algebra import Coefficients
 from .loday import (
-    HomologyTable, LodayComplex, _labeling_complex, homology_dims,
+    HomologyTable, LodayComplex, _Labelings, homology_dims,
 )
 from .simplicial import circle
 
@@ -83,10 +83,10 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
     labelings."""
     d = max_degree
     s1 = circle(d + 1)
-    terms, (horizontal, vertical) = _labeling_complex(
-        (s1, s1), [(n, m) for n in range(d + 2) for m in range(d + 2 - n)],
-        algebra, coefficients, d, weight_bound, normalized=False,
-        max_block_size=max_block_size)
+    keys = [(n, m) for n in range(d + 2) for m in range(d + 2 - n)]
+    terms, (horizontal, vertical) = _Labelings(
+        (s1, s1), keys, algebra, coefficients, d, weight_bound,
+        normalized=False, max_block_size=max_block_size).build(keys)
     return Bicomplex(algebra, coefficients, d, weight_bound, terms,
                      horizontal, vertical)
 

@@ -78,6 +78,11 @@ class TestParseArgs:
                         "--max-weight", "1", flag, "-1"])
         assert err.value.code == 2
 
+    def test_negative_top_level_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["validate", "--space", "pt", "--top-level", "-2"])
+        assert err.value.code == 2
+
 
 class TestComputeCommand:
     def test_point(self):

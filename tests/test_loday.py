@@ -13,7 +13,7 @@ from lodayhom.exactlinalg import make_field, rank
 from lodayhom.loday import (
     BasisSizeExceeded, FieldMismatch, Labeling, TruncationTooShallow,
     WeightBoundRequired, _block_counts, _degenerate_complements,
-    _enumerate_block_bases,
+    _enumerate_block_bases, _normalized_counts,
     _resolve_coefficients, build_complex, chain_dims, homology_dims,
 )
 from lodayhom.simplicial import (
@@ -180,6 +180,81 @@ class TestBlockCounts:
             blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound)
             assert _block_counts(algebra, c_alg, n_slots, bound) == \
                 [len(blocks.get(w, ())) for w in range(bound + 1)], n_slots
+
+
+def level_sizes(space, algebra, coefficients, levels, normalized=True):
+    """Per level of ``space``: the block sizes of the complex's enumeration
+    weight by weight, asserted equal to ``_normalized_counts``; returns the
+    level totals."""
+    keys = [(p,) for p in levels]
+    labelings = loday._Labelings((space,), keys, algebra, coefficients, 0,
+                                 None, normalized, None)
+    bound = labelings.bound
+    totals = []
+    for key in keys:
+        counts = _normalized_counts(algebra, labelings.c_alg,
+                                    len(labelings.slots[key]), bound,
+                                    labelings.complements[key])
+        blocks = labelings.level(key)
+        assert counts == [len(blocks.get(w, ())) for w in range(bound + 1)], \
+            (space.label, key, normalized)
+        totals.append(sum(counts))
+    return totals
+
+
+class TestNormalizedCounts:
+    @pytest.mark.parametrize("coeffs", [UNIT, Coefficients.self_algebra()],
+                             ids=["unit", "self"])
+    def test_every_level_of_the_random_small_inputs(self, coeffs):
+        for expr, algebra_spec, p, d in random_small_inputs():
+            space = build_space(expr, d + 1)
+            algebra = parse_algebra_expr(algebra_spec, p)
+            for normalized in (True, False):
+                level_sizes(space, algebra, coeffs, range(d + 2), normalized)
+
+    @pytest.mark.parametrize("expr", ["prod(S1,S1)",
+                                      "wedge(wedge(S1,S1),sphere(2))"])
+    def test_headline_spaces_to_level_three(self, expr):
+        assert level_sizes(build_space(expr, 3), truncated_poly(3, 2), UNIT,
+                           range(4)) == [1, 7, 241, 32023]
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_circle_truncpoly_four_at_level_eight(self, normalized):
+        level_sizes(circle(8), truncated_poly(3, 4), UNIT, [8], normalized)
+
+
+def hochschild_closed_form(m, characteristic, d):
+    """HH_n(k[x]/x^m) per (degree, weight) through degree d, from the
+    2-periodic resolution: HH_0 is A, in weights 0..m-1; HH_{2i-1} sits in
+    weights (i-1)m+1 .. im-1 and HH_{2i} in im+1 .. im+m-1, each widened by
+    the weight im when the characteristic divides m; every weight carries
+    dimension 1."""
+    divides = characteristic is not None and m % characteristic == 0
+    dims = {(0, w): 1 for w in range(m)}
+    for n in range(1, d + 1):
+        i = (n + 1) // 2
+        if n % 2:
+            weights = range((i - 1) * m + 1, i * m + divides)
+        else:
+            weights = range(i * m + (not divides), i * m + m)
+        dims.update(((n, w), 1) for w in weights)
+    return dims
+
+
+class TestHochschildClosedForm:
+    """Weight by weight, the thin top blocks included, against an oracle that
+    shares no code with the complex."""
+
+    @pytest.mark.parametrize("m,d", [(2, 7), (3, 6), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
+    def test_truncated_polynomials(self, m, d, field):
+        algebra = truncated_poly(field, m)
+        want = hochschild_closed_form(m, algebra.field.p, d)
+        for normalized in (True, False):
+            table = homology_dims(build_complex(
+                circle(d + 1), algebra, Coefficients.self_algebra(), d,
+                normalized=normalized))
+            assert table.dims == want, normalized
 
 
 class TestHomology:

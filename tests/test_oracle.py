@@ -4,7 +4,7 @@ import pytest
 
 from lodayhom.algebra import Coefficients, polynomial, truncated_poly
 from lodayhom.loday import (
-    BasisSizeExceeded, HomologyTable, WeightBoundRequired, _labeling_complex,
+    BasisSizeExceeded, HomologyTable, WeightBoundRequired, _Labelings,
     build_complex, homology_dims,
 )
 from lodayhom.oracle import (
@@ -81,9 +81,10 @@ class TestTotalHomology:
 
 def grid(axes, algebra, coefficients, d, normalized=False, weight_bound=None):
     """The two-axis labeling bicomplex through total degree d + 1."""
-    terms, (horizontal, vertical) = _labeling_complex(
-        axes, [(n, m) for n in range(d + 2) for m in range(d + 2 - n)],
-        algebra, coefficients, d, weight_bound, normalized, None)
+    keys = [(n, m) for n in range(d + 2) for m in range(d + 2 - n)]
+    terms, (horizontal, vertical) = _Labelings(
+        axes, keys, algebra, coefficients, d, weight_bound, normalized,
+        None).build(keys)
     return Bicomplex(algebra, coefficients, d, weight_bound, terms,
                      horizontal, vertical)
 

@@ -9,7 +9,9 @@ arithmetic.  Patching ``_index_tables`` to None forces the generic push.
 
 With lookups, blocks much wider than their rows are built from the rows by
 ``_pull_block``; patching ``PULL_RATIO`` to 0 or to infinity makes every
-block pulled or pushed, and both must give the same matrices.
+block pulled or pushed, and both must give the same matrices.  The deferred
+top level of ``build_complex`` is ranked from the columns its rows reach,
+and its homology must equal that of the listed top level.
 """
 
 import hashlib
@@ -310,6 +312,58 @@ def test_total_complex_blocks_pass_public_checks(field):
     _assert_blocks_pass_public_checks(oracle._total_complex(grid, 2))
 
 
+def _implicit_and_listed(complex_):
+    """Homology of ``complex_`` with its top level deferred, then listed."""
+    assert complex_._top is not None
+    implicit = homology_dims(complex_)
+    assert complex_._top is not None
+    complex_.boundaries
+    assert complex_._top is None
+    return implicit.dims, homology_dims(complex_).dims
+
+
+@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
+@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
+def test_implicit_top_equals_listed(expr, algebra_spec, p, d, mode):
+    space = build_space(expr, d + 1)
+    for field in (2, 3, "Q"):
+        algebra = parse_algebra_expr(algebra_spec, field)
+        coefficients = _coefficients(mode, algebra)
+        for normalized in (True, False):
+            implicit, listed = _implicit_and_listed(build_complex(
+                space, algebra, coefficients, d, normalized=normalized))
+            assert implicit == listed, (field, normalized)
+
+
+@pytest.mark.parametrize("field", [2, 3, "Q"])
+@pytest.mark.parametrize("expr", ["prod(S1,S1)", "wedge(wedge(S1,S1),sphere(2))"])
+def test_implicit_top_equals_listed_on_the_headline(expr, field):
+    implicit, listed = _implicit_and_listed(build_complex(
+        build_space(expr, 3), truncated_poly(field, 2), Coefficients.unit(), 2))
+    assert implicit == listed
+
+
+def test_torus_homology_lists_no_top_labeling_past_weight_three(monkeypatch):
+    """Of the top level of the degree-2 torus over F3, only the pushed
+    weights 2 and 3 are listed; every wider block is pulled implicitly."""
+    space = build_space("prod(S1,S1)", 3)
+    top_slots = space.size(3) - 1
+    listed = []
+    original = loday._enumerate_block_bases
+
+    def spy(algebra, c_alg, n_slots, bound, complements=()):
+        blocks = original(algebra, c_alg, n_slots, bound, complements)
+        if n_slots == top_slots:
+            listed.extend(w for w, labs in blocks.items() if labs)
+        return blocks
+
+    monkeypatch.setattr(loday, "_enumerate_block_bases", spy)
+    table = homology_dims(build_complex(space, truncated_poly(3, 2),
+                                        Coefficients.unit(), 2))
+    assert table.totals() == [1, 2, 3]
+    assert listed and max(listed) < 4
+
+
 def _directed_build(monkeypatch, build, ratio=None):
     """``build()`` with ``PULL_RATIO`` set to ``ratio`` (None: unchanged);
     returns its result and a map from each boundary block made to "pull" or
@@ -327,6 +381,8 @@ def _directed_build(monkeypatch, build, ratio=None):
                 return block
             patch.setattr(loday, name, record)
         result = build()
+        if isinstance(result, loday.LodayComplex):
+            result.boundaries  # the deferred top level is built on this read
     return result, made
 
 
