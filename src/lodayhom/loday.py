@@ -52,11 +52,15 @@ the boundary out of it, and that level is most of the basis: 32 023 of the
 ``homology_dims`` on a complex whose top is still deferred builds its blocks
 from implicit columns instead, after Ripser's implicit coboundary matrix
 (Bauer, J. Appl. Comput. Topol. 2021).  ``_normalized_counts`` sizes each
-top block exactly before anything is enumerated.  A block that the rule above
-pulls numbers the non-degenerate columns its rows reach and never lists the
-others, which are zero columns.  The pushed weights alone are listed, up to
-the largest of them, and pushed.  Ranks, and with them the clearing of rows
-that ``homology_dims`` does, are the same as on the listed level.
+top block exactly before anything is enumerated, or gives up where that
+would cost more than listing the level, which is then listed.  Sizing by
+the unnormalized counts instead would pull square blocks that the rule
+pushes on the listed level; on HH(k[t]/t^m) that measured slower.  A block
+that the rule above pulls numbers the non-degenerate columns its rows reach
+and never lists the others, which are zero columns.  The pushed weights
+alone are listed, up to the largest of them, and pushed.  Ranks, and with
+them the clearing of rows that ``homology_dims`` does, are the same as on
+the listed level.
 """
 
 from __future__ import annotations
@@ -196,29 +200,50 @@ def _block_counts(algebra, c_alg, n_slots, bound):
     return counts
 
 
-def _normalized_counts(algebra, c_alg, n_slots, bound, complements=()):
+def _normalized_counts(algebra, c_alg, n_slots, bound, complements=(),
+                       limit=None):
     """The block sizes of ``_enumerate_block_bases`` per total weight
-    0..bound, computed before enumeration.
+    0..bound, computed before enumeration; None when one group of
+    overlapping complements (below) has more than ``limit`` unions.
 
     A labeling is degenerate when it is the unit on all of some complement,
     so inclusion-exclusion over the sets S of complements gives the others:
     the sum of (-1)^|S| times the labelings with the unit forced on the
     union of S, which are counted by ``_block_counts`` on the slots left
-    free.  Sets are grouped by the size of their union, so each free-slot
-    count is convolved once.
+    free.  Only the size of the union matters.  Complements that share no
+    slot, directly or through others, fall into separate groups whose union
+    sizes add, so each group's signed sizes are found from its own unions
+    and the groups are convolved: on a circle every complement is one slot
+    of its own, and the cost is linear in their number instead of
+    exponential.  Each free-slot count is convolved once.
     """
-    masks = [sum(1 << q for q in comp) for comp in complements]
-    signs = {0: 1}
-    for mask in masks:
-        # each union reached so far, once without this complement, once with
-        grown = dict(signs)
-        for union, sign in signs.items():
-            grown[union | mask] = grown.get(union | mask, 0) - sign
-        signs = grown
-    by_size = {}
-    for union, sign in signs.items():
-        size = union.bit_count()
-        by_size[size] = by_size.get(size, 0) + sign
+    groups = []  # (slots covered, complement bitmasks), covers pairwise disjoint
+    for comp in complements:
+        mask = sum(1 << q for q in comp)
+        joined = [group for group in groups if group[0] & mask]
+        groups = [group for group in groups if not group[0] & mask]
+        members = [mask]
+        for cover, others in joined:
+            mask |= cover
+            members += others
+        groups.append((mask, members))
+    by_size = {0: 1}
+    for _, members in groups:
+        unions = {0: 1}
+        for mask in members:
+            # each union reached so far, once without this complement, once with
+            grown = dict(unions)
+            for union, sign in unions.items():
+                grown[union | mask] = grown.get(union | mask, 0) - sign
+            unions = grown
+            if limit is not None and len(unions) > limit:
+                return None
+        grown = {}
+        for size, sign in by_size.items():
+            for union, sign2 in unions.items():
+                total = size + union.bit_count()
+                grown[total] = grown.get(total, 0) + sign * sign2
+        by_size = grown
     counts = [0] * (bound + 1)
     for size, sign in by_size.items():
         if sign:
@@ -313,7 +338,11 @@ class LodayComplex:
     ``bases`` or ``boundaries`` lists that level and assembles its blocks as
     for every other level, so both always hold every level;
     ``homology_dims`` on a complex whose top is not yet built ranks the top
-    blocks without listing the level.
+    blocks without listing the level.  Until the top is built the complex
+    keeps its ``_Labelings``: the cells, degeneracy complements and
+    structure tables of its levels, not their indexes or labelings.  The
+    memo of the pulls' factorizations, filled by the levels below, is kept
+    for the top's pulls and dropped once ``homology_dims`` has ranked them.
     """
 
     def __init__(self, space, algebra, coefficients, max_degree, weight_bound,
@@ -356,6 +385,7 @@ class LodayComplex:
         if self._top is not None:
             labelings, key = self._top
             yield from labelings.implicit_blocks(key, self._bases)
+            labelings.factors = None
 
     def check_boundary_squares(self):
         """Verify boundary . boundary = 0 on every composable block pair."""
@@ -723,8 +753,7 @@ class _Labelings:
         tables = _structure_tables(algebra, self.c_alg, action, self.bound)
         self.lookups = _index_tables(tables, algebra, self.c_alg)
         self.pusher = _face_pusher(tables, self.lookups, self.unit)
-        if self.lookups is not None:
-            self.split, self.cosplit = _factorizations(self.lookups, self.unit)
+        self.factors = None
 
     def level(self, key, bound=None):
         """The labelings of level ``key`` per weight, up to ``bound``
@@ -745,13 +774,15 @@ class _Labelings:
         if bases is None:
             bases, boundaries = {}, tuple({} for _ in self.axes)
         levels = {key: self.level(key) for key in keys}
+        factors = self.factorizations()
         for key, level in levels.items():
             bases.update((key + (w,), labs) for w, labs in level.items())
         for key, level in levels.items():
             widths = {w: len(labs) for w, labs in level.items()}
             for i, p in enumerate(key):
                 if p:
-                    boundaries[i].update(self.blocks(key, i, bases, widths, level))
+                    boundaries[i].update(
+                        self.blocks(key, i, bases, widths, level, factors))
         return bases, boundaries
 
     def implicit_blocks(self, key, bases):
@@ -762,24 +793,43 @@ class _Labelings:
         pushed weights are enumerated up to the largest of them and pushed;
         a pulled block numbers the columns its rows reach (``_Reached``).
         The columns it never reaches are zero columns of the listed block,
-        so its rank, and the rank of every row subset, is unchanged.
+        so its rank, and the rank of every row subset, is unchanged.  When
+        counting would build more unions of complements than the level has
+        unnormalized labelings, the level is listed instead.
         """
         low = (key[0] - 1,)
-        counts = _normalized_counts(self.algebra, self.c_alg,
-                                    len(self.slots[key]), self.bound,
-                                    self.complements[key])
-        widths = {w: n for w, n in enumerate(counts) if n and low + (w,) in bases}
-        pushed = [w for w, n in widths.items()
-                  if not self.pulls(len(bases[low + (w,)]), n)]
-        level = self.level(key, max(pushed)) if pushed else {}
-        return self.blocks(key, 0, bases, widths, {w: level[w] for w in pushed})
+        n_slots = len(self.slots[key])
+        counts = _normalized_counts(
+            self.algebra, self.c_alg, n_slots, self.bound, self.complements[key],
+            sum(_block_counts(self.algebra, self.c_alg, n_slots, self.bound)))
+        if counts is None:
+            listed = self.level(key)
+            widths = {w: len(labs) for w, labs in listed.items()
+                      if low + (w,) in bases}
+        else:
+            widths = {w: n for w, n in enumerate(counts)
+                      if n and low + (w,) in bases}
+            pushed = [w for w, n in widths.items()
+                      if not self.pulls(len(bases[low + (w,)]), n)]
+            level = self.level(key, max(pushed)) if pushed else {}
+            listed = {w: level[w] for w in pushed}
+        return self.blocks(key, 0, bases, widths, listed, self.factorizations())
 
-    def blocks(self, key, i, bases, widths, listed):
+    def factorizations(self):
+        """``_factorizations`` of the lookups, or None without lookups; made
+        at the first call and kept, with their memo, until ``factors`` is
+        reset to None."""
+        if self.factors is None and self.lookups is not None:
+            self.factors = _factorizations(self.lookups, self.unit)
+        return self.factors
+
+    def blocks(self, key, i, bases, widths, listed, factors):
         """Yield ``(key + (w,), block)``, the boundary along axis i out of
         level ``key`` in weight w, for each weight of ``widths`` (weight ->
         column count).  A pushed block pushes ``listed[w]``; a pulled one
         indexes ``listed[w]`` when it is given and otherwise numbers the
-        columns it reaches.  Row and column indexes live for one block."""
+        columns it reaches, reading ``factors`` (``factorizations``).  Row
+        and column indexes live for one block."""
         p = key[i]
         low = key[:i] + (p - 1,) + key[i + 1:]
         cells = self.slots[key]
@@ -798,7 +848,7 @@ class _Labelings:
                     pulls, rows,
                     _Reached(self.unit, self.complements[key]) if cols is None
                     else {lab: c for c, lab in enumerate(cols)},
-                    self.field, self.unit, self.split, self.cosplit)
+                    self.field, self.unit, *factors)
             else:
                 if pushes is None:
                     pushes = [(sign, self.pusher(plan)) for sign, plan in signed]

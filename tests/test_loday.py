@@ -223,6 +223,33 @@ class TestNormalizedCounts:
         level_sizes(circle(8), truncated_poly(3, 4), UNIT, [8], normalized)
 
 
+    def test_circle_at_level_thirty_one(self):
+        """31 one-slot complements, each a group of its own; their 2^31
+        unions would not fit in memory."""
+        key = (31,)
+        labelings = loday._Labelings((circle(31),), [key], polynomial(3), UNIT,
+                                     0, 3, True, None)
+        complements = labelings.complements[key]
+        assert len(complements) == 31
+        assert _normalized_counts(labelings.algebra, labelings.c_alg, 31, 3,
+                                  complements, 100) == [0, 0, 0, 0]
+        assert labelings.level(key) == {}
+
+    def test_overlapping_complements_past_the_limit(self):
+        """The torus's complements at level 9 all overlap: one group with
+        2^9 unions, more than the 100 labelings of weight at most 1."""
+        key = (9,)
+        labelings = loday._Labelings((build_space("prod(S1,S1)", 9),), [key],
+                                     polynomial(3), UNIT, 0, 1, True, None)
+        args = (labelings.algebra, labelings.c_alg, len(labelings.slots[key]),
+                1, labelings.complements[key])
+        assert sum(_block_counts(*args[:4])) == 100
+        assert _normalized_counts(*args, 100) is None
+        blocks = labelings.level(key)
+        assert _normalized_counts(*args, 512) == \
+            [len(blocks.get(w, ())) for w in range(2)]
+
+
 def hochschild_closed_form(m, characteristic, d):
     """HH_n(k[x]/x^m) per (degree, weight) through degree d, from the
     2-periodic resolution: HH_0 is A, in weights 0..m-1; HH_{2i-1} sits in

@@ -24,7 +24,7 @@ import pytest
 from lodayhom import loday, oracle
 from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
-    Coefficients, load_algebra, parse_algebra_expr, truncated_poly,
+    Coefficients, load_algebra, parse_algebra_expr, polynomial, truncated_poly,
 )
 from lodayhom.exactlinalg import SparseMatrix
 from lodayhom.loday import (
@@ -313,10 +313,12 @@ def test_total_complex_blocks_pass_public_checks(field):
 
 
 def _implicit_and_listed(complex_):
-    """Homology of ``complex_`` with its top level deferred, then listed."""
+    """Homology of ``complex_`` with its top level deferred, then listed;
+    the memo of the pulls is not kept between them."""
     assert complex_._top is not None
     implicit = homology_dims(complex_)
     assert complex_._top is not None
+    assert complex_._top[0].factors is None
     complex_.boundaries
     assert complex_._top is None
     return implicit.dims, homology_dims(complex_).dims
@@ -340,6 +342,17 @@ def test_implicit_top_equals_listed(expr, algebra_spec, p, d, mode):
 def test_implicit_top_equals_listed_on_the_headline(expr, field):
     implicit, listed = _implicit_and_listed(build_complex(
         build_space(expr, 3), truncated_poly(field, 2), Coefficients.unit(), 2))
+    assert implicit == listed
+
+
+@pytest.mark.parametrize("expr,d,bound", [("S1", 30, 3), ("prod(S1,S1)", 8, 1)])
+def test_implicit_top_equals_listed_at_high_degree(expr, d, bound):
+    """The circle's top level counts its 31 one-slot complements one by one;
+    the torus's 9 overlapping ones have more unions than its top level has
+    labelings, so that level is listed."""
+    implicit, listed = _implicit_and_listed(build_complex(
+        build_space(expr, d + 1), polynomial(3), Coefficients.unit(), d,
+        weight_bound=bound))
     assert implicit == listed
 
 
