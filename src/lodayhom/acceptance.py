@@ -53,11 +53,13 @@ class Workspace:
         space = build_space(parse_space_expr(space_expr), max_degree + 1)
         complex_ = build_complex(space, algebra, Coefficients.unit(),
                                  max_degree, weight_bound, normalized)
+        # homology first, on the implicit top that the CLI runs; the square
+        # audit then lists the top level and checks it too
+        table = homology_dims(complex_)
         violations = complex_.check_boundary_squares()
         self.square_checks.append(
             (f"{space_expr} / {algebra_spec} / {field} / norm={normalized}",
              not violations))
-        table = homology_dims(complex_)
         self.tables[key] = table
         return table
 

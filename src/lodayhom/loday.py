@@ -51,22 +51,25 @@ the boundary out of it, and that level is most of the basis: 32 023 of the
 ``.boundaries`` lists it and assembles it like every other level;
 ``homology_dims`` on a complex whose top is still deferred builds its blocks
 from implicit columns instead, after Ripser's implicit coboundary matrix
-(Bauer, J. Appl. Comput. Topol. 2021).  ``_normalized_counts`` sizes each
-top block exactly before anything is enumerated, or gives up where that
-would cost more than listing the level, which is then listed.  Sizing by
-the unnormalized counts instead would pull square blocks that the rule
-pushes on the listed level; on HH(k[t]/t^m) that measured slower.  A block
-that the rule above pulls numbers the non-degenerate columns its rows reach
-and never lists the others, which are zero columns.  The pushed weights
-alone are listed, up to the largest of them, and pushed.  Ranks, and with
-them the clearing of rows that ``homology_dims`` does, are the same as on
-the listed level.
+(Bauer, J. Appl. Comput. Topol. 2021).  Each top block is sized exactly
+before anything is enumerated.  The labelings form a simplicial vector
+space graded by weight, so by Dold–Kan a level's non-degenerate count is a
+binomial inversion of the unnormalized counts of the levels up to it, which
+the ceiling computes anyway (``_normalized_counts``).  Sizing a normalized
+top by the unnormalized counts instead would pull square blocks that the
+rule pushes on the listed level; on HH(k[t]/t^m) that measured slower.  A
+block that the rule above pulls numbers the non-degenerate columns its rows
+reach and never lists the others, which are zero columns.  The pushed
+weights alone are listed, up to the largest of them, and pushed.  Ranks,
+and with them the clearing of rows that ``homology_dims`` does, are the
+same as on the listed level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -200,56 +203,19 @@ def _block_counts(algebra, c_alg, n_slots, bound):
     return counts
 
 
-def _normalized_counts(algebra, c_alg, n_slots, bound, complements=(),
-                       limit=None):
-    """The block sizes of ``_enumerate_block_bases`` per total weight
-    0..bound, computed before enumeration; None when one group of
-    overlapping complements (below) has more than ``limit`` unions.
+def _normalized_counts(levels):
+    """The number of non-degenerate labelings of level p per total weight,
+    from the unnormalized counts ``levels`` of levels 0..p (``_block_counts``).
 
-    A labeling is degenerate when it is the unit on all of some complement,
-    so inclusion-exclusion over the sets S of complements gives the others:
-    the sum of (-1)^|S| times the labelings with the unit forced on the
-    union of S, which are counted by ``_block_counts`` on the slots left
-    free.  Only the size of the union matters.  Complements that share no
-    slot, directly or through others, fall into separate groups whose union
-    sizes add, so each group's signed sizes are found from its own unions
-    and the groups are convolved: on a circle every complement is one slot
-    of its own, and the cost is linear in their number instead of
-    exponential.  Each free-slot count is convolved once.
+    The labelings span a simplicial vector space graded by weight.  By
+    Dold–Kan, level k is the sum of C(k, j) copies of normalized level j, one
+    per surjection [k] -> [j], so binomial inversion gives
+    N_p = sum_k (-1)^(p - k) C(p, k) U_k, weight by weight.
     """
-    groups = []  # (slots covered, complement bitmasks), covers pairwise disjoint
-    for comp in complements:
-        mask = sum(1 << q for q in comp)
-        joined = [group for group in groups if group[0] & mask]
-        groups = [group for group in groups if not group[0] & mask]
-        members = [mask]
-        for cover, others in joined:
-            mask |= cover
-            members += others
-        groups.append((mask, members))
-    by_size = {0: 1}
-    for _, members in groups:
-        unions = {0: 1}
-        for mask in members:
-            # each union reached so far, once without this complement, once with
-            grown = dict(unions)
-            for union, sign in unions.items():
-                grown[union | mask] = grown.get(union | mask, 0) - sign
-            unions = grown
-            if limit is not None and len(unions) > limit:
-                return None
-        grown = {}
-        for size, sign in by_size.items():
-            for union, sign2 in unions.items():
-                total = size + union.bit_count()
-                grown[total] = grown.get(total, 0) + sign * sign2
-        by_size = grown
-    counts = [0] * (bound + 1)
-    for size, sign in by_size.items():
-        if sign:
-            free = _block_counts(algebra, c_alg, n_slots - size, bound)
-            counts = [c + sign * f for c, f in zip(counts, free)]
-    return counts
+    p = len(levels) - 1
+    return [sum((-1) ** (p - k) * comb(p, k) * u
+                for k, u in enumerate(column))
+            for column in zip(*levels)]
 
 
 def _enumerate_block_bases(algebra, c_alg, n_slots, bound, complements=()):
@@ -339,10 +305,11 @@ class LodayComplex:
     for every other level, so both always hold every level;
     ``homology_dims`` on a complex whose top is not yet built ranks the top
     blocks without listing the level.  Until the top is built the complex
-    keeps its ``_Labelings``: the cells, degeneracy complements and
-    structure tables of its levels, not their indexes or labelings.  The
-    memo of the pulls' factorizations, filled by the levels below, is kept
-    for the top's pulls and dropped once ``homology_dims`` has ranked them.
+    keeps its ``_Labelings``: the cells, labeling counts, degeneracy
+    complements and structure tables of its levels, not their indexes or
+    labelings.  The memo of the pulls' factorizations, filled by the levels
+    below, is kept for the top's pulls and dropped once ``homology_dims``
+    has ranked them.
     """
 
     def __init__(self, space, algebra, coefficients, max_degree, weight_bound,
@@ -742,8 +709,10 @@ class _Labelings:
                           * max(map(len, self.slots.values()))
                           + self.c_alg.max_basis_weight)
         ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-        total = sum(sum(_block_counts(algebra, self.c_alg, len(cells), self.bound))
-                    for cells in self.slots.values())
+        self.counts = {key: _block_counts(algebra, self.c_alg, len(cells),
+                                          self.bound)
+                       for key, cells in self.slots.items()}
+        total = sum(map(sum, self.counts.values()))
         if total > ceiling:
             raise BasisSizeExceeded(
                 f"the complex needs {total} labelings, ceiling is {ceiling}")
@@ -789,30 +758,24 @@ class _Labelings:
         """The blocks out of the one-axis level ``key`` whose rows are in
         ``bases``, without listing the level where a block is pulled.
 
-        Each block's width is its exact count (``_normalized_counts``).  The
-        pushed weights are enumerated up to the largest of them and pushed;
-        a pulled block numbers the columns its rows reach (``_Reached``).
-        The columns it never reaches are zero columns of the listed block,
-        so its rank, and the rank of every row subset, is unchanged.  When
-        counting would build more unions of complements than the level has
-        unnormalized labelings, the level is listed instead.
+        Each block's width is its exact count: ``counts[key]`` on an
+        unnormalized complex, the Dold–Kan inversion of the counts of levels
+        0..key (``_normalized_counts``) on a normalized one.  The pushed
+        weights are enumerated up to the largest of them and pushed; a pulled
+        block numbers the columns its rows reach (``_Reached``).  The columns
+        it never reaches are zero columns of the listed block, so its rank,
+        and the rank of every row subset, is unchanged.
         """
         low = (key[0] - 1,)
-        n_slots = len(self.slots[key])
-        counts = _normalized_counts(
-            self.algebra, self.c_alg, n_slots, self.bound, self.complements[key],
-            sum(_block_counts(self.algebra, self.c_alg, n_slots, self.bound)))
-        if counts is None:
-            listed = self.level(key)
-            widths = {w: len(labs) for w, labs in listed.items()
-                      if low + (w,) in bases}
-        else:
-            widths = {w: n for w, n in enumerate(counts)
-                      if n and low + (w,) in bases}
-            pushed = [w for w, n in widths.items()
-                      if not self.pulls(len(bases[low + (w,)]), n)]
-            level = self.level(key, max(pushed)) if pushed else {}
-            listed = {w: level[w] for w in pushed}
+        counts = (_normalized_counts([self.counts[(k,)]
+                                      for k in range(key[0] + 1)])
+                  if self.complements[key] else self.counts[key])
+        widths = {w: n for w, n in enumerate(counts)
+                  if n and low + (w,) in bases}
+        pushed = [w for w, n in widths.items()
+                  if not self.pulls(len(bases[low + (w,)]), n)]
+        level = self.level(key, max(pushed)) if pushed else {}
+        listed = {w: level[w] for w in pushed}
         return self.blocks(key, 0, bases, widths, listed, self.factorizations())
 
     def factorizations(self):

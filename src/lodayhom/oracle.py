@@ -147,7 +147,10 @@ def check_total_square(bicomplex: Bicomplex) -> bool:
 
 def wedge_kunneth_dims(left: HomologyTable, right: HomologyTable,
                        max_degree: int) -> HomologyTable:
-    """Graded convolution of two unit-coefficient homology tables."""
+    """Graded convolution of two unit-coefficient homology tables through
+    degree max_degree, which neither table may stop below."""
+    if max_degree > min(left.max_degree, right.max_degree):
+        raise ValueError("tables were not computed deep enough")
     if left.coeff_mode != "unit" or right.coeff_mode != "unit":
         raise CoefficientMismatch(
             "wedge convolution needs tables computed with unit coefficients")

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import Coefficients
 from .loday import HomologyTable, build_complex, homology_dims
-from .simplicial import (
-    SpaceExpr, build_space, is_connected, parse_space_expr, product, smash,
-    wedge,
-)
+from .simplicial import SpaceExpr, build_space, is_connected, parse_space_expr
 
 
 class NotConnected(ValueError):
@@ -128,23 +125,12 @@ def product_decomposition_check(x, y, algebra, coefficients: Coefficients,
                                 max_block_size=None) -> ComparisonReport:
     """Compare X x Y against X v Y v (X smash Y) at the dimension level."""
     xe, ye = _as_expr(x), _as_expr(y)
-    top = max_degree + 1
-    xs, ys = build_space(xe, top), build_space(ye, top)
-    for expr, space in ((xe, xs), (ye, ys)):
-        if not is_connected(space):
+    for expr in (xe, ye):
+        if not is_connected(build_space(expr, max_degree + 1)):
             raise NotConnected(f"{expr} is not connected")
-    left_space = product(xs, ys)
-    right_space = wedge(wedge(xs, ys), smash(xs, ys))
-    lt = homology_dims(build_complex(left_space, algebra, coefficients,
-                                     max_degree, weight_bound, normalized,
-                                     max_block_size))
-    rt = homology_dims(build_complex(right_space, algebra, coefficients,
-                                     max_degree, weight_bound, normalized,
-                                     max_block_size))
-    rows, verdict = compare_tables(lt, rt, max_degree)
-    left_name = str(SpaceExpr("prod", (xe, ye)))
-    right_name = str(SpaceExpr("wedge", (SpaceExpr("wedge", (xe, ye)),
-                                         SpaceExpr("smash", (xe, ye)))))
-    return ComparisonReport(left_name, right_name, algebra.description,
-                            str(algebra.field), coefficients.mode, max_degree,
-                            weight_bound, rows, verdict)
+    return compare_spaces(
+        SpaceExpr("prod", (xe, ye)),
+        SpaceExpr("wedge", (SpaceExpr("wedge", (xe, ye)),
+                            SpaceExpr("smash", (xe, ye)))),
+        algebra, coefficients, max_degree, weight_bound, normalized,
+        max_block_size)

@@ -182,22 +182,26 @@ class TestBlockCounts:
                 [len(blocks.get(w, ())) for w in range(bound + 1)], n_slots
 
 
-def level_sizes(space, algebra, coefficients, levels, normalized=True):
-    """Per level of ``space``: the block sizes of the complex's enumeration
-    weight by weight, asserted equal to ``_normalized_counts``; returns the
+def level_sizes(space, algebra, coefficients, levels, normalized=True,
+                bound=None):
+    """Per level of ``levels``: the block sizes of the complex's enumeration
+    weight by weight, asserted equal to the counts the implicit top reads
+    (the Dold–Kan inversion ``_normalized_counts`` of the stored counts of
+    levels 0..p when normalized, the stored counts otherwise); returns the
     level totals."""
-    keys = [(p,) for p in levels]
+    keys = [(p,) for p in range(max(levels) + 1)]
     labelings = loday._Labelings((space,), keys, algebra, coefficients, 0,
-                                 None, normalized, None)
-    bound = labelings.bound
+                                 bound, normalized, None)
     totals = []
-    for key in keys:
-        counts = _normalized_counts(algebra, labelings.c_alg,
-                                    len(labelings.slots[key]), bound,
-                                    labelings.complements[key])
-        blocks = labelings.level(key)
-        assert counts == [len(blocks.get(w, ())) for w in range(bound + 1)], \
-            (space.label, key, normalized)
+    for p in levels:
+        counts = labelings.counts[(p,)]
+        if normalized:
+            counts = _normalized_counts([labelings.counts[key]
+                                         for key in keys[:p + 1]])
+        blocks = labelings.level((p,))
+        assert counts == [len(blocks.get(w, ()))
+                          for w in range(labelings.bound + 1)], \
+            (space.label, p, normalized)
         totals.append(sum(counts))
     return totals
 
@@ -222,32 +226,15 @@ class TestNormalizedCounts:
     def test_circle_truncpoly_four_at_level_eight(self, normalized):
         level_sizes(circle(8), truncated_poly(3, 4), UNIT, [8], normalized)
 
-
     def test_circle_at_level_thirty_one(self):
-        """31 one-slot complements, each a group of its own; their 2^31
-        unions would not fit in memory."""
-        key = (31,)
-        labelings = loday._Labelings((circle(31),), [key], polynomial(3), UNIT,
-                                     0, 3, True, None)
-        complements = labelings.complements[key]
-        assert len(complements) == 31
-        assert _normalized_counts(labelings.algebra, labelings.c_alg, 31, 3,
-                                  complements, 100) == [0, 0, 0, 0]
-        assert labelings.level(key) == {}
+        """Sized from the 32 level counts, whatever the 31 degeneracy
+        complements are."""
+        assert level_sizes(circle(31), polynomial(3), UNIT, [31],
+                           bound=3) == [0]
 
-    def test_overlapping_complements_past_the_limit(self):
-        """The torus's complements at level 9 all overlap: one group with
-        2^9 unions, more than the 100 labelings of weight at most 1."""
-        key = (9,)
-        labelings = loday._Labelings((build_space("prod(S1,S1)", 9),), [key],
-                                     polynomial(3), UNIT, 0, 1, True, None)
-        args = (labelings.algebra, labelings.c_alg, len(labelings.slots[key]),
-                1, labelings.complements[key])
-        assert sum(_block_counts(*args[:4])) == 100
-        assert _normalized_counts(*args, 100) is None
-        blocks = labelings.level(key)
-        assert _normalized_counts(*args, 512) == \
-            [len(blocks.get(w, ())) for w in range(2)]
+    def test_torus_over_poly_at_level_nine(self):
+        assert level_sizes(build_space("prod(S1,S1)", 9), polynomial(3), UNIT,
+                           [9], bound=1) == [0]
 
 
 def hochschild_closed_form(m, characteristic, d):
@@ -282,6 +269,45 @@ class TestHochschildClosedForm:
                 circle(d + 1), algebra, Coefficients.self_algebra(), d,
                 normalized=normalized))
             assert table.dims == want, normalized
+
+
+def free_graded_commutative(betti, d, max_weight):
+    """Dimensions per (degree, weight), through degree d and weight
+    max_weight, of the free graded-commutative algebra on ``betti[n]``
+    generators of degree n, each of weight 1: exterior on the odd ones,
+    polynomial on the even ones."""
+    dims = {(0, 0): 1}
+    for n, count in betti.items():
+        for _ in range(count):
+            grown = {}
+            for (deg, w), v in dims.items():
+                for k in range(2 if n % 2 else max_weight + 1):
+                    key = (deg + k * n, w + k)
+                    if key[0] <= d and key[1] <= max_weight:
+                        grown[key] = grown.get(key, 0) + v
+            dims = grown
+    return dims
+
+
+class TestPolynomialClosedForm:
+    """Over Q with unit coefficients, L_X(k[t]; k) is the free
+    graded-commutative algebra on the reduced rational homology of X,
+    placed in weight 1 (Pirashvili, Ann. Sci. ÉNS 2000).  Not true in
+    characteristic p."""
+
+    @pytest.mark.parametrize("expr,betti,d,max_weight", [
+        ("S1", {1: 1}, 6, 6),
+        ("simplexsphere(2)", {2: 1}, 4, 3),
+        ("prod(S1,S1)", {1: 2, 2: 1}, 3, 3),
+        ("prod(S1,S1)", {1: 2, 2: 1}, 8, 1),
+        ("wedge(S1,S1)", {1: 2}, 4, 3),
+        ("wedge(S1,simplexsphere(2))", {1: 1, 2: 1}, 3, 3),
+    ])
+    def test_rational_polynomial(self, expr, betti, d, max_weight):
+        table = homology_dims(build_complex(
+            build_space(expr, d + 1), polynomial("Q"), UNIT, d,
+            weight_bound=max_weight))
+        assert table.dims == free_graded_commutative(betti, d, max_weight)
 
 
 class TestHomology:

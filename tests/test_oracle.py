@@ -237,6 +237,14 @@ class TestKunneth:
         assert full.total(2) == 4
         assert full.dims == self.table("wedge(wedge(S1,S1),sphere(2))").dims
 
+    def test_rejects_degrees_past_the_tables(self):
+        shallow = self.table("S1", d=1)
+        with pytest.raises(ValueError):
+            wedge_kunneth_dims(shallow, self.table("S1", d=3), 3)
+        with pytest.raises(ValueError):
+            wedge_kunneth_dims(self.table("S1", d=3), shallow, 3)
+        assert wedge_kunneth_dims(shallow, shallow, 1).totals() == [1, 2]
+
     def test_rejects_non_unit_coefficients(self):
         good = self.table("S1")
         bad = HomologyTable(dict(good.dims), 2, None, "self", good.field)

@@ -347,9 +347,7 @@ def test_implicit_top_equals_listed_on_the_headline(expr, field):
 
 @pytest.mark.parametrize("expr,d,bound", [("S1", 30, 3), ("prod(S1,S1)", 8, 1)])
 def test_implicit_top_equals_listed_at_high_degree(expr, d, bound):
-    """The circle's top level counts its 31 one-slot complements one by one;
-    the torus's 9 overlapping ones have more unions than its top level has
-    labelings, so that level is listed."""
+    """Tops of k[t] far above the weight bound, whose blocks are all empty."""
     implicit, listed = _implicit_and_listed(build_complex(
         build_space(expr, d + 1), polynomial(3), Coefficients.unit(), d,
         weight_bound=bound))
@@ -375,6 +373,23 @@ def test_torus_homology_lists_no_top_labeling_past_weight_three(monkeypatch):
                                         Coefficients.unit(), 2))
     assert table.totals() == [1, 2, 3]
     assert listed and max(listed) < 4
+
+
+def test_empty_torus_top_lists_nothing(monkeypatch):
+    """Its counts alone show that the top level 9 of the torus over k[t]
+    with weight bound 1 has no non-degenerate labeling."""
+    complex_ = build_complex(build_space("prod(S1,S1)", 9), polynomial(3),
+                             Coefficients.unit(), 8, weight_bound=1)
+    calls = []
+    original = loday._enumerate_block_bases
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(loday, "_enumerate_block_bases", spy)
+    assert homology_dims(complex_).totals() == [1, 2, 1, 0, 0, 0, 0, 0, 0]
+    assert calls == []
 
 
 def _directed_build(monkeypatch, build, ratio=None):
