@@ -30,8 +30,8 @@ from .loday import (
     build_complex, chain_dims, homology_dims,
 )
 from .oracle import (
-    Bicomplex, CoefficientMismatch, check_total_square, torus_bicomplex,
-    total_homology, wedge_kunneth_dims,
+    Bicomplex, CoefficientMismatch, torus_bicomplex, total_homology,
+    wedge_kunneth_dims,
 )
 from .stability import (
     ComparisonReport, NotConnected, PRESET_EQUIVALENT_PAIRS, compare_spaces,
@@ -49,7 +49,7 @@ __all__ = [
     "PointedSimplicialSet", "PolynomialAlgebra", "SchemaError", "SpaceExpr",
     "SparseMatrix", "TruncationMismatch", "TruncationTooShallow",
     "WeightBoundRequired", "are_isomorphic", "build_complex", "build_space",
-    "chain_dims", "check_total_square", "circle", "compare_spaces",
+    "chain_dims", "circle", "compare_spaces",
     "compare_tables", "dump_algebra", "exterior", "homology_dims",
     "is_connected", "kernel_dim", "load_algebra", "make_field",
     "parse_algebra_expr", "parse_space_expr", "point", "polynomial", "product",

@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coeff", default="unit")
         p.add_argument("--max-degree", type=int, required=True)
         p.add_argument("--max-weight", type=int, default=None)
-        p.add_argument("--no-normalize", action="store_true")
+        if spaces:  # the grid of oracle-bicomplex is always unnormalized
+            p.add_argument("--no-normalize", action="store_true")
         p.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
         p.add_argument("--max-basis", type=int, default=None,
@@ -130,7 +131,6 @@ def parse_args(argv) -> RunConfig:
     cfg.coeff = ns.coeff
     cfg.max_degree = ns.max_degree
     cfg.weight_bound = ns.max_weight
-    cfg.normalized = not ns.no_normalize
     cfg.output = ns.format
     cfg.max_basis = ns.max_basis
     if ns.command in ("compare", "check-product"):
@@ -138,6 +138,8 @@ def parse_args(argv) -> RunConfig:
         cfg.space_b = ns.space_b
     elif ns.command == "compute":
         cfg.space = ns.space
+    if ns.command != "oracle-bicomplex":
+        cfg.normalized = not ns.no_normalize
     for flag, value in (("--max-degree", cfg.max_degree),
                         ("--max-weight", cfg.weight_bound),
                         ("--max-basis", cfg.max_basis)):
@@ -300,7 +302,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
         if cfg.command == "oracle-bicomplex":
             bicomplex = torus_bicomplex(algebra, coefficients, cfg.max_degree,
                                         cfg.weight_bound, cfg.max_basis)
-            table = total_homology(bicomplex, cfg.max_degree)
+            table = total_homology(bicomplex)
             out.write(_emit_table(cfg, table, "prod(S1,S1)"))
             return 0
         if cfg.command == "compare":

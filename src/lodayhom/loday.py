@@ -305,29 +305,20 @@ class LodayComplex:
     for every other level, so both always hold every level;
     ``homology_dims`` on a complex whose top is not yet built ranks the top
     blocks without listing the level.  Until the top is built the complex
-    keeps its ``_Labelings``: the cells, labeling counts, degeneracy
-    complements and structure tables of its levels, not their indexes or
-    labelings.  The memo of the pulls' factorizations, filled by the levels
-    below, is kept for the top's pulls and dropped once ``homology_dims``
-    has ranked them.
+    keeps its ``_Labelings``: the cells, labeling counts and degeneracy
+    complements of its levels and the structure tables with their
+    factorizations, not the levels' indexes or labelings.
     """
 
-    def __init__(self, space, algebra, coefficients, max_degree, weight_bound,
-                 normalized, bases, boundaries):
-        self.space = space
-        self.algebra = algebra
-        self.coefficients = coefficients
-        self.field = algebra.field
+    def __init__(self, field, coeff_mode, max_degree, weight_bound, bases,
+                 boundaries):
+        self.field = field
+        self.coeff_mode = coeff_mode
         self.max_degree = max_degree
         self.weight_bound = weight_bound
-        self.normalized = normalized
         self._bases = bases            # (degree, weight) -> list of Labelings
         self._boundaries = boundaries  # (degree, weight) -> SparseMatrix
         self._top = None               # deferred (_Labelings, top key)
-
-    @property
-    def coeff_mode(self) -> str:
-        return self.coefficients.mode
 
     @property
     def bases(self) -> dict:
@@ -352,14 +343,13 @@ class LodayComplex:
         if self._top is not None:
             labelings, key = self._top
             yield from labelings.implicit_blocks(key, self._bases)
-            labelings.factors = None
 
     def check_boundary_squares(self):
         """Verify boundary . boundary = 0 on every composable block pair."""
         violations = []
         for (p, w), mat in sorted(self.boundaries.items()):
             nxt = self.boundaries.get((p + 1, w))
-            if nxt is None or p + 1 > self.max_degree + 1:
+            if nxt is None:
                 continue
             if not mat.matmul(nxt).is_zero:
                 violations.append((p, w))
@@ -722,7 +712,8 @@ class _Labelings:
         tables = _structure_tables(algebra, self.c_alg, action, self.bound)
         self.lookups = _index_tables(tables, algebra, self.c_alg)
         self.pusher = _face_pusher(tables, self.lookups, self.unit)
-        self.factors = None
+        self.factors = (None if self.lookups is None
+                        else _factorizations(self.lookups, self.unit))
 
     def level(self, key, bound=None):
         """The labelings of level ``key`` per weight, up to ``bound``
@@ -743,7 +734,6 @@ class _Labelings:
         if bases is None:
             bases, boundaries = {}, tuple({} for _ in self.axes)
         levels = {key: self.level(key) for key in keys}
-        factors = self.factorizations()
         for key, level in levels.items():
             bases.update((key + (w,), labs) for w, labs in level.items())
         for key, level in levels.items():
@@ -751,7 +741,7 @@ class _Labelings:
             for i, p in enumerate(key):
                 if p:
                     boundaries[i].update(
-                        self.blocks(key, i, bases, widths, level, factors))
+                        self.blocks(key, i, bases, widths, level))
         return bases, boundaries
 
     def implicit_blocks(self, key, bases):
@@ -776,22 +766,14 @@ class _Labelings:
                   if not self.pulls(len(bases[low + (w,)]), n)]
         level = self.level(key, max(pushed)) if pushed else {}
         listed = {w: level[w] for w in pushed}
-        return self.blocks(key, 0, bases, widths, listed, self.factorizations())
+        return self.blocks(key, 0, bases, widths, listed)
 
-    def factorizations(self):
-        """``_factorizations`` of the lookups, or None without lookups; made
-        at the first call and kept, with their memo, until ``factors`` is
-        reset to None."""
-        if self.factors is None and self.lookups is not None:
-            self.factors = _factorizations(self.lookups, self.unit)
-        return self.factors
-
-    def blocks(self, key, i, bases, widths, listed, factors):
+    def blocks(self, key, i, bases, widths, listed):
         """Yield ``(key + (w,), block)``, the boundary along axis i out of
         level ``key`` in weight w, for each weight of ``widths`` (weight ->
         column count).  A pushed block pushes ``listed[w]``; a pulled one
         indexes ``listed[w]`` when it is given and otherwise numbers the
-        columns it reaches, reading ``factors`` (``factorizations``).  Row
+        columns it reaches, reading ``factors`` (``_factorizations``).  Row
         and column indexes live for one block."""
         p = key[i]
         low = key[:i] + (p - 1,) + key[i + 1:]
@@ -811,7 +793,7 @@ class _Labelings:
                     pulls, rows,
                     _Reached(self.unit, self.complements[key]) if cols is None
                     else {lab: c for c, lab in enumerate(cols)},
-                    self.field, self.unit, *factors)
+                    self.field, self.unit, *self.factors)
             else:
                 if pushes is None:
                     pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
@@ -837,8 +819,8 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
     labelings = _Labelings((space,), keys, algebra, coefficients, d,
                            weight_bound, normalized, max_block_size)
     bases, (boundaries,) = labelings.build(keys[:-1])
-    complex_ = LodayComplex(space, algebra, coefficients, d, weight_bound,
-                            normalized, bases, boundaries)
+    complex_ = LodayComplex(algebra.field, coefficients.mode, d, weight_bound,
+                            bases, boundaries)
     complex_._top = (labelings, keys[-1])
     return complex_
 

@@ -5,16 +5,20 @@ S^1 x S^1 directly: ``loday``'s evaluator runs on two circle axes instead of
 the one diagonal axis, so the term in bidegree (n, m) is the labeling space of
 the (n+1)(m+1) - 1 non-basepoint cells of the grid, the horizontal boundary is
 the alternating face sum along the first circle, the vertical one along the
-second.  ``total_homology`` ranks its total complex, with the sign twist
-(-1)^n placed on the vertical differential at horizontal degree n; the result
-must agree blockwise with the diagonal product complex.  The check is
-independent in its two axes and the twisted totalization.
+second.  ``_total_complex`` totalizes it, with the sign twist (-1)^n placed
+on the vertical differential at horizontal degree n, into a ``LodayComplex``
+whose ``check_boundary_squares`` is the grid's one square audit;
+``total_homology`` ranks it, and the result must agree blockwise with the
+diagonal product complex.  The check is independent in its two axes and the
+twisted totalization.
 
 ``wedge_kunneth_dims`` convolves homology tables over a field, predicting
 wedge homology from the factors.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .exactlinalg import SparseMatrix
 from .algebra import Coefficients
@@ -28,52 +32,17 @@ class CoefficientMismatch(ValueError):
     """Künneth convolution needs tables computed with unit coefficients."""
 
 
+@dataclass(frozen=True)
 class Bicomplex:
     """Grid of labeling bases with commuting horizontal/vertical boundaries."""
 
-    def __init__(self, algebra, coefficients, max_degree, weight_bound,
-                 terms, horizontal, vertical):
-        self.algebra = algebra
-        self.coefficients = coefficients
-        self.field = algebra.field
-        self.max_degree = max_degree
-        self.weight_bound = weight_bound
-        self.terms = terms            # (n, m, w) -> list of Labelings
-        self.horizontal = horizontal  # (n, m, w) -> SparseMatrix to (n-1, m, w)
-        self.vertical = vertical      # (n, m, w) -> SparseMatrix to (n, m-1, w)
-
-    @property
-    def coeff_mode(self) -> str:
-        return self.coefficients.mode
-
-    def term_dim(self, n: int, m: int, weight=None) -> int:
-        if weight is not None:
-            return len(self.terms.get((n, m, weight), ()))
-        return sum(len(v) for (a, b, _), v in self.terms.items()
-                   if a == n and b == m)
-
-    def check_squares(self):
-        """horizontal^2 = 0, vertical^2 = 0, and the two directions commute."""
-        violations = []
-        for (n, m, w), h in sorted(self.horizontal.items()):
-            h2 = self.horizontal.get((n - 1, m, w))
-            if h2 is not None and not h2.matmul(h).is_zero:
-                violations.append(("h.h", n, m, w))
-        for (n, m, w), v in sorted(self.vertical.items()):
-            v2 = self.vertical.get((n, m - 1, w))
-            if v2 is not None and not v2.matmul(v).is_zero:
-                violations.append(("v.v", n, m, w))
-        for (n, m, w), h in sorted(self.horizontal.items()):
-            v_after = self.vertical.get((n - 1, m, w))
-            v_before = self.vertical.get((n, m, w))
-            if v_after is None or v_before is None:
-                continue
-            h_after = self.horizontal.get((n, m - 1, w))
-            if h_after is None:
-                continue
-            if v_after.matmul(h).entries != h_after.matmul(v_before).entries:
-                violations.append(("h.v", n, m, w))
-        return violations
+    algebra: object
+    coefficients: Coefficients
+    max_degree: int
+    weight_bound: int | None
+    terms: dict       # (n, m, w) -> list of Labelings
+    horizontal: dict  # (n, m, w) -> SparseMatrix to (n-1, m, w)
+    vertical: dict    # (n, m, w) -> SparseMatrix to (n, m-1, w)
 
 
 def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
@@ -91,14 +60,18 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
                      horizontal, vertical)
 
 
-def _total_complex(bicomplex: Bicomplex, d: int) -> LodayComplex:
-    """The total complex through degree d + 1, keyed (k, w).
+def _total_complex(bicomplex: Bicomplex) -> LodayComplex:
+    """The total complex through degree max_degree + 1, keyed (k, w).
 
     The summands of T_k are stacked in ascending horizontal degree; the
     (n, m) summand maps by the horizontal boundary plus (-1)^n times the
-    vertical one.  Its space is None: the grid is not a simplicial set.
+    vertical one.  Its ``check_boundary_squares`` is the grid's audit: the
+    square of the total differential sums h.h, v.v and (-1)^n (h.v - v.h),
+    which land in different summands, so it vanishes exactly when both
+    directions square to zero and commute.
     """
-    field = bicomplex.field
+    d = bicomplex.max_degree
+    field = bicomplex.algebra.field
     weights = sorted({w for (_, _, w) in bicomplex.terms})
     bases = {}
     offsets = {}
@@ -128,21 +101,14 @@ def _total_complex(bicomplex: Bicomplex, d: int) -> LodayComplex:
             boundaries[(k, w)] = SparseMatrix._trusted(
                 len(bases.get((k - 1, w), ())), len(bases.get((k, w), ())),
                 entries, field)
-    return LodayComplex(None, bicomplex.algebra, bicomplex.coefficients, d,
-                        bicomplex.weight_bound, False, bases, boundaries)
+    return LodayComplex(field, bicomplex.coefficients.mode, d,
+                        bicomplex.weight_bound, bases, boundaries)
 
 
-def total_homology(bicomplex: Bicomplex, max_degree: int) -> HomologyTable:
-    """Homology dimensions of the total complex, per (degree, weight)."""
-    if max_degree > bicomplex.max_degree:
-        raise ValueError("bicomplex was not built deep enough")
-    return homology_dims(_total_complex(bicomplex, max_degree))
-
-
-def check_total_square(bicomplex: Bicomplex) -> bool:
-    """The twisted total differential squares to zero."""
-    return not _total_complex(bicomplex,
-                              bicomplex.max_degree).check_boundary_squares()
+def total_homology(bicomplex: Bicomplex) -> HomologyTable:
+    """Homology dimensions of the total complex through the bicomplex's
+    max_degree, per (degree, weight)."""
+    return homology_dims(_total_complex(bicomplex))
 
 
 def wedge_kunneth_dims(left: HomologyTable, right: HomologyTable,

@@ -201,6 +201,13 @@ class TestOtherCommands:
         assert code == 0
         assert "totals by degree: [1, 2, 3]" in out
 
+    def test_oracle_bicomplex_rejects_no_normalize(self):
+        # the grid is always unnormalized, so the flag would be ignored
+        with pytest.raises(SystemExit) as err:
+            parse_args(["oracle-bicomplex", "--algebra", "truncpoly(2)",
+                        "--field", "F3", "--max-degree", "2", "--no-normalize"])
+        assert err.value.code == 2
+
     def test_oracle_bicomplex_basis_ceiling(self):
         code, out, err = run_cli(["oracle-bicomplex", "--algebra",
                                   "truncpoly(2)", "--field", "F3",

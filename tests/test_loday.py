@@ -387,7 +387,7 @@ class TestClearedRank:
     @pytest.mark.parametrize("field", [2, 3, "Q"])
     def test_grid_total_complex(self, field):
         grid = oracle.torus_bicomplex(truncated_poly(field, 2), UNIT, 2)
-        total = oracle._total_complex(grid, 2)
+        total = oracle._total_complex(grid)
         assert homology_dims(total).dims == plain_rank_dims(total)
 
     @pytest.mark.parametrize("normalized", [True, False])

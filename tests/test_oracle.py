@@ -1,78 +1,138 @@
 """The grid bicomplex, its total complex, and the Künneth convolution."""
 
+from dataclasses import replace
+
 import pytest
 
 from lodayhom.algebra import Coefficients, polynomial, truncated_poly
+from lodayhom.exactlinalg import SparseMatrix, make_field
 from lodayhom.loday import (
     BasisSizeExceeded, HomologyTable, WeightBoundRequired, _Labelings,
     build_complex, homology_dims,
 )
 from lodayhom.oracle import (
-    Bicomplex, CoefficientMismatch, check_total_square, torus_bicomplex,
+    Bicomplex, CoefficientMismatch, _total_complex, torus_bicomplex,
     total_homology, wedge_kunneth_dims,
 )
 from lodayhom.simplicial import build_space, circle
-from lodayhom.exactlinalg import make_field
 
 UNIT = Coefficients.unit()
 
 
+def term_dims(bicomplex):
+    """Labelings per bidegree (n, m), summed over weights."""
+    dims = {}
+    for (n, m, _), labs in bicomplex.terms.items():
+        dims[(n, m)] = dims.get((n, m), 0) + len(labs)
+    return dims
+
+
 class TestTermDims:
     def test_counts_follow_the_grid_formula(self):
-        bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 3)
-        assert bicomplex.term_dim(1, 1) == 2 ** 3
-        assert bicomplex.term_dim(0, 1) == 2
-        assert bicomplex.term_dim(2, 2) == 2 ** 8
+        dims = term_dims(torus_bicomplex(truncated_poly(3, 2), UNIT, 3))
+        assert dims[(1, 1)] == 2 ** 3
+        assert dims[(0, 1)] == 2
+        assert dims[(2, 2)] == 2 ** 8
 
     def test_all_terms_present_through_total_degree(self):
         d = 2
         bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, d)
-        pairs = {(n, m) for (n, m, _) in bicomplex.terms}
         expected = {(n, m) for n in range(d + 2) for m in range(d + 2 - n)}
-        assert pairs == expected
+        assert set(term_dims(bicomplex)) == expected
+
+
+def broken_identities(b):
+    """Which of h.h = 0, v.v = 0 and h.v = v.h fail on the grid ``b``."""
+    h, v = b.horizontal, b.vertical
+    broken = set()
+    for (n, m, w), mat in h.items():
+        low = h.get((n - 1, m, w))
+        if low is not None and not low.matmul(mat).is_zero:
+            broken.add("h.h")
+        if (n, m, w) in v and (n - 1, m, w) in v and (n, m - 1, w) in h:
+            if (v[(n - 1, m, w)].matmul(mat).entries
+                    != h[(n, m - 1, w)].matmul(v[(n, m, w)]).entries):
+                broken.add("h.v")
+    for (n, m, w), mat in v.items():
+        low = v.get((n, m - 1, w))
+        if low is not None and not low.matmul(mat).is_zero:
+            broken.add("v.v")
+    return broken
+
+
+def corrupted(b, direction, key, pos):
+    """``b`` with one entry of one horizontal or vertical block changed."""
+    mat = getattr(b, direction)[key]
+    field = mat.field
+    entries = dict(mat.entries)
+    value = field.add(entries.pop(pos, field.zero), field.one)
+    if value != field.zero:
+        entries[pos] = value
+    blocks = {**getattr(b, direction),
+              key: SparseMatrix(mat.rows, mat.cols, entries, field)}
+    return replace(b, **{direction: blocks})
 
 
 class TestSquares:
     @pytest.mark.parametrize("field", [3, 2, "Q"])
     def test_directions_square_and_commute(self, field):
         bicomplex = torus_bicomplex(truncated_poly(field, 2), UNIT, 2)
-        assert bicomplex.check_squares() == []
+        assert _total_complex(bicomplex).check_boundary_squares() == []
 
     def test_twisted_total_square_vanishes(self):
-        bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 2)
-        assert check_total_square(bicomplex)
+        # from degree 3 on, h.v and v.h meet in nonzero blocks, so the
+        # audit sees the sign twist
+        bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 3)
+        assert _total_complex(bicomplex).check_boundary_squares() == []
 
     def test_polynomial_grid(self):
         bicomplex = torus_bicomplex(polynomial(3), UNIT, 2, weight_bound=3)
-        assert bicomplex.check_squares() == []
-        assert check_total_square(bicomplex)
+        assert _total_complex(bicomplex).check_boundary_squares() == []
+
+    def test_total_audit_catches_each_broken_identity(self, bicomplex):
+        # D^2 sums h.h, v.v and (-1)^n (h.v - v.h), which land in different
+        # summands, so the total audit flags a corrupted grid exactly when
+        # one of the three identities fails
+        caught = set()
+        for direction in ("horizontal", "vertical"):
+            for key, mat in sorted(getattr(bicomplex, direction).items()):
+                if not (mat.rows and mat.cols):
+                    continue
+                for pos in sorted({(0, 0), (mat.rows - 1, mat.cols - 1),
+                                   *list(mat.entries)[:2]}):
+                    bad = corrupted(bicomplex, direction, key, pos)
+                    broken = broken_identities(bad)
+                    flagged = _total_complex(bad).check_boundary_squares()
+                    assert bool(flagged) == bool(broken), (direction, key, pos)
+                    caught |= broken
+        assert caught == {"h.h", "v.v", "h.v"}
 
 
 class TestTotalHomology:
     def test_odd_prime(self):
-        table = total_homology(torus_bicomplex(truncated_poly(3, 2), UNIT, 2), 2)
+        table = total_homology(torus_bicomplex(truncated_poly(3, 2), UNIT, 2))
         assert table.totals() == [1, 2, 3]
 
     def test_char_two(self):
-        table = total_homology(torus_bicomplex(truncated_poly(2, 2), UNIT, 2), 2)
+        table = total_homology(torus_bicomplex(truncated_poly(2, 2), UNIT, 2))
         assert table.totals() == [1, 2, 4]
         assert table.get(2, 2) == 3
 
     def test_rationals(self):
-        table = total_homology(torus_bicomplex(truncated_poly("Q", 2), UNIT, 2), 2)
+        table = total_homology(torus_bicomplex(truncated_poly("Q", 2), UNIT, 2))
         assert table.totals() == [1, 2, 3]
 
     @pytest.mark.parametrize("field", [3, 2, "Q"])
     def test_agrees_with_diagonal_product_blockwise(self, field):
         via_grid = total_homology(
-            torus_bicomplex(truncated_poly(field, 2), UNIT, 2), 2)
+            torus_bicomplex(truncated_poly(field, 2), UNIT, 2))
         direct = homology_dims(build_complex(
             build_space("prod(S1,S1)", 3), truncated_poly(field, 2), UNIT, 2))
         assert via_grid.dims == direct.dims
 
     def test_polynomial_agrees_with_diagonal(self):
         via_grid = total_homology(
-            torus_bicomplex(polynomial(3), UNIT, 2, weight_bound=3), 2)
+            torus_bicomplex(polynomial(3), UNIT, 2, weight_bound=3))
         direct = homology_dims(build_complex(
             build_space("prod(S1,S1)", 3), polynomial(3), UNIT, 2,
             weight_bound=3))
@@ -99,7 +159,7 @@ class TestAnyAxes:
         # the twisted total complex of X x Y as a bicomplex computes the
         # homology of the diagonal prod(X, Y)
         axes = (build_space(left, 3), build_space(right, 3))
-        via_axes = total_homology(grid(axes, truncated_poly(field, 2), UNIT, 2), 2)
+        via_axes = total_homology(grid(axes, truncated_poly(field, 2), UNIT, 2))
         direct = homology_dims(build_complex(
             build_space(f"prod({left},{right})", 3), truncated_poly(field, 2),
             UNIT, 2))
@@ -117,8 +177,7 @@ class TestAnyAxes:
         s1 = circle(3)
         full = grid((s1, s1), algebra, coeffs, 2, weight_bound=bound)
         normalized = grid((s1, s1), algebra, coeffs, 2, True, bound)
-        assert total_homology(normalized, 2).dims == \
-            total_homology(full, 2).dims
+        assert total_homology(normalized).dims == total_homology(full).dims
         assert sum(map(len, normalized.terms.values())) < \
             sum(map(len, full.terms.values()))
 

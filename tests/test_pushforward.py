@@ -309,16 +309,14 @@ def test_boundary_blocks_pass_public_checks(expr, algebra_spec, p, d, mode,
 def test_total_complex_blocks_pass_public_checks(field):
     grid = oracle.torus_bicomplex(truncated_poly(field, 2),
                                   Coefficients.unit(), 2)
-    _assert_blocks_pass_public_checks(oracle._total_complex(grid, 2))
+    _assert_blocks_pass_public_checks(oracle._total_complex(grid))
 
 
 def _implicit_and_listed(complex_):
-    """Homology of ``complex_`` with its top level deferred, then listed;
-    the memo of the pulls is not kept between them."""
+    """Homology of ``complex_`` with its top level deferred, then listed."""
     assert complex_._top is not None
     implicit = homology_dims(complex_)
     assert complex_._top is not None
-    assert complex_._top[0].factors is None
     complex_.boundaries
     assert complex_._top is None
     return implicit.dims, homology_dims(complex_).dims
