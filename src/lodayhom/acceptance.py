@@ -44,22 +44,25 @@ class Workspace:
         self.square_checks = []  # (description, ok)
 
     def homology(self, space_expr: str, algebra_spec: str, field,
-                 max_degree: int, weight_bound=None, normalized=True):
+                 max_degree: int, weight_bound=None, normalized=True,
+                 coeff="unit"):
         key = (space_expr, algebra_spec, str(field), max_degree, weight_bound,
-               normalized)
+               normalized, coeff)
         if key in self.tables:
             return self.tables[key]
         algebra = parse_algebra_expr(algebra_spec, field)
         space = build_space(parse_space_expr(space_expr), max_degree + 1)
-        complex_ = build_complex(space, algebra, Coefficients.unit(),
-                                 max_degree, weight_bound, normalized)
+        coefficients = (Coefficients.self_algebra() if coeff == "self"
+                        else Coefficients.unit())
+        complex_ = build_complex(space, algebra, coefficients, max_degree,
+                                 weight_bound, normalized)
         # homology first, on the implicit top that the CLI runs; the square
         # audit then lists the top level and checks it too
         table = homology_dims(complex_)
         violations = complex_.check_boundary_squares()
         self.square_checks.append(
-            (f"{space_expr} / {algebra_spec} / {field} / norm={normalized}",
-             not violations))
+            (f"{space_expr} / {algebra_spec} / {field} / {coeff} / "
+             f"norm={normalized}", not violations))
         self.tables[key] = table
         return table
 
@@ -73,11 +76,16 @@ class Workspace:
                                     weight_bound)
         total = _total_complex(bicomplex)
         self.square_checks.append(
-            (f"bicomplex / {algebra_spec} / {field}",
+            (self.bicomplex_description(algebra_spec, field, max_degree),
              not total.check_boundary_squares()))
         table = homology_dims(total)
         self.tables[key] = table
         return table
+
+    @staticmethod
+    def bicomplex_description(algebra_spec: str, field, max_degree: int):
+        """How ``square_checks`` names the audit of a grid."""
+        return f"bicomplex / {algebra_spec} / {field} / degree {max_degree}"
 
 
 def _tables_equal(left, right, max_degree: int) -> bool:
@@ -348,10 +356,73 @@ def criterion_11(ws: Workspace) -> CriterionResult:
                            f"{len(first)} bytes")
 
 
+def _field_name(field) -> str:
+    return "Q" if field == "Q" else f"F{field}"
+
+
+def hochschild_closed_form(m, characteristic, d):
+    """HH_n(k[x]/x^m) per (degree, weight) through degree d, from the
+    2-periodic resolution: HH_0 is A, in weights 0..m-1; HH_{2i-1} sits in
+    weights (i-1)m+1 .. im-1 and HH_{2i} in im+1 .. im+m-1, each widened by
+    the weight im when the characteristic divides m; every weight carries
+    dimension 1.  ``characteristic`` is None over Q."""
+    divides = characteristic is not None and m % characteristic == 0
+    dims = {(0, w): 1 for w in range(m)}
+    for n in range(1, d + 1):
+        i = (n + 1) // 2
+        if n % 2:
+            weights = range((i - 1) * m + 1, i * m + divides)
+        else:
+            weights = range(i * m + (not divides), i * m + m)
+        dims.update(((n, w), 1) for w in weights)
+    return dims
+
+
+def criterion_12(ws: Workspace) -> CriterionResult:
+    """Hochschild homology of k[x]/x^m, weight by weight, against the closed
+    form of the 2-periodic resolution."""
+    name = "HH(k[x]/x^m) on S1 equals its closed form (F2, F3, Q; m = 2..4)"
+    t0 = time.monotonic()
+    ok = True
+    bad = []
+    for field in (2, 3, "Q"):
+        for m in (2, 3, 4):
+            table = ws.homology("S1", f"truncpoly({m})", field, 5, coeff="self")
+            want = hochschild_closed_form(m, table.field.p, 5)
+            if table.dims != want:
+                ok = False
+                bad.append(f"{_field_name(field)}/m={m}")
+    elapsed = time.monotonic() - t0
+    ok = ok and elapsed < 60.0
+    detail = "9 tables to degree 5" + (f"; differ: {bad}" if bad else "")
+    return CriterionResult(12, name, ok, elapsed, detail)
+
+
+def criterion_13(ws: Workspace) -> CriterionResult:
+    """The degree-3 grid, the first whose boundary squares see the sign
+    twist of the total complex: the squares vanish and the totals are
+    [1,2,3,6] over F3 and Q, [1,2,4,7] over F2."""
+    name = "degree-3 grid: twisted squares vanish, [1,2,3,6] (F3, Q), [1,2,4,7] (F2)"
+    t0 = time.monotonic()
+    ok = True
+    details = []
+    for field, want in ((3, [1, 2, 3, 6]), ("Q", [1, 2, 3, 6]),
+                        (2, [1, 2, 4, 7])):
+        table = ws.bicomplex_homology("truncpoly(2)", field, 3)
+        squares = dict(ws.square_checks)[
+            ws.bicomplex_description("truncpoly(2)", field, 3)]
+        ok = ok and squares and table.totals() == want
+        details.append(f"{_field_name(field)}: {table.totals()}"
+                       + ("" if squares else " (squares do not vanish)"))
+    elapsed = time.monotonic() - t0
+    ok = ok and elapsed < 60.0
+    return CriterionResult(13, name, ok, elapsed, "; ".join(details))
+
+
 CRITERIA = (
     criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
     criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-    criterion_11,
+    criterion_11, criterion_12, criterion_13,
 )
 
 

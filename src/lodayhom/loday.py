@@ -25,7 +25,7 @@ c . action(a), as (basis index, scalar) pairs.  When each entry is zero or one
 basis element with coefficient one (truncpoly(m), poly and exterior with unit
 or self coefficients, and monomial custom coefficients), a face sends a
 labeling to one labeling or to nothing and is pushed by chained lookups;
-otherwise the push multiplies the pairs out.  Both feed one boundary loop,
+otherwise the push multiplies the pairs out.  Both feed ``_boundary_block``,
 which sums plain numbers and normalizes once per matrix entry.
 
 With lookups, a block can also be assembled the other way, from its rows:
@@ -40,29 +40,22 @@ truncpoly(2), blocks 16 to 800 times wider than their rows pull 1.3 to 12
 times faster than they push; on S1 with truncpoly(4) and self coefficients
 the two break even between 2 and 5 times wider; on the degree-3 torus over
 poly, whose products vanish only past the weight bound, a 750 x 9315 block
-(12 times wider) still pulls 1.1 to 1.4 times slower.  A block is therefore
-pulled when it is at least ``PULL_RATIO`` = 16 times wider than its rows, and
-pushed otherwise; both give the same matrix.
+(12 times wider) still pulls 1.1 to 1.4 times slower.  A block of a listed
+level is therefore pulled when it is at least ``PULL_RATIO`` = 16 times wider
+than its rows, and pushed otherwise; both give the same matrix.
 
 Homology through degree d reads the top level d + 1 only through the rank of
 the boundary out of it, and that level is most of the basis: 32 023 of the
 32 272 labelings of the degree-2 torus over truncpoly(2).  So
 ``build_complex`` defers it.  Reading ``LodayComplex.bases`` or
 ``.boundaries`` lists it and assembles it like every other level;
-``homology_dims`` on a complex whose top is still deferred builds its blocks
-from implicit columns instead, after Ripser's implicit coboundary matrix
-(Bauer, J. Appl. Comput. Topol. 2021).  Each top block is sized exactly
-before anything is enumerated.  The labelings form a simplicial vector
-space graded by weight, so by Dold–Kan a level's non-degenerate count is a
-binomial inversion of the unnormalized counts of the levels up to it, which
-the ceiling computes anyway (``_normalized_counts``).  Sizing a normalized
-top by the unnormalized counts instead would pull square blocks that the
-rule pushes on the listed level; on HH(k[t]/t^m) that measured slower.  A
-block that the rule above pulls numbers the non-degenerate columns its rows
-reach and never lists the others, which are zero columns.  The pushed
-weights alone are listed, up to the largest of them, and pushed.  Ranks,
-and with them the clearing of rows that ``homology_dims`` does, are the
-same as on the listed level.
+``homology_dims`` on a complex whose top is still deferred builds each top
+block on the rows that clearing leaves, after Ripser's implicit coboundary
+matrix (Bauer, J. Appl. Comput. Topol. 2021).  With lookups every top block
+is pulled from those rows and numbers the columns they reach, so no top
+labeling is listed.  Square blocks gain too, as a push would list them first:
+HH of F3[t]/t^4 to degree 7 pulls 6 564 rows instead of listing and pushing
+24 692 labelings.  Otherwise the top is listed and pushed.
 """
 
 from __future__ import annotations
@@ -304,10 +297,11 @@ class LodayComplex:
     ``bases`` or ``boundaries`` lists that level and assembles its blocks as
     for every other level, so both always hold every level;
     ``homology_dims`` on a complex whose top is not yet built ranks the top
-    blocks without listing the level.  Until the top is built the complex
-    keeps its ``_Labelings``: the cells, labeling counts and degeneracy
-    complements of its levels and the structure tables with their
-    factorizations, not the levels' indexes or labelings.
+    blocks on their uncleared rows, with lookups without listing the level.
+    Until the top is built the complex keeps its ``_Labelings``: the cells,
+    labeling counts and degeneracy complements of its levels and the
+    structure tables with their factorizations, not the levels' indexes or
+    labelings.
     """
 
     def __init__(self, field, coeff_mode, max_degree, weight_bound, bases,
@@ -336,13 +330,14 @@ class LodayComplex:
             labelings.build([key], self._bases, (self._boundaries,))
             self._top = None
 
-    def _blocks(self):
+    def _blocks(self, cleared):
         """The boundary blocks ``((degree, weight), matrix)`` in key order;
-        those of a deferred top come last, one at a time."""
+        those of a deferred top come last, one at a time, without the rows
+        that ``cleared`` then holds (``_Labelings.implicit_blocks``)."""
         yield from sorted(self._boundaries.items())
         if self._top is not None:
             labelings, key = self._top
-            yield from labelings.implicit_blocks(key, self._bases)
+            yield from labelings.implicit_blocks(key, self._bases, cleared)
 
     def check_boundary_squares(self):
         """Verify boundary . boundary = 0 on every composable block pair."""
@@ -432,20 +427,22 @@ def _times(lin, table, y):
 
 
 def _face_pusher(tables, index, unit):
-    """A function ``plan -> push``: each push maps a labeling to the terms
-    ``((assignment, coeff), scalar)`` of its image along the plan's face.
+    """A function ``plan -> push``: each push maps a labeling to its image
+    along the plan's face.
 
     When ``index`` (``_index_tables``) gives lookups, the push chains them and
-    returns at most one term, with scalar 1.  Otherwise it multiplies out the
-    pairs of ``tables``; its scalars are plain numbers that the caller
-    normalizes.
+    returns the image ``(assignment, coeff)``, or None when a product or
+    coefficient action is zero; it reads every one of them before it gathers
+    the image.  Otherwise it multiplies out the pairs of ``tables`` and
+    returns the terms ``((assignment, coeff), scalar)``, whose scalars are
+    plain numbers that the caller normalizes.
     """
     mul, act = tables if index is None else index
 
     def pusher(plan):
         pre, to_base = plan
         firsts = tuple(srcs[0] if srcs else None for srcs in pre)
-        merges = tuple((q, srcs[1:]) for q, srcs in enumerate(pre)
+        merges = tuple((q, srcs[0], srcs[1:]) for q, srcs in enumerate(pre)
                        if len(srcs) > 1)
         if len(firsts) > 1 and None not in firsts:
             gather = itemgetter(*firsts)
@@ -458,18 +455,21 @@ def _face_pusher(tables, index, unit):
             for q in to_base:
                 c = act[c][a[q]]
                 if c is None:
-                    return ()
+                    return None
             if not merges:
-                return (((gather(a), c), 1),)
-            labels = list(gather(a))
-            for slot, rest in merges:
-                x = labels[slot]
+                return gather(a), c
+            merged = []
+            for slot, first, rest in merges:
+                x = a[first]
                 for q in rest:
                     x = mul[x][a[q]]
                     if x is None:
-                        return ()
+                        return None
+                merged.append((slot, x))
+            labels = list(gather(a))
+            for slot, x in merged:
                 labels[slot] = x
-            return (((tuple(labels), c), 1),)
+            return tuple(labels), c
 
         def term_push(labeling):
             a, c = labeling
@@ -479,8 +479,8 @@ def _face_pusher(tables, index, unit):
             firsts = gather(a)
             terms = [((), 1)]
             done = 0
-            for slot, rest in merges:
-                lin = {firsts[slot]: 1}
+            for slot, first, rest in merges:
+                lin = {a[first]: 1}
                 for q in rest:
                     lin = _times(lin, mul, a[q])
                 terms = [(labels + firsts[done:slot] + (k,), v * s)
@@ -494,19 +494,26 @@ def _face_pusher(tables, index, unit):
     return pusher
 
 
-def _boundary_block(pushes, cols, row_index, field):
+def _boundary_block(pushes, cols, row_index, field, lookup):
     """Matrix of the signed face sum ``pushes`` (pairs of sign and push)
     from the labelings ``cols`` to the rows of ``row_index``; images missing
-    from ``row_index`` (degenerate ones) are dropped."""
+    from ``row_index`` (degenerate ones) are dropped.  ``lookup`` tells
+    whether the pushes chain lookups (``_face_pusher``)."""
     normalize, zero = field.normalize, field.zero
     entries = {}
     for col, lab in enumerate(cols):
         acc = {}
-        for sign, push in pushes:
-            for image, scalar in push(lab):
-                row = row_index.get(image)
+        if lookup:
+            for sign, push in pushes:
+                row = row_index.get(push(lab))
                 if row is not None:
-                    acc[row] = acc.get(row, 0) + sign * scalar
+                    acc[row] = acc.get(row, 0) + sign
+        else:
+            for sign, push in pushes:
+                for image, scalar in push(lab):
+                    row = row_index.get(image)
+                    if row is not None:
+                        acc[row] = acc.get(row, 0) + sign * scalar
         for row, tot in acc.items():
             val = normalize(tot)
             if val != zero:
@@ -599,12 +606,16 @@ def _pull_faces(signed_plans, n_slots, complements):
     return faces
 
 
-def _pull_block(faces, rows, col_index, field, unit, split, cosplit):
+def _pull_block(faces, rows, col_index, field, unit, split, cosplit,
+                degenerate):
     """Matrix of the signed face sum from the labelings of ``col_index`` to
     ``rows``, built row by row from the preimages of each row along each
-    face (``_pull_faces``, ``_factorizations``); preimages missing from
-    ``col_index`` (degenerate ones) are dropped.  Equal to ``_boundary_block``
-    for monomial tables."""
+    face (``_pull_faces``, ``_factorizations``); equal to ``_boundary_block``
+    for monomial tables.  A preimage missing from ``col_index`` is numbered
+    there when a row first reaches it, unless it is degenerate: the faces'
+    bitmasks keep the unit off a lone complement, and ``degenerate`` holds
+    per complement of several slots its getter and all-unit tuple.  So
+    ``col_index`` may hold every column or start empty."""
     normalize, zero = field.normalize, field.zero
     acc = {}
     for row, (b, c) in enumerate(rows):
@@ -617,9 +628,14 @@ def _pull_block(faces, rows, col_index, field, unit, split, cosplit):
             lists.append(cosplit(c, n_act, banned))
             for combo in product(*lists):
                 flat = sum(combo, b)
-                col = col_index.get((placer(flat), flat[cpos]))
-                if col is not None:
-                    acc[(row, col)] = acc.get((row, col), 0) + sign
+                a = placer(flat)
+                lab = (a, flat[cpos])
+                col = col_index.get(lab)
+                if col is None:
+                    if any(get(a) == ones for get, ones in degenerate):
+                        continue
+                    col = col_index[lab] = len(col_index)
+                acc[(row, col)] = acc.get((row, col), 0) + sign
     entries = {}
     for pos, tot in acc.items():
         val = normalize(tot)
@@ -634,26 +650,6 @@ def _degenerate_complements(axes, key, slots):
     return tuple(tuple(q for q, cell in enumerate(slots) if cell[i] not in image)
                  for i, (axis, p) in enumerate(zip(axes, key))
                  for image in (set(axis.degeneracy(p - 1, j)) for j in range(p)))
-
-
-class _Reached(dict):
-    """Column index of a block whose labelings are not listed: ``get``
-    numbers each labeling the first time a row reaches it, in that order,
-    and returns None for the degenerate ones (the unit on all of one of
-    ``complements``, which are not empty)."""
-
-    def __init__(self, unit, complements):
-        super().__init__()
-        self.units = [(itemgetter(*comp), (unit,) * len(comp) if len(comp) > 1
-                       else unit) for comp in complements]
-
-    def get(self, lab):
-        col = dict.get(self, lab)
-        if col is None:
-            if any(labels(lab[0]) == units for labels, units in self.units):
-                return None
-            col = self[lab] = len(self)
-        return col
 
 
 class _Labelings:
@@ -722,10 +718,6 @@ class _Labelings:
             self.algebra, self.c_alg, len(self.slots[key]),
             self.bound if bound is None else bound, self.complements[key])
 
-    def pulls(self, rows, cols):
-        """Whether a block of ``rows`` x ``cols`` is pulled."""
-        return self.lookups is not None and PULL_RATIO * rows <= cols
-
     def build(self, keys, bases=None, boundaries=None):
         """Enumerate the levels ``keys`` into ``bases`` and assemble the
         boundary blocks out of them into ``boundaries``, one dict per axis
@@ -737,43 +729,47 @@ class _Labelings:
         for key, level in levels.items():
             bases.update((key + (w,), labs) for w, labs in level.items())
         for key, level in levels.items():
-            widths = {w: len(labs) for w, labs in level.items()}
             for i, p in enumerate(key):
                 if p:
-                    boundaries[i].update(
-                        self.blocks(key, i, bases, widths, level))
+                    low = key[:i] + (p - 1,) + key[i + 1:]
+                    rows = {w: bases.get(low + (w,), ()) for w in level}
+                    boundaries[i].update(self.blocks(key, i, rows, level))
         return bases, boundaries
 
-    def implicit_blocks(self, key, bases):
-        """The blocks out of the one-axis level ``key`` whose rows are in
-        ``bases``, without listing the level where a block is pulled.
-
-        Each block's width is its exact count: ``counts[key]`` on an
-        unnormalized complex, the Dold–Kan inversion of the counts of levels
-        0..key (``_normalized_counts``) on a normalized one.  The pushed
-        weights are enumerated up to the largest of them and pushed; a pulled
-        block numbers the columns its rows reach (``_Reached``).  The columns
-        it never reaches are zero columns of the listed block, so its rank,
-        and the rank of every row subset, is unchanged.
-        """
+    def implicit_blocks(self, key, bases, cleared):
+        """The blocks out of the one-axis level ``key``, each onto its rows
+        in ``bases`` outside the set it pops from ``cleared`` (block key ->
+        indices of rows that are pivot columns of the boundary below, which
+        cannot change its rank).  A weight yields no block when no row is left or
+        its exact count is zero: ``counts[key]``, or on a normalized complex
+        their Dold–Kan inversion over levels 0..key (``_normalized_counts``),
+        which is zero wherever a degeneracy complement is empty.  With
+        lookups every block is pulled and numbers the columns its rows reach,
+        so the level is never listed; the unreached ones are zero columns.
+        Otherwise the level is listed up to its largest weight left and
+        pushed."""
         low = (key[0] - 1,)
         counts = (_normalized_counts([self.counts[(k,)]
                                       for k in range(key[0] + 1)])
                   if self.complements[key] else self.counts[key])
-        widths = {w: n for w, n in enumerate(counts)
-                  if n and low + (w,) in bases}
-        pushed = [w for w, n in widths.items()
-                  if not self.pulls(len(bases[low + (w,)]), n)]
-        level = self.level(key, max(pushed)) if pushed else {}
-        listed = {w: level[w] for w in pushed}
-        return self.blocks(key, 0, bases, widths, listed)
+        rows = {}
+        for w, n in enumerate(counts):
+            skip = cleared.pop(key + (w,), ())
+            kept = [lab for r, lab in enumerate(bases.get(low + (w,), ()))
+                    if r not in skip]
+            if n and kept:
+                rows[w] = kept
+        listed = (self.level(key, max(rows)) if self.lookups is None and rows
+                  else None)
+        return self.blocks(key, 0, rows, listed)
 
-    def blocks(self, key, i, bases, widths, listed):
+    def blocks(self, key, i, rows, listed):
         """Yield ``(key + (w,), block)``, the boundary along axis i out of
-        level ``key`` in weight w, for each weight of ``widths`` (weight ->
-        column count).  A pushed block pushes ``listed[w]``; a pulled one
-        indexes ``listed[w]`` when it is given and otherwise numbers the
-        columns it reaches, reading ``factors`` (``_factorizations``).  Row
+        level ``key`` in weight w onto the labelings ``rows[w]``, for each
+        weight of ``rows``.  With ``listed`` (weight -> column labelings) a
+        block with lookups is pulled when it is at least ``PULL_RATIO`` times
+        wider than its rows, and pushed otherwise.  With ``listed`` None
+        every block is pulled and numbers the columns its rows reach.  Row
         and column indexes live for one block."""
         p = key[i]
         low = key[:i] + (p - 1,) + key[i + 1:]
@@ -782,24 +778,27 @@ class _Labelings:
                  for face in (self.axes[i].face(p, j) for j in range(p + 1))]
         signed = [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
             _face_plans(fmaps, cells, self.slots[low], self.basepoints[low]))]
+        lookup = self.lookups is not None
         pushes = pulls = None
-        for w, width in widths.items():
-            rows = bases.get(low + (w,), ())
-            cols = listed.get(w)
-            if self.pulls(len(rows), width):
+        for w, row_labs in rows.items():
+            cols = None if listed is None else listed[w]
+            if cols is None or lookup and PULL_RATIO * len(row_labs) <= len(cols):
                 if pulls is None:
-                    pulls = _pull_faces(signed, len(cells), self.complements[key])
+                    comps = self.complements[key]
+                    pulls = _pull_faces(signed, len(cells), comps)
+                    degenerate = tuple((itemgetter(*comp), (self.unit,) * len(comp))
+                                       for comp in comps if len(comp) > 1)
                 block = _pull_block(
-                    pulls, rows,
-                    _Reached(self.unit, self.complements[key]) if cols is None
+                    pulls, row_labs,
+                    {} if cols is None
                     else {lab: c for c, lab in enumerate(cols)},
-                    self.field, self.unit, *self.factors)
+                    self.field, self.unit, *self.factors, degenerate)
             else:
                 if pushes is None:
                     pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
                 block = _boundary_block(
-                    pushes, cols, {lab: r for r, lab in enumerate(rows)},
-                    self.field)
+                    pushes, cols, {lab: r for r, lab in enumerate(row_labs)},
+                    self.field, lookup)
             yield key + (w,), block
 
 
@@ -843,14 +842,14 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
     verify.
 
     Only the rank of ``∂_{d+1}`` is read from the top level d + 1.  When
-    the top of a ``build_complex`` complex has not been built, its blocks
-    are assembled one at a time and ranked without listing the level
-    (``_Labelings.implicit_blocks``), and nothing of them is kept.
+    the top of a ``build_complex`` complex has not been built, each of its
+    blocks is assembled on its uncleared rows alone, once every block below
+    it is ranked, and then dropped (``_Labelings.implicit_blocks``).
     """
     d = complex_.max_degree
     ranks = {}
     cleared = {}
-    for (p, w), mat in complex_._blocks():
+    for (p, w), mat in complex_._blocks(cleared):
         found = pivots(mat, cleared.pop((p, w), frozenset()))
         ranks[(p, w)] = len(found)
         cleared[(p + 1, w)] = {c for _, c in found}

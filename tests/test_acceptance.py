@@ -68,3 +68,11 @@ def test_criterion_10_kunneth_convolution(results):
 
 def test_criterion_11_determinism(results):
     _report(results[11])
+
+
+def test_criterion_12_hochschild_closed_form(results):
+    _report(results[12])
+
+
+def test_criterion_13_degree_three_grid(results):
+    _report(results[13])

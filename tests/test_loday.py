@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from lodayhom import loday, oracle
-from lodayhom.acceptance import random_small_inputs
+from lodayhom.acceptance import hochschild_closed_form, random_small_inputs
 from lodayhom.algebra import (
     Coefficients, exterior, parse_algebra_expr, polynomial, truncated_poly,
 )
@@ -235,24 +235,6 @@ class TestNormalizedCounts:
     def test_torus_over_poly_at_level_nine(self):
         assert level_sizes(build_space("prod(S1,S1)", 9), polynomial(3), UNIT,
                            [9], bound=1) == [0]
-
-
-def hochschild_closed_form(m, characteristic, d):
-    """HH_n(k[x]/x^m) per (degree, weight) through degree d, from the
-    2-periodic resolution: HH_0 is A, in weights 0..m-1; HH_{2i-1} sits in
-    weights (i-1)m+1 .. im-1 and HH_{2i} in im+1 .. im+m-1, each widened by
-    the weight im when the characteristic divides m; every weight carries
-    dimension 1."""
-    divides = characteristic is not None and m % characteristic == 0
-    dims = {(0, w): 1 for w in range(m)}
-    for n in range(1, d + 1):
-        i = (n + 1) // 2
-        if n % 2:
-            weights = range((i - 1) * m + 1, i * m + divides)
-        else:
-            weights = range(i * m + (not divides), i * m + m)
-        dims.update(((n, w), 1) for w in weights)
-    return dims
 
 
 class TestHochschildClosedForm:

@@ -10,8 +10,9 @@ arithmetic.  Patching ``_index_tables`` to None forces the generic push.
 With lookups, blocks much wider than their rows are built from the rows by
 ``_pull_block``; patching ``PULL_RATIO`` to 0 or to infinity makes every
 block pulled or pushed, and both must give the same matrices.  The deferred
-top level of ``build_complex`` is ranked from the columns its rows reach,
-and its homology must equal that of the listed top level.
+top level of ``build_complex`` is ranked on its uncleared rows, with lookups
+from the columns they reach, and its homology must equal that of the listed
+top level.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
     Coefficients, load_algebra, parse_algebra_expr, polynomial, truncated_poly,
 )
-from lodayhom.exactlinalg import SparseMatrix
+from lodayhom.exactlinalg import SparseMatrix, pivots
 from lodayhom.loday import (
     Labeling, _face_plans, _face_pusher, _index_tables, _resolve_coefficients,
     _structure_tables, build_complex, homology_dims,
@@ -108,6 +109,15 @@ def _collected(terms, field):
     return {key: v for key, v in out.items() if v != field.zero}
 
 
+def _pushed(push, labeling, lookup, field):
+    """The image of ``labeling`` under ``push`` as {Labeling: scalar}: a
+    lookup push returns one image or None, any other push its terms."""
+    terms = push(labeling)
+    if lookup:
+        terms = () if terms is None else ((terms, 1),)
+    return _collected(terms, field)
+
+
 def _coefficients(mode, algebra):
     if mode == "unit":
         return Coefficients.unit()
@@ -155,7 +165,7 @@ def _assert_pushes_equal_reference(space, algebra, coefficients, d):
     bound = max(w for (_, w) in complex_.bases)
     tables = _structure_tables(algebra, c_alg, action, bound)
     lookups = _index_tables(tables, algebra, c_alg)
-    pushers = [_face_pusher(tables, index, algebra.unit)
+    pushers = [(_face_pusher(tables, index, algebra.unit), index is not None)
                for index in (lookups, None)]
     for level in range(1, d + 2):
         slots = [s for s in range(space.size(level))
@@ -167,12 +177,12 @@ def _assert_pushes_equal_reference(space, algebra, coefficients, d):
         labelings = [lab for (q, _), labs in complex_.bases.items()
                      if q == level for lab in labs]
         for plan in plans:
-            pushes = [pusher(plan) for pusher in pushers]
+            pushes = [(pusher(plan), lookup) for pusher, lookup in pushers]
             for lab in labelings:
                 expected = _push_labeling(algebra, c_alg, action, plan, lab,
                                           field)
-                for push in pushes:
-                    assert _collected(push(lab), field) == expected, \
+                for push, lookup in pushes:
+                    assert _pushed(push, lab, lookup, field) == expected, \
                         (level, plan, lab, push.__name__)
     return lookups is not None
 
@@ -352,25 +362,54 @@ def test_implicit_top_equals_listed_at_high_degree(expr, d, bound):
     assert implicit == listed
 
 
-def test_torus_homology_lists_no_top_labeling_past_weight_three(monkeypatch):
-    """Of the top level of the degree-2 torus over F3, only the pushed
-    weights 2 and 3 are listed; every wider block is pulled implicitly."""
-    space = build_space("prod(S1,S1)", 3)
-    top_slots = space.size(3) - 1
+@pytest.mark.parametrize("expr,algebra,coefficients,d,totals", [
+    ("prod(S1,S1)", truncated_poly(3, 2), Coefficients.unit(), 2, [1, 2, 3]),
+    ("S1", truncated_poly(3, 4), Coefficients.self_algebra(), 7,
+     [4] + [3] * 7),
+], ids=["torus-F3", "hochschild-t4-F3"])
+def test_homology_lists_no_top_labeling(expr, algebra, coefficients, d,
+                                        totals, monkeypatch):
+    """With monomial tables every top block is pulled from its rows, so no
+    labeling of the top level is listed, not even where a block is about as
+    wide as its rows."""
+    space = build_space(expr, d + 1)
+    top_slots = space.size(d + 1) - 1
     listed = []
     original = loday._enumerate_block_bases
 
     def spy(algebra, c_alg, n_slots, bound, complements=()):
         blocks = original(algebra, c_alg, n_slots, bound, complements)
         if n_slots == top_slots:
-            listed.extend(w for w, labs in blocks.items() if labs)
+            listed.append(sum(map(len, blocks.values())))
         return blocks
 
     monkeypatch.setattr(loday, "_enumerate_block_bases", spy)
-    table = homology_dims(build_complex(space, truncated_poly(3, 2),
-                                        Coefficients.unit(), 2))
-    assert table.totals() == [1, 2, 3]
-    assert listed and max(listed) < 4
+    table = homology_dims(build_complex(space, algebra, coefficients, d))
+    assert table.totals() == totals
+    assert listed == []
+
+
+def test_top_is_pulled_from_its_uncleared_rows(monkeypatch):
+    """HH of F3[t]/t^4 to degree 7: of the 8 748 rows of the top blocks,
+    2 184 are pivot columns of the boundary below, and the top blocks are
+    pulled from the other 6 564 alone."""
+    d = 7
+    complex_ = build_complex(circle(d + 1), truncated_poly(3, 4),
+                             Coefficients.self_algebra(), d)
+    rows = [len(labs) for (p, _), labs in complex_._bases.items() if p == d]
+    cleared = sum(len(pivots(mat)) for (p, _), mat
+                  in complex_._boundaries.items() if p == d)
+    assert (sum(rows), cleared) == (8748, 2184)
+    pulled = []
+    original = loday._pull_block
+
+    def spy(faces, block_rows, *args):
+        pulled.append(len(block_rows))
+        return original(faces, block_rows, *args)
+
+    monkeypatch.setattr(loday, "_pull_block", spy)
+    assert homology_dims(complex_).totals() == [4] + [3] * 7
+    assert sum(pulled) == 6564 == sum(rows) - cleared
 
 
 def test_empty_torus_top_lists_nothing(monkeypatch):
@@ -465,8 +504,8 @@ def test_diagonal_torus_pull_equals_push(monkeypatch):
                   if s != space.basepoints[3])
     assert len(cells) == 15
     # a degeneracy missing several top cells bans the unit from none of
-    # them alone: such degenerate candidates are dropped by the column
-    # lookup, not by the unit bitmasks
+    # them alone: such degenerate candidates are dropped by the complement
+    # test of ``_pull_block``, not by the unit bitmasks
     assert any(len(comp) > 1 for comp in
                loday._degenerate_complements((space,), (3,), cells))
     (pulled, _), (pushed, _) = _pulled_and_pushed(
