@@ -466,13 +466,9 @@ class Coefficients:
     @classmethod
     def custom(cls, algebra: GradedAlgebra, action) -> "Coefficients":
         """Custom coefficients; ``action`` lists, per basis element of A, its
-        image in C as a sparse linear combination."""
+        image in C as a sparse linear combination, or is None for the action
+        through A -> k -> C."""
         return cls("custom", algebra, action)
-
-    @classmethod
-    def through_augmentation(cls, algebra: GradedAlgebra) -> "Coefficients":
-        """C acted on through A -> k -> C; used for file-based coefficients."""
-        return cls("custom", algebra, None)
 
     def __repr__(self) -> str:
         return f"Coefficients({self.mode})"
@@ -511,3 +507,15 @@ def parse_algebra_expr(text: str, field):
         return algebra
     raise ValueError(f"bad algebra {text!r}: use truncpoly(m), poly, exterior "
                      "or file(<path>)")
+
+
+def parse_coeff_expr(text: str, field) -> Coefficients:
+    """Evaluate the coefficient grammar unit | self | file(<path>) over the
+    given field; a file algebra is acted on through the augmentation of A."""
+    if text == "unit":
+        return Coefficients.unit()
+    if text == "self":
+        return Coefficients.self_algebra()
+    if text.startswith("file(") and text.endswith(")"):
+        return Coefficients.custom(parse_algebra_expr(text, field), None)
+    raise ValueError(f"bad coefficients {text!r}: use unit, self or file(<path>)")

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import acceptance
-from .algebra import Coefficients, parse_algebra_expr
+from .algebra import parse_algebra_expr, parse_coeff_expr
 from .exactlinalg import make_field
 from .loday import DEFAULT_MAX_BLOCK, build_complex, homology_dims
 from .oracle import torus_bicomplex, total_homology
@@ -43,16 +43,6 @@ class RunConfig:
     output: str = "text"
     max_basis: int | None = None
     only: tuple | None = None  # seed-suite criterion numbers
-
-
-def _parse_coeff_string(text: str, field) -> Coefficients:
-    if text == "unit":
-        return Coefficients.unit()
-    if text == "self":
-        return Coefficients.self_algebra()
-    if text.startswith("file(") and text.endswith(")"):
-        return Coefficients.through_augmentation(parse_algebra_expr(text, field))
-    raise ValueError(f"bad coefficients {text!r}: use unit, self or file(<path>)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +280,7 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
             return 0 if report.ok else 1
         field = make_field(cfg.field)
         algebra = parse_algebra_expr(cfg.algebra, field)
-        coefficients = _parse_coeff_string(cfg.coeff, field)
+        coefficients = parse_coeff_expr(cfg.coeff, field)
         if cfg.command == "compute":
             expr = parse_space_expr(cfg.space)
             space = build_space(expr, cfg.max_degree + 1)

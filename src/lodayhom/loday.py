@@ -21,41 +21,17 @@ ceiling bounds the labelings of the whole complex before any is enumerated.
 
 Face pushforwards read one structure table per complex: every product of
 basis elements up to the weight bound and every coefficient action
-c . action(a), as (basis index, scalar) pairs.  When each entry is zero or one
-basis element with coefficient one (truncpoly(m), poly and exterior with unit
-or self coefficients, and monomial custom coefficients), a face sends a
-labeling to one labeling or to nothing and is pushed by chained lookups;
-otherwise the push multiplies the pairs out.  Both feed ``_boundary_block``,
-which sums plain numbers and normalizes once per matrix entry.
-
-With lookups, a block can also be assembled the other way, from its rows:
-``_pull_block`` lists the preimages of each row labeling along each face by
-inverting the lookups (``_factorizations``) and keeps those in the block's
-basis.  A push costs one lookup chain per column and face, wasted whenever a
-merge multiplies to zero; a pull costs about one placed and looked-up
-candidate per surviving entry.  So a pull wins where most pushes vanish and
-the block is much wider than its rows, and loses where products rarely
-vanish.  Measured per block on a 2-core host: on the degree-3 torus over
-truncpoly(2), blocks 16 to 800 times wider than their rows pull 1.3 to 12
-times faster than they push; on S1 with truncpoly(4) and self coefficients
-the two break even between 2 and 5 times wider; on the degree-3 torus over
-poly, whose products vanish only past the weight bound, a 750 x 9315 block
-(12 times wider) still pulls 1.1 to 1.4 times slower.  A block of a listed
-level is therefore pulled when it is at least ``PULL_RATIO`` = 16 times wider
-than its rows, and pushed otherwise; both give the same matrix.
-
-Homology through degree d reads the top level d + 1 only through the rank of
-the boundary out of it, and that level is most of the basis: 32 023 of the
-32 272 labelings of the degree-2 torus over truncpoly(2).  So
-``build_complex`` defers it.  Reading ``LodayComplex.bases`` or
-``.boundaries`` lists it and assembles it like every other level;
-``homology_dims`` on a complex whose top is still deferred builds each top
-block on the rows that clearing leaves, after Ripser's implicit coboundary
-matrix (Bauer, J. Appl. Comput. Topol. 2021).  With lookups every top block
-is pulled from those rows and numbers the columns they reach, so no top
-labeling is listed.  Square blocks gain too, as a push would list them first:
-HH of F3[t]/t^4 to degree 7 pulls 6 564 rows instead of listing and pushing
-24 692 labelings.  Otherwise the top is listed and pushed.
+c . action(a), as (basis index, scalar) pairs.  ``build_complex`` lists
+levels 0..d, and ``homology_dims`` builds each boundary block when it ranks
+it, on the rows that clearing leaves (Ripser's implicit matrix with clearing;
+Bauer, J. Appl. Comput. Topol. 2021).  Only the tables decide how.  When each
+entry is zero or one basis element with coefficient one (truncpoly(m), poly
+and exterior with unit or self coefficients, and monomial custom
+coefficients), ``_pull_block`` pulls the block from its rows by inverting the
+tables (``_factorizations``), numbering its columns as their level lists
+them, or as the rows reach them on the top level d + 1, which is never
+listed.  Otherwise ``_boundary_block`` pushes it from the listed columns by
+multiplying the pairs out.
 """
 
 from __future__ import annotations
@@ -89,10 +65,6 @@ class BasisSizeExceeded(RuntimeError):
 
 
 DEFAULT_MAX_BLOCK = 5_000_000  # ceiling on the labelings of one complex
-
-# A block is pulled (``_pull_block``) when its columns outnumber its rows at
-# least this many times, and pushed (``_boundary_block``) otherwise.
-PULL_RATIO = 16
 
 
 class Labeling(NamedTuple):
@@ -292,16 +264,14 @@ class HomologyTable:
 class LodayComplex:
     """Blockwise chain data for one space/algebra/coefficient configuration.
 
-    ``build_complex`` defers its top level max_degree + 1, which homology
-    needs only for the rank of the boundary out of it.  The first read of
-    ``bases`` or ``boundaries`` lists that level and assembles its blocks as
-    for every other level, so both always hold every level;
-    ``homology_dims`` on a complex whose top is not yet built ranks the top
-    blocks on their uncleared rows, with lookups without listing the level.
-    Until the top is built the complex keeps its ``_Labelings``: the cells,
-    labeling counts and degeneracy complements of its levels and the
-    structure tables with their factorizations, not the levels' indexes or
-    labelings.
+    ``build_complex`` lists levels 0..max_degree, assembles no block and
+    keeps its ``_Labelings``: the cells, labeling counts and degeneracy
+    complements of its levels and the structure tables with their
+    factorizations.  ``homology_dims`` then builds each block on its
+    uncleared rows (``_Labelings.implicit_blocks``).  The first read of
+    ``bases`` or ``boundaries`` lists the top level max_degree + 1 and
+    assembles every block onto all its rows, after which the complex holds
+    them like one made with its boundaries (``oracle._total_complex``).
     """
 
     def __init__(self, field, coeff_mode, max_degree, weight_bound, bases,
@@ -312,32 +282,34 @@ class LodayComplex:
         self.weight_bound = weight_bound
         self._bases = bases            # (degree, weight) -> list of Labelings
         self._boundaries = boundaries  # (degree, weight) -> SparseMatrix
-        self._top = None               # deferred (_Labelings, top key)
+        self._labelings = None         # deferred: blocks not yet assembled
 
     @property
     def bases(self) -> dict:
-        self._build_top()
+        self._assemble()
         return self._bases
 
     @property
     def boundaries(self) -> dict:
-        self._build_top()
+        self._assemble()
         return self._boundaries
 
-    def _build_top(self):
-        if self._top is not None:
-            labelings, key = self._top
-            labelings.build([key], self._bases, (self._boundaries,))
-            self._top = None
+    def _assemble(self):
+        if self._labelings is not None:
+            self._bases, (self._boundaries,) = self._labelings.build(
+                [(self.max_degree + 1,)], self._bases)
+            self._labelings = None
 
     def _blocks(self, cleared):
         """The boundary blocks ``((degree, weight), matrix)`` in key order;
-        those of a deferred top come last, one at a time, without the rows
-        that ``cleared`` then holds (``_Labelings.implicit_blocks``)."""
-        yield from sorted(self._boundaries.items())
-        if self._top is not None:
-            labelings, key = self._top
-            yield from labelings.implicit_blocks(key, self._bases, cleared)
+        while assembly is deferred, each is built when the previous ones are
+        ranked, without the rows that ``cleared`` then holds."""
+        if self._labelings is None:
+            yield from sorted(self._boundaries.items())
+            return
+        for p in range(1, self.max_degree + 2):
+            yield from self._labelings.implicit_blocks((p,), self._bases,
+                                                       cleared)
 
     def check_boundary_squares(self):
         """Verify boundary . boundary = 0 on every composable block pair."""
@@ -426,18 +398,12 @@ def _times(lin, table, y):
     return out
 
 
-def _face_pusher(tables, index, unit):
-    """A function ``plan -> push``: each push maps a labeling to its image
-    along the plan's face.
-
-    When ``index`` (``_index_tables``) gives lookups, the push chains them and
-    returns the image ``(assignment, coeff)``, or None when a product or
-    coefficient action is zero; it reads every one of them before it gathers
-    the image.  Otherwise it multiplies out the pairs of ``tables`` and
-    returns the terms ``((assignment, coeff), scalar)``, whose scalars are
-    plain numbers that the caller normalizes.
-    """
-    mul, act = tables if index is None else index
+def _face_pusher(tables, unit):
+    """A function ``plan -> push``: each push maps a labeling to the terms
+    ``((assignment, coeff), scalar)`` of its image along the plan's face,
+    multiplying out the pairs of ``tables``; the scalars are plain numbers
+    that the caller normalizes."""
+    mul, act = tables
 
     def pusher(plan):
         pre, to_base = plan
@@ -450,28 +416,7 @@ def _face_pusher(tables, index, unit):
             def gather(a):
                 return tuple(unit if q is None else a[q] for q in firsts)
 
-        def lookup_push(labeling):
-            a, c = labeling
-            for q in to_base:
-                c = act[c][a[q]]
-                if c is None:
-                    return None
-            if not merges:
-                return gather(a), c
-            merged = []
-            for slot, first, rest in merges:
-                x = a[first]
-                for q in rest:
-                    x = mul[x][a[q]]
-                    if x is None:
-                        return None
-                merged.append((slot, x))
-            labels = list(gather(a))
-            for slot, x in merged:
-                labels[slot] = x
-            return tuple(labels), c
-
-        def term_push(labeling):
+        def push(labeling):
             a, c = labeling
             coeffs = {c: 1}
             for q in to_base:
@@ -489,31 +434,25 @@ def _face_pusher(tables, index, unit):
             return [((labels + firsts[done:], ci), v * cv)
                     for labels, v in terms for ci, cv in coeffs.items()]
 
-        return term_push if index is None else lookup_push
+        return push
 
     return pusher
 
 
-def _boundary_block(pushes, cols, row_index, field, lookup):
-    """Matrix of the signed face sum ``pushes`` (pairs of sign and push)
-    from the labelings ``cols`` to the rows of ``row_index``; images missing
-    from ``row_index`` (degenerate ones) are dropped.  ``lookup`` tells
-    whether the pushes chain lookups (``_face_pusher``)."""
+def _boundary_block(pushes, cols, row_index, field):
+    """Matrix of the signed face sum ``pushes`` (pairs of sign and push,
+    ``_face_pusher``) from the labelings ``cols`` to the rows of
+    ``row_index``; images missing from ``row_index`` (degenerate or cleared
+    ones) are dropped."""
     normalize, zero = field.normalize, field.zero
     entries = {}
     for col, lab in enumerate(cols):
         acc = {}
-        if lookup:
-            for sign, push in pushes:
-                row = row_index.get(push(lab))
+        for sign, push in pushes:
+            for image, scalar in push(lab):
+                row = row_index.get(image)
                 if row is not None:
-                    acc[row] = acc.get(row, 0) + sign
-        else:
-            for sign, push in pushes:
-                for image, scalar in push(lab):
-                    row = row_index.get(image)
-                    if row is not None:
-                        acc[row] = acc.get(row, 0) + sign * scalar
+                    acc[row] = acc.get(row, 0) + sign * scalar
         for row, tot in acc.items():
             val = normalize(tot)
             if val != zero:
@@ -610,8 +549,9 @@ def _pull_block(faces, rows, col_index, field, unit, split, cosplit,
                 degenerate):
     """Matrix of the signed face sum from the labelings of ``col_index`` to
     ``rows``, built row by row from the preimages of each row along each
-    face (``_pull_faces``, ``_factorizations``); equal to ``_boundary_block``
-    for monomial tables.  A preimage missing from ``col_index`` is numbered
+    face (``_pull_faces``, ``_factorizations``) of monomial tables; equal to
+    the term push of ``_boundary_block`` between the same rows and
+    columns.  A preimage missing from ``col_index`` is numbered
     there when a row first reaches it, unless it is degenerate: the faces'
     bitmasks keep the unit off a lone complement, and ``degenerate`` holds
     per complement of several slots its getter and all-unit tuple.  So
@@ -706,10 +646,10 @@ class _Labelings:
                             if normalized else ()
                             for key, cells in self.slots.items()}
         tables = _structure_tables(algebra, self.c_alg, action, self.bound)
-        self.lookups = _index_tables(tables, algebra, self.c_alg)
-        self.pusher = _face_pusher(tables, self.lookups, self.unit)
-        self.factors = (None if self.lookups is None
-                        else _factorizations(self.lookups, self.unit))
+        lookups = _index_tables(tables, algebra, self.c_alg)
+        self.pusher = _face_pusher(tables, self.unit)
+        self.factors = (None if lookups is None
+                        else _factorizations(lookups, self.unit))
 
     def level(self, key, bound=None):
         """The labelings of level ``key`` per weight, up to ``bound``
@@ -718,36 +658,40 @@ class _Labelings:
             self.algebra, self.c_alg, len(self.slots[key]),
             self.bound if bound is None else bound, self.complements[key])
 
-    def build(self, keys, bases=None, boundaries=None):
-        """Enumerate the levels ``keys`` into ``bases`` and assemble the
-        boundary blocks out of them into ``boundaries``, one dict per axis
-        (both new when not given); the rows of a block are read from
-        ``bases``.  Returns both."""
-        if bases is None:
-            bases, boundaries = {}, tuple({} for _ in self.axes)
-        levels = {key: self.level(key) for key in keys}
-        for key, level in levels.items():
-            bases.update((key + (w,), labs) for w, labs in level.items())
-        for key, level in levels.items():
+    def listed(self, keys):
+        """The labelings of the levels ``keys``, keyed ``key + (w,)``."""
+        return {key + (w,): labs
+                for key in keys for w, labs in self.level(key).items()}
+
+    def build(self, keys, bases=None):
+        """The bases of every level, those of ``keys`` listed and added to
+        ``bases``, and every boundary block assembled onto all its rows, one
+        dict per axis."""
+        bases = {**(bases or {}), **self.listed(keys)}
+        boundaries = tuple({} for _ in self.axes)
+        for key in self.slots:
+            cols = {w: bases[key + (w,)] for w in range(self.bound + 1)
+                    if key + (w,) in bases}
             for i, p in enumerate(key):
                 if p:
                     low = key[:i] + (p - 1,) + key[i + 1:]
-                    rows = {w: bases.get(low + (w,), ()) for w in level}
-                    boundaries[i].update(self.blocks(key, i, rows, level))
+                    rows = {w: bases.get(low + (w,), ()) for w in cols}
+                    boundaries[i].update(self.blocks(key, i, rows, cols))
         return bases, boundaries
 
     def implicit_blocks(self, key, bases, cleared):
         """The blocks out of the one-axis level ``key``, each onto its rows
         in ``bases`` outside the set it pops from ``cleared`` (block key ->
         indices of rows that are pivot columns of the boundary below, which
-        cannot change its rank).  A weight yields no block when no row is left or
-        its exact count is zero: ``counts[key]``, or on a normalized complex
-        their Dold–Kan inversion over levels 0..key (``_normalized_counts``),
-        which is zero wherever a degeneracy complement is empty.  With
-        lookups every block is pulled and numbers the columns its rows reach,
-        so the level is never listed; the unreached ones are zero columns.
-        Otherwise the level is listed up to its largest weight left and
-        pushed."""
+        cannot change its rank).  A weight yields no block when no row is
+        left or its exact count is zero: ``counts[key]``, or on a normalized
+        complex their Dold–Kan inversion over levels 0..key
+        (``_normalized_counts``), which is zero wherever a degeneracy
+        complement is empty.  A level that ``bases`` lists keeps its column
+        numbering, so the pivot columns of its blocks index the rows of the
+        next level.  The top level is not listed: with lookups its blocks
+        number the columns their rows reach, and the unreached ones are zero
+        columns; otherwise it is listed up to its largest weight left."""
         low = (key[0] - 1,)
         counts = (_normalized_counts([self.counts[(k,)]
                                       for k in range(key[0] + 1)])
@@ -759,18 +703,18 @@ class _Labelings:
                     if r not in skip]
             if n and kept:
                 rows[w] = kept
-        listed = (self.level(key, max(rows)) if self.lookups is None and rows
-                  else None)
-        return self.blocks(key, 0, rows, listed)
+        cols = {w: bases[key + (w,)] for w in rows if key + (w,) in bases}
+        if rows and not cols:  # the top level
+            cols = self.level(key, max(rows)) if self.factors is None else None
+        return self.blocks(key, 0, rows, cols)
 
-    def blocks(self, key, i, rows, listed):
+    def blocks(self, key, i, rows, cols):
         """Yield ``(key + (w,), block)``, the boundary along axis i out of
         level ``key`` in weight w onto the labelings ``rows[w]``, for each
-        weight of ``rows``.  With ``listed`` (weight -> column labelings) a
-        block with lookups is pulled when it is at least ``PULL_RATIO`` times
-        wider than its rows, and pushed otherwise.  With ``listed`` None
-        every block is pulled and numbers the columns its rows reach.  Row
-        and column indexes live for one block."""
+        weight of ``rows``.  With lookups the block is pulled from its rows,
+        its columns numbered as ``cols[w]`` lists them, or as the rows reach
+        them when ``cols`` is None; otherwise it is pushed from the columns
+        ``cols[w]``.  Row and column indexes live for one block."""
         p = key[i]
         low = key[:i] + (p - 1,) + key[i + 1:]
         cells = self.slots[key]
@@ -778,37 +722,34 @@ class _Labelings:
                  for face in (self.axes[i].face(p, j) for j in range(p + 1))]
         signed = [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
             _face_plans(fmaps, cells, self.slots[low], self.basepoints[low]))]
-        lookup = self.lookups is not None
-        pushes = pulls = None
+        if self.factors is None:
+            pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
+            for w, row_labs in rows.items():
+                yield key + (w,), _boundary_block(
+                    pushes, cols[w], {lab: r for r, lab in enumerate(row_labs)},
+                    self.field)
+            return
+        comps = self.complements[key]
+        pulls = _pull_faces(signed, len(cells), comps)
+        degenerate = tuple((itemgetter(*comp), (self.unit,) * len(comp))
+                           for comp in comps if len(comp) > 1)
         for w, row_labs in rows.items():
-            cols = None if listed is None else listed[w]
-            if cols is None or lookup and PULL_RATIO * len(row_labs) <= len(cols):
-                if pulls is None:
-                    comps = self.complements[key]
-                    pulls = _pull_faces(signed, len(cells), comps)
-                    degenerate = tuple((itemgetter(*comp), (self.unit,) * len(comp))
-                                       for comp in comps if len(comp) > 1)
-                block = _pull_block(
-                    pulls, row_labs,
-                    {} if cols is None
-                    else {lab: c for c, lab in enumerate(cols)},
-                    self.field, self.unit, *self.factors, degenerate)
-            else:
-                if pushes is None:
-                    pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
-                block = _boundary_block(
-                    pushes, cols, {lab: r for r, lab in enumerate(row_labs)},
-                    self.field, lookup)
-            yield key + (w,), block
+            # the column index is passed, not bound in this frame, so it is
+            # freed before the block is ranked: it holds every labeling the
+            # block reached
+            yield key + (w,), _pull_block(
+                pulls, row_labs,
+                {} if cols is None else {lab: c for c, lab in enumerate(cols[w])},
+                self.field, self.unit, *self.factors, degenerate)
 
 
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,
                   max_degree: int, weight_bound=None, normalized: bool = True,
                   max_block_size: int | None = None) -> LodayComplex:
-    """Assemble bases and boundary matrices through degree max_degree, and
-    defer the top level max_degree + 1 (``LodayComplex``);
-    ``max_block_size`` (default ``DEFAULT_MAX_BLOCK``) bounds the number of
-    labelings of all levels, the top one included."""
+    """List the levels 0..max_degree and defer the top level max_degree + 1
+    and every boundary block (``LodayComplex``); ``max_block_size`` (default
+    ``DEFAULT_MAX_BLOCK``) bounds the number of labelings of all levels, the
+    top one included."""
     d = max_degree
     if space.top_level < d + 1:
         raise TruncationTooShallow(
@@ -817,10 +758,9 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
     keys = [(p,) for p in range(d + 2)]
     labelings = _Labelings((space,), keys, algebra, coefficients, d,
                            weight_bound, normalized, max_block_size)
-    bases, (boundaries,) = labelings.build(keys[:-1])
     complex_ = LodayComplex(algebra.field, coefficients.mode, d, weight_bound,
-                            bases, boundaries)
-    complex_._top = (labelings, keys[-1])
+                            labelings.listed(keys[:-1]), None)
+    complex_._labelings = labelings
     return complex_
 
 
@@ -841,10 +781,11 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
     ``LodayComplex.check_boundary_squares`` and acceptance criterion 9
     verify.
 
-    Only the rank of ``∂_{d+1}`` is read from the top level d + 1.  When
-    the top of a ``build_complex`` complex has not been built, each of its
-    blocks is assembled on its uncleared rows alone, once every block below
-    it is ranked, and then dropped (``_Labelings.implicit_blocks``).
+    While a ``build_complex`` complex defers its assembly, each block is
+    built once every block below it is ranked, on its uncleared rows alone,
+    and dropped once ranked (``_Labelings.implicit_blocks``); the top level
+    d + 1 is read only through the rank of ``∂_{d+1}`` and never listed
+    with monomial tables.
     """
     d = complex_.max_degree
     ranks = {}

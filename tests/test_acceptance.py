@@ -76,3 +76,11 @@ def test_criterion_12_hochschild_closed_form(results):
 
 def test_criterion_13_degree_three_grid(results):
     _report(results[13])
+
+
+def test_workspace_reads_the_coefficient_grammar():
+    ws = acceptance.Workspace()
+    with pytest.raises(ValueError, match="bad coefficients"):
+        ws.homology("S1", "truncpoly(2)", 3, 1, coeff="bogus")
+    assert ws.homology("S1", "truncpoly(2)", 3, 1, coeff="self").totals() \
+        == [2, 1]

@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lodayhom import loday, oracle
 from lodayhom.acceptance import hochschild_closed_form, random_small_inputs
@@ -251,6 +253,19 @@ class TestHochschildClosedForm:
                 circle(d + 1), algebra, Coefficients.self_algebra(), d,
                 normalized=normalized))
             assert table.dims == want, normalized
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from([2, 3, 5, "Q"]), m=st.integers(2, 6),
+           d=st.integers(0, 7), normalized=st.booleans())
+    def test_random_truncations(self, field, m, d, normalized):
+        # m ** (d + 2) bounds the labelings of the top level; past 20 000 a
+        # draw takes seconds or is refused by the ceiling
+        assume(m ** (d + 2) <= 20_000)
+        algebra = truncated_poly(field, m)
+        table = homology_dims(build_complex(
+            circle(d + 1), algebra, Coefficients.self_algebra(), d,
+            normalized=normalized))
+        assert table.dims == hochschild_closed_form(m, algebra.field.p, d)
 
 
 def free_graded_commutative(betti, d, max_weight):

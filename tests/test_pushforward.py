@@ -1,22 +1,17 @@
-"""Face pushforwards read off the structure tables, against a reference.
+"""Boundary blocks read off the structure tables, against references.
 
-``_face_pusher`` chains index lookups when every product and coefficient
-action is zero or one basis element with coefficient one, and otherwise
-takes the generic push, which multiplies out ``(basis index, scalar)``
-pairs.  ``_push_labeling`` below is the reference for both: it re-derives
-every product through ``algebra.mul`` and ``mul_lincomb`` with field
-arithmetic.  Patching ``_index_tables`` to None forces the generic push.
-
-With lookups, blocks much wider than their rows are built from the rows by
-``_pull_block``; patching ``PULL_RATIO`` to 0 or to infinity makes every
-block pulled or pushed, and both must give the same matrices.  The deferred
-top level of ``build_complex`` is ranked on its uncleared rows, with lookups
-from the columns they reach, and its homology must equal that of the listed
-top level.
+``_face_pusher`` multiplies out the ``(basis index, scalar)`` pairs of the
+tables; ``_push_labeling`` below is its reference, which re-derives every
+product through ``algebra.mul`` and ``mul_lincomb`` with field arithmetic.
+When every product and coefficient action is zero or one basis element with
+coefficient one, every block is pulled from its rows by ``_pull_block``
+instead, and patching ``_index_tables`` to None pushes it by terms: both must
+give the same matrices.  ``homology_dims`` builds each block on its
+uncleared rows, the top level's from the columns they reach, and its
+homology must equal that of the listed and assembled complex.
 """
 
 import hashlib
-import math
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -109,15 +104,6 @@ def _collected(terms, field):
     return {key: v for key, v in out.items() if v != field.zero}
 
 
-def _pushed(push, labeling, lookup, field):
-    """The image of ``labeling`` under ``push`` as {Labeling: scalar}: a
-    lookup push returns one image or None, any other push its terms."""
-    terms = push(labeling)
-    if lookup:
-        terms = () if terms is None else ((terms, 1),)
-    return _collected(terms, field)
-
-
 def _coefficients(mode, algebra):
     if mode == "unit":
         return Coefficients.unit()
@@ -155,18 +141,15 @@ CUBE_FIELDS = [("Fp:3", 3), ("Fp:5", 5), ("Q", "Q")]
 
 
 def _assert_pushes_equal_reference(space, algebra, coefficients, d):
-    """Every face of the unnormalized complex through degree d, pushed from
-    every basis labeling by the default push and by the generic push,
-    against ``_push_labeling``.  Returns whether the default push is the
-    lookup one."""
+    """Every face of the unnormalized complex through degree d, pushed by
+    terms from every basis labeling, against ``_push_labeling``.  Returns
+    whether the tables are monomial (``_index_tables``)."""
     field = algebra.field
     complex_ = build_complex(space, algebra, coefficients, d, normalized=False)
     c_alg, action = _resolve_coefficients(algebra, coefficients)
     bound = max(w for (_, w) in complex_.bases)
     tables = _structure_tables(algebra, c_alg, action, bound)
-    lookups = _index_tables(tables, algebra, c_alg)
-    pushers = [(_face_pusher(tables, index, algebra.unit), index is not None)
-               for index in (lookups, None)]
+    pusher = _face_pusher(tables, algebra.unit)
     for level in range(1, d + 2):
         slots = [s for s in range(space.size(level))
                  if s != space.basepoints[level]]
@@ -177,14 +160,13 @@ def _assert_pushes_equal_reference(space, algebra, coefficients, d):
         labelings = [lab for (q, _), labs in complex_.bases.items()
                      if q == level for lab in labs]
         for plan in plans:
-            pushes = [(pusher(plan), lookup) for pusher, lookup in pushers]
+            push = pusher(plan)
             for lab in labelings:
                 expected = _push_labeling(algebra, c_alg, action, plan, lab,
                                           field)
-                for push, lookup in pushes:
-                    assert _pushed(push, lab, lookup, field) == expected, \
-                        (level, plan, lab, push.__name__)
-    return lookups is not None
+                assert _collected(push(lab), field) == expected, \
+                    (level, plan, lab)
+    return _index_tables(tables, algebra, c_alg) is not None
 
 
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
@@ -205,19 +187,33 @@ def test_table_face_on_non_monomial_presentation(field_tag, field, mode):
                                                   d)
 
 
+# the diagonal torus to degree 1: a degeneracy misses five of the eight top
+# cells, so its degenerate preimages are dropped by the complement test of
+# ``_pull_block``, not by the unit bitmasks of a lone complement
+DIAGONAL_TORUS = ("prod(S1,S1)", "truncpoly(2)", 3, 1)
+
+
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
-@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
+@pytest.mark.parametrize("expr,algebra_spec,p,d",
+                         SMALL_INPUTS + [DIAGONAL_TORUS])
 def test_boundaries_equal_generic_path(expr, algebra_spec, p, d, mode,
                                        monkeypatch):
-    algebra = parse_algebra_expr(algebra_spec, p)
-    coefficients = _coefficients(mode, algebra)
+    """Pulled blocks equal the blocks pushed by terms."""
     space = build_space(expr, d + 1)
-    table = build_complex(space, algebra, coefficients, d)
-    _generic_only(monkeypatch)
-    generic = build_complex(space, algebra, coefficients, d)
-    assert table.bases == generic.bases
-    assert {k: m.entries for k, m in table.boundaries.items()} == \
-        {k: m.entries for k, m in generic.boundaries.items()}
+    for field in (2, 3, "Q"):
+        algebra = parse_algebra_expr(algebra_spec, field)
+        coefficients = _coefficients(mode, algebra)
+        for normalized in (True, False):
+            table = build_complex(space, algebra, coefficients, d,
+                                  normalized=normalized)
+            with monkeypatch.context() as patch:
+                _generic_only(patch)
+                generic = build_complex(space, algebra, coefficients, d,
+                                        normalized=normalized)
+            assert table.bases == generic.bases
+            assert {k: m.entries for k, m in table.boundaries.items()} == \
+                {k: m.entries for k, m in generic.boundaries.items()}, \
+                (field, normalized)
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
@@ -323,12 +319,13 @@ def test_total_complex_blocks_pass_public_checks(field):
 
 
 def _implicit_and_listed(complex_):
-    """Homology of ``complex_`` with its top level deferred, then listed."""
-    assert complex_._top is not None
+    """Homology of ``complex_`` with its assembly deferred, then with its
+    top level listed and every block assembled."""
+    assert complex_._labelings is not None
     implicit = homology_dims(complex_)
-    assert complex_._top is not None
+    assert complex_._labelings is not None
     complex_.boundaries
-    assert complex_._top is None
+    assert complex_._labelings is None
     return implicit.dims, homology_dims(complex_).dims
 
 
@@ -389,27 +386,47 @@ def test_homology_lists_no_top_labeling(expr, algebra, coefficients, d,
     assert listed == []
 
 
-def test_top_is_pulled_from_its_uncleared_rows(monkeypatch):
-    """HH of F3[t]/t^4 to degree 7: of the 8 748 rows of the top blocks,
-    2 184 are pivot columns of the boundary below, and the top blocks are
-    pulled from the other 6 564 alone."""
+def test_every_level_is_pulled_from_its_uncleared_rows(monkeypatch):
+    """HH of F3[t]/t^4 to degree 7: at every level, each block is pulled
+    from the rows of its level that are not pivot columns of the block
+    below it, which index those rows because a listed level keeps its
+    column numbering."""
     d = 7
     complex_ = build_complex(circle(d + 1), truncated_poly(3, 4),
                              Coefficients.self_algebra(), d)
-    rows = [len(labs) for (p, _), labs in complex_._bases.items() if p == d]
-    cleared = sum(len(pivots(mat)) for (p, _), mat
-                  in complex_._boundaries.items() if p == d)
-    assert (sum(rows), cleared) == (8748, 2184)
-    pulled = []
-    original = loday._pull_block
+    ranked = []     # (key, block, pivots) in the order homology ranks them
+    pulled = {}     # id(block) -> rows
+    blocks, original_pull, original_pivots = (
+        complex_._blocks, loday._pull_block, loday.pivots)
 
-    def spy(faces, block_rows, *args):
-        pulled.append(len(block_rows))
-        return original(faces, block_rows, *args)
+    def spy_blocks(cleared):
+        for key, block in blocks(cleared):
+            ranked.append([key, block])
+            yield key, block
 
-    monkeypatch.setattr(loday, "_pull_block", spy)
+    def spy_pull(faces, rows, *args):
+        block = original_pull(faces, rows, *args)
+        pulled[id(block)] = rows
+        return block
+
+    def spy_pivots(block, skip=frozenset()):
+        found = original_pivots(block, skip)
+        ranked[-1].append(found)
+        return found
+
+    monkeypatch.setattr(complex_, "_blocks", spy_blocks)
+    monkeypatch.setattr(loday, "_pull_block", spy_pull)
+    monkeypatch.setattr(loday, "pivots", spy_pivots)
     assert homology_dims(complex_).totals() == [4] + [3] * 7
-    assert sum(pulled) == 6564 == sum(rows) - cleared
+    assert {key[0] for key, _, _ in ranked} == set(range(1, d + 2))
+    pivot_columns = {}
+    for (p, w), block, found in ranked:
+        below = pivot_columns.get((p - 1, w), set())
+        assert pulled[id(block)] == [
+            lab for r, lab in enumerate(complex_._bases[(p - 1, w)])
+            if r not in below], (p, w)
+        pivot_columns[(p, w)] = {c for _, c in found}
+    assert sum(map(len, pulled.values())) == 9851
 
 
 def test_empty_torus_top_lists_nothing(monkeypatch):
@@ -429,123 +446,33 @@ def test_empty_torus_top_lists_nothing(monkeypatch):
     assert calls == []
 
 
-def _directed_build(monkeypatch, build, ratio=None):
-    """``build()`` with ``PULL_RATIO`` set to ``ratio`` (None: unchanged);
-    returns its result and a map from each boundary block made to "pull" or
-    "push"."""
-    made = {}
+def _blocks_made(monkeypatch, run):
+    """The kinds of the blocks that ``run()`` builds: "pull" or "push"."""
+    made = set()
     with monkeypatch.context() as patch:
-        if ratio is not None:
-            patch.setattr(loday, "PULL_RATIO", ratio)
-        for name, direction in (("_pull_block", "pull"),
-                                ("_boundary_block", "push")):
-            def record(*args, original=getattr(loday, name),
-                       direction=direction):
-                block = original(*args)
-                made[id(block)] = direction
-                return block
+        for name, kind in (("_pull_block", "pull"), ("_boundary_block", "push")):
+            def record(*args, original=getattr(loday, name), kind=kind):
+                made.add(kind)
+                return original(*args)
             patch.setattr(loday, name, record)
-        result = build()
-        if isinstance(result, loday.LodayComplex):
-            result.boundaries  # the deferred top level is built on this read
-    return result, made
+        run()
+    return made
 
 
-def _directions(matrices, made):
-    return {key: made[id(mat)] for key, mat in matrices.items()}
-
-
-def _pulled_and_pushed(monkeypatch, build, names):
-    """``build()`` once with every block pulled and once with every block
-    pushed, each as {name: {key: entries}} over the matrix dicts ``names``,
-    and the two results."""
-    out = []
-    for ratio, direction in ((0, "pull"), (math.inf, "push")):
-        result, made = _directed_build(monkeypatch, build, ratio)
-        blocks = {}
-        for name in names:
-            matrices = getattr(result, name)
-            assert set(_directions(matrices, made).values()) <= {direction}
-            blocks[name] = {k: m.entries for k, m in matrices.items()}
-        out.append((blocks, result))
-    return out
-
-
-@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
-@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
-def test_pull_equals_push(expr, algebra_spec, p, d, mode, monkeypatch):
-    space = build_space(expr, d + 1)
-    for field in (2, 3, "Q"):
-        algebra = parse_algebra_expr(algebra_spec, field)
-        coefficients = _coefficients(mode, algebra)
-        for normalized in (True, False):
-            (pulled, a), (pushed, b) = _pulled_and_pushed(
-                monkeypatch,
-                lambda: build_complex(space, algebra, coefficients, d,
-                                      normalized=normalized),
-                ("boundaries",))
-            assert a.bases == b.bases
-            assert pulled == pushed, (field, normalized)
-
-
-@pytest.mark.parametrize("field", [2, 3, "Q"])
-def test_grid_pull_equals_push(field, monkeypatch):
-    (pulled, _), (pushed, _) = _pulled_and_pushed(
-        monkeypatch,
-        lambda: oracle.torus_bicomplex(truncated_poly(field, 2),
-                                       Coefficients.unit(), 2),
-        ("horizontal", "vertical"))
-    assert pulled == pushed
-
-
-def test_diagonal_torus_pull_equals_push(monkeypatch):
-    space = build_space("prod(S1,S1)", 3)
-    cells = tuple((s,) for s in range(space.size(3))
-                  if s != space.basepoints[3])
-    assert len(cells) == 15
-    # a degeneracy missing several top cells bans the unit from none of
-    # them alone: such degenerate candidates are dropped by the complement
-    # test of ``_pull_block``, not by the unit bitmasks
-    assert any(len(comp) > 1 for comp in
-               loday._degenerate_complements((space,), (3,), cells))
-    (pulled, _), (pushed, _) = _pulled_and_pushed(
-        monkeypatch,
-        lambda: build_complex(space, truncated_poly(3, 2), Coefficients.unit(),
-                              2),
-        ("boundaries",))
-    assert pulled == pushed
-
-
-def test_selection_pulls_the_wide_torus_blocks(monkeypatch):
-    complex_, made = _directed_build(monkeypatch, lambda: build_complex(
-        build_space("prod(S1,S1)", 3), truncated_poly(3, 2),
-        Coefficients.unit(), 2))
-    top = {w: direction for (p, w), direction
-           in _directions(complex_.boundaries, made).items() if p == 3}
-    # weights 2 and 3 are 22 x 30 and 54 x 290; from weight 4 on, 70 x 1155
-    # to 1 x 6432 and then no rows at all
-    assert top == {w: "push" if w < 4 else "pull" for w in range(2, 16)}
-
-
-@pytest.mark.parametrize("space_text,algebra,field,coefficients,d,bound", [
-    ("S1", "truncpoly(4)", 3, Coefficients.self_algebra(), 7, None),
-    ("S1", "poly", "Q", Coefficients.unit(), 8, 12),
-])
-def test_selection_pushes_the_square_blocks(space_text, algebra, field,
-                                            coefficients, d, bound,
-                                            monkeypatch):
-    """Blocks of S1 are about as tall as they are wide, except at the top
-    weights of truncpoly(4): there a few rows face many columns, and those
-    are pulled (e.g. 28 rows by 532 columns in degree 7)."""
-    complex_, made = _directed_build(monkeypatch, lambda: build_complex(
-        build_space(space_text, d + 1), parse_algebra_expr(algebra, field),
-        coefficients, d, bound))
-    faces = {"pull": 0, "push": 0}
-    for (p, w), direction in _directions(complex_.boundaries, made).items():
-        rows = complex_.boundaries[(p, w)].rows
-        if p >= 2 and rows:
-            faces[direction] += (p + 1) * len(complex_.bases[(p, w)])
-            if direction == "pull":
-                assert algebra == "truncpoly(4)"
-                assert loday.PULL_RATIO * rows <= len(complex_.bases[(p, w)])
-    assert faces["pull"] < 0.1 * faces["push"]
+@pytest.mark.parametrize("algebra,kind", [
+    (truncated_poly(3, 4), "pull"),
+    (_cube_truncation_without_monomials("Fp:3"), "push"),
+], ids=["monomial", "cube"])
+def test_the_tables_alone_choose_pull_or_push(algebra, kind, monkeypatch):
+    """Square blocks of the Hochschild complex are pulled with monomial
+    tables, by homology on their uncleared rows, by a ``.boundaries`` read
+    on all of them and on the grid; with other tables every block is
+    pushed."""
+    d = 5
+    coefficients = Coefficients.self_algebra()
+    for run in (lambda: homology_dims(build_complex(circle(d + 1), algebra,
+                                                    coefficients, d)),
+                lambda: build_complex(circle(d + 1), algebra, coefficients,
+                                      d).boundaries,
+                lambda: oracle.torus_bicomplex(algebra, coefficients, 1)):
+        assert _blocks_made(monkeypatch, run) == {kind}
