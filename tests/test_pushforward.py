@@ -193,27 +193,37 @@ def test_table_face_on_non_monomial_presentation(field_tag, field, mode):
 DIAGONAL_TORUS = ("prod(S1,S1)", "truncpoly(2)", 3, 1)
 
 
+def test_diagonal_torus_has_a_complement_of_several_slots():
+    expr, _, _, d = DIAGONAL_TORUS
+    space = build_space(expr, d + 1)
+    level = d + 1
+    cells = tuple((s,) for s in range(space.size(level))
+                  if s != space.basepoints[level])
+    assert len(cells) == 8
+    assert max(len(comp) for comp in loday._degenerate_complements(
+        (space,), (level,), cells)) == 5
+
+
+@pytest.mark.parametrize("field", [2, 3, "Q"])
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
 @pytest.mark.parametrize("expr,algebra_spec,p,d",
                          SMALL_INPUTS + [DIAGONAL_TORUS])
-def test_boundaries_equal_generic_path(expr, algebra_spec, p, d, mode,
+def test_boundaries_equal_generic_path(expr, algebra_spec, p, d, mode, field,
                                        monkeypatch):
     """Pulled blocks equal the blocks pushed by terms."""
     space = build_space(expr, d + 1)
-    for field in (2, 3, "Q"):
-        algebra = parse_algebra_expr(algebra_spec, field)
-        coefficients = _coefficients(mode, algebra)
-        for normalized in (True, False):
-            table = build_complex(space, algebra, coefficients, d,
-                                  normalized=normalized)
-            with monkeypatch.context() as patch:
-                _generic_only(patch)
-                generic = build_complex(space, algebra, coefficients, d,
-                                        normalized=normalized)
-            assert table.bases == generic.bases
-            assert {k: m.entries for k, m in table.boundaries.items()} == \
-                {k: m.entries for k, m in generic.boundaries.items()}, \
-                (field, normalized)
+    algebra = parse_algebra_expr(algebra_spec, field)
+    coefficients = _coefficients(mode, algebra)
+    for normalized in (True, False):
+        table = build_complex(space, algebra, coefficients, d,
+                              normalized=normalized)
+        with monkeypatch.context() as patch:
+            _generic_only(patch)
+            generic = build_complex(space, algebra, coefficients, d,
+                                    normalized=normalized)
+        assert table.bases == generic.bases
+        assert {k: m.entries for k, m in table.boundaries.items()} == \
+            {k: m.entries for k, m in generic.boundaries.items()}, normalized
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
