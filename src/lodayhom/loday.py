@@ -30,13 +30,18 @@ and exterior with unit or self coefficients, and monomial custom
 coefficients), ``_pull_block`` pulls the block from its rows by inverting the
 tables (``_factorizations``), numbering its columns as their level lists
 them, or as the rows reach them on the top level d + 1, which is never
-listed.  Otherwise ``_boundary_block`` pushes it from the listed columns by
-multiplying the pairs out.
+listed.  A pulled column is keyed by one packed int, each slot's label in
+a fixed number of bits and the coefficient above the last slot
+(``_pull_faces``); rows and listed levels stay ``Labeling`` tuples, so
+``.bases`` and everything that reads them see tuples, and listed columns
+are encoded once per block.  Otherwise ``_boundary_block`` pushes it from
+the listed columns by multiplying the pairs out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import itemgetter
@@ -461,15 +466,15 @@ def _boundary_block(pushes, cols, row_index, field):
 
 
 def _factorizations(index, unit):
-    """Memoized inverses of the lookups ``index`` (``_index_tables``), as
-    ``(split, cosplit)``.
+    """Memoized inverses of the lookups ``index`` (``_index_tables``).
 
-    ``split(b, k, banned)`` lists the k-tuples of labels whose product, folded
-    from the left as a push merges them, is b.  ``cosplit(c, k, banned)``
-    lists the tuples ``(c0, x1, ..., xk)`` whose chained action
-    ``(c0 . x1) ... . xk`` is c.  Both leave out the tuples with the unit at a
-    position whose bit is set in ``banned``; bit 0 of a cosplit tuple, its
-    coefficient, is never set.
+    ``unfold(kind, z, k, banned)`` lists the tuples ``(x0, y1, ..., yk)``
+    whose chained lookup ``(x0 . y1) ... . yk`` in table ``kind`` is z.  In
+    the products (kind 0) that is the product of k + 1 labels, folded from
+    the left as a push merges them; in the actions (kind 1), x0 is a
+    coefficient and the labels y act on it.  It leaves out the tuples with
+    the unit at a position i whose bit ``1 << i`` is set in ``banned``; bit
+    0 of an action tuple, its coefficient, is never set.
     """
     inverses = []
     for table in index:
@@ -482,8 +487,6 @@ def _factorizations(index, unit):
     memo = {}
 
     def unfold(kind, z, k, banned):
-        """Tuples of one bottom entry and k labels; table ``kind`` takes
-        them to z."""
         key = (kind, z, k, banned)
         tuples = memo.get(key)
         if tuples is None:
@@ -497,90 +500,133 @@ def _factorizations(index, unit):
             memo[key] = tuples
         return tuples
 
-    return ((lambda b, k, banned: unfold(0, b, k - 1, banned)),
-            (lambda c, k, banned: unfold(1, c, k, banned)))
+    return unfold
 
 
-def _pull_faces(signed_plans, n_slots, complements):
-    """Per signed face plan, what ``_pull_block`` reads: the sign; two bitmasks
-    of low slots, those that must hold the unit (no preimage) and those that
-    must not (one preimage, which is the only cell outside the image of some
-    degeneracy in ``complements``, so the unit there makes the labeling
-    degenerate); the merged low slots with their preimage counts and banned
-    bitmasks (``_factorizations``); the count and banned bitmask of the
-    labels acting on the coefficient; a placer of the source slots; and the
-    position of the coefficient.
+def _code(labels, slots, bits):
+    """The packed code of ``labels`` placed on the slot positions ``slots``:
+    each label in the ``bits`` bits at shift ``slot * bits``."""
+    code = 0
+    for x, q in zip(labels, slots):
+        code |= x << q * bits
+    return code
 
-    A candidate preimage of a row ``(b, c)`` is read off the flat tuple
-    ``b + split tuples + cosplit tuple``.
+
+def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
+    """Per signed face plan, what ``_pull_block`` reads to list the preimages
+    of a row as packed codes.
+
+    A labeling ``(a, c)`` of ``n_slots`` slots is coded as one int: label
+    ``a[q]`` in the ``bits`` bits at shift ``q * bits`` and the coefficient
+    c above the last slot, at shift ``n_slots * bits``; a row is coded the
+    same way over its own slots, without its coefficient.  Along a face, a
+    preimage's code is the sum of three parts, each read off a table built
+    here once per level:
+
+    - the labels of the low slots with one preimage, moved straight out of
+      the row's code as runs ``(mask, up, down)``: the row digits under
+      ``mask``, shifted left by ``up`` and right by ``down`` onto their
+      source slots;
+    - per merged low slot r, its split offsets indexed by the row label
+      ``b[r]``: one code per tuple of labels whose product is ``b[r]``
+      (``unfold`` of the products, ``_factorizations``), placed on the
+      slot's preimages;
+    - the cosplit offsets indexed by the row coefficient: one code per
+      coefficient and tuple of labels acting on it to give the row's
+      (``unfold`` of the actions), placed on the slots that fall into the
+      basepoint and above the last slot.
+
+    Each face also carries its sign and two bitmasks of low slots, those
+    that must hold the unit (no preimage) and those that must not (one
+    preimage, which is the only cell outside the image of some degeneracy
+    in ``complements``, so the unit there makes the labeling degenerate);
+    the tables leave such a lone cell's unit out of the merged and acting
+    labels too.  ``sizes`` are the numbers of labels and of coefficients
+    the tables index.
     """
     lone = {comp[0] for comp in complements if len(comp) == 1}
+    n_labels, n_coeffs = sizes
+    digit = (1 << bits) - 1
     faces = []
     for sign, (pre, to_base) in signed_plans:
         need_unit = sum(1 << r for r, srcs in enumerate(pre) if not srcs)
         no_unit = sum(1 << r for r, srcs in enumerate(pre)
                       if len(srcs) == 1 and srcs[0] in lone)
-        place = [None] * n_slots
-        merges = []
-        off = len(pre)
+        runs = {}  # shift -> mask of the row digits it moves
         for r, srcs in enumerate(pre):
             if len(srcs) == 1:
-                place[srcs[0]] = r
-            elif srcs:
-                merges.append((r, len(srcs), sum(1 << i for i, q in enumerate(srcs)
-                                                 if q in lone)))
-                for i, q in enumerate(srcs):
-                    place[q] = off + i
-                off += len(srcs)
-        for i, q in enumerate(to_base):
-            place[q] = off + 1 + i
+                shift = (srcs[0] - r) * bits
+                runs[shift] = runs.get(shift, 0) | digit << r * bits
+        merges = []
+        for r, srcs in enumerate(pre):
+            if len(srcs) > 1:
+                banned = sum(1 << i for i, q in enumerate(srcs) if q in lone)
+                merges.append((r, tuple(
+                    tuple(_code(t, srcs, bits)
+                          for t in unfold(0, x, len(srcs) - 1, banned))
+                    for x in range(n_labels))))
         banned = sum(2 << i for i, q in enumerate(to_base) if q in lone)
-        if n_slots > 1:
-            placer = itemgetter(*place)
-        else:
-            def placer(flat, place=tuple(place)):
-                return tuple(flat[q] for q in place)
-        faces.append((sign, need_unit, no_unit, tuple(merges), len(to_base),
-                      banned, placer, off))
+        top = n_slots * bits
+        cosplits = tuple(
+            tuple(t[0] << top | _code(t[1:], to_base, bits)
+                  for t in unfold(1, c, len(to_base), banned))
+            for c in range(n_coeffs))
+        faces.append((sign, need_unit, no_unit,
+                      tuple((mask, max(shift, 0), max(-shift, 0))
+                            for shift, mask in runs.items()),
+                      tuple(merges), cosplits))
     return faces
 
 
-def _pull_block(faces, rows, col_index, field, unit, split, cosplit,
-                degenerate):
+def _pull_block(faces, rows, col_index, field, unit, bits, degenerate):
     """Matrix of the signed face sum from the labelings of ``col_index`` to
     ``rows``, built row by row from the preimages of each row along each
-    face (``_pull_faces``, ``_factorizations``) of monomial tables; equal to
-    the term push of ``_boundary_block`` between the same rows and
-    columns.  A preimage missing from ``col_index`` is numbered
-    there when a row first reaches it, unless it is degenerate: the faces'
-    bitmasks keep the unit off a lone complement, and ``degenerate`` holds
-    per complement of several slots its getter and all-unit tuple.  So
-    ``col_index`` may hold every column or start empty."""
-    normalize, zero = field.normalize, field.zero
-    acc = {}
+    face of monomial tables; equal to the term push of ``_boundary_block``
+    between the same rows and columns.
+
+    Columns are keyed by their packed codes (``_pull_faces``): per face, a
+    row's preimages are its moved runs plus every sum of one split offset
+    per merged slot and one cosplit offset, listed in that order, and each
+    costs one int-keyed lookup in ``col_index``.  A preimage missing there
+    is numbered when a row first reaches it, unless it is degenerate: the
+    faces' bitmasks and tables keep the unit off a lone complement, and
+    ``degenerate`` holds per complement of several slots the pairs
+    ``(mask, unit_pattern)`` of its digits and of the unit on all of them,
+    so ``code & mask == unit_pattern`` marks the labeling degenerate.  So
+    ``col_index`` may hold every column or start empty.  The signs reaching
+    one entry are summed as ints per row and reduced once, ``% p`` or into
+    a ``Fraction``."""
+    p = field.p
+    get = col_index.get
+    entries = {}
     for row, (b, c) in enumerate(rows):
+        code = _code(b, range(len(b)), bits)
         units = sum(1 << r for r, x in enumerate(b) if x == unit)
-        for (sign, need_unit, no_unit, merges, n_act, banned, placer,
-             cpos) in faces:
+        acc = {}
+        for sign, need_unit, no_unit, runs, merges, cosplits in faces:
             if units & need_unit != need_unit or units & no_unit:
                 continue
-            lists = [split(b[r], k, kb) for r, k, kb in merges]
-            lists.append(cosplit(c, n_act, banned))
-            for combo in product(*lists):
-                flat = sum(combo, b)
-                a = placer(flat)
-                lab = (a, flat[cpos])
-                col = col_index.get(lab)
-                if col is None:
-                    if any(get(a) == ones for get, ones in degenerate):
-                        continue
-                    col = col_index[lab] = len(col_index)
-                acc[(row, col)] = acc.get((row, col), 0) + sign
-    entries = {}
-    for pos, tot in acc.items():
-        val = normalize(tot)
-        if val != zero:
-            entries[pos] = val
+            base = 0
+            for mask, up, down in runs:
+                base |= (code & mask) << up >> down
+            codes = (base,)
+            for r, offsets in merges:
+                codes = [x + o for x in codes for o in offsets[b[r]]]
+            offsets = cosplits[c]
+            for x in codes:
+                for o in offsets:
+                    y = x + o
+                    col = get(y)
+                    if col is None:
+                        if any(y & m == u for m, u in degenerate):
+                            continue
+                        col = col_index[y] = len(col_index)
+                    acc[col] = acc.get(col, 0) + sign
+        for col, tot in acc.items():
+            if p:
+                tot %= p
+            if tot:
+                entries[(row, col)] = tot if p else Fraction(tot)
     return SparseMatrix._trusted(len(rows), len(col_index), entries, field)
 
 
@@ -648,8 +694,12 @@ class _Labelings:
         tables = _structure_tables(algebra, self.c_alg, action, self.bound)
         lookups = _index_tables(tables, algebra, self.c_alg)
         self.pusher = _face_pusher(tables, self.unit)
-        self.factors = (None if lookups is None
-                        else _factorizations(lookups, self.unit))
+        self.unfold = None
+        if lookups is not None:
+            self.unfold = _factorizations(lookups, self.unit)
+            # a slot holds any label index of A, the coefficient any of C
+            self.sizes = tuple(map(len, lookups))
+            self.bits = max(1, (max(self.sizes) - 1).bit_length())
 
     def level(self, key, bound=None):
         """The labelings of level ``key`` per weight, up to ``bound``
@@ -705,7 +755,7 @@ class _Labelings:
                 rows[w] = kept
         cols = {w: bases[key + (w,)] for w in rows if key + (w,) in bases}
         if rows and not cols:  # the top level
-            cols = self.level(key, max(rows)) if self.factors is None else None
+            cols = self.level(key, max(rows)) if self.unfold is None else None
         return self.blocks(key, 0, rows, cols)
 
     def blocks(self, key, i, rows, cols):
@@ -722,25 +772,29 @@ class _Labelings:
                  for face in (self.axes[i].face(p, j) for j in range(p + 1))]
         signed = [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
             _face_plans(fmaps, cells, self.slots[low], self.basepoints[low]))]
-        if self.factors is None:
+        if self.unfold is None:
             pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
             for w, row_labs in rows.items():
                 yield key + (w,), _boundary_block(
                     pushes, cols[w], {lab: r for r, lab in enumerate(row_labs)},
                     self.field)
             return
-        comps = self.complements[key]
-        pulls = _pull_faces(signed, len(cells), comps)
-        degenerate = tuple((itemgetter(*comp), (self.unit,) * len(comp))
+        comps, bits, n = self.complements[key], self.bits, len(cells)
+        pulls = _pull_faces(signed, n, comps, self.unfold, self.sizes, bits)
+        degenerate = tuple((_code([(1 << bits) - 1] * len(comp), comp, bits),
+                            _code([self.unit] * len(comp), comp, bits))
                            for comp in comps if len(comp) > 1)
+        slots = range(n)
         for w, row_labs in rows.items():
             # the column index is passed, not bound in this frame, so it is
-            # freed before the block is ranked: it holds every labeling the
-            # block reached
+            # freed before the block is ranked: it holds the code of every
+            # labeling the block reached
             yield key + (w,), _pull_block(
                 pulls, row_labs,
-                {} if cols is None else {lab: c for c, lab in enumerate(cols[w])},
-                self.field, self.unit, *self.factors, degenerate)
+                {} if cols is None else
+                {_code(a, slots, bits) | ci << n * bits: c
+                 for c, (a, ci) in enumerate(cols[w])},
+                self.field, self.unit, bits, degenerate)
 
 
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,

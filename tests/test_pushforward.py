@@ -8,7 +8,9 @@ coefficient one, every block is pulled from its rows by ``_pull_block``
 instead, and patching ``_index_tables`` to None pushes it by terms: both must
 give the same matrices.  ``homology_dims`` builds each block on its
 uncleared rows, the top level's from the columns they reach, and its
-homology must equal that of the listed and assembled complex.
+homology must equal that of the listed and assembled complex; the top
+blocks pulled onto all their rows must equal the listed ones once each
+reached column code takes its listed number.
 """
 
 import hashlib
@@ -204,26 +206,30 @@ def test_diagonal_torus_has_a_complement_of_several_slots():
         (space,), (level,), cells)) == 5
 
 
+def _assert_pull_equals_push(space, algebra, coefficients, d, monkeypatch,
+                             weight_bound=None):
+    """Pulled blocks equal the blocks pushed by terms, normalized or not."""
+    for normalized in (True, False):
+        table = build_complex(space, algebra, coefficients, d, weight_bound,
+                              normalized=normalized)
+        with monkeypatch.context() as patch:
+            _generic_only(patch)
+            generic = build_complex(space, algebra, coefficients, d,
+                                    weight_bound, normalized=normalized)
+        assert table.bases == generic.bases
+        assert {k: m.entries for k, m in table.boundaries.items()} == \
+            {k: m.entries for k, m in generic.boundaries.items()}, normalized
+
+
 @pytest.mark.parametrize("field", [2, 3, "Q"])
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
 @pytest.mark.parametrize("expr,algebra_spec,p,d",
                          SMALL_INPUTS + [DIAGONAL_TORUS])
 def test_boundaries_equal_generic_path(expr, algebra_spec, p, d, mode, field,
                                        monkeypatch):
-    """Pulled blocks equal the blocks pushed by terms."""
-    space = build_space(expr, d + 1)
     algebra = parse_algebra_expr(algebra_spec, field)
-    coefficients = _coefficients(mode, algebra)
-    for normalized in (True, False):
-        table = build_complex(space, algebra, coefficients, d,
-                              normalized=normalized)
-        with monkeypatch.context() as patch:
-            _generic_only(patch)
-            generic = build_complex(space, algebra, coefficients, d,
-                                    normalized=normalized)
-        assert table.bases == generic.bases
-        assert {k: m.entries for k, m in table.boundaries.items()} == \
-            {k: m.entries for k, m in generic.boundaries.items()}, normalized
+    _assert_pull_equals_push(build_space(expr, d + 1), algebra,
+                             _coefficients(mode, algebra), d, monkeypatch)
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
@@ -339,17 +345,56 @@ def _implicit_and_listed(complex_):
     return implicit.dims, homology_dims(complex_).dims
 
 
+def _assert_top_reached_as_listed(complex_, monkeypatch):
+    """The top blocks pulled onto all their rows, their columns numbered as
+    the rows reach them, equal the blocks pulled onto the listed top once
+    each reached column takes its listed number: no column reached is
+    degenerate and none is missed."""
+    labelings = complex_._labelings
+    key = (complex_.max_degree + 1,)
+    top = labelings.level(key)
+    # a weight the top does not list has no block (its count is zero)
+    rows = {w: labs for (p, w), labs in complex_._bases.items()
+            if p == key[0] - 1 and w in top}
+    indexes = []  # per block: its column index, and what it held at the call
+
+    def spy(faces, block_rows, col_index, *args):
+        indexes.append((col_index, dict(col_index)))
+        return original(faces, block_rows, col_index, *args)
+
+    original = loday._pull_block
+    with monkeypatch.context() as patch:
+        patch.setattr(loday, "_pull_block", spy)
+        reached = list(labelings.blocks(key, 0, rows, None))
+        listed = list(labelings.blocks(key, 0, rows, top))
+    for (w, block), (_, want), (codes, _), (_, listed_codes) in zip(
+            reached, listed, indexes, indexes[len(reached):]):
+        assert set(codes) <= set(listed_codes), w
+        number = {c: listed_codes[code] for code, c in codes.items()}
+        assert {(r, number[c]): v for (r, c), v in block.entries.items()} \
+            == want.entries, w
+
+
+def _assert_implicit_equals_listed(space, algebra, coefficients, d,
+                                   monkeypatch, weight_bound=None):
+    for normalized in (True, False):
+        complex_ = build_complex(space, algebra, coefficients, d,
+                                 weight_bound, normalized=normalized)
+        _assert_top_reached_as_listed(complex_, monkeypatch)
+        implicit, listed = _implicit_and_listed(complex_)
+        assert implicit == listed, (algebra.field, normalized)
+
+
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
 @pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
-def test_implicit_top_equals_listed(expr, algebra_spec, p, d, mode):
+def test_implicit_top_equals_listed(expr, algebra_spec, p, d, mode,
+                                    monkeypatch):
     space = build_space(expr, d + 1)
     for field in (2, 3, "Q"):
         algebra = parse_algebra_expr(algebra_spec, field)
-        coefficients = _coefficients(mode, algebra)
-        for normalized in (True, False):
-            implicit, listed = _implicit_and_listed(build_complex(
-                space, algebra, coefficients, d, normalized=normalized))
-            assert implicit == listed, (field, normalized)
+        _assert_implicit_equals_listed(space, algebra,
+                                       _coefficients(mode, algebra), d,
+                                       monkeypatch)
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
@@ -367,6 +412,78 @@ def test_implicit_top_equals_listed_at_high_degree(expr, d, bound):
         build_space(expr, d + 1), polynomial(3), Coefficients.unit(), d,
         weight_bound=bound))
     assert implicit == listed
+
+
+def _monomials_unit_last(field_tag, exponents):
+    """The monomial algebra on the exponent vectors ``exponents`` (closed
+    under division), listed in that order and then the unit: a product is
+    the monomial of the summed exponents, or zero when that is not listed."""
+    unit = (0,) * len(exponents[0])
+    listed = list(exponents) + [unit]
+    names = ["1" if e == unit else "x" + "_".join(map(str, e)) for e in listed]
+    index = {e: i for i, e in enumerate(listed)}
+    structure = [
+        {"left": names[i], "right": names[j],
+         "value": [{"basis": names[index[prod]], "coeff": 1}]}
+        for i, e in enumerate(listed) for j, f in enumerate(listed)
+        for prod in [tuple(a + b for a, b in zip(e, f))] if prod in index]
+    return load_algebra({
+        "field": field_tag,
+        "basis": [{"name": n, "weight": sum(e)} for n, e in zip(names, listed)],
+        "unit": "1", "structure": structure,
+        "augmentation": [{"basis": "1", "coeff": 1}]})
+
+
+def _unit_last_inputs(field, mode):
+    """k[x]/x^3 listed x, x^2, 1, and coefficients in k[y,z]/(y^3, z^2)
+    listed with its unit last too: six basis elements, so the coefficient
+    sets the digit width, acted on by x -> y."""
+    tag = "Q" if field == "Q" else f"Fp:{field}"
+    algebra = _monomials_unit_last(tag, [(1,), (2,)])
+    if mode != "custom":
+        return algebra, _coefficients(mode, algebra)
+    wide = _monomials_unit_last(
+        tag, [(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
+    return algebra, Coefficients.custom(wide, [{0: 1}, {1: 1}, {5: 1}])
+
+
+@pytest.mark.parametrize("field", [2, 3, "Q"])
+@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
+@pytest.mark.parametrize("expr,d,bound", [("S1", 3, None),
+                                          ("prod(S1,S1)", 1, 4)])
+def test_unit_listed_last(expr, d, bound, mode, field, monkeypatch):
+    """A unit at index 2 of A and a coefficient algebra wider than A: the
+    degeneracy test of a complement of several slots on the torus compares
+    its digits with the unit's pattern, not with zero."""
+    algebra, coefficients = _unit_last_inputs(field, mode)
+    assert algebra.unit == 2
+    space = build_space(expr, d + 1)
+    _assert_pull_equals_push(space, algebra, coefficients, d, monkeypatch,
+                             bound)
+    _assert_implicit_equals_listed(space, algebra, coefficients, d, monkeypatch,
+                                   bound)
+
+
+@pytest.mark.parametrize("expr,algebra_spec,d,bound,bits", [
+    ("S1", "poly", 5, 7, 3), ("S1", "poly", 5, 8, 4),
+    ("prod(S1,S1)", "poly", 1, 7, 3), ("prod(S1,S1)", "poly", 1, 8, 4),
+    ("prod(S1,S1)", "truncpoly(2)", 3, 3, 1),
+], ids=["S1-3bits", "S1-4bits", "torus-3bits", "torus-4bits",
+        "torus-degree3-1bit"])
+@pytest.mark.parametrize("mode", ["unit", "self"])
+def test_digit_widths(expr, algebra_spec, d, bound, bits, mode, monkeypatch):
+    """Label indices up to 7 and 8 take 3 and 4 bits per slot, those of
+    truncpoly(2) one bit; on the degree-3 diagonal torus the degeneracy
+    complements span several slots."""
+    algebra = parse_algebra_expr(algebra_spec, 3)
+    coefficients = _coefficients(mode, algebra)
+    space = build_space(expr, d + 1)
+    assert build_complex(space, algebra, coefficients, d,
+                         bound)._labelings.bits == bits
+    _assert_pull_equals_push(space, algebra, coefficients, d, monkeypatch,
+                             bound)
+    _assert_implicit_equals_listed(space, algebra, coefficients, d, monkeypatch,
+                                   bound)
 
 
 @pytest.mark.parametrize("expr,algebra,coefficients,d,totals", [
