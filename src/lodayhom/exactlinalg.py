@@ -21,9 +21,10 @@ direction of de Silva–Morozov–Vejdemo-Johansson).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -240,14 +241,21 @@ def _primitive(row) -> None:
 
 
 def _row_elimination_rank(rows, field) -> list:
-    """Structured Gaussian elimination on a list of {col: scalar} rows, which
-    it owns and overwrites; returns the (row, column) pivots in the order
-    they were taken, so their number is the rank.
+    """Left-looking Gaussian elimination on a list of {col: scalar} rows,
+    which it owns and overwrites; returns the (row, column) pivots in the
+    order they were taken, so their number is the rank.
 
-    Pivot rows are chosen sparsest-first, pivot columns by lowest fill; ties
-    break on the smaller index, so the result is deterministic.  Rows wait in
-    a heap keyed (length, index); a row whose length changes is pushed again,
-    and entries of eliminated rows or of stale lengths are skipped on pop.
+    The columns are ordered once, before any update, by how many rows hold
+    them, then by index.  Rows are taken sparsest first, ties on the smaller
+    index.  A row's lead is its first column in that order.  While another
+    row already pivots on the lead, that pivot row is subtracted, which
+    clears the lead and leaves only later columns; the first free lead
+    becomes the row's pivot, and a row that empties is dependent.  The only
+    state is the table of pivot rows keyed by lead (Bauer's Ripser reduction
+    has the same shape), and a pivot row is never touched again.  A column
+    that no other row holds sorts before every shared column of its row, so
+    such a row pivots there at once and costs no update, and no other row
+    can ever need it.
 
     Entries are plain ints.  Over F_p a row update is ``(x - f * v) % p``.
     Over Q every row is first scaled to its primitive integer multiple, and
@@ -266,36 +274,23 @@ def _row_elimination_rank(rows, field) -> list:
                 for c, v in row.items():
                     row[c] = v.numerator * (den // v.denominator)
                 _primitive(row)
-    col_count: dict = {}
-    col_rows: dict = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
-            col_rows.setdefault(c, set()).add(i)
-    active = set(i for i, row in enumerate(rows) if row)
-    heap = [(len(rows[i]), i) for i in active]
-    heapify(heap)
+    counts = Counter(chain.from_iterable(rows))
+    width = max(counts, default=0) + 1
+    order = {c: n * width + c for c, n in counts.items()}.__getitem__
+    by_lead: dict = {}
     pivots = []
-    while heap:
-        n, pi = heappop(heap)
-        prow = rows[pi]
-        if pi not in active or n != len(prow):
-            continue
-        pc = min(prow, key=lambda c: (col_count[c], c))
-        pv = prow[pc]
-        if p is not None:
-            pinv = pow(pv, -1, p)
-        # column pc leaves every row it clears, and no later pivot row
-        # holds it, so its counts are not kept up to date
-        rest = [(c, v) for c, v in prow.items() if c != pc]
-        for j in sorted(col_rows[pc]):
-            if j == pi or j not in active:
-                continue
-            jrow = rows[j]
-            before = len(jrow)
-            jv = jrow.pop(pc)
+    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
+        jrow = rows[i]
+        while jrow:
+            lead = min(jrow, key=order)
+            prow = by_lead.get(lead)
+            if prow is None:
+                by_lead[lead] = jrow
+                pivots.append((i, lead))
+                break
+            pv, jv = prow[lead], jrow[lead]
             if p is not None:
-                f = jv * pinv % p
+                f = jv * pow(pv, -1, p) % p
             else:
                 g = gcd(pv, jv)
                 if pv < 0:
@@ -304,32 +299,19 @@ def _row_elimination_rank(rows, field) -> list:
                 if scale != 1:
                     for c, x in jrow.items():
                         jrow[c] = scale * x
-            for c, v in rest:
+            # the lead is among prow's columns and cancels here
+            for c, v in prow.items():
                 x = jrow.get(c)
                 if x is None:
                     jrow[c] = -f * v % p if p else -f * v
-                    col_count[c] += 1
-                    col_rows[c].add(j)
                     continue
                 x = (x - f * v) % p if p else x - f * v
                 if x:
                     jrow[c] = x
                 else:
                     del jrow[c]
-                    col_count[c] -= 1
-                    col_rows[c].discard(j)
-            if not jrow:
-                active.discard(j)
-                continue
-            if p is None:
+            if p is None and jrow:
                 _primitive(jrow)
-            if len(jrow) != before:
-                heappush(heap, (len(jrow), j))
-        for c in prow:
-            col_count[c] -= 1
-            col_rows[c].discard(pi)
-        active.discard(pi)
-        pivots.append((pi, pc))
     return pivots
 
 

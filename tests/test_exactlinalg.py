@@ -1,7 +1,7 @@
 """Field construction and exact sparse rank."""
 
+from collections import Counter
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
 from random import Random
 
@@ -201,8 +201,9 @@ def test_rank_invariant_under_permutations(data, modulus, seed):
 
 @st.composite
 def tied_sparse_rows(draw):
-    """Dense 0/+-1 rows with the same number of nonzeros each, so pivot
-    candidates tie on length and elimination leaves stale heap entries."""
+    """Dense 0/+-1 rows with the same number of nonzeros each, so rows tie on
+    length and columns often tie on how many rows hold them, and the order
+    of elimination falls to the index tie-breaks."""
     nrows = draw(st.integers(min_value=2, max_value=10))
     cols = draw(st.integers(min_value=nrows, max_value=12))
     length = draw(st.integers(min_value=1, max_value=min(3, cols)))
@@ -297,56 +298,32 @@ def test_integer_kernel_rank_on_larger_matrices(seed, modulus):
 
 
 def _field_method_elimination(row_data, field):
-    """The elimination loop that ran on field methods before the integer
-    kernel, kept as the reference for its pivots and fill-in.  Apart from
-    recording its pivots and returning its rows, it is unchanged."""
+    """The pivot rule of the integer kernel, run on field methods: columns
+    ordered once by (rows holding them, index), rows taken by (length,
+    index), each row reduced by the pivot row of its lead until the lead is
+    free or the row is empty.  The reference for the kernel's pivots and
+    rows."""
     rows = [dict(r) for r in row_data]
-    col_count: dict = {}
-    col_rows: dict = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
-            col_rows.setdefault(c, set()).add(i)
-    active = set(i for i, row in enumerate(rows) if row)
-    heap = [(len(rows[i]), i) for i in active]
-    heapify(heap)
+    counts = Counter(c for row in rows for c in row)
     zero = field.zero
+    by_lead = {}
     pivots = []
-    while heap:
-        n, pi = heappop(heap)
-        prow = rows[pi]
-        if pi not in active or n != len(prow):
-            continue
-        pc = min(prow, key=lambda c: (col_count[c], c))
-        pinv = field.inv(prow[pc])
-        for j in sorted(col_rows[pc]):
-            if j == pi or j not in active:
-                continue
-            jrow = rows[j]
-            before = len(jrow)
-            factor = field.mul(jrow[pc], pinv)
+    for i in sorted(range(len(rows)), key=lambda i: (len(rows[i]), i)):
+        row = rows[i]
+        while row:
+            lead = min(row, key=lambda c: (counts[c], c))
+            if lead not in by_lead:
+                by_lead[lead] = row
+                pivots.append((i, lead))
+                break
+            prow = by_lead[lead]
+            factor = field.mul(row[lead], field.inv(prow[lead]))
             for c, v in prow.items():
-                cur = jrow.get(c, zero)
-                nv = field.sub(cur, field.mul(factor, v))
+                nv = field.sub(row.get(c, zero), field.mul(factor, v))
                 if nv == zero:
-                    if c in jrow:
-                        del jrow[c]
-                        col_count[c] -= 1
-                        col_rows[c].discard(j)
+                    row.pop(c, None)
                 else:
-                    if c not in jrow:
-                        col_count[c] = col_count.get(c, 0) + 1
-                        col_rows.setdefault(c, set()).add(j)
-                    jrow[c] = nv
-            if not jrow:
-                active.discard(j)
-            elif len(jrow) != before:
-                heappush(heap, (len(jrow), j))
-        for c in prow:
-            col_count[c] -= 1
-            col_rows[c].discard(pi)
-        active.discard(pi)
-        pivots.append((pi, pc))
+                    row[c] = nv
     return pivots, rows
 
 
@@ -371,6 +348,16 @@ def test_integer_kernel_takes_the_field_method_pivots(field):
                 c = next(iter(got))
                 ratio = Fraction(got[c]) / want[c]
                 assert all(got[k] == ratio * want[k] for k in got)
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_a_row_with_a_private_column_pivots_there_untouched(field):
+    """Columns 5 and 6 are each held by one row, so those rows pivot on them
+    with no update, although both share column 0 or 1 with the first row."""
+    rows = [{0: 1, 1: 1}, {0: 1, 2: 1, 5: 1}, {1: 1, 2: 1, 6: 1}]
+    got = [dict(r) for r in rows]
+    assert _row_elimination_rank(got, field) == [(0, 0), (1, 5), (2, 6)]
+    assert got == rows
 
 
 def _assert_pivots_span_a_nonsingular_block(matrix, skip_rows):
