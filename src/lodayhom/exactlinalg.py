@@ -11,12 +11,15 @@ divided by the gcd of its entries after every update).  Scaling a row by a
 nonzero factor leaves its zero pattern alone, and the pivot order reads only
 zero patterns, so the pivots and the fill-in are those of field arithmetic.
 
-``pivots`` returns the (row, column) pairs that elimination takes, in the
-matrix's own orientation, and can leave a set of rows out; ``rank`` is their
-number.  ``loday.homology_dims`` uses the row set to clear boundary blocks:
-the pivot columns of ``∂_p`` are left out of the rows of ``∂_{p+1}``, which
-by ``∂∂ = 0`` keeps the rank (Chen–Kerber's clearing, in the cohomology
-direction of de Silva–Morozov–Vejdemo-Johansson).
+``row_pivots`` is the elimination entry: it takes a block as its rows,
+``{column: scalar}`` dicts, which ``loday`` builds row by row and hands over
+as they are, and returns the (row, column) pairs that elimination takes;
+``rank`` is their number.  ``pivots`` is the same on the rows of a
+``SparseMatrix`` and can leave a set of rows out.  ``loday.homology_dims``
+uses the pivot columns to clear boundary blocks: the pivot columns of
+``∂_p`` are left out of the rows of ``∂_{p+1}``, which by ``∂∂ = 0`` keeps
+the rank (Chen–Kerber's clearing, in the cohomology direction of
+de Silva–Morozov–Vejdemo-Johansson).
 """
 
 from __future__ import annotations
@@ -315,30 +318,45 @@ def _row_elimination_rank(rows, field) -> list:
     return pivots
 
 
-def pivots(matrix: SparseMatrix, skip_rows=frozenset()) -> list:
-    """The (row, column) pivots that elimination takes on ``matrix`` with the
-    rows in ``skip_rows`` left out, in the order it takes them; their number
-    is the rank of the rows kept.  The rows are distinct, the columns are
-    distinct, and the square submatrix they span is nonsingular.
+def row_pivots(rows, cols: int, field: FieldSpec) -> list:
+    """The (row, column) pivots that elimination takes on the matrix with
+    ``cols`` columns whose rows are the ``{column: scalar}`` dicts ``rows``,
+    in the order it takes them; their number is the rank.  The rows are
+    distinct, the columns are distinct, and the square submatrix they span is
+    nonsingular.
 
-    The matrix is not modified.  Elimination runs along the shorter side of
-    the kept rows, which bounds the pivot count; when that is the column
-    side the pairs are flipped back, so they are always (row, column) of
-    ``matrix``.  ``skip_rows`` holds row indices of ``matrix``.
+    This is the elimination entry: ``loday`` hands it the rows of each block
+    it builds, and ``pivots`` the rows of a ``SparseMatrix``.  Scalars are
+    nonzero ints, reduced mod p over F_p; over Q they are ints or
+    ``Fraction``s.  The rows are owned and overwritten.  Elimination runs
+    along the shorter side, which bounds the pivot count; when that is the
+    column side the rows are transposed first and the pairs flipped back, so
+    they are always (row, column) of the matrix.
     """
+    if len(rows) <= cols:
+        return _row_elimination_rank(rows, field)
+    transposed = [{} for _ in range(cols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            transposed[c][r] = v
+    return [(r, c) for c, r in _row_elimination_rank(transposed, field)]
+
+
+def pivots(matrix: SparseMatrix, skip_rows=frozenset()) -> list:
+    """``row_pivots`` of the rows of ``matrix`` outside ``skip_rows`` (a set
+    of its row indices), as (row, column) pairs of ``matrix``, which is not
+    modified."""
     if not matrix.entries:
         return []
-    transposed = matrix.rows - len(skip_rows) > matrix.cols
-    rows = [dict() for _ in range(matrix.cols if transposed else matrix.rows)]
+    kept = [r for r in range(matrix.rows) if r not in skip_rows]
+    number = dict(zip(kept, range(len(kept))))
+    rows = [{} for _ in kept]
     for (r, c), v in matrix.entries.items():
-        if r in skip_rows:
-            continue
-        if transposed:
-            rows[c][r] = v
-        else:
-            rows[r][c] = v
-    found = _row_elimination_rank(rows, matrix.field)
-    return [(r, c) for c, r in found] if transposed else found
+        i = number.get(r)
+        if i is not None:
+            rows[i][c] = v
+    return [(kept[i], c)
+            for i, c in row_pivots(rows, matrix.cols, matrix.field)]
 
 
 def rank(matrix: SparseMatrix) -> int:

@@ -24,18 +24,24 @@ basis elements up to the weight bound and every coefficient action
 c . action(a), as (basis index, scalar) pairs.  ``build_complex`` lists
 levels 0..d, and ``homology_dims`` builds each boundary block when it ranks
 it, on the rows that clearing leaves (Ripser's implicit matrix with clearing;
-Bauer, J. Appl. Comput. Topol. 2021).  Only the tables decide how.  When each
+Bauer, J. Appl. Comput. Topol. 2021).
+
+A labeling is one packed int from enumeration to elimination: each slot's
+label in a fixed number of bits and the coefficient above the last slot
+(``_pull_faces``).  Only the tables decide how a block is built.  When each
 entry is zero or one basis element with coefficient one (truncpoly(m), poly
 and exterior with unit or self coefficients, and monomial custom
 coefficients), ``_pull_block`` pulls the block from its rows by inverting the
-tables (``_factorizations``), numbering its columns as their level lists
-them, or as the rows reach them on the top level d + 1, which is never
-listed.  A pulled column is keyed by one packed int, each slot's label in
-a fixed number of bits and the coefficient above the last slot
-(``_pull_faces``); rows and listed levels stay ``Labeling`` tuples, so
-``.bases`` and everything that reads them see tuples, and listed columns
-are encoded once per block.  Otherwise ``_boundary_block`` pushes it from
-the listed columns by multiplying the pairs out.
+tables (``_factorizations``), reading each row's labels by shift and mask,
+and numbers its columns as their level lists them, or as the rows reach them
+on the top level d + 1, which is never listed.  Otherwise
+``_boundary_block`` pushes it from the listed columns by multiplying the
+pairs out, and decodes its rows and columns for that.  Either way the block
+is its rows, ``{column: scalar}`` dicts, which ``exactlinalg.row_pivots``
+eliminates in place; over Q the pulled sums stay ints.  ``Labeling`` tuples
+and ``SparseMatrix`` blocks are made only where the complex is read
+eagerly: by the first read of ``.bases`` or ``.boundaries``, and by the
+grid's ``_Labelings.build``.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from .exactlinalg import FieldSpec, SparseMatrix, pivots
+from .exactlinalg import FieldSpec, SparseMatrix, pivots, row_pivots
 from .algebra import Coefficients, unit_coefficient_algebra
 from .simplicial import PointedSimplicialSet
 
@@ -188,52 +194,70 @@ def _normalized_counts(levels):
             for column in zip(*levels)]
 
 
-def _enumerate_block_bases(algebra, c_alg, n_slots, bound, complements=()):
-    """Bases of labelings grouped by total weight, in lexicographic order.
+def _enumerate_block_bases(algebra, c_alg, n_slots, bound, bits,
+                           complements=()):
+    """Bases of labelings grouped by total weight, in lexicographic order,
+    each as its packed code (``_pull_faces``): label ``a[q]`` in the ``bits``
+    bits at shift ``q * bits``, the coefficient above the last slot.
 
-    ``complements`` (normalized complexes) holds per degeneracy the slot
-    positions outside its image; an assignment that is the unit on all of
-    one is degenerate.  The walk skips the subtree when it puts the unit on
-    a complement's last position and its earlier positions are unit too, so
-    degenerate labelings are never built.
+    The walk visits only the labels that fit the weight left, from one list
+    per weight left in index order.  ``complements`` (normalized complexes)
+    holds per degeneracy the slot positions outside its image; an assignment
+    that is the unit on all of one is degenerate.  The walk never puts the
+    unit on a slot that is a whole complement, and skips the subtree when it
+    puts the unit on a complement's last position and its earlier positions
+    are unit too, so degenerate labelings are never built.
     """
     if not all(complements):
         return {}
     unit = algebra.unit
-    closing = [[] for _ in range(n_slots)]
+    closing = [set() for _ in range(n_slots)]
     for comp in complements:
         last = max(comp)
-        closing[last].append(sum(1 << q for q in comp if q != last))
+        closing[last].add(sum(1 << q for q in comp if q != last))
+    labels = [(i, algebra.weight(i)) for i in algebra.basis_indices(bound)]
+    with_unit = [[(i, w) for i, w in labels if w <= left]
+                 for left in range(bound + 1)]
+    without_unit = [[(i, w) for i, w in fits if i != unit]
+                    for fits in with_unit]
+    fitting = [without_unit if 0 in masks else with_unit for masks in closing]
     by_weight = {w: [] for w in range(bound + 1)}
-    slot_indices = [(i, algebra.weight(i)) for i in algebra.basis_indices(bound)]
+    top = n_slots * bits
     coeff_by_budget = {}
     for i in c_alg.basis_indices(bound):
-        coeff_by_budget.setdefault(c_alg.weight(i), []).append(i)
-    coeff_budgets = sorted(coeff_by_budget)
+        coeff_by_budget.setdefault(c_alg.weight(i), []).append(i << top)
+    coeff_budgets = sorted(coeff_by_budget.items())
 
-    def rec(prefix, used, units, q):
+    def rec(code, used, units, q):
         if q == n_slots:
-            assignment = tuple(prefix)
-            for budget in coeff_budgets:
+            for budget, coeffs in coeff_budgets:
                 if used + budget > bound:
                     break
-                for ci in coeff_by_budget[budget]:
-                    by_weight[used + budget].append(Labeling(assignment, ci))
+                by_weight[used + budget].extend([code | c for c in coeffs])
             return
-        for i, w in slot_indices:
-            if used + w > bound:
-                continue
-            marked = units
-            if i == unit:
-                if any(units & m == m for m in closing[q]):
-                    continue
-                marked |= 1 << q
-            prefix.append(i)
-            rec(prefix, used + w, marked, q + 1)
-            prefix.pop()
+        shift = q * bits
+        masks = closing[q]
+        for i, w in fitting[q][bound - used]:
+            if i != unit:
+                rec(code | i << shift, used + w, units, q + 1)
+            elif not any(units & m == m for m in masks):
+                rec(code | i << shift, used + w, units | 1 << q, q + 1)
 
-    rec([], 0, 0, 0)
-    return {w: labs for w, labs in by_weight.items() if labs}
+    rec(0, 0, 0, 0)
+    return {w: codes for w, codes in by_weight.items() if codes}
+
+
+def _decoder(n_slots, bits):
+    """The inverse of the packed code over ``n_slots`` slots: a function
+    ``code -> (assignment, coeff)``."""
+    digit = (1 << bits) - 1
+    shifts = [q * bits for q in range(n_slots)]
+    top = n_slots * bits
+
+    def decode(code):
+        return tuple([code >> s & digit for s in shifts]), code >> top
+
+    return decode
 
 
 @dataclass
@@ -269,14 +293,15 @@ class HomologyTable:
 class LodayComplex:
     """Blockwise chain data for one space/algebra/coefficient configuration.
 
-    ``build_complex`` lists levels 0..max_degree, assembles no block and
-    keeps its ``_Labelings``: the cells, labeling counts and degeneracy
-    complements of its levels and the structure tables with their
-    factorizations.  ``homology_dims`` then builds each block on its
+    ``build_complex`` lists levels 0..max_degree as packed codes, assembles
+    no block and keeps its ``_Labelings``: the cells, labeling counts and
+    degeneracy complements of its levels and the structure tables with
+    their factorizations.  ``homology_dims`` then builds each block on its
     uncleared rows (``_Labelings.implicit_blocks``).  The first read of
-    ``bases`` or ``boundaries`` lists the top level max_degree + 1 and
-    assembles every block onto all its rows, after which the complex holds
-    them like one made with its boundaries (``oracle._total_complex``).
+    ``bases`` or ``boundaries`` lists the top level max_degree + 1,
+    assembles every block onto all its rows and decodes the levels into
+    ``Labeling`` tuples, after which the complex holds them like one made
+    with its boundaries (``oracle._total_complex``).
     """
 
     def __init__(self, field, coeff_mode, max_degree, weight_bound, bases,
@@ -285,7 +310,8 @@ class LodayComplex:
         self.coeff_mode = coeff_mode
         self.max_degree = max_degree
         self.weight_bound = weight_bound
-        self._bases = bases            # (degree, weight) -> list of Labelings
+        self._bases = bases            # (degree, weight) -> list of Labelings,
+                                       # of packed codes while deferred
         self._boundaries = boundaries  # (degree, weight) -> SparseMatrix
         self._labelings = None         # deferred: blocks not yet assembled
 
@@ -305,16 +331,20 @@ class LodayComplex:
                 [(self.max_degree + 1,)], self._bases)
             self._labelings = None
 
-    def _blocks(self, cleared):
-        """The boundary blocks ``((degree, weight), matrix)`` in key order;
-        while assembly is deferred, each is built when the previous ones are
-        ranked, without the rows that ``cleared`` then holds."""
+    def _ranked(self, cleared):
+        """The pivots of every boundary block, ``((degree, weight), pivots)``
+        in key order, without the rows that ``cleared`` holds for the block
+        when it is reached; while assembly is deferred, each block is built
+        on those rows once the previous ones are ranked, and its rows go to
+        ``row_pivots`` as they were built."""
         if self._labelings is None:
-            yield from sorted(self._boundaries.items())
+            for key, matrix in sorted(self._boundaries.items()):
+                yield key, pivots(matrix, cleared.pop(key, frozenset()))
             return
         for p in range(1, self.max_degree + 2):
-            yield from self._labelings.implicit_blocks((p,), self._bases,
-                                                       cleared)
+            for key, (rows, cols) in self._labelings.implicit_blocks(
+                    (p,), self._bases, cleared):
+                yield key, row_pivots(rows, cols, self.field)
 
     def check_boundary_squares(self):
         """Verify boundary . boundary = 0 on every composable block pair."""
@@ -445,12 +475,13 @@ def _face_pusher(tables, unit):
 
 
 def _boundary_block(pushes, cols, row_index, field):
-    """Matrix of the signed face sum ``pushes`` (pairs of sign and push,
-    ``_face_pusher``) from the labelings ``cols`` to the rows of
-    ``row_index``; images missing from ``row_index`` (degenerate or cleared
-    ones) are dropped."""
+    """The signed face sum ``pushes`` (pairs of sign and push,
+    ``_face_pusher``) from the labelings ``cols``, pairs ``(assignment,
+    coeff)``, to the rows of ``row_index``, as its rows ``{col: scalar}``
+    and its column count; images missing from ``row_index`` (degenerate or
+    cleared ones) are dropped."""
     normalize, zero = field.normalize, field.zero
-    entries = {}
+    rows = [{} for _ in row_index]
     for col, lab in enumerate(cols):
         acc = {}
         for sign, push in pushes:
@@ -461,8 +492,18 @@ def _boundary_block(pushes, cols, row_index, field):
         for row, tot in acc.items():
             val = normalize(tot)
             if val != zero:
-                entries[(row, col)] = val
-    return SparseMatrix._trusted(len(row_index), len(cols), entries, field)
+                rows[row][col] = val
+    return rows, len(cols)
+
+
+def _matrix(block, field):
+    """The ``SparseMatrix`` of a block given as its rows and column count;
+    over Q its int scalars become ``Fraction``s."""
+    rows, cols = block
+    scalar = Fraction if field.p is None else int
+    return SparseMatrix._trusted(
+        len(rows), cols, {(r, c): scalar(v) for r, row in enumerate(rows)
+                          for c, v in row.items()}, field)
 
 
 def _factorizations(index, unit):
@@ -519,38 +560,37 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
     A labeling ``(a, c)`` of ``n_slots`` slots is coded as one int: label
     ``a[q]`` in the ``bits`` bits at shift ``q * bits`` and the coefficient
     c above the last slot, at shift ``n_slots * bits``; a row is coded the
-    same way over its own slots, without its coefficient.  Along a face, a
-    preimage's code is the sum of three parts, each read off a table built
-    here once per level:
+    same way over its own slots.  Along a face, a preimage's code is the sum
+    of three parts, each read off a table built here once per level:
 
     - the labels of the low slots with one preimage, moved straight out of
       the row's code as runs ``(mask, up, down)``: the row digits under
       ``mask``, shifted left by ``up`` and right by ``down`` onto their
       source slots;
-    - per merged low slot r, its split offsets indexed by the row label
-      ``b[r]``: one code per tuple of labels whose product is ``b[r]``
-      (``unfold`` of the products, ``_factorizations``), placed on the
-      slot's preimages;
+    - per merged low slot, at the shift of its digit in the row's code, its
+      split offsets indexed by the row's label there: one code per tuple of
+      labels whose product is that label (``unfold`` of the products,
+      ``_factorizations``), placed on the slot's preimages;
     - the cosplit offsets indexed by the row coefficient: one code per
       coefficient and tuple of labels acting on it to give the row's
       (``unfold`` of the actions), placed on the slots that fall into the
       basepoint and above the last slot.
 
-    Each face also carries its sign and two bitmasks of low slots, those
-    that must hold the unit (no preimage) and those that must not (one
-    preimage, which is the only cell outside the image of some degeneracy
-    in ``complements``, so the unit there makes the labeling degenerate);
-    the tables leave such a lone cell's unit out of the merged and acting
-    labels too.  ``sizes`` are the numbers of labels and of coefficients
-    the tables index.
+    Every low slot has a preimage, as the faces of a simplicial set are
+    onto (``d_j s_j = id``).  Each face also carries its sign and the low
+    bits of the row digits that must not hold the unit (one preimage, which
+    is the only cell outside the image of some degeneracy in
+    ``complements``, so the unit there makes the labeling degenerate); the
+    tables leave such a lone cell's unit out of the merged and acting labels
+    too.  ``sizes`` are the numbers of labels and of coefficients the tables
+    index.
     """
     lone = {comp[0] for comp in complements if len(comp) == 1}
     n_labels, n_coeffs = sizes
     digit = (1 << bits) - 1
     faces = []
     for sign, (pre, to_base) in signed_plans:
-        need_unit = sum(1 << r for r, srcs in enumerate(pre) if not srcs)
-        no_unit = sum(1 << r for r, srcs in enumerate(pre)
+        no_unit = sum(1 << r * bits for r, srcs in enumerate(pre)
                       if len(srcs) == 1 and srcs[0] in lone)
         runs = {}  # shift -> mask of the row digits it moves
         for r, srcs in enumerate(pre):
@@ -561,7 +601,7 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
         for r, srcs in enumerate(pre):
             if len(srcs) > 1:
                 banned = sum(1 << i for i, q in enumerate(srcs) if q in lone)
-                merges.append((r, tuple(
+                merges.append((r * bits, tuple(
                     tuple(_code(t, srcs, bits)
                           for t in unfold(0, x, len(srcs) - 1, banned))
                     for x in range(n_labels))))
@@ -571,63 +611,85 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
             tuple(t[0] << top | _code(t[1:], to_base, bits)
                   for t in unfold(1, c, len(to_base), banned))
             for c in range(n_coeffs))
-        faces.append((sign, need_unit, no_unit,
+        faces.append((sign, no_unit,
                       tuple((mask, max(shift, 0), max(-shift, 0))
                             for shift, mask in runs.items()),
                       tuple(merges), cosplits))
     return faces
 
 
-def _pull_block(faces, rows, col_index, field, unit, bits, degenerate):
-    """Matrix of the signed face sum from the labelings of ``col_index`` to
-    ``rows``, built row by row from the preimages of each row along each
-    face of monomial tables; equal to the term push of ``_boundary_block``
-    between the same rows and columns.
+def _pull_block(faces, rows, col_index, field, unit, bits, n_low, degenerate):
+    """The signed face sum from the labelings of ``col_index`` to the
+    labelings ``rows`` of ``n_low`` slots, as its rows ``{col: scalar}`` and
+    its column count, built row by row from the preimages of each row along
+    each face of monomial tables; equal to the term push of
+    ``_boundary_block`` between the same rows and columns.
 
-    Columns are keyed by their packed codes (``_pull_faces``): per face, a
+    Rows and columns are packed codes (``_pull_faces``), and a row's labels
+    and coefficient are read off its code by shift and mask.  Per face, a
     row's preimages are its moved runs plus every sum of one split offset
-    per merged slot and one cosplit offset, listed in that order, and each
-    costs one int-keyed lookup in ``col_index``.  A preimage missing there
-    is numbered when a row first reaches it, unless it is degenerate: the
-    faces' bitmasks and tables keep the unit off a lone complement, and
-    ``degenerate`` holds per complement of several slots the pairs
-    ``(mask, unit_pattern)`` of its digits and of the unit on all of them,
-    so ``code & mask == unit_pattern`` marks the labeling degenerate.  So
-    ``col_index`` may hold every column or start empty.  The signs reaching
-    one entry are summed as ints per row and reduced once, ``% p`` or into
-    a ``Fraction``."""
+    per merged slot and one cosplit offset, listed in that order.  The signs
+    reaching one preimage are summed per row as ints, and each distinct
+    preimage of the row costs one int-keyed lookup in ``col_index``.  A
+    preimage missing there is numbered in the order the rows first reach it,
+    unless it is degenerate: a face is skipped when the row holds the unit
+    on a digit that the face keeps off it, the tables keep the unit off a
+    lone complement, and ``degenerate`` holds per complement of several
+    slots the pairs ``(mask, unit_pattern)`` of its digits and of the unit
+    on all of them, so ``code & mask == unit_pattern`` marks the labeling
+    degenerate.  So ``col_index`` may hold every column or start empty.
+    The sums are reduced ``% p`` over F_p; over Q they stay ints, which
+    elimination takes as they are."""
     p = field.p
     get = col_index.get
-    entries = {}
-    for row, (b, c) in enumerate(rows):
-        code = _code(b, range(len(b)), bits)
-        units = sum(1 << r for r, x in enumerate(b) if x == unit)
+    digit = (1 << bits) - 1
+    top = n_low * bits
+    lows = sum(1 << q * bits for q in range(n_low))
+    # a digit holds the unit where the row code xor the unit pattern is
+    # zero, so where the or of its bits, folded onto its lowest, is clear
+    units = lows * unit
+    spread = range(1, bits)
+    out = []
+    for code in rows:
+        flipped = code ^ units
+        held = flipped
+        for k in spread:
+            held |= flipped >> k
+        unit_digits = lows & ~held
+        c = code >> top
         acc = {}
-        for sign, need_unit, no_unit, runs, merges, cosplits in faces:
-            if units & need_unit != need_unit or units & no_unit:
+        for sign, no_unit, runs, merges, cosplits in faces:
+            if unit_digits & no_unit:
                 continue
             base = 0
             for mask, up, down in runs:
                 base |= (code & mask) << up >> down
             codes = (base,)
-            for r, offsets in merges:
-                codes = [x + o for x in codes for o in offsets[b[r]]]
+            for shift, splits in merges:
+                codes = [x + o for x in codes
+                         for o in splits[code >> shift & digit]]
             offsets = cosplits[c]
             for x in codes:
                 for o in offsets:
                     y = x + o
-                    col = get(y)
-                    if col is None:
-                        if any(y & m == u for m, u in degenerate):
-                            continue
-                        col = col_index[y] = len(col_index)
-                    acc[col] = acc.get(col, 0) + sign
-        for col, tot in acc.items():
+                    acc[y] = acc.get(y, 0) + sign
+        row = {}
+        for y, t in acc.items():
+            col = get(y)
+            if col is None:
+                for m, u in degenerate:
+                    if y & m == u:
+                        break
+                else:
+                    col = col_index[y] = len(col_index)
+                if col is None:
+                    continue
             if p:
-                tot %= p
-            if tot:
-                entries[(row, col)] = tot if p else Fraction(tot)
-    return SparseMatrix._trusted(len(rows), len(col_index), entries, field)
+                t %= p
+            if t:
+                row[col] = t
+        out.append(row)
+    return out, len(col_index)
 
 
 def _degenerate_complements(axes, key, slots):
@@ -692,31 +754,33 @@ class _Labelings:
                             if normalized else ()
                             for key, cells in self.slots.items()}
         tables = _structure_tables(algebra, self.c_alg, action, self.bound)
+        # a slot holds any label index of A, the coefficient any of C
+        self.sizes = tuple(map(len, tables))
+        self.bits = max(1, (max(self.sizes) - 1).bit_length())
         lookups = _index_tables(tables, algebra, self.c_alg)
         self.pusher = _face_pusher(tables, self.unit)
-        self.unfold = None
-        if lookups is not None:
-            self.unfold = _factorizations(lookups, self.unit)
-            # a slot holds any label index of A, the coefficient any of C
-            self.sizes = tuple(map(len, lookups))
-            self.bits = max(1, (max(self.sizes) - 1).bit_length())
+        self.unfold = (None if lookups is None
+                       else _factorizations(lookups, self.unit))
 
     def level(self, key, bound=None):
-        """The labelings of level ``key`` per weight, up to ``bound``
-        (default: the bound of the complex)."""
+        """The packed codes of the labelings of level ``key`` per weight, up
+        to ``bound`` (default: the bound of the complex)."""
         return _enumerate_block_bases(
             self.algebra, self.c_alg, len(self.slots[key]),
-            self.bound if bound is None else bound, self.complements[key])
+            self.bound if bound is None else bound, self.bits,
+            self.complements[key])
 
     def listed(self, keys):
-        """The labelings of the levels ``keys``, keyed ``key + (w,)``."""
-        return {key + (w,): labs
-                for key in keys for w, labs in self.level(key).items()}
+        """The codes of the labelings of the levels ``keys``, keyed
+        ``key + (w,)``."""
+        return {key + (w,): codes
+                for key in keys for w, codes in self.level(key).items()}
 
     def build(self, keys, bases=None):
         """The bases of every level, those of ``keys`` listed and added to
-        ``bases``, and every boundary block assembled onto all its rows, one
-        dict per axis."""
+        the codes ``bases``, and every boundary block assembled onto all its
+        rows, one dict per axis; each basis is decoded into ``Labeling``
+        tuples once its blocks are built."""
         bases = {**(bases or {}), **self.listed(keys)}
         boundaries = tuple({} for _ in self.axes)
         for key in self.slots:
@@ -726,16 +790,22 @@ class _Labelings:
                 if p:
                     low = key[:i] + (p - 1,) + key[i + 1:]
                     rows = {w: bases.get(low + (w,), ()) for w in cols}
-                    boundaries[i].update(self.blocks(key, i, rows, cols))
-        return bases, boundaries
+                    boundaries[i].update(
+                        (bkey, _matrix(block, self.field))
+                        for bkey, block in self.blocks(key, i, rows, cols))
+        decoded = {}
+        for bkey, codes in bases.items():
+            decode = _decoder(len(self.slots[bkey[:-1]]), self.bits)
+            decoded[bkey] = [Labeling(*decode(x)) for x in codes]
+        return decoded, boundaries
 
     def implicit_blocks(self, key, bases, cleared):
         """The blocks out of the one-axis level ``key``, each onto its rows
-        in ``bases`` outside the set it pops from ``cleared`` (block key ->
-        indices of rows that are pivot columns of the boundary below, which
-        cannot change its rank).  A weight yields no block when no row is
-        left or its exact count is zero: ``counts[key]``, or on a normalized
-        complex their Dold–Kan inversion over levels 0..key
+        in the codes ``bases`` outside the set it pops from ``cleared``
+        (block key -> indices of rows that are pivot columns of the boundary
+        below, which cannot change its rank).  A weight yields no block when
+        no row is left or its exact count is zero: ``counts[key]``, or on a
+        normalized complex their Dold–Kan inversion over levels 0..key
         (``_normalized_counts``), which is zero wherever a degeneracy
         complement is empty.  A level that ``bases`` lists keeps its column
         numbering, so the pivot columns of its blocks index the rows of the
@@ -749,7 +819,7 @@ class _Labelings:
         rows = {}
         for w, n in enumerate(counts):
             skip = cleared.pop(key + (w,), ())
-            kept = [lab for r, lab in enumerate(bases.get(low + (w,), ()))
+            kept = [x for r, x in enumerate(bases.get(low + (w,), ()))
                     if r not in skip]
             if n and kept:
                 rows[w] = kept
@@ -758,43 +828,51 @@ class _Labelings:
             cols = self.level(key, max(rows)) if self.unfold is None else None
         return self.blocks(key, 0, rows, cols)
 
-    def blocks(self, key, i, rows, cols):
-        """Yield ``(key + (w,), block)``, the boundary along axis i out of
-        level ``key`` in weight w onto the labelings ``rows[w]``, for each
-        weight of ``rows``.  With lookups the block is pulled from its rows,
-        its columns numbered as ``cols[w]`` lists them, or as the rows reach
-        them when ``cols`` is None; otherwise it is pushed from the columns
-        ``cols[w]``.  Row and column indexes live for one block."""
+    def signed_plans(self, key, i):
+        """The plans (``_face_plans``) of the faces along axis i out of
+        level ``key``, each with its sign."""
         p = key[i]
         low = key[:i] + (p - 1,) + key[i + 1:]
         cells = self.slots[key]
         fmaps = [{c: c[:i] + (face[c[i]],) + c[i + 1:] for c in cells}
                  for face in (self.axes[i].face(p, j) for j in range(p + 1))]
-        signed = [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
+        return [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
             _face_plans(fmaps, cells, self.slots[low], self.basepoints[low]))]
+
+    def blocks(self, key, i, rows, cols):
+        """Yield ``(key + (w,), (rows, cols))``, the boundary along axis i
+        out of level ``key`` in weight w onto the codes ``rows[w]``, as its
+        rows ``{col: scalar}`` and its column count, for each weight of
+        ``rows``.  With lookups the block is pulled from its rows, its
+        columns numbered as the codes ``cols[w]`` list them, or as the rows
+        reach them when ``cols`` is None; otherwise it is pushed from the
+        columns ``cols[w]``, decoded with its rows into ``(assignment,
+        coeff)`` pairs.  Row and column indexes live for one block."""
+        low = key[:i] + (key[i] - 1,) + key[i + 1:]
+        cells, bits = self.slots[key], self.bits
+        n, n_low = len(cells), len(self.slots[low])
+        signed = self.signed_plans(key, i)
         if self.unfold is None:
             pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
-            for w, row_labs in rows.items():
+            up, down = _decoder(n, bits), _decoder(n_low, bits)
+            for w, row_codes in rows.items():
                 yield key + (w,), _boundary_block(
-                    pushes, cols[w], {lab: r for r, lab in enumerate(row_labs)},
-                    self.field)
+                    pushes, [up(x) for x in cols[w]],
+                    {down(x): r for r, x in enumerate(row_codes)}, self.field)
             return
-        comps, bits, n = self.complements[key], self.bits, len(cells)
+        comps = self.complements[key]
         pulls = _pull_faces(signed, n, comps, self.unfold, self.sizes, bits)
         degenerate = tuple((_code([(1 << bits) - 1] * len(comp), comp, bits),
                             _code([self.unit] * len(comp), comp, bits))
                            for comp in comps if len(comp) > 1)
-        slots = range(n)
-        for w, row_labs in rows.items():
+        for w, row_codes in rows.items():
             # the column index is passed, not bound in this frame, so it is
             # freed before the block is ranked: it holds the code of every
             # labeling the block reached
             yield key + (w,), _pull_block(
-                pulls, row_labs,
-                {} if cols is None else
-                {_code(a, slots, bits) | ci << n * bits: c
-                 for c, (a, ci) in enumerate(cols[w])},
-                self.field, self.unit, bits, degenerate)
+                pulls, row_codes,
+                {} if cols is None else dict(zip(cols[w], range(len(cols[w])))),
+                self.field, self.unit, bits, n_low, degenerate)
 
 
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,
@@ -844,8 +922,7 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
     d = complex_.max_degree
     ranks = {}
     cleared = {}
-    for (p, w), mat in complex_._blocks(cleared):
-        found = pivots(mat, cleared.pop((p, w), frozenset()))
+    for (p, w), found in complex_._ranked(cleared):
         ranks[(p, w)] = len(found)
         cleared[(p + 1, w)] = {c for _, c in found}
     dims = {}

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -14,7 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from lodayhom.exactlinalg import (
     FieldSpec, NonPrimeModulus, SparseMatrix, _row_elimination_rank,
-    kernel_dim, make_field, pivots, rank,
+    kernel_dim, make_field, pivots, rank, row_pivots,
 )
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
@@ -360,13 +360,33 @@ def test_a_row_with_a_private_column_pivots_there_untouched(field):
     assert got == rows
 
 
+def _kept_rows(dense, skip_rows, field):
+    """The rows of ``dense`` outside ``skip_rows`` as ``{col: scalar}``
+    dicts, over Q each scaled to integers by the lcm of its denominators:
+    the row-dict entry takes ints over Q as they are."""
+    kept = []
+    for r, row in enumerate(dense):
+        if r in skip_rows:
+            continue
+        entries = {c: v for c, v in enumerate(row) if v != field.zero}
+        if field.is_rational and entries:
+            den = lcm(*[v.denominator for v in entries.values()])
+            entries = {c: int(v * den) for c, v in entries.items()}
+        kept.append(entries)
+    return kept
+
+
 def _assert_pivots_span_a_nonsingular_block(matrix, skip_rows):
     """The pivots of ``matrix`` without ``skip_rows``: distinct rows and
     columns inside the matrix, as many as the dense rank of the rows kept,
-    spanning a nonsingular square submatrix."""
+    spanning a nonsingular square submatrix; the row-dict entry takes the
+    same pivots on the rows kept."""
     field = matrix.field
     dense = matrix.to_dense()
     found = pivots(matrix, skip_rows)
+    kept = [r for r in range(matrix.rows) if r not in skip_rows]
+    assert [(kept[i], c) for i, c in row_pivots(
+        _kept_rows(dense, skip_rows, field), matrix.cols, field)] == found
     prows = [r for r, _ in found]
     pcols = [c for _, c in found]
     assert len(set(prows)) == len(prows)

@@ -15,7 +15,7 @@ from lodayhom.exactlinalg import make_field, rank
 from lodayhom.loday import (
     BasisSizeExceeded, FieldMismatch, Labeling, TruncationTooShallow,
     WeightBoundRequired, _block_counts, _degenerate_complements,
-    _enumerate_block_bases, _normalized_counts,
+    _decoder, _enumerate_block_bases, _normalized_counts,
     _resolve_coefficients, build_complex, chain_dims, homology_dims,
 )
 from lodayhom.simplicial import (
@@ -147,6 +147,13 @@ def enumeration_levels():
                 (space,), (p,), [(s,) for s in slots])
 
 
+def label_bits(algebra, c_alg, bound):
+    """Bits per slot that hold every label and coefficient index up to the
+    weight bound."""
+    top = max(max(algebra.basis_indices(bound)), max(c_alg.basis_indices(bound)))
+    return max(1, top.bit_length())
+
+
 class TestPrunedEnumeration:
     @pytest.mark.parametrize("algebra,bound", [
         (truncated_poly(3, 2), 30), (exterior(3), 30), (polynomial(3), 4),
@@ -157,8 +164,12 @@ class TestPrunedEnumeration:
         c_alg, _ = _resolve_coefficients(algebra, coeffs)
         saw_degenerate_level = False
         for expr, p, slots, complements in enumeration_levels():
-            got = _enumerate_block_bases(algebra, c_alg, len(slots), bound,
-                                         complements)
+            bits = label_bits(algebra, c_alg, bound)
+            decode = _decoder(len(slots), bits)
+            got = {w: [Labeling(*decode(x)) for x in codes]
+                   for w, codes in _enumerate_block_bases(
+                       algebra, c_alg, len(slots), bound, bits,
+                       complements).items()}
             want = filtered_block_bases(algebra, c_alg, len(slots), bound,
                                         complements)
             assert got == want, (expr, p)
@@ -179,7 +190,8 @@ class TestBlockCounts:
                                                    coeffs):
         c_alg, _ = _resolve_coefficients(algebra, coeffs)
         for n_slots in range(6):
-            blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound)
+            blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound,
+                                            label_bits(algebra, c_alg, bound))
             assert _block_counts(algebra, c_alg, n_slots, bound) == \
                 [len(blocks.get(w, ())) for w in range(bound + 1)], n_slots
 

@@ -7,8 +7,8 @@ import pytest
 from lodayhom.algebra import Coefficients, polynomial, truncated_poly
 from lodayhom.exactlinalg import SparseMatrix, make_field
 from lodayhom.loday import (
-    BasisSizeExceeded, HomologyTable, WeightBoundRequired, _Labelings,
-    build_complex, homology_dims,
+    BasisSizeExceeded, HomologyTable, Labeling, WeightBoundRequired,
+    _Labelings, build_complex, homology_dims,
 )
 from lodayhom.oracle import (
     Bicomplex, CoefficientMismatch, _total_complex, torus_bicomplex,
@@ -217,6 +217,16 @@ class TestExplicitBoundaries:
     [(0,1),(1,0),(1,1),(2,0),(2,1)] at (2,1); label index 0 is 1, index 1
     is t.
     """
+
+    def test_terms_are_labelings_and_boundaries_matrices(self, bicomplex):
+        # the grid is built eagerly: its terms are decoded from their codes
+        # and its blocks are matrices, as the tests below read them
+        assert all(type(lab) is Labeling
+                   for labs in bicomplex.terms.values() for lab in labs)
+        assert all(type(mat) is SparseMatrix
+                   for boundaries in (bicomplex.horizontal,
+                                      bicomplex.vertical)
+                   for mat in boundaries.values())
 
     def test_bidegree_one_one_consists_of_cycles(self, bicomplex):
         # both circle faces at level 1 hit the basepoint, so the two face

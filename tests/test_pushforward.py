@@ -367,12 +367,12 @@ def _assert_top_reached_as_listed(complex_, monkeypatch):
         patch.setattr(loday, "_pull_block", spy)
         reached = list(labelings.blocks(key, 0, rows, None))
         listed = list(labelings.blocks(key, 0, rows, top))
-    for (w, block), (_, want), (codes, _), (_, listed_codes) in zip(
+    for (w, (block, _)), (_, (want, _)), (codes, _), (_, listed_codes) in zip(
             reached, listed, indexes, indexes[len(reached):]):
         assert set(codes) <= set(listed_codes), w
         number = {c: listed_codes[code] for code, c in codes.items()}
-        assert {(r, number[c]): v for (r, c), v in block.entries.items()} \
-            == want.entries, w
+        assert [{number[c]: v for c, v in row.items()} for row in block] \
+            == want, w
 
 
 def _assert_implicit_equals_listed(space, algebra, coefficients, d,
@@ -501,8 +501,8 @@ def test_homology_lists_no_top_labeling(expr, algebra, coefficients, d,
     listed = []
     original = loday._enumerate_block_bases
 
-    def spy(algebra, c_alg, n_slots, bound, complements=()):
-        blocks = original(algebra, c_alg, n_slots, bound, complements)
+    def spy(algebra, c_alg, n_slots, bound, bits, complements=()):
+        blocks = original(algebra, c_alg, n_slots, bound, bits, complements)
         if n_slots == top_slots:
             listed.append(sum(map(len, blocks.values())))
         return blocks
@@ -517,43 +517,45 @@ def test_every_level_is_pulled_from_its_uncleared_rows(monkeypatch):
     """HH of F3[t]/t^4 to degree 7: at every level, each block is pulled
     from the rows of its level that are not pivot columns of the block
     below it, which index those rows because a listed level keeps its
-    column numbering."""
+    column numbering, and its rows go to elimination as they were pulled."""
     d = 7
     complex_ = build_complex(circle(d + 1), truncated_poly(3, 4),
                              Coefficients.self_algebra(), d)
-    ranked = []     # (key, block, pivots) in the order homology ranks them
-    pulled = {}     # id(block) -> rows
+    ranked = []     # (key, pivots, rows pulled) in the order homology ranks
+    pulled = []     # (row codes, the block's rows) per pulled block
+    eliminated = []  # the rows handed to elimination
     blocks, original_pull, original_pivots = (
-        complex_._blocks, loday._pull_block, loday.pivots)
+        complex_._ranked, loday._pull_block, loday.row_pivots)
 
-    def spy_blocks(cleared):
-        for key, block in blocks(cleared):
-            ranked.append([key, block])
-            yield key, block
+    def spy_ranked(cleared):
+        for key, found in blocks(cleared):
+            ranked.append((key, found, pulled[-1]))
+            yield key, found
 
     def spy_pull(faces, rows, *args):
         block = original_pull(faces, rows, *args)
-        pulled[id(block)] = rows
+        pulled.append((rows, block[0]))
         return block
 
-    def spy_pivots(block, skip=frozenset()):
-        found = original_pivots(block, skip)
-        ranked[-1].append(found)
-        return found
+    def spy_pivots(rows, cols, field):
+        eliminated.append(rows)
+        return original_pivots(rows, cols, field)
 
-    monkeypatch.setattr(complex_, "_blocks", spy_blocks)
+    monkeypatch.setattr(complex_, "_ranked", spy_ranked)
     monkeypatch.setattr(loday, "_pull_block", spy_pull)
-    monkeypatch.setattr(loday, "pivots", spy_pivots)
+    monkeypatch.setattr(loday, "row_pivots", spy_pivots)
     assert homology_dims(complex_).totals() == [4] + [3] * 7
     assert {key[0] for key, _, _ in ranked} == set(range(1, d + 2))
+    assert len(ranked) == len(pulled)
+    assert [id(block) for _, block in pulled] == list(map(id, eliminated))
     pivot_columns = {}
-    for (p, w), block, found in ranked:
+    for (p, w), found, (rows, _) in ranked:
         below = pivot_columns.get((p - 1, w), set())
-        assert pulled[id(block)] == [
-            lab for r, lab in enumerate(complex_._bases[(p - 1, w)])
+        assert rows == [
+            code for r, code in enumerate(complex_._bases[(p - 1, w)])
             if r not in below], (p, w)
         pivot_columns[(p, w)] = {c for _, c in found}
-    assert sum(map(len, pulled.values())) == 9851
+    assert sum(len(rows) for rows, _ in pulled) == 9851
 
 
 def test_empty_torus_top_lists_nothing(monkeypatch):
@@ -603,3 +605,58 @@ def test_the_tables_alone_choose_pull_or_push(algebra, kind, monkeypatch):
                                       d).boundaries,
                 lambda: oracle.torus_bicomplex(algebra, coefficients, 1)):
         assert _blocks_made(monkeypatch, run) == {kind}
+
+
+@pytest.mark.parametrize("axes", [
+    *[(build_space(expr, d + 1),) for expr, _, _, d in SMALL_INPUTS],
+    (circle(4), circle(4)),
+    (build_space("S1", 3), build_space("simplexsphere(2)", 3)),
+], ids=[expr for expr, _, _, _ in SMALL_INPUTS] + ["grid", "S1xS2"])
+def test_every_face_plan_gives_each_low_slot_a_preimage(axes):
+    """Faces of a simplicial set are onto (``d_j s_j = id``), and so are
+    faces of a product along one axis: ``_pull_faces`` reads no low slot
+    without a preimage, which would have to hold the unit."""
+    top = min(axis.top_level for axis in axes)
+    keys = [key for key in iter_product(range(top + 1), repeat=len(axes))
+            if sum(key) <= top]
+    labelings = loday._Labelings(axes, keys, truncated_poly(3, 2),
+                                 Coefficients.unit(), 0, None, False, None)
+    planned = 0
+    for key in keys:
+        for i, p in enumerate(key):
+            if p:
+                for _, (pre, _) in labelings.signed_plans(key, i):
+                    assert all(pre), (key, i)
+                    planned += 1
+    assert planned
+
+
+@pytest.mark.parametrize("field", [3, "Q"])
+@pytest.mark.parametrize("expr,algebra,coefficients,d", [
+    ("prod(S1,S1)", lambda f: truncated_poly(f, 2), Coefficients.unit(), 2),
+    ("S1", lambda f: truncated_poly(f, 4), Coefficients.self_algebra(), 5),
+], ids=["torus", "hochschild"])
+def test_deferred_homology_builds_no_labeling_or_matrix(
+        expr, algebra, coefficients, d, field, monkeypatch):
+    """A deferred complex of monomial tables keeps its labelings as packed
+    codes and its blocks as rows from listing to elimination; ``Labeling``
+    tuples and ``SparseMatrix`` blocks appear only on an eager read."""
+    made = []
+    new, adopt = Labeling.__new__, SparseMatrix._adopt
+
+    def counted_new(cls, *args):
+        made.append("Labeling")
+        return new(cls, *args)
+
+    def counted_adopt(self, *args):
+        made.append("SparseMatrix")
+        return adopt(self, *args)
+
+    monkeypatch.setattr(Labeling, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(SparseMatrix, "_adopt", counted_adopt)
+    complex_ = build_complex(build_space(expr, d + 1), algebra(field),
+                             coefficients, d)
+    assert homology_dims(complex_).dims
+    assert made == []
+    complex_.boundaries
+    assert set(made) == {"Labeling", "SparseMatrix"}
