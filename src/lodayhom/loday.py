@@ -871,7 +871,8 @@ class _Labelings:
             # labeling the block reached
             yield key + (w,), _pull_block(
                 pulls, row_codes,
-                {} if cols is None else dict(zip(cols[w], range(len(cols[w])))),
+                {} if cols is None
+                else dict(zip(cols[w], range(len(cols[w])))),
                 self.field, self.unit, bits, n_low, degenerate)
 
 

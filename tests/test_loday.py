@@ -150,7 +150,8 @@ def enumeration_levels():
 def label_bits(algebra, c_alg, bound):
     """Bits per slot that hold every label and coefficient index up to the
     weight bound."""
-    top = max(max(algebra.basis_indices(bound)), max(c_alg.basis_indices(bound)))
+    top = max(max(algebra.basis_indices(bound)),
+              max(c_alg.basis_indices(bound)))
     return max(1, top.bit_length())
 
 
