@@ -5,11 +5,13 @@ Scalars are plain Python ``int`` (reduced mod p) over a prime field and
 ``fractions.Fraction`` over the rationals; there is no floating point anywhere.
 
 Rank eliminates on plain ints in both cases: reduced with ``% p`` over F_p,
-and fraction-free over Q, where each row is kept as the primitive integer
-multiple of its rational value (scaled by the lcm of its denominators, then
-divided by the gcd of its entries after every update).  Scaling a row by a
-nonzero factor leaves its zero pattern alone, and the pivot order reads only
-zero patterns, so the pivots and the fill-in are those of field arithmetic.
+and fraction-free over Q, where each row is kept as an integer multiple of
+its rational value.  Rows of ``Fraction``s are scaled to ints where they are
+made (``integer_rows``: by the lcm of their denominators, then down by the
+gcd of their entries), and a row is divided by the gcd of its entries after
+every update.  Scaling a row by a nonzero factor leaves its zero pattern
+alone, and the pivot order reads only zero patterns, so the pivots and the
+fill-in are those of field arithmetic.
 
 ``row_pivots`` is the elimination entry: it takes a block as its rows,
 ``{column: scalar}`` dicts, which ``loday`` builds row by row and hands over
@@ -243,6 +245,20 @@ def _primitive(row) -> None:
             row[c] = v // g
 
 
+def integer_rows(rows) -> list:
+    """Scale each of the rational rows ``{col: scalar}``, in place, to its
+    primitive integer multiple: by the lcm of its denominators, then down by
+    the gcd of its entries.  Each row keeps its zero pattern, and so its
+    pivots; ``rows`` is returned."""
+    for row in rows:
+        if row:
+            den = lcm(*[v.denominator for v in row.values()])
+            for c, v in row.items():
+                row[c] = v.numerator * (den // v.denominator)
+            _primitive(row)
+    return rows
+
+
 def _row_elimination_rank(rows, field) -> list:
     """Left-looking Gaussian elimination on a list of {col: scalar} rows,
     which it owns and overwrites; returns the (row, column) pivots in the
@@ -260,23 +276,17 @@ def _row_elimination_rank(rows, field) -> list:
     such a row pivots there at once and costs no update, and no other row
     can ever need it.
 
-    Entries are plain ints.  Over F_p a row update is ``(x - f * v) % p``.
-    Over Q every row is first scaled to its primitive integer multiple, and
-    eliminated fraction-free: with ``g = gcd(pv, jv)`` of the pivot entry and
-    the eliminated one, ``jrow <- (pv/g) jrow - (jv/g) prow``, divided by its
+    Entries are nonzero ints, also over Q: rows made of ``Fraction``s are
+    scaled to ints first (``integer_rows``) by whoever makes them.  Over F_p
+    a row update is ``(x - f * v) % p``.  Over Q rows are eliminated
+    fraction-free: with ``g = gcd(pv, jv)`` of the pivot entry and the
+    eliminated one, ``jrow <- (pv/g) jrow - (jv/g) prow``, divided by its
     content.  A stored row is thus always a nonzero multiple of the row that
     rational arithmetic would hold, with the same zero pattern; as the
     choices above read only zero patterns, the pivots and the fill-in are
     those of elimination with field arithmetic.
     """
     p = field.p
-    if p is None:
-        for row in rows:
-            if row:
-                den = lcm(*[v.denominator for v in row.values()])
-                for c, v in row.items():
-                    row[c] = v.numerator * (den // v.denominator)
-                _primitive(row)
     counts = Counter(chain.from_iterable(rows))
     width = max(counts, default=0) + 1
     order = {c: n * width + c for c, n in counts.items()}.__getitem__
@@ -327,11 +337,11 @@ def row_pivots(rows, cols: int, field: FieldSpec) -> list:
 
     This is the elimination entry: ``loday`` hands it the rows of each block
     it builds, and ``pivots`` the rows of a ``SparseMatrix``.  Scalars are
-    nonzero ints, reduced mod p over F_p; over Q they are ints or
-    ``Fraction``s.  The rows are owned and overwritten.  Elimination runs
-    along the shorter side, which bounds the pivot count; when that is the
-    column side the rows are transposed first and the pairs flipped back, so
-    they are always (row, column) of the matrix.
+    nonzero ints, reduced mod p over F_p; over Q rows of ``Fraction``s go
+    through ``integer_rows`` first.  The rows are owned and overwritten.
+    Elimination runs along the shorter side, which bounds the pivot count;
+    when that is the column side the rows are transposed first and the
+    pairs flipped back, so they are always (row, column) of the matrix.
     """
     if len(rows) <= cols:
         return _row_elimination_rank(rows, field)
@@ -345,7 +355,7 @@ def row_pivots(rows, cols: int, field: FieldSpec) -> list:
 def pivots(matrix: SparseMatrix, skip_rows=frozenset()) -> list:
     """``row_pivots`` of the rows of ``matrix`` outside ``skip_rows`` (a set
     of its row indices), as (row, column) pairs of ``matrix``, which is not
-    modified."""
+    modified; over Q the rows are scaled to ints (``integer_rows``)."""
     if not matrix.entries:
         return []
     kept = [r for r in range(matrix.rows) if r not in skip_rows]
@@ -355,6 +365,8 @@ def pivots(matrix: SparseMatrix, skip_rows=frozenset()) -> list:
         i = number.get(r)
         if i is not None:
             rows[i][c] = v
+    if matrix.field.p is None:
+        integer_rows(rows)
     return [(kept[i], c)
             for i, c in row_pivots(rows, matrix.cols, matrix.field)]
 

@@ -38,7 +38,8 @@ on the top level d + 1, which is never listed.  Otherwise
 ``_boundary_block`` pushes it from the listed columns by multiplying the
 pairs out, and decodes its rows and columns for that.  Either way the block
 is its rows, ``{column: scalar}`` dicts, which ``exactlinalg.row_pivots``
-eliminates in place; over Q the pulled sums stay ints.  ``Labeling`` tuples
+eliminates in place; over Q the pulled sums stay ints, and the pushed rows of
+``Fraction``s are scaled to ints before they are ranked.  ``Labeling`` tuples
 and ``SparseMatrix`` blocks are made only where the complex is read
 eagerly: by the first read of ``.bases`` or ``.boundaries``, and by the
 grid's ``_Labelings.build``.
@@ -53,7 +54,9 @@ from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from .exactlinalg import FieldSpec, SparseMatrix, pivots, row_pivots
+from .exactlinalg import (
+    FieldSpec, SparseMatrix, integer_rows, pivots, row_pivots,
+)
 from .algebra import Coefficients, unit_coefficient_algebra
 from .simplicial import PointedSimplicialSet
 
@@ -567,14 +570,18 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
       the row's code as runs ``(mask, up, down)``: the row digits under
       ``mask``, shifted left by ``up`` and right by ``down`` onto their
       source slots;
-    - per merged low slot, at the shift of its digit in the row's code, its
-      split offsets indexed by the row's label there: one code per tuple of
-      labels whose product is that label (``unfold`` of the products,
-      ``_factorizations``), placed on the slot's preimages;
-    - the cosplit offsets indexed by the row coefficient: one code per
-      coefficient and tuple of labels acting on it to give the row's
-      (``unfold`` of the actions), placed on the slots that fall into the
-      basepoint and above the last slot.
+    - per merged low slot but the last, at the shift of its digit in the
+      row's code, its split offsets indexed by the row's label there: one
+      code per tuple of labels whose product is that label (``unfold`` of
+      the products, ``_factorizations``), placed on the slot's preimages;
+    - the final offsets ``final[x][c]``, read at the shift ``last`` of the
+      last merged slot's digit under ``fmask``: every split offset of the
+      label x there plus every cosplit offset of the row coefficient c, in
+      that nesting.  A cosplit offset is one code per coefficient and tuple
+      of labels acting on it to give c (``unfold`` of the actions), placed
+      above the last slot and on the slots that fall into the basepoint.  A
+      face with no merged slot has ``final = (cosplits,)`` and ``fmask``
+      zero.
 
     Every low slot has a preimage, as the faces of a simplicial set are
     onto (``d_j s_j = id``).  Each face also carries its sign and the low
@@ -611,10 +618,17 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
             tuple(t[0] << top | _code(t[1:], to_base, bits)
                   for t in unfold(1, c, len(to_base), banned))
             for c in range(n_coeffs))
+        if merges:
+            last, splits = merges.pop()
+            final = tuple(tuple(tuple(m + o for m in ms for o in os)
+                                for os in cosplits) for ms in splits)
+            fmask = digit
+        else:
+            last, final, fmask = 0, (cosplits,), 0
         faces.append((sign, no_unit,
                       tuple((mask, max(shift, 0), max(-shift, 0))
                             for shift, mask in runs.items()),
-                      tuple(merges), cosplits))
+                      tuple(merges), last, fmask, final))
     return faces
 
 
@@ -627,19 +641,21 @@ def _pull_block(faces, rows, col_index, field, unit, bits, n_low, degenerate):
 
     Rows and columns are packed codes (``_pull_faces``), and a row's labels
     and coefficient are read off its code by shift and mask.  Per face, a
-    row's preimages are its moved runs plus every sum of one split offset
-    per merged slot and one cosplit offset, listed in that order.  The signs
-    reaching one preimage are summed per row as ints, and each distinct
-    preimage of the row costs one int-keyed lookup in ``col_index``.  A
-    preimage missing there is numbered in the order the rows first reach it,
-    unless it is degenerate: a face is skipped when the row holds the unit
-    on a digit that the face keeps off it, the tables keep the unit off a
-    lone complement, and ``degenerate`` holds per complement of several
-    slots the pairs ``(mask, unit_pattern)`` of its digits and of the unit
-    on all of them, so ``code & mask == unit_pattern`` marks the labeling
-    degenerate.  So ``col_index`` may hold every column or start empty.
-    The sums are reduced ``% p`` over F_p; over Q they stay ints, which
-    elimination takes as they are."""
+    row's final offsets are read first, by the label of the last merged slot
+    and the coefficient, and the face is skipped when there are none.
+    Otherwise its preimages are its moved runs plus every sum of one split
+    offset per earlier merged slot and one final offset, listed in that
+    order.  The signs reaching one preimage are summed per row as ints, and
+    each distinct preimage of the row costs one int-keyed lookup in
+    ``col_index``.  A preimage missing there is numbered in the order the
+    rows first reach it, unless it is degenerate: a face is skipped when the
+    row holds the unit on a digit that the face keeps off it, the tables
+    keep the unit off a lone complement, and ``degenerate`` holds per
+    complement of several slots the pairs ``(mask, unit_pattern)`` of its
+    digits and of the unit on all of them, so ``code & mask ==
+    unit_pattern`` marks the labeling degenerate.  So ``col_index`` may hold
+    every column or start empty.  The sums are reduced ``% p`` over F_p;
+    over Q they stay ints, which elimination takes as they are."""
     p = field.p
     get = col_index.get
     digit = (1 << bits) - 1
@@ -658,8 +674,11 @@ def _pull_block(faces, rows, col_index, field, unit, bits, n_low, degenerate):
         unit_digits = lows & ~held
         c = code >> top
         acc = {}
-        for sign, no_unit, runs, merges, cosplits in faces:
+        for sign, no_unit, runs, merges, last, fmask, final in faces:
             if unit_digits & no_unit:
+                continue
+            offsets = final[code >> last & fmask][c]
+            if not offsets:
                 continue
             base = 0
             for mask, up, down in runs:
@@ -668,7 +687,6 @@ def _pull_block(faces, rows, col_index, field, unit, bits, n_low, degenerate):
             for shift, splits in merges:
                 codes = [x + o for x in codes
                          for o in splits[code >> shift & digit]]
-            offsets = cosplits[c]
             for x in codes:
                 for o in offsets:
                     y = x + o
@@ -811,7 +829,9 @@ class _Labelings:
         numbering, so the pivot columns of its blocks index the rows of the
         next level.  The top level is not listed: with lookups its blocks
         number the columns their rows reach, and the unreached ones are zero
-        columns; otherwise it is listed up to its largest weight left."""
+        columns; otherwise it is listed up to its largest weight left.
+        Over Q, rows pushed by terms hold ``Fraction``s, which are scaled to
+        ints (``exactlinalg.integer_rows``) for elimination."""
         low = (key[0] - 1,)
         counts = (_normalized_counts([self.counts[(k,)]
                                       for k in range(key[0] + 1)])
@@ -826,7 +846,11 @@ class _Labelings:
         cols = {w: bases[key + (w,)] for w in rows if key + (w,) in bases}
         if rows and not cols:  # the top level
             cols = self.level(key, max(rows)) if self.unfold is None else None
-        return self.blocks(key, 0, rows, cols)
+        blocks = self.blocks(key, 0, rows, cols)
+        if self.unfold is None and self.field.p is None:
+            return ((bkey, (integer_rows(block), n))
+                    for bkey, (block, n) in blocks)
+        return blocks
 
     def signed_plans(self, key, i):
         """The plans (``_face_plans``) of the faces along axis i out of

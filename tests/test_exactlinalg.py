@@ -14,7 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from lodayhom.exactlinalg import (
     FieldSpec, NonPrimeModulus, SparseMatrix, _row_elimination_rank,
-    kernel_dim, make_field, pivots, rank, row_pivots,
+    integer_rows, kernel_dim, make_field, pivots, rank, row_pivots,
 )
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
@@ -285,12 +285,15 @@ def _sympy_rank(dense, ncols, field):
 def test_integer_kernel_rank_on_larger_matrices(seed, modulus):
     """Up to 30 x 30, with rational entries of numerators up to 10^6 and
     denominators up to 10^3, against the dense oracle and sympy; over Q the
-    rows the kernel leaves are primitive integer rows."""
+    rows, scaled to ints by ``integer_rows``, are left as primitive integer
+    rows."""
     field = Q if modulus is None else make_field(modulus)
     rows, ncols = _random_sparse_rows(Random(seed), field, 30)
     dense = [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
     expected = _dense_rank_oracle(dense, field)
     assert _sympy_rank(dense, ncols, field) == expected
+    if field.is_rational:
+        integer_rows(rows)
     pivots = _row_elimination_rank(rows, field)
     assert len(pivots) == expected
     if field.is_rational:
@@ -337,6 +340,8 @@ def test_integer_kernel_takes_the_field_method_pivots(field):
         rows, _ = _random_sparse_rows(rng, field, 16)
         want_pivots, want_rows = _field_method_elimination(rows, field)
         got_rows = [dict(r) for r in rows]
+        if field.is_rational:
+            integer_rows(got_rows)
         assert _row_elimination_rank(got_rows, field) == want_pivots
         if not field.is_rational:
             assert got_rows == want_rows
