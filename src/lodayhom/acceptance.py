@@ -21,7 +21,9 @@ from .algebra import (
     Coefficients, parse_algebra_expr, parse_coeff_expr, polynomial,
 )
 from .loday import build_complex, homology_dims
-from .oracle import _total_complex, torus_bicomplex, wedge_kunneth_dims
+from .oracle import (
+    _total_complex, torus_bicomplex, total_homology, wedge_kunneth_dims,
+)
 from .simplicial import build_space, parse_space_expr
 from .stability import compare_tables, product_decomposition_check
 
@@ -75,11 +77,12 @@ class Workspace:
         algebra = parse_algebra_expr(algebra_spec, field)
         bicomplex = torus_bicomplex(algebra, Coefficients.unit(), max_degree,
                                     weight_bound)
-        total = _total_complex(bicomplex)
+        # homology first, on the implicit top that the CLI runs; the square
+        # audit then assembles the grid and checks its total complex
+        table = total_homology(bicomplex)
         self.square_checks.append(
             (self.bicomplex_description(algebra_spec, field, max_degree),
-             not total.check_boundary_squares()))
-        table = homology_dims(total)
+             not _total_complex(bicomplex).check_boundary_squares()))
         self.tables[key] = table
         return table
 

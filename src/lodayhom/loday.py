@@ -16,15 +16,18 @@ ranked blockwise per (degree, weight).
 
 One evaluator, ``_Labelings``, labels the cells of a product of simplicial
 sets (its axes) per tuple of levels and sums faces along each axis:
-``build_complex`` is one axis, ``oracle.torus_bicomplex`` two circles.  One
-ceiling bounds the labelings of the whole complex before any is enumerated.
+``build_complex`` is one axis, ``oracle.torus_bicomplex`` two circles.  Its
+chain complex is the total complex, whose differential twists the faces
+along axis i by (-1)^(n_1 + ... + n_{i-1}) (Dold–Puppe); one axis is its
+own total complex.  One ceiling bounds the labelings of the whole complex
+before any is enumerated.
 
 Face pushforwards read one structure table per complex: every product of
 basis elements up to the weight bound and every coefficient action
 c . action(a), as (basis index, scalar) pairs.  ``build_complex`` lists
-levels 0..d, and ``homology_dims`` builds each boundary block when it ranks
-it, on the rows that clearing leaves (Ripser's implicit matrix with clearing;
-Bauer, J. Appl. Comput. Topol. 2021).
+total degrees 0..d, and ``homology_dims`` builds each block of the total
+differential when it ranks it, on the rows that clearing leaves (Ripser's
+implicit matrix with clearing; Bauer, J. Appl. Comput. Topol. 2021).
 
 A labeling is one packed int from enumeration to elimination: each slot's
 label in a fixed number of bits and the coefficient above the last slot
@@ -34,15 +37,15 @@ and exterior with unit or self coefficients, and monomial custom
 coefficients), ``_pull_block`` pulls the block from its rows by inverting the
 tables (``_factorizations``), reading each row's labels by shift and mask,
 and numbers its columns as their level lists them, or as the rows reach them
-on the top level d + 1, which is never listed.  Otherwise
+on the top total degree d + 1, which is never listed.  Otherwise
 ``_boundary_block`` pushes it from the listed columns by multiplying the
 pairs out, and decodes its rows and columns for that.  Either way the block
 is its rows, ``{column: scalar}`` dicts, which ``exactlinalg.row_pivots``
 eliminates in place; over Q the pulled sums stay ints, and the pushed rows of
 ``Fraction``s are scaled to ints before they are ranked.  ``Labeling`` tuples
-and ``SparseMatrix`` blocks are made only where the complex is read
-eagerly: by the first read of ``.bases`` or ``.boundaries``, and by the
-grid's ``_Labelings.build``.
+and ``SparseMatrix`` blocks are made only where a complex is read eagerly
+(``_Labelings.build``): by the first read of ``.bases`` or ``.boundaries``,
+or of the grid's ``.terms``, ``.horizontal`` or ``.vertical``.
 """
 
 from __future__ import annotations
@@ -182,19 +185,26 @@ def _block_counts(algebra, c_alg, n_slots, bound):
     return counts
 
 
-def _normalized_counts(levels):
-    """The number of non-degenerate labelings of level p per total weight,
-    from the unnormalized counts ``levels`` of levels 0..p (``_block_counts``).
+def _normalized_counts(counts, key):
+    """The number of non-degenerate labelings of level ``key`` per total
+    weight, from the unnormalized counts ``counts`` (``_block_counts``) of
+    the levels at or below ``key`` on every axis, keyed by level.
 
-    The labelings span a simplicial vector space graded by weight.  By
-    Dold–Kan, level k is the sum of C(k, j) copies of normalized level j, one
-    per surjection [k] -> [j], so binomial inversion gives
-    N_p = sum_k (-1)^(p - k) C(p, k) U_k, weight by weight.
+    The labelings span a multisimplicial vector space graded by weight, one
+    simplicial direction per axis.  By Dold–Kan along each axis, level
+    ``key`` is the sum of prod_i C(key_i, sub_i) copies of normalized level
+    ``sub``, one per tuple of surjections [key_i] -> [sub_i], so binomial
+    inversion gives N_key = sum over sub <= key of
+    prod_i (-1)^(key_i - sub_i) C(key_i, sub_i) U_sub, weight by weight.
     """
-    p = len(levels) - 1
-    return [sum((-1) ** (p - k) * comb(p, k) * u
-                for k, u in enumerate(column))
-            for column in zip(*levels)]
+    total = [0] * len(counts[key])
+    for sub in product(*(range(p + 1) for p in key)):
+        factor = 1
+        for p, j in zip(key, sub):
+            factor *= (-1) ** (p - j) * comb(p, j)
+        for w, u in enumerate(counts[sub]):
+            total[w] += factor * u
+    return total
 
 
 def _enumerate_block_bases(algebra, c_alg, n_slots, bound, bits,
@@ -294,29 +304,34 @@ class HomologyTable:
 
 
 class LodayComplex:
-    """Blockwise chain data for one space/algebra/coefficient configuration.
+    """Blockwise chain data for one space/algebra/coefficient configuration:
+    the total complex of the labelings over the axes of a ``_Labelings``,
+    keyed (degree, weight).
 
-    ``build_complex`` lists levels 0..max_degree as packed codes, assembles
-    no block and keeps its ``_Labelings``: the cells, labeling counts and
-    degeneracy complements of its levels and the structure tables with
-    their factorizations.  ``homology_dims`` then builds each block on its
-    uncleared rows (``_Labelings.implicit_blocks``).  The first read of
-    ``bases`` or ``boundaries`` lists the top level max_degree + 1,
-    assembles every block onto all its rows and decodes the levels into
-    ``Labeling`` tuples, after which the complex holds them like one made
-    with its boundaries (``oracle._total_complex``).
+    ``build_complex`` (one axis) and ``oracle.total_homology`` (the grid's
+    two) list the levels of total degree 0..max_degree as packed codes,
+    keyed ``level + (w,)``, assemble no block and keep their
+    ``_Labelings``: the cells, labeling counts and degeneracy complements
+    of the levels and the structure tables with their factorizations.
+    ``homology_dims`` then builds each block of the total differential on
+    its uncleared rows (``_Labelings.implicit_blocks``).  The first read of
+    ``bases`` or ``boundaries`` lists the levels of total degree
+    max_degree + 1, assembles every block onto all its rows, decodes the
+    levels into ``Labeling`` tuples and totalizes them (``_totalize``),
+    after which the complex holds them like one made with its boundaries
+    (``oracle._total_complex``).
     """
 
     def __init__(self, field, coeff_mode, max_degree, weight_bound, bases,
-                 boundaries):
+                 boundaries, labelings=None):
         self.field = field
         self.coeff_mode = coeff_mode
         self.max_degree = max_degree
         self.weight_bound = weight_bound
         self._bases = bases            # (degree, weight) -> list of Labelings,
-                                       # of packed codes while deferred
+                                       # level + (w,) -> codes while deferred
         self._boundaries = boundaries  # (degree, weight) -> SparseMatrix
-        self._labelings = None         # deferred: blocks not yet assembled
+        self._labelings = labelings    # deferred: blocks not yet assembled
 
     @property
     def bases(self) -> dict:
@@ -330,8 +345,10 @@ class LodayComplex:
 
     def _assemble(self):
         if self._labelings is not None:
-            self._bases, (self._boundaries,) = self._labelings.build(
-                [(self.max_degree + 1,)], self._bases)
+            top = self.max_degree + 1
+            self._bases, self._boundaries = _totalize(
+                *self._labelings.build(self._labelings.summands(top),
+                                       self._bases), self.field, top)
             self._labelings = None
 
     def _ranked(self, cleared):
@@ -344,9 +361,9 @@ class LodayComplex:
             for key, matrix in sorted(self._boundaries.items()):
                 yield key, pivots(matrix, cleared.pop(key, frozenset()))
             return
-        for p in range(1, self.max_degree + 2):
+        for k in range(1, self.max_degree + 2):
             for key, (rows, cols) in self._labelings.implicit_blocks(
-                    (p,), self._bases, cleared):
+                    k, self._bases, cleared):
                 yield key, row_pivots(rows, cols, self.field)
 
     def check_boundary_squares(self):
@@ -359,6 +376,40 @@ class LodayComplex:
             if not mat.matmul(nxt).is_zero:
                 violations.append((p, w))
         return violations
+
+
+def _totalize(bases, boundaries, field, top):
+    """The total complex through degree ``top`` of the levels ``bases``,
+    keyed ``level + (w,)`` over some axes, and of the blocks
+    ``boundaries``, one dict per axis keyed like their columns: its bases
+    and boundaries, keyed (degree, weight).
+
+    The summands of total degree k are stacked in level order, and the
+    block along axis i out of a level is twisted by the sign
+    (-1)^(level[0] + ... + level[i - 1]) (Dold–Puppe), so one axis is its
+    own total complex.
+    """
+    if len(boundaries) == 1:
+        return bases, boundaries[0]
+    total, offsets = {}, {}
+    for key in sorted(bases):
+        chains = total.setdefault((sum(key[:-1]), key[-1]), [])
+        offsets[key] = len(chains)
+        chains.extend(bases[key])
+    weights = sorted({w for _, w in total})
+    entries = {(k, w): {} for k in range(1, top + 1) for w in weights}
+    for i, blocks in enumerate(boundaries):
+        for key, mat in blocks.items():
+            low = key[:i] + (key[i] - 1,) + key[i + 1:]
+            row0, col0 = offsets.get(low, 0), offsets.get(key, 0)
+            twisted = sum(key[:i]) % 2
+            block = entries[(sum(key[:-1]), key[-1])]
+            for (r, c), v in mat.entries.items():
+                block[(row0 + r, col0 + c)] = field.neg(v) if twisted else v
+    return total, {
+        (k, w): SparseMatrix._trusted(len(total.get((k - 1, w), ())),
+                                      len(total.get((k, w), ())), block, field)
+        for (k, w), block in entries.items()}
 
 
 def _face_plans(fmaps, slots, slots_low, bp_low):
@@ -477,15 +528,15 @@ def _face_pusher(tables, unit):
     return pusher
 
 
-def _boundary_block(pushes, cols, row_index, field):
+def _boundary_block(pushes, cols, row_index, field, out, start):
     """The signed face sum ``pushes`` (pairs of sign and push,
     ``_face_pusher``) from the labelings ``cols``, pairs ``(assignment,
-    coeff)``, to the rows of ``row_index``, as its rows ``{col: scalar}``
-    and its column count; images missing from ``row_index`` (degenerate or
-    cleared ones) are dropped."""
+    coeff)`` numbered from ``start``, to the rows of ``row_index``, added to
+    their row dicts ``out``; returns ``out`` and the end of the columns.
+    Images missing from ``row_index`` (degenerate or cleared ones) are
+    dropped."""
     normalize, zero = field.normalize, field.zero
-    rows = [{} for _ in row_index]
-    for col, lab in enumerate(cols):
+    for col, lab in enumerate(cols, start):
         acc = {}
         for sign, push in pushes:
             for image, scalar in push(lab):
@@ -495,8 +546,8 @@ def _boundary_block(pushes, cols, row_index, field):
         for row, tot in acc.items():
             val = normalize(tot)
             if val != zero:
-                rows[row][col] = val
-    return rows, len(cols)
+                out[row][col] = val
+    return out, start + len(cols)
 
 
 def _matrix(block, field):
@@ -584,21 +635,21 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
       zero.
 
     Every low slot has a preimage, as the faces of a simplicial set are
-    onto (``d_j s_j = id``).  Each face also carries its sign and the low
-    bits of the row digits that must not hold the unit (one preimage, which
-    is the only cell outside the image of some degeneracy in
-    ``complements``, so the unit there makes the labeling degenerate); the
-    tables leave such a lone cell's unit out of the merged and acting labels
-    too.  ``sizes`` are the numbers of labels and of coefficients the tables
-    index.
+    onto (``d_j s_j = id``).  Each face also carries its sign.  A cell that
+    is the only one outside the image of some degeneracy in ``complements``
+    makes a labeling degenerate when it holds the unit, so the tables leave
+    its unit out of the merged and acting labels.  Where such a lone cell
+    is the one preimage of a low slot, no test is needed: by the simplicial
+    identities that slot is then the only cell outside the image of a
+    degeneracy one level down, so a row holding the unit there is
+    degenerate and never listed.  ``sizes`` are the numbers of labels and
+    of coefficients the tables index.
     """
     lone = {comp[0] for comp in complements if len(comp) == 1}
     n_labels, n_coeffs = sizes
     digit = (1 << bits) - 1
     faces = []
     for sign, (pre, to_base) in signed_plans:
-        no_unit = sum(1 << r * bits for r, srcs in enumerate(pre)
-                      if len(srcs) == 1 and srcs[0] in lone)
         runs = {}  # shift -> mask of the row digits it moves
         for r, srcs in enumerate(pre):
             if len(srcs) == 1:
@@ -625,19 +676,21 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
             fmask = digit
         else:
             last, final, fmask = 0, (cosplits,), 0
-        faces.append((sign, no_unit,
+        faces.append((sign,
                       tuple((mask, max(shift, 0), max(-shift, 0))
                             for shift, mask in runs.items()),
                       tuple(merges), last, fmask, final))
     return faces
 
 
-def _pull_block(faces, rows, col_index, field, unit, bits, n_low, degenerate):
+def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
+                start):
     """The signed face sum from the labelings of ``col_index`` to the
-    labelings ``rows`` of ``n_low`` slots, as its rows ``{col: scalar}`` and
-    its column count, built row by row from the preimages of each row along
-    each face of monomial tables; equal to the term push of
-    ``_boundary_block`` between the same rows and columns.
+    labelings ``rows`` of ``n_low`` slots, added to their row dicts ``out``
+    (one per row) and built row by row from the preimages of each row along
+    each face of monomial tables; returns ``out`` and the end of the
+    columns.  Equal to the term push of ``_boundary_block`` between the same
+    rows and columns.
 
     Rows and columns are packed codes (``_pull_faces``), and a row's labels
     and coefficient are read off its code by shift and mask.  Per face, a
@@ -647,36 +700,24 @@ def _pull_block(faces, rows, col_index, field, unit, bits, n_low, degenerate):
     offset per earlier merged slot and one final offset, listed in that
     order.  The signs reaching one preimage are summed per row as ints, and
     each distinct preimage of the row costs one int-keyed lookup in
-    ``col_index``.  A preimage missing there is numbered in the order the
-    rows first reach it, unless it is degenerate: a face is skipped when the
-    row holds the unit on a digit that the face keeps off it, the tables
-    keep the unit off a lone complement, and ``degenerate`` holds per
-    complement of several slots the pairs ``(mask, unit_pattern)`` of its
-    digits and of the unit on all of them, so ``code & mask ==
-    unit_pattern`` marks the labeling degenerate.  So ``col_index`` may hold
-    every column or start empty.  The sums are reduced ``% p`` over F_p;
-    over Q they stay ints, which elimination takes as they are."""
+    ``col_index``.  A preimage missing there is numbered
+    ``start + len(col_index)`` in the order the rows first reach it, unless
+    it is degenerate: the tables keep the unit off a lone complement, and
+    ``degenerate`` holds per complement of several slots the pairs
+    ``(mask, unit_pattern)`` of its digits and of the unit on all of them,
+    so ``code & mask == unit_pattern`` marks the labeling degenerate.  So
+    ``col_index`` may hold every column, numbered from ``start``, or start
+    empty, and pulls along several faces into one level may share it.  The
+    sums are reduced ``% p`` over F_p; over Q they stay ints, which
+    elimination takes as they are."""
     p = field.p
     get = col_index.get
     digit = (1 << bits) - 1
     top = n_low * bits
-    lows = sum(1 << q * bits for q in range(n_low))
-    # a digit holds the unit where the row code xor the unit pattern is
-    # zero, so where the or of its bits, folded onto its lowest, is clear
-    units = lows * unit
-    spread = range(1, bits)
-    out = []
-    for code in rows:
-        flipped = code ^ units
-        held = flipped
-        for k in spread:
-            held |= flipped >> k
-        unit_digits = lows & ~held
+    for code, row in zip(rows, out):
         c = code >> top
         acc = {}
-        for sign, no_unit, runs, merges, last, fmask, final in faces:
-            if unit_digits & no_unit:
-                continue
+        for sign, runs, merges, last, fmask, final in faces:
             offsets = final[code >> last & fmask][c]
             if not offsets:
                 continue
@@ -691,7 +732,6 @@ def _pull_block(faces, rows, col_index, field, unit, bits, n_low, degenerate):
                 for o in offsets:
                     y = x + o
                     acc[y] = acc.get(y, 0) + sign
-        row = {}
         for y, t in acc.items():
             col = get(y)
             if col is None:
@@ -699,15 +739,14 @@ def _pull_block(faces, rows, col_index, field, unit, bits, n_low, degenerate):
                     if y & m == u:
                         break
                 else:
-                    col = col_index[y] = len(col_index)
+                    col = col_index[y] = start + len(col_index)
                 if col is None:
                     continue
             if p:
                 t %= p
             if t:
                 row[col] = t
-        out.append(row)
-    return out, len(col_index)
+    return out, start + len(col_index)
 
 
 def _degenerate_complements(axes, key, slots):
@@ -788,6 +827,10 @@ class _Labelings:
             self.bound if bound is None else bound, self.bits,
             self.complements[key])
 
+    def summands(self, k):
+        """The levels of total degree k, in key order."""
+        return sorted(key for key in self.slots if sum(key) == k)
+
     def listed(self, keys):
         """The codes of the labelings of the levels ``keys``, keyed
         ``key + (w,)``."""
@@ -806,7 +849,7 @@ class _Labelings:
                     if key + (w,) in bases}
             for i, p in enumerate(key):
                 if p:
-                    low = key[:i] + (p - 1,) + key[i + 1:]
+                    low = _lowered(key, i)
                     rows = {w: bases.get(low + (w,), ()) for w in cols}
                     boundaries[i].update(
                         (bkey, _matrix(block, self.field))
@@ -817,87 +860,164 @@ class _Labelings:
             decoded[bkey] = [Labeling(*decode(x)) for x in codes]
         return decoded, boundaries
 
-    def implicit_blocks(self, key, bases, cleared):
-        """The blocks out of the one-axis level ``key``, each onto its rows
-        in the codes ``bases`` outside the set it pops from ``cleared``
-        (block key -> indices of rows that are pivot columns of the boundary
-        below, which cannot change its rank).  A weight yields no block when
-        no row is left or its exact count is zero: ``counts[key]``, or on a
-        normalized complex their Dold–Kan inversion over levels 0..key
-        (``_normalized_counts``), which is zero wherever a degeneracy
-        complement is empty.  A level that ``bases`` lists keeps its column
-        numbering, so the pivot columns of its blocks index the rows of the
-        next level.  The top level is not listed: with lookups its blocks
-        number the columns their rows reach, and the unreached ones are zero
-        columns; otherwise it is listed up to its largest weight left.
-        Over Q, rows pushed by terms hold ``Fraction``s, which are scaled to
-        ints (``exactlinalg.integer_rows``) for elimination."""
-        low = (key[0] - 1,)
-        counts = (_normalized_counts([self.counts[(k,)]
-                                      for k in range(key[0] + 1)])
-                  if self.complements[key] else self.counts[key])
+    def implicit_blocks(self, k, bases, cleared):
+        """The blocks of the total differential out of total degree k, one
+        per weight w and keyed (k, w), each onto its rows in the codes
+        ``bases`` outside the set it pops from ``cleared`` (block key ->
+        indices of rows that are pivot columns of the block below, which
+        cannot change its rank).
+
+        The levels of total degree k (``summands``) are stacked in key order
+        as its columns, those of k - 1 as its rows, and the faces along axis
+        i out of a level carry the sign (-1)^(level[0] + ... + level[i - 1])
+        (Dold–Puppe, the twist of ``_totalize``), so one axis is one summand
+        with sign +1.  Each kernel is built once per level and axis
+        (``_filler``).  A weight yields no block when no row is left or its
+        exact count is zero: ``counts`` summed over the summands, or on a
+        normalized complex their Dold–Kan inversion (``_normalized_counts``),
+        which is zero wherever a degeneracy complement is empty.  Listed
+        levels keep their column numbering, so the pivot columns of a block
+        index the rows of the next.  The top total degree is not listed:
+        with lookups each of its levels numbers the columns that its rows
+        reach along any axis, after the columns of the levels before it, and
+        the unreached ones are zero columns; otherwise it is listed up to
+        its largest weight left.  Over Q, rows pushed by terms hold
+        ``Fraction``s, which are scaled to ints
+        (``exactlinalg.integer_rows``) for elimination."""
+        summands, lows = self.summands(k), self.summands(k - 1)
+        counts = [sum(column) for column in zip(*(
+            _normalized_counts(self.counts, key) if self.complements[key]
+            else self.counts[key] for key in summands))]
         rows = {}
         for w, n in enumerate(counts):
-            skip = cleared.pop(key + (w,), ())
-            kept = [x for r, x in enumerate(bases.get(low + (w,), ()))
-                    if r not in skip]
-            if n and kept:
+            skip = cleared.pop((k, w), ())
+            kept, first = {}, 0
+            for low in lows:
+                codes = bases.get(low + (w,), ())
+                kept[low] = [x for r, x in enumerate(codes, first)
+                             if r not in skip]
+                first += len(codes)
+            if n and any(kept.values()):
                 rows[w] = kept
-        cols = {w: bases[key + (w,)] for w in rows if key + (w,) in bases}
-        if rows and not cols:  # the top level
-            cols = self.level(key, max(rows)) if self.unfold is None else None
-        blocks = self.blocks(key, 0, rows, cols)
+        if not rows:
+            return ()
+        if k < max(map(sum, self.slots)):
+            cols = bases
+        elif self.unfold is None:
+            cols = {key + (w,): codes for key in summands
+                    for w, codes in self.level(key, max(rows)).items()}
+        else:
+            cols = None
+        fills = [(key, [(_lowered(key, i),
+                         self._filler(key, i, (-1) ** sum(key[:i])))
+                        for i, p in enumerate(key) if p])
+                 for key in summands]
+        blocks = (((k, w), self._total_block(fills, kept, cols, w))
+                  for w, kept in rows.items())
         if self.unfold is None and self.field.p is None:
             return ((bkey, (integer_rows(block), n))
                     for bkey, (block, n) in blocks)
         return blocks
 
+    def _total_block(self, fills, kept, cols, w):
+        """The block of weight w of ``implicit_blocks``: the row dicts of
+        the codes ``kept`` of each level, stacked, filled by the kernels
+        ``fills`` of each column level, and its column count.  The column
+        indexes live in this frame, so they are freed before the block is
+        ranked: the top's hold the code of every labeling the block
+        reached."""
+        out, first = [], {}
+        for low, codes in kept.items():
+            first[low] = len(out)
+            out.extend({} for _ in codes)
+        start = 0
+        for key, axis_fills in fills:
+            columns = self._columns(
+                None if cols is None else cols.get(key + (w,), ()), start)
+            for low, fill in axis_fills:
+                codes = kept[low]
+                if codes:
+                    fill(codes, columns,
+                         out[first[low]:first[low] + len(codes)], start)
+            start += len(columns)
+        return out, start
+
     def signed_plans(self, key, i):
         """The plans (``_face_plans``) of the faces along axis i out of
         level ``key``, each with its sign."""
         p = key[i]
-        low = key[:i] + (p - 1,) + key[i + 1:]
+        low = _lowered(key, i)
         cells = self.slots[key]
         fmaps = [{c: c[:i] + (face[c[i]],) + c[i + 1:] for c in cells}
                  for face in (self.axes[i].face(p, j) for j in range(p + 1))]
         return [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
             _face_plans(fmaps, cells, self.slots[low], self.basepoints[low]))]
 
+    def _columns(self, codes, start):
+        """What a kernel (``_filler``) reads of the columns of one level:
+        with lookups an index from each of the codes ``codes`` to its number
+        from ``start``, or an empty one when ``codes`` is None and the rows
+        number the columns they reach; otherwise the codes themselves."""
+        if self.unfold is None:
+            return codes
+        if codes is None:
+            return {}
+        return dict(zip(codes, range(start, start + len(codes))))
+
+    def _filler(self, key, i, twist):
+        """The kernel of the blocks along axis i out of level ``key``, each
+        face's sign times ``twist``: a function ``fill(rows, columns, out,
+        start)`` that adds the block onto the codes ``rows`` to their row
+        dicts ``out``, its columns numbered from ``start`` as ``columns``
+        (``_columns``) gives them, and returns ``out`` and the end of its
+        columns.  With lookups the block is pulled from its rows
+        (``_pull_block``); otherwise it is pushed from its columns
+        (``_boundary_block``), decoded with its rows into ``(assignment,
+        coeff)`` pairs."""
+        n, n_low = len(self.slots[key]), len(self.slots[_lowered(key, i)])
+        bits, field = self.bits, self.field
+        signed = [(twist * sign, plan)
+                  for sign, plan in self.signed_plans(key, i)]
+        if self.unfold is None:
+            pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
+            up, down = _decoder(n, bits), _decoder(n_low, bits)
+
+            def push(rows, columns, out, start):
+                return _boundary_block(
+                    pushes, [up(x) for x in columns],
+                    {down(x): r for r, x in enumerate(rows)}, field, out,
+                    start)
+            return push
+        comps = self.complements[key]
+        faces = _pull_faces(signed, n, comps, self.unfold, self.sizes, bits)
+        degenerate = tuple((_code([(1 << bits) - 1] * len(comp), comp, bits),
+                            _code([self.unit] * len(comp), comp, bits))
+                           for comp in comps if len(comp) > 1)
+
+        def pull(rows, columns, out, start):
+            return _pull_block(faces, rows, columns, field, bits, n_low,
+                               degenerate, out, start)
+        return pull
+
     def blocks(self, key, i, rows, cols):
         """Yield ``(key + (w,), (rows, cols))``, the boundary along axis i
         out of level ``key`` in weight w onto the codes ``rows[w]``, as its
         rows ``{col: scalar}`` and its column count, for each weight of
-        ``rows``.  With lookups the block is pulled from its rows, its
-        columns numbered as the codes ``cols[w]`` list them, or as the rows
-        reach them when ``cols`` is None; otherwise it is pushed from the
-        columns ``cols[w]``, decoded with its rows into ``(assignment,
-        coeff)`` pairs.  Row and column indexes live for one block."""
-        low = key[:i] + (key[i] - 1,) + key[i + 1:]
-        cells, bits = self.slots[key], self.bits
-        n, n_low = len(cells), len(self.slots[low])
-        signed = self.signed_plans(key, i)
-        if self.unfold is None:
-            pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
-            up, down = _decoder(n, bits), _decoder(n_low, bits)
-            for w, row_codes in rows.items():
-                yield key + (w,), _boundary_block(
-                    pushes, [up(x) for x in cols[w]],
-                    {down(x): r for r, x in enumerate(row_codes)}, self.field)
-            return
-        comps = self.complements[key]
-        pulls = _pull_faces(signed, n, comps, self.unfold, self.sizes, bits)
-        degenerate = tuple((_code([(1 << bits) - 1] * len(comp), comp, bits),
-                            _code([self.unit] * len(comp), comp, bits))
-                           for comp in comps if len(comp) > 1)
+        ``rows``; its columns are numbered as the codes ``cols[w]`` list
+        them, or, with lookups, as the rows reach them when ``cols`` is
+        None."""
+        fill = self._filler(key, i, 1)
         for w, row_codes in rows.items():
             # the column index is passed, not bound in this frame, so it is
-            # freed before the block is ranked: it holds the code of every
-            # labeling the block reached
-            yield key + (w,), _pull_block(
-                pulls, row_codes,
-                {} if cols is None
-                else dict(zip(cols[w], range(len(cols[w])))),
-                self.field, self.unit, bits, n_low, degenerate)
+            # freed before the block is ranked
+            yield key + (w,), fill(
+                row_codes, self._columns(None if cols is None else cols[w], 0),
+                [{} for _ in row_codes], 0)
+
+
+def _lowered(key, i):
+    """The level ``key`` one lower on axis i."""
+    return key[:i] + (key[i] - 1,) + key[i + 1:]
 
 
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,
@@ -915,10 +1035,8 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
     keys = [(p,) for p in range(d + 2)]
     labelings = _Labelings((space,), keys, algebra, coefficients, d,
                            weight_bound, normalized, max_block_size)
-    complex_ = LodayComplex(algebra.field, coefficients.mode, d, weight_bound,
-                            labelings.listed(keys[:-1]), None)
-    complex_._labelings = labelings
-    return complex_
+    return LodayComplex(algebra.field, coefficients.mode, d, weight_bound,
+                        labelings.listed(keys[:-1]), None, labelings)
 
 
 def chain_dims(complex_: LodayComplex) -> dict:
@@ -938,11 +1056,13 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
     ``LodayComplex.check_boundary_squares`` and acceptance criterion 9
     verify.
 
-    While a ``build_complex`` complex defers its assembly, each block is
-    built once every block below it is ranked, on its uncleared rows alone,
-    and dropped once ranked (``_Labelings.implicit_blocks``); the top level
-    d + 1 is read only through the rank of ``∂_{d+1}`` and never listed
-    with monomial tables.
+    While a complex defers its assembly (``build_complex``,
+    ``oracle.total_homology``), each block is built once every block below
+    it is ranked, on its uncleared rows alone, and dropped once ranked
+    (``_Labelings.implicit_blocks``); the top total degree d + 1 is read
+    only through the rank of ``∂_{d+1}`` and never listed with monomial
+    tables.  Its bases are then keyed by level and weight, and their sizes
+    are summed per total degree.
     """
     d = complex_.max_degree
     ranks = {}
@@ -950,11 +1070,15 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
     for (p, w), found in complex_._ranked(cleared):
         ranks[(p, w)] = len(found)
         cleared[(p + 1, w)] = {c for _, c in found}
+    sizes = {}  # (total degree, weight) -> basis size
+    for key, labs in complex_._bases.items():
+        total = (sum(key[:-1]), key[-1])
+        sizes[total] = sizes.get(total, 0) + len(labs)
     dims = {}
-    for (p, w), labs in complex_._bases.items():
+    for (p, w), n in sizes.items():
         if p > d:
             continue
-        value = len(labs) - ranks.get((p, w), 0) - ranks.get((p + 1, w), 0)
+        value = n - ranks.get((p, w), 0) - ranks.get((p + 1, w), 0)
         if value:
             dims[(p, w)] = value
     return HomologyTable(dims, d, complex_.weight_bound, complex_.coeff_mode,

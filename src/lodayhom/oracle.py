@@ -5,12 +5,14 @@ S^1 x S^1 directly: ``loday``'s evaluator runs on two circle axes instead of
 the one diagonal axis, so the term in bidegree (n, m) is the labeling space of
 the (n+1)(m+1) - 1 non-basepoint cells of the grid, the horizontal boundary is
 the alternating face sum along the first circle, the vertical one along the
-second.  ``_total_complex`` totalizes it, with the sign twist (-1)^n placed
-on the vertical differential at horizontal degree n, into a ``LodayComplex``
-whose ``check_boundary_squares`` is the grid's one square audit;
-``total_homology`` ranks it, and the result must agree blockwise with the
-diagonal product complex.  The check is independent in its two axes and the
-twisted totalization.
+second.  Its total complex carries the sign twist (-1)^n on the vertical
+differential at horizontal degree n.  ``total_homology`` ranks it as
+``homology_dims`` ranks the diagonal complex: each block on the rows that
+clearing leaves, built when it is ranked, with the top total degree never
+listed; the result must agree blockwise with the diagonal product complex.
+``_total_complex`` totalizes the assembled grid into a ``LodayComplex``
+whose ``check_boundary_squares`` is the grid's one square audit.  The check
+is independent in its two axes and the twisted totalization.
 
 ``wedge_kunneth_dims`` convolves homology tables over a field, predicting
 wedge homology from the factors.
@@ -18,12 +20,9 @@ wedge homology from the factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlinalg import SparseMatrix
 from .algebra import Coefficients
 from .loday import (
-    HomologyTable, LodayComplex, _Labelings, homology_dims,
+    HomologyTable, LodayComplex, _Labelings, _totalize, homology_dims,
 )
 from .simplicial import circle
 
@@ -32,36 +31,73 @@ class CoefficientMismatch(ValueError):
     """Künneth convolution needs tables computed with unit coefficients."""
 
 
-@dataclass(frozen=True)
 class Bicomplex:
-    """Grid of labeling bases with commuting horizontal/vertical boundaries."""
+    """Grid of labeling bases with commuting horizontal/vertical boundaries.
 
-    algebra: object
-    coefficients: Coefficients
-    max_degree: int
-    weight_bound: int | None
-    terms: dict       # (n, m, w) -> list of Labelings
-    horizontal: dict  # (n, m, w) -> SparseMatrix to (n-1, m, w)
-    vertical: dict    # (n, m, w) -> SparseMatrix to (n, m-1, w)
+    ``torus_bicomplex`` lists the terms of total degree 0..max_degree as
+    packed codes, assembles no block and keeps its ``_Labelings``, from
+    which ``total_homology`` ranks the twisted total complex on its
+    uncleared rows.  The first read of ``terms``, ``horizontal`` or
+    ``vertical`` lists total degree max_degree + 1, assembles every block
+    onto all its rows and decodes the terms into ``Labeling`` tuples, after
+    which the grid holds them like one made with its blocks.
+    """
+
+    def __init__(self, algebra, coefficients: Coefficients, max_degree: int,
+                 weight_bound, terms, horizontal, vertical, labelings=None):
+        self.algebra = algebra
+        self.coefficients = coefficients
+        self.max_degree = max_degree
+        self.weight_bound = weight_bound
+        self._terms = terms            # (n, m, w) -> list of Labelings,
+                                       # of packed codes while deferred
+        self._horizontal = horizontal  # (n, m, w) -> SparseMatrix to (n-1, m, w)
+        self._vertical = vertical      # (n, m, w) -> SparseMatrix to (n, m-1, w)
+        self._labelings = labelings    # deferred: blocks not yet assembled
+
+    @property
+    def terms(self) -> dict:
+        self._assemble()
+        return self._terms
+
+    @property
+    def horizontal(self) -> dict:
+        self._assemble()
+        return self._horizontal
+
+    @property
+    def vertical(self) -> dict:
+        self._assemble()
+        return self._vertical
+
+    def _assemble(self):
+        if self._labelings is not None:
+            self._terms, (self._horizontal, self._vertical) = \
+                self._labelings.build(
+                    self._labelings.summands(self.max_degree + 1),
+                    self._terms)
+            self._labelings = None
 
 
 def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
                     weight_bound=None, max_block_size=None) -> Bicomplex:
     """Labeling bicomplex of the two-circle grid through total degree
-    max_degree + 1; ``max_block_size`` bounds its total number of
-    labelings."""
+    max_degree + 1, deferred (``Bicomplex``); ``max_block_size`` bounds its
+    total number of labelings, those of the top total degree included."""
     d = max_degree
     s1 = circle(d + 1)
     keys = [(n, m) for n in range(d + 2) for m in range(d + 2 - n)]
-    terms, (horizontal, vertical) = _Labelings(
-        (s1, s1), keys, algebra, coefficients, d, weight_bound,
-        normalized=False, max_block_size=max_block_size).build(keys)
-    return Bicomplex(algebra, coefficients, d, weight_bound, terms,
-                     horizontal, vertical)
+    labelings = _Labelings((s1, s1), keys, algebra, coefficients, d,
+                           weight_bound, normalized=False,
+                           max_block_size=max_block_size)
+    return Bicomplex(algebra, coefficients, d, weight_bound,
+                     labelings.listed([key for key in keys if sum(key) <= d]),
+                     None, None, labelings)
 
 
 def _total_complex(bicomplex: Bicomplex) -> LodayComplex:
-    """The total complex through degree max_degree + 1, keyed (k, w).
+    """The total complex through degree max_degree + 1, keyed (k, w), of the
+    assembled grid (``loday._totalize``).
 
     The summands of T_k are stacked in ascending horizontal degree; the
     (n, m) summand maps by the horizontal boundary plus (-1)^n times the
@@ -70,45 +106,27 @@ def _total_complex(bicomplex: Bicomplex) -> LodayComplex:
     which land in different summands, so it vanishes exactly when both
     directions square to zero and commute.
     """
-    d = bicomplex.max_degree
     field = bicomplex.algebra.field
-    weights = sorted({w for (_, _, w) in bicomplex.terms})
-    bases = {}
-    offsets = {}
-    for k in range(d + 2):
-        for w in weights:
-            chains = []
-            for n in range(k + 1):
-                offsets[(n, k - n, w)] = len(chains)
-                chains.extend(bicomplex.terms.get((n, k - n, w), ()))
-            if chains:
-                bases[(k, w)] = chains
-    boundaries = {}
-    for k in range(1, d + 2):
-        for w in weights:
-            entries = {}
-            for n in range(k + 1):
-                m = k - n
-                col0 = offsets[(n, m, w)]
-                for mat, low, neg in (
-                        (bicomplex.horizontal.get((n, m, w)), (n - 1, m, w), False),
-                        (bicomplex.vertical.get((n, m, w)), (n, m - 1, w), n % 2)):
-                    if mat is None:
-                        continue
-                    row0 = offsets[low]
-                    for (r, c), v in mat.entries.items():
-                        entries[(row0 + r, col0 + c)] = field.neg(v) if neg else v
-            boundaries[(k, w)] = SparseMatrix._trusted(
-                len(bases.get((k - 1, w), ())), len(bases.get((k, w), ())),
-                entries, field)
-    return LodayComplex(field, bicomplex.coefficients.mode, d,
-                        bicomplex.weight_bound, bases, boundaries)
+    return LodayComplex(field, bicomplex.coefficients.mode,
+                        bicomplex.max_degree, bicomplex.weight_bound,
+                        *_totalize(bicomplex.terms, (bicomplex.horizontal,
+                                                     bicomplex.vertical),
+                                   field, bicomplex.max_degree + 1))
 
 
 def total_homology(bicomplex: Bicomplex) -> HomologyTable:
-    """Homology dimensions of the total complex through the bicomplex's
-    max_degree, per (degree, weight)."""
-    return homology_dims(_total_complex(bicomplex))
+    """Homology dimensions of the twisted total complex through the
+    bicomplex's max_degree, per (degree, weight).  While the grid defers its
+    assembly, ``homology_dims`` ranks each block of the total differential
+    on its uncleared rows, as it ranks a ``build_complex`` complex, and
+    never lists the top total degree with monomial tables; an assembled
+    grid is ranked through ``_total_complex``."""
+    if bicomplex._labelings is None:
+        return homology_dims(_total_complex(bicomplex))
+    return homology_dims(LodayComplex(
+        bicomplex.algebra.field, bicomplex.coefficients.mode,
+        bicomplex.max_degree, bicomplex.weight_bound, bicomplex._terms, None,
+        bicomplex._labelings))
 
 
 def wedge_kunneth_dims(left: HomologyTable, right: HomologyTable,

@@ -211,8 +211,7 @@ def level_sizes(space, algebra, coefficients, levels, normalized=True,
     for p in levels:
         counts = labelings.counts[(p,)]
         if normalized:
-            counts = _normalized_counts([labelings.counts[key]
-                                         for key in keys[:p + 1]])
+            counts = _normalized_counts(labelings.counts, (p,))
         blocks = labelings.level((p,))
         assert counts == [len(blocks.get(w, ()))
                           for w in range(labelings.bound + 1)], \

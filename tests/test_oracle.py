@@ -1,14 +1,12 @@
 """The grid bicomplex, its total complex, and the Künneth convolution."""
 
-from dataclasses import replace
-
 import pytest
 
 from lodayhom.algebra import Coefficients, polynomial, truncated_poly
 from lodayhom.exactlinalg import SparseMatrix, make_field
 from lodayhom.loday import (
-    BasisSizeExceeded, HomologyTable, Labeling, WeightBoundRequired,
-    _Labelings, build_complex, homology_dims,
+    BasisSizeExceeded, HomologyTable, Labeling, LodayComplex,
+    WeightBoundRequired, _Labelings, build_complex, homology_dims,
 )
 from lodayhom.oracle import (
     Bicomplex, CoefficientMismatch, _total_complex, torus_bicomplex,
@@ -68,9 +66,11 @@ def corrupted(b, direction, key, pos):
     value = field.add(entries.pop(pos, field.zero), field.one)
     if value != field.zero:
         entries[pos] = value
-    blocks = {**getattr(b, direction),
-              key: SparseMatrix(mat.rows, mat.cols, entries, field)}
-    return replace(b, **{direction: blocks})
+    blocks = {"horizontal": b.horizontal, "vertical": b.vertical}
+    blocks[direction] = {**blocks[direction],
+                         key: SparseMatrix(mat.rows, mat.cols, entries, field)}
+    return Bicomplex(b.algebra, b.coefficients, b.max_degree, b.weight_bound,
+                     b.terms, **blocks)
 
 
 class TestSquares:
@@ -140,13 +140,102 @@ class TestTotalHomology:
 
 
 def grid(axes, algebra, coefficients, d, normalized=False, weight_bound=None):
-    """The two-axis labeling bicomplex through total degree d + 1."""
+    """The two-axis labeling bicomplex through total degree d + 1, deferred
+    as ``torus_bicomplex`` defers the two-circle grid."""
     keys = [(n, m) for n in range(d + 2) for m in range(d + 2 - n)]
-    terms, (horizontal, vertical) = _Labelings(
-        axes, keys, algebra, coefficients, d, weight_bound, normalized,
-        None).build(keys)
-    return Bicomplex(algebra, coefficients, d, weight_bound, terms,
-                     horizontal, vertical)
+    labelings = _Labelings(axes, keys, algebra, coefficients, d, weight_bound,
+                           normalized, None)
+    return Bicomplex(algebra, coefficients, d, weight_bound,
+                     labelings.listed([key for key in keys if sum(key) <= d]),
+                     None, None, labelings)
+
+
+def deferred_and_assembled(bicomplex):
+    """``total_homology`` of a deferred grid, then the homology of its
+    assembled total complex."""
+    assert bicomplex._labelings is not None
+    deferred = total_homology(bicomplex)
+    assert bicomplex._labelings is not None
+    return deferred.dims, homology_dims(_total_complex(bicomplex)).dims
+
+
+class TestDeferredTotal:
+    """``total_homology`` ranks a deferred grid on the uncleared rows of its
+    twisted total complex, never listing its top total degree; the result
+    equals the homology of the assembled total complex block by block."""
+
+    @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
+    @pytest.mark.parametrize("make,bound,d", [
+        (lambda f: truncated_poly(f, 2), None, 3),
+        (lambda f: truncated_poly(f, 3), None, 2), (polynomial, 3, 2),
+    ], ids=["truncpoly(2)", "truncpoly(3)", "poly"])
+    @pytest.mark.parametrize("coeffs", [UNIT, Coefficients.self_algebra()],
+                             ids=["unit", "self"])
+    def test_torus_equals_assembled(self, field, make, bound, d, coeffs):
+        deferred, assembled = deferred_and_assembled(
+            torus_bicomplex(make(field), coeffs, d, bound))
+        assert deferred == assembled
+
+    @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
+    @pytest.mark.parametrize("left,right,normalized", [
+        ("S1", "simplexsphere(2)", False), ("simplexsphere(2)", "S1", False),
+        ("S1", "simplexsphere(2)", True), ("S1", "S1", True),
+    ])
+    def test_any_axes_equal_assembled(self, field, left, right, normalized):
+        axes = (build_space(left, 3), build_space(right, 3))
+        deferred, assembled = deferred_and_assembled(
+            grid(axes, truncated_poly(field, 2), UNIT, 2, normalized))
+        assert deferred == assembled
+
+    def test_eager_read_of_the_deferred_total_complex(self):
+        # a deferred total complex read eagerly lists its top total degree
+        # and totalizes the assembled grid, as ``_total_complex`` does
+        bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 2)
+        labelings = bicomplex._labelings
+        total = LodayComplex(labelings.field, "unit", 2, None,
+                             dict(bicomplex._terms), None, labelings)
+        assembled = _total_complex(bicomplex)
+        assert total.bases == assembled.bases
+        assert {k: m.entries for k, m in total.boundaries.items()} == \
+            {k: m.entries for k, m in assembled.boundaries.items()}
+
+    def test_degree_five_over_f3(self):
+        table = total_homology(torus_bicomplex(truncated_poly(3, 2), UNIT, 5))
+        assert table.totals() == [1, 2, 3, 6, 8, 13]
+
+    def test_leaves_the_grid_unassembled(self, monkeypatch):
+        """No ``Labeling`` tuple or ``SparseMatrix`` is made and no level of
+        the top total degree is listed; the grid still reads eagerly after."""
+        made, listed = [], []
+        new, adopt = Labeling.__new__, SparseMatrix._adopt
+        level = _Labelings.level
+
+        def counted_new(cls, *args):
+            made.append("Labeling")
+            return new(cls, *args)
+
+        def counted_adopt(self, *args):
+            made.append("SparseMatrix")
+            return adopt(self, *args)
+
+        def spied_level(self, key, bound=None):
+            listed.append(key)
+            return level(self, key, bound)
+
+        bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 3)
+        monkeypatch.setattr(Labeling, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(SparseMatrix, "_adopt", counted_adopt)
+        monkeypatch.setattr(_Labelings, "level", spied_level)
+        assert total_homology(bicomplex).totals() == [1, 2, 3, 6]
+        assert made == [] and listed == []
+        assert bicomplex._labelings is not None
+        assert all(type(code) is int
+                   for codes in bicomplex._terms.values() for code in codes)
+        assert max(n + m for n, m, _ in bicomplex._terms) == 3
+        assert max(n + m for n, m, _ in bicomplex.terms) == 4
+        assert {key for key in listed if sum(key) == 4} == {
+            (n, 4 - n) for n in range(5)}
+        assert set(made) == {"Labeling", "SparseMatrix"}
 
 
 class TestAnyAxes:

@@ -318,6 +318,25 @@ def test_generic_path_on_non_monomial_presentation(field_tag, field):
         assert got.dims == want.dims, (coefficients, degree)
 
 
+@pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
+def test_grid_total_homology_on_non_monomial_presentation(field_tag, field,
+                                                          monkeypatch):
+    """With tables that are not monomial the deferred grid pushes every
+    block of its total complex by terms, listing its top total degree; its
+    homology equals that of its assembled total complex and of the monomial
+    presentation of k[x]/x^3."""
+    algebra = _cube_truncation_without_monomials(field_tag)
+    for coefficients in (Coefficients.unit(), Coefficients.self_algebra()):
+        grid = oracle.torus_bicomplex(algebra, coefficients, 2)
+        assert _blocks_made(monkeypatch,
+                            lambda: oracle.total_homology(grid)) == {"push"}
+        deferred = oracle.total_homology(grid)
+        assembled = homology_dims(oracle._total_complex(grid))
+        monomial = oracle.total_homology(oracle.torus_bicomplex(
+            truncated_poly(field, 3), coefficients, 2))
+        assert deferred.dims == assembled.dims == monomial.dims, coefficients
+
+
 def _digest_update(h, bases, matrices):
     h.update(repr(sorted(bases.items())).encode())
     for key, mat in sorted(matrices.items()):
@@ -604,7 +623,8 @@ def test_every_level_is_pulled_from_its_uncleared_rows(monkeypatch):
     assert homology_dims(complex_).totals() == [4] + [3] * 7
     assert {key[0] for key, _, _ in ranked} == set(range(1, d + 2))
     assert len(ranked) == len(pulled)
-    assert [id(block) for _, block in pulled] == list(map(id, eliminated))
+    assert [list(map(id, block)) for _, block in pulled] == \
+        [list(map(id, rows)) for rows in eliminated]
     pivot_columns = {}
     for (p, w), found, (rows, _) in ranked:
         below = pivot_columns.get((p - 1, w), set())
@@ -652,15 +672,18 @@ def _blocks_made(monkeypatch, run):
 def test_the_tables_alone_choose_pull_or_push(algebra, kind, monkeypatch):
     """Square blocks of the Hochschild complex are pulled with monomial
     tables, by homology on their uncleared rows, by a ``.boundaries`` read
-    on all of them and on the grid; with other tables every block is
-    pushed."""
+    on all of them, and so are the grid's, by its total homology and by a
+    ``.horizontal`` read; with other tables every block is pushed."""
     d = 5
     coefficients = Coefficients.self_algebra()
     for run in (lambda: homology_dims(build_complex(circle(d + 1), algebra,
                                                     coefficients, d)),
                 lambda: build_complex(circle(d + 1), algebra, coefficients,
                                       d).boundaries,
-                lambda: oracle.torus_bicomplex(algebra, coefficients, 1)):
+                lambda: oracle.total_homology(
+                    oracle.torus_bicomplex(algebra, coefficients, 1)),
+                lambda: oracle.torus_bicomplex(algebra, coefficients,
+                                               1).horizontal):
         assert _blocks_made(monkeypatch, run) == {kind}
 
 
