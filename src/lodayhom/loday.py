@@ -31,18 +31,16 @@ implicit matrix with clearing; Bauer, J. Appl. Comput. Topol. 2021).
 
 A labeling is one packed int from enumeration to elimination: each slot's
 label in a fixed number of bits and the coefficient above the last slot
-(``_pull_faces``).  Only the tables decide how a block is built.  When each
-entry is zero or one basis element with coefficient one (truncpoly(m), poly
-and exterior with unit or self coefficients, and monomial custom
-coefficients), ``_pull_block`` pulls the block from its rows by inverting the
-tables (``_factorizations``), reading each row's labels by shift and mask,
-and numbers its columns as their level lists them, or as the rows reach them
-on the top total degree d + 1, which is never listed.  Otherwise
-``_boundary_block`` pushes it from the listed columns by multiplying the
-pairs out, and decodes its rows and columns for that.  Either way the block
-is its rows, ``{column: scalar}`` dicts, which ``exactlinalg.row_pivots``
-eliminates in place; over Q the pulled sums stay ints, and the pushed rows of
-``Fraction``s are scaled to ints before they are ranked.  ``Labeling`` tuples
+(``_pull_faces``).  Every block, whatever the tables, is pulled from its
+rows by ``_pull_block``: it inverts the tables (``_factorizations``), reads
+each row's labels by shift and mask, and numbers its columns as their level
+lists them, or as the rows reach them on the top total degree d + 1, which
+is never listed.  An entry with several terms or a scalar other than one
+gives a face more per scalar, its sign times that scalar.  The block is its
+rows, ``{column: scalar}`` dicts, which ``exactlinalg.row_pivots``
+eliminates in place; over Q the pulled sums stay ints, unless some table
+scalar is no integer, and then the rows are scaled to ints
+(``exactlinalg.integer_rows``) before they are ranked.  ``Labeling`` tuples
 and ``SparseMatrix`` blocks are made only where a complex is read eagerly
 (``_Labelings.build``): by the first read of ``.bases`` or ``.boundaries``,
 or of the grid's ``.terms``, ``.horizontal`` or ``.vertical``.
@@ -53,8 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
-from operator import itemgetter
+from math import comb, prod
 from typing import NamedTuple
 
 from .exactlinalg import (
@@ -313,8 +310,9 @@ class LodayComplex:
     keyed ``level + (w,)``, assemble no block and keep their
     ``_Labelings``: the cells, labeling counts and degeneracy complements
     of the levels and the structure tables with their factorizations.
-    ``homology_dims`` then builds each block of the total differential on
-    its uncleared rows (``_Labelings.implicit_blocks``).  The first read of
+    ``homology_dims`` then pulls each block of the total differential from
+    its uncleared rows (``_Labelings.implicit_blocks``), whatever the
+    tables, and never lists max_degree + 1.  The first read of
     ``bases`` or ``boundaries`` lists the levels of total degree
     max_degree + 1, assembles every block onto all its rows, decodes the
     levels into ``Labeling`` tuples and totalizes them (``_totalize``),
@@ -462,94 +460,6 @@ def _structure_tables(algebra, c_alg, action, bound):
     return mul, act
 
 
-def _index_tables(tables, algebra, c_alg):
-    """The tables as lookups ``x -> k`` (None for a zero entry) when every
-    entry is zero or one basis element of the summed weight with coefficient
-    one; otherwise None."""
-    for table, alg in zip(tables, (algebra, c_alg)):
-        for x, row in enumerate(table):
-            for y, terms in enumerate(row):
-                if terms and (len(terms) > 1 or terms[0][1] != 1 or
-                              alg.weight(terms[0][0])
-                              != alg.weight(x) + algebra.weight(y)):
-                    return None
-    return [[[terms[0][0] if terms else None for terms in row] for row in table]
-            for table in tables]
-
-
-def _times(lin, table, y):
-    """A sparse combination ``{x: scalar}`` times the basis element y, read
-    off ``table``; scalars are summed as plain numbers."""
-    out = {}
-    for x, v in lin.items():
-        for k, s in table[x][y]:
-            out[k] = out.get(k, 0) + v * s
-    return out
-
-
-def _face_pusher(tables, unit):
-    """A function ``plan -> push``: each push maps a labeling to the terms
-    ``((assignment, coeff), scalar)`` of its image along the plan's face,
-    multiplying out the pairs of ``tables``; the scalars are plain numbers
-    that the caller normalizes."""
-    mul, act = tables
-
-    def pusher(plan):
-        pre, to_base = plan
-        firsts = tuple(srcs[0] if srcs else None for srcs in pre)
-        merges = tuple((q, srcs[0], srcs[1:]) for q, srcs in enumerate(pre)
-                       if len(srcs) > 1)
-        if len(firsts) > 1 and None not in firsts:
-            gather = itemgetter(*firsts)
-        else:
-            def gather(a):
-                return tuple(unit if q is None else a[q] for q in firsts)
-
-        def push(labeling):
-            a, c = labeling
-            coeffs = {c: 1}
-            for q in to_base:
-                coeffs = _times(coeffs, act, a[q])
-            firsts = gather(a)
-            terms = [((), 1)]
-            done = 0
-            for slot, first, rest in merges:
-                lin = {a[first]: 1}
-                for q in rest:
-                    lin = _times(lin, mul, a[q])
-                terms = [(labels + firsts[done:slot] + (k,), v * s)
-                         for labels, v in terms for k, s in lin.items()]
-                done = slot + 1
-            return [((labels + firsts[done:], ci), v * cv)
-                    for labels, v in terms for ci, cv in coeffs.items()]
-
-        return push
-
-    return pusher
-
-
-def _boundary_block(pushes, cols, row_index, field, out, start):
-    """The signed face sum ``pushes`` (pairs of sign and push,
-    ``_face_pusher``) from the labelings ``cols``, pairs ``(assignment,
-    coeff)`` numbered from ``start``, to the rows of ``row_index``, added to
-    their row dicts ``out``; returns ``out`` and the end of the columns.
-    Images missing from ``row_index`` (degenerate or cleared ones) are
-    dropped."""
-    normalize, zero = field.normalize, field.zero
-    for col, lab in enumerate(cols, start):
-        acc = {}
-        for sign, push in pushes:
-            for image, scalar in push(lab):
-                row = row_index.get(image)
-                if row is not None:
-                    acc[row] = acc.get(row, 0) + sign * scalar
-        for row, tot in acc.items():
-            val = normalize(tot)
-            if val != zero:
-                out[row][col] = val
-    return out, start + len(cols)
-
-
 def _matrix(block, field):
     """The ``SparseMatrix`` of a block given as its rows and column count;
     over Q its int scalars become ``Fraction``s."""
@@ -560,42 +470,78 @@ def _matrix(block, field):
                           for c, v in row.items()}, field)
 
 
-def _factorizations(index, unit):
-    """Memoized inverses of the lookups ``index`` (``_index_tables``).
+def _exact(v):
+    """The scalar v, as an int when it is one."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _factorizations(tables, unit, p):
+    """Memoized inverses of the structure tables ``tables``
+    (``_structure_tables``) over F_p, or over Q when p is None.
 
     ``unfold(kind, z, k, banned)`` lists the tuples ``(x0, y1, ..., yk)``
-    whose chained lookup ``(x0 . y1) ... . yk`` in table ``kind`` is z.  In
-    the products (kind 0) that is the product of k + 1 labels, folded from
-    the left as a push merges them; in the actions (kind 1), x0 is a
-    coefficient and the labels y act on it.  It leaves out the tuples with
+    whose chained product ``(x0 . y1) ... . yk`` in table ``kind`` has a
+    nonzero coefficient on z, grouped by that coefficient as a dict
+    ``{scalar: tuples}``.  In the products (kind 0) that is the product of
+    k + 1 labels, folded from the left as a face merges them; in the actions
+    (kind 1), x0 is a coefficient and the labels y act on it.  A tuple's
+    coefficient is summed over the intermediate basis elements of its chain
+    and reduced mod p (an int over Q when it is one), and a tuple whose sum
+    is zero is left out; where every entry is zero or one basis element with
+    scalar one, every tuple has the scalar 1.  It leaves out the tuples with
     the unit at a position i whose bit ``1 << i`` is set in ``banned``; bit
     0 of an action tuple, its coefficient, is never set.
     """
     inverses = []
-    for table in index:
+    for table in tables:
         inverse = {}
         for x, row in enumerate(table):
-            for y, z in enumerate(row):
-                if z is not None:
-                    inverse.setdefault(z, []).append((x, y))
+            for y, terms in enumerate(row):
+                for z, s in terms:
+                    inverse.setdefault(z, []).append((x, y, _exact(s)))
         inverses.append(inverse)
     memo = {}
 
     def unfold(kind, z, k, banned):
         key = (kind, z, k, banned)
-        tuples = memo.get(key)
-        if tuples is None:
+        groups = memo.get(key)
+        if groups is None:
             if k == 0:
-                tuples = () if banned & 1 and z == unit else ((z,),)
+                groups = {} if banned & 1 and z == unit else {1: ((z,),)}
             else:
                 bit = 1 << k
-                tuples = tuple(t + (y,) for x, y in inverses[kind].get(z, ())
-                               if not (banned & bit and y == unit)
-                               for t in unfold(kind, x, k - 1, banned & ~bit))
-            memo[key] = tuples
-        return tuples
+                sums = {}
+                for x, y, s in inverses[kind].get(z, ()):
+                    if not (banned & bit and y == unit):
+                        for r, tuples in unfold(kind, x, k - 1,
+                                                banned & ~bit).items():
+                            for t in tuples:
+                                t += (y,)
+                                sums[t] = sums.get(t, 0) + r * s
+                groups = {}
+                for t, s in sums.items():
+                    s = s % p if p else _exact(s)
+                    if s:
+                        groups.setdefault(s, []).append(t)
+                groups = {s: tuple(ts) for s, ts in groups.items()}
+            memo[key] = groups
+        return groups
 
     return unfold
+
+
+def _by_scalar(rows, place):
+    """One offset table per scalar of ``rows``, the ``unfold`` results of
+    consecutive indexes, as pairs ``(s, table)`` in the order the scalars
+    are first met: ``table[i]`` holds the codes ``place(t)`` of the tuples t
+    of scalar s in ``rows[i]``, and is () where there are none."""
+    tables = {}
+    for i, groups in enumerate(rows):
+        for s, tuples in groups.items():
+            if s not in tables:
+                tables[s] = [()] * len(rows)
+            tables[s][i] = tuple(map(place, tuples))
+    return [(s, tuple(table)) for s, table in tables.items()]
 
 
 def _code(labels, slots, bits):
@@ -623,31 +569,39 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
       source slots;
     - per merged low slot but the last, at the shift of its digit in the
       row's code, its split offsets indexed by the row's label there: one
-      code per tuple of labels whose product is that label (``unfold`` of
-      the products, ``_factorizations``), placed on the slot's preimages;
+      code per tuple of labels whose product has that label as a term
+      (``unfold`` of the products, ``_factorizations``), placed on the
+      slot's preimages;
     - the final offsets ``final[x][c]``, read at the shift ``last`` of the
       last merged slot's digit under ``fmask``: every split offset of the
       label x there plus every cosplit offset of the row coefficient c, in
       that nesting.  A cosplit offset is one code per coefficient and tuple
-      of labels acting on it to give c (``unfold`` of the actions), placed
-      above the last slot and on the slots that fall into the basepoint.  A
-      face with no merged slot has ``final = (cosplits,)`` and ``fmask``
-      zero.
+      of labels acting on it with c as a term (``unfold`` of the actions),
+      placed above the last slot and on the slots that fall into the
+      basepoint.  A face with no merged slot has ``final = (cosplits,)``
+      and ``fmask`` zero.
+
+    Every offset comes with the scalar of its tuple, which the kernel never
+    reads: a plan gives one face per choice of a scalar for each merged slot
+    and one for the cosplits, which keeps only the offsets of the chosen
+    scalars and multiplies them into the plan's sign.  A scalar no offset
+    carries is never chosen, so a plan none of whose tables holds an offset
+    gives no face, and where every scalar is 1 each other plan is one face.
 
     Every low slot has a preimage, as the faces of a simplicial set are
-    onto (``d_j s_j = id``).  Each face also carries its sign.  A cell that
-    is the only one outside the image of some degeneracy in ``complements``
-    makes a labeling degenerate when it holds the unit, so the tables leave
-    its unit out of the merged and acting labels.  Where such a lone cell
-    is the one preimage of a low slot, no test is needed: by the simplicial
-    identities that slot is then the only cell outside the image of a
-    degeneracy one level down, so a row holding the unit there is
-    degenerate and never listed.  ``sizes`` are the numbers of labels and
-    of coefficients the tables index.
+    onto (``d_j s_j = id``).  A cell that is the only one outside the image
+    of some degeneracy in ``complements`` makes a labeling degenerate when
+    it holds the unit, so the tables leave its unit out of the merged and
+    acting labels.  Where such a lone cell is the one preimage of a low
+    slot, no test is needed: by the simplicial identities that slot is then
+    the only cell outside the image of a degeneracy one level down, so a row
+    holding the unit there is degenerate and never listed.  ``sizes`` are
+    the numbers of labels and of coefficients the tables index.
     """
     lone = {comp[0] for comp in complements if len(comp) == 1}
     n_labels, n_coeffs = sizes
     digit = (1 << bits) - 1
+    top = n_slots * bits
     faces = []
     for sign, (pre, to_base) in signed_plans:
         runs = {}  # shift -> mask of the row digits it moves
@@ -655,31 +609,32 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
             if len(srcs) == 1:
                 shift = (srcs[0] - r) * bits
                 runs[shift] = runs.get(shift, 0) | digit << r * bits
-        merges = []
+        moved = tuple((mask, max(shift, 0), max(-shift, 0))
+                      for shift, mask in runs.items())
+        shifts, merges = [], []
         for r, srcs in enumerate(pre):
             if len(srcs) > 1:
                 banned = sum(1 << i for i, q in enumerate(srcs) if q in lone)
-                merges.append((r * bits, tuple(
-                    tuple(_code(t, srcs, bits)
-                          for t in unfold(0, x, len(srcs) - 1, banned))
-                    for x in range(n_labels))))
+                shifts.append(r * bits)
+                merges.append(_by_scalar(
+                    [unfold(0, x, len(srcs) - 1, banned)
+                     for x in range(n_labels)],
+                    lambda t: _code(t, srcs, bits)))
         banned = sum(2 << i for i, q in enumerate(to_base) if q in lone)
-        top = n_slots * bits
-        cosplits = tuple(
-            tuple(t[0] << top | _code(t[1:], to_base, bits)
-                  for t in unfold(1, c, len(to_base), banned))
-            for c in range(n_coeffs))
-        if merges:
-            last, splits = merges.pop()
-            final = tuple(tuple(tuple(m + o for m in ms for o in os)
-                                for os in cosplits) for ms in splits)
-            fmask = digit
-        else:
-            last, final, fmask = 0, (cosplits,), 0
-        faces.append((sign,
-                      tuple((mask, max(shift, 0), max(-shift, 0))
-                            for shift, mask in runs.items()),
-                      tuple(merges), last, fmask, final))
+        cosplits = _by_scalar(
+            [unfold(1, c, len(to_base), banned) for c in range(n_coeffs)],
+            lambda t: t[0] << top | _code(t[1:], to_base, bits))
+        for choice in product(*merges, cosplits):
+            scale = _exact(sign * prod(s for s, _ in choice))
+            *splits, cos = [table for _, table in choice]
+            if splits:
+                last, fmask = shifts[-1], digit
+                final = tuple(tuple(tuple(m + o for m in ms for o in os)
+                                    for os in cos) for ms in splits.pop())
+            else:
+                last, fmask, final = 0, 0, (cos,)
+            faces.append((scale, moved, tuple(zip(shifts, splits)),
+                          last, fmask, final))
     return faces
 
 
@@ -688,9 +643,8 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
     """The signed face sum from the labelings of ``col_index`` to the
     labelings ``rows`` of ``n_low`` slots, added to their row dicts ``out``
     (one per row) and built row by row from the preimages of each row along
-    each face of monomial tables; returns ``out`` and the end of the
-    columns.  Equal to the term push of ``_boundary_block`` between the same
-    rows and columns.
+    each face, whatever the structure tables; returns ``out`` and the end of
+    the columns.
 
     Rows and columns are packed codes (``_pull_faces``), and a row's labels
     and coefficient are read off its code by shift and mask.  Per face, a
@@ -698,7 +652,7 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
     and the coefficient, and the face is skipped when there are none.
     Otherwise its preimages are its moved runs plus every sum of one split
     offset per earlier merged slot and one final offset, listed in that
-    order.  The signs reaching one preimage are summed per row as ints, and
+    order.  The signs reaching one preimage are summed per row, and
     each distinct preimage of the row costs one int-keyed lookup in
     ``col_index``.  A preimage missing there is numbered
     ``start + len(col_index)`` in the order the rows first reach it, unless
@@ -709,7 +663,8 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
     ``col_index`` may hold every column, numbered from ``start``, or start
     empty, and pulls along several faces into one level may share it.  The
     sums are reduced ``% p`` over F_p; over Q they stay ints, which
-    elimination takes as they are."""
+    elimination takes as they are, unless a table scalar is no integer and
+    its faces' signs are ``Fraction``s."""
     p = field.p
     get = col_index.get
     digit = (1 << bits) - 1
@@ -814,18 +769,17 @@ class _Labelings:
         # a slot holds any label index of A, the coefficient any of C
         self.sizes = tuple(map(len, tables))
         self.bits = max(1, (max(self.sizes) - 1).bit_length())
-        lookups = _index_tables(tables, algebra, self.c_alg)
-        self.pusher = _face_pusher(tables, self.unit)
-        self.unfold = (None if lookups is None
-                       else _factorizations(lookups, self.unit))
+        self.unfold = _factorizations(tables, self.unit, self.field.p)
+        # over Q a scalar that is no integer leaves Fractions in pulled rows
+        self.fractional = self.field.p is None and any(
+            v.denominator != 1 for table in tables for row in table
+            for terms in row for _, v in terms)
 
-    def level(self, key, bound=None):
-        """The packed codes of the labelings of level ``key`` per weight, up
-        to ``bound`` (default: the bound of the complex)."""
+    def level(self, key):
+        """The packed codes of the labelings of level ``key`` per weight."""
         return _enumerate_block_bases(
-            self.algebra, self.c_alg, len(self.slots[key]),
-            self.bound if bound is None else bound, self.bits,
-            self.complements[key])
+            self.algebra, self.c_alg, len(self.slots[key]), self.bound,
+            self.bits, self.complements[key])
 
     def summands(self, k):
         """The levels of total degree k, in key order."""
@@ -877,12 +831,11 @@ class _Labelings:
         normalized complex their Dold–Kan inversion (``_normalized_counts``),
         which is zero wherever a degeneracy complement is empty.  Listed
         levels keep their column numbering, so the pivot columns of a block
-        index the rows of the next.  The top total degree is not listed:
-        with lookups each of its levels numbers the columns that its rows
-        reach along any axis, after the columns of the levels before it, and
-        the unreached ones are zero columns; otherwise it is listed up to
-        its largest weight left.  Over Q, rows pushed by terms hold
-        ``Fraction``s, which are scaled to ints
+        index the rows of the next.  The top total degree is never listed:
+        each of its levels numbers the columns that its rows reach along any
+        axis, after the columns of the levels before it, and the unreached
+        ones are zero columns.  Over Q, rows pulled along a table scalar
+        that is no integer hold ``Fraction``s, which are scaled to ints
         (``exactlinalg.integer_rows``) for elimination."""
         summands, lows = self.summands(k), self.summands(k - 1)
         counts = [sum(column) for column in zip(*(
@@ -901,20 +854,14 @@ class _Labelings:
                 rows[w] = kept
         if not rows:
             return ()
-        if k < max(map(sum, self.slots)):
-            cols = bases
-        elif self.unfold is None:
-            cols = {key + (w,): codes for key in summands
-                    for w, codes in self.level(key, max(rows)).items()}
-        else:
-            cols = None
+        cols = bases if k < max(map(sum, self.slots)) else None
         fills = [(key, [(_lowered(key, i),
                          self._filler(key, i, (-1) ** sum(key[:i])))
                         for i, p in enumerate(key) if p])
                  for key in summands]
         blocks = (((k, w), self._total_block(fills, kept, cols, w))
                   for w, kept in rows.items())
-        if self.unfold is None and self.field.p is None:
+        if self.fractional:
             return ((bkey, (integer_rows(block), n))
                     for bkey, (block, n) in blocks)
         return blocks
@@ -954,12 +901,10 @@ class _Labelings:
             _face_plans(fmaps, cells, self.slots[low], self.basepoints[low]))]
 
     def _columns(self, codes, start):
-        """What a kernel (``_filler``) reads of the columns of one level:
-        with lookups an index from each of the codes ``codes`` to its number
-        from ``start``, or an empty one when ``codes`` is None and the rows
-        number the columns they reach; otherwise the codes themselves."""
-        if self.unfold is None:
-            return codes
+        """What a kernel (``_filler``) reads of the columns of one level: an
+        index from each of the codes ``codes`` to its number from ``start``,
+        or an empty one when ``codes`` is None and the rows number the
+        columns they reach."""
         if codes is None:
             return {}
         return dict(zip(codes, range(start, start + len(codes))))
@@ -970,24 +915,11 @@ class _Labelings:
         start)`` that adds the block onto the codes ``rows`` to their row
         dicts ``out``, its columns numbered from ``start`` as ``columns``
         (``_columns``) gives them, and returns ``out`` and the end of its
-        columns.  With lookups the block is pulled from its rows
-        (``_pull_block``); otherwise it is pushed from its columns
-        (``_boundary_block``), decoded with its rows into ``(assignment,
-        coeff)`` pairs."""
+        columns.  The block is pulled from its rows (``_pull_block``)."""
         n, n_low = len(self.slots[key]), len(self.slots[_lowered(key, i)])
         bits, field = self.bits, self.field
         signed = [(twist * sign, plan)
                   for sign, plan in self.signed_plans(key, i)]
-        if self.unfold is None:
-            pushes = [(sign, self.pusher(plan)) for sign, plan in signed]
-            up, down = _decoder(n, bits), _decoder(n_low, bits)
-
-            def push(rows, columns, out, start):
-                return _boundary_block(
-                    pushes, [up(x) for x in columns],
-                    {down(x): r for r, x in enumerate(rows)}, field, out,
-                    start)
-            return push
         comps = self.complements[key]
         faces = _pull_faces(signed, n, comps, self.unfold, self.sizes, bits)
         degenerate = tuple((_code([(1 << bits) - 1] * len(comp), comp, bits),
@@ -1004,8 +936,7 @@ class _Labelings:
         out of level ``key`` in weight w onto the codes ``rows[w]``, as its
         rows ``{col: scalar}`` and its column count, for each weight of
         ``rows``; its columns are numbered as the codes ``cols[w]`` list
-        them, or, with lookups, as the rows reach them when ``cols`` is
-        None."""
+        them, or as the rows reach them when ``cols`` is None."""
         fill = self._filler(key, i, 1)
         for w, row_codes in rows.items():
             # the column index is passed, not bound in this frame, so it is
@@ -1060,9 +991,9 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
     ``oracle.total_homology``), each block is built once every block below
     it is ranked, on its uncleared rows alone, and dropped once ranked
     (``_Labelings.implicit_blocks``); the top total degree d + 1 is read
-    only through the rank of ``∂_{d+1}`` and never listed with monomial
-    tables.  Its bases are then keyed by level and weight, and their sizes
-    are summed per total degree.
+    only through the rank of ``∂_{d+1}`` and never listed.  Its bases are
+    then keyed by level and weight, and their sizes are summed per total
+    degree.
     """
     d = complex_.max_degree
     ranks = {}

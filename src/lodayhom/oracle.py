@@ -119,8 +119,8 @@ def total_homology(bicomplex: Bicomplex) -> HomologyTable:
     bicomplex's max_degree, per (degree, weight).  While the grid defers its
     assembly, ``homology_dims`` ranks each block of the total differential
     on its uncleared rows, as it ranks a ``build_complex`` complex, and
-    never lists the top total degree with monomial tables; an assembled
-    grid is ranked through ``_total_complex``."""
+    never lists the top total degree; an assembled grid is ranked through
+    ``_total_complex``."""
     if bicomplex._labelings is None:
         return homology_dims(_total_complex(bicomplex))
     return homology_dims(LodayComplex(

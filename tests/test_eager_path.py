@@ -6,9 +6,9 @@ rows and numbers the top total degree's columns by the packed codes its rows
 reach.  A read of ``.boundaries`` lists the top total degree, pulls every
 block onto all its rows, with the listed columns encoded, and totalizes the
 grid's two axes.  For each job of ``bench/workloads.py`` both must give the
-same homology, and the job its frozen exit code and report.  The grid job
-must also give it with every block pushed by terms from its listed columns,
-the top total degree's included.
+same homology, and the job its frozen exit code and report.  The grid
+job's blocks, the top total degree's included, must also equal those that
+``_push_labeling`` assembles from its listed terms.
 """
 
 import importlib.util
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from lodayhom import cli, loday, oracle, stability
+from test_pushforward import assert_grid_equals_reference
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
@@ -46,10 +47,17 @@ def test_deferred_equals_eager(job, monkeypatch):
             checked.append(complex_)
         return table
 
+    grids = []
+
+    def kept_grid(*args, **kwargs):
+        grids.append(oracle.torus_bicomplex(*args, **kwargs))
+        return grids[-1]
+
     for module in (cli, stability, oracle):
         monkeypatch.setattr(module, "homology_dims", homology_both_ways)
+    monkeypatch.setattr(cli, "torus_bicomplex", kept_grid)
     assert _run(job) == (job.exit_code, job.report)
     assert checked
-    if job.argv[0] == "oracle-bicomplex":
-        monkeypatch.setattr(loday, "_index_tables", lambda *args: None)
-        assert _run(job) == (job.exit_code, job.report)
+    assert bool(grids) == (job.argv[0] == "oracle-bicomplex")
+    for grid in grids:
+        assert_grid_equals_reference(grid)

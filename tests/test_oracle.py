@@ -218,9 +218,9 @@ class TestDeferredTotal:
             made.append("SparseMatrix")
             return adopt(self, *args)
 
-        def spied_level(self, key, bound=None):
+        def spied_level(self, key):
             listed.append(key)
-            return level(self, key, bound)
+            return level(self, key)
 
         bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 3)
         monkeypatch.setattr(Labeling, "__new__", staticmethod(counted_new))

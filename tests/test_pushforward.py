@@ -1,12 +1,11 @@
 """Boundary blocks read off the structure tables, against references.
 
-``_face_pusher`` multiplies out the ``(basis index, scalar)`` pairs of the
-tables; ``_push_labeling`` below is its reference, which re-derives every
-product through ``algebra.mul`` and ``mul_lincomb`` with field arithmetic.
-When every product and coefficient action is zero or one basis element with
-coefficient one, every block is pulled from its rows by ``_pull_block``
-instead, and patching ``_index_tables`` to None pushes it by terms: both must
-give the same matrices.  ``homology_dims`` builds each block on its
+Every block is pulled from its rows by ``_pull_block``, whatever the tables.
+``_push_labeling`` below is the reference: it pushes one labeling along one
+face, re-deriving every product through ``algebra.mul`` and ``mul_lincomb``
+with field arithmetic, and the blocks it assembles from the listed bases
+must equal the pulled ones, on monomial tables and on presentations with
+other structure constants.  ``homology_dims`` builds each block on its
 uncleared rows, the top level's from the columns they reach, and its
 homology must equal that of the listed and assembled complex; the top
 blocks pulled onto all their rows must equal the listed ones once each
@@ -14,6 +13,7 @@ reached column code takes its listed number.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -24,10 +24,10 @@ from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
     Coefficients, load_algebra, parse_algebra_expr, polynomial, truncated_poly,
 )
-from lodayhom.exactlinalg import SparseMatrix, pivots
+from lodayhom.exactlinalg import SparseMatrix, integer_rows, pivots
 from lodayhom.loday import (
-    Labeling, _face_plans, _face_pusher, _index_tables, _resolve_coefficients,
-    _structure_tables, build_complex, homology_dims,
+    Labeling, _factorizations, _lowered, _resolve_coefficients, build_complex,
+    homology_dims,
 )
 from lodayhom.simplicial import build_space, circle
 
@@ -97,15 +97,6 @@ def _push_labeling(algebra, c_alg, action, plan, labeling, field):
     return out
 
 
-def _collected(terms, field):
-    """The terms of a push summed per labeling, zeros dropped."""
-    out = {}
-    for image, scalar in terms:
-        out[image] = out.get(image, 0) + scalar
-    out = {Labeling(*image): field.normalize(v) for image, v in out.items()}
-    return {key: v for key, v in out.items() if v != field.zero}
-
-
 def _coefficients(mode, algebra):
     if mode == "unit":
         return Coefficients.unit()
@@ -118,75 +109,55 @@ def _coefficients(mode, algebra):
         target, [{0: 1}, {1: 1}] + [{}] * (algebra.dim - 2))
 
 
-def _generic_only(monkeypatch):
-    monkeypatch.setattr(loday, "_index_tables", lambda *args: None)
-
-
-def _cube_truncation_without_monomials(field_tag):
-    """k[x]/x^3 on the basis 1, x, y with x*x = 2y: not monomial, since the
-    square of x carries the coefficient 2."""
+def _cube_truncation_without_monomials(field_tag, square=2):
+    """k[x]/x^3 on the basis 1, x, y with x*x = square * y, loaded from
+    JSON: not monomial, since the square of x carries a coefficient other
+    than one ("1/2" is read as a fraction over Q)."""
     unit_products = [{"left": "1", "right": b, "value": [{"basis": b,
                                                           "coeff": 1}]}
                      for b in ("1", "x", "y")]
-    return load_algebra({
+    return load_algebra(json.dumps({
         "field": field_tag,
         "basis": [{"name": "1", "weight": 0}, {"name": "x", "weight": 1},
                   {"name": "y", "weight": 2}],
         "unit": "1",
         "structure": unit_products + [
-            {"left": "x", "right": "x", "value": [{"basis": "y", "coeff": 2}]}],
+            {"left": "x", "right": "x",
+             "value": [{"basis": "y", "coeff": square}]}],
         "augmentation": [{"basis": "1", "coeff": 1}],
-    })
+    }))
 
 
 CUBE_FIELDS = [("Fp:3", 3), ("Fp:5", 5), ("Q", "Q")]
 
 
-def _assert_pushes_equal_reference(space, algebra, coefficients, d):
-    """Every face of the unnormalized complex through degree d, pushed by
-    terms from every basis labeling, against ``_push_labeling``.  Returns
-    whether the tables are monomial (``_index_tables``)."""
-    field = algebra.field
-    complex_ = build_complex(space, algebra, coefficients, d, normalized=False)
+def _reference_blocks(labelings, coefficients, bases, i):
+    """The blocks along axis i of the levels ``bases`` (``Labeling`` lists
+    keyed ``level + (w,)``) as ``{(row, col): scalar}``, keyed like their
+    columns: each face of ``labelings.signed_plans`` pushed by
+    ``_push_labeling`` from every column, with its sign, onto the rows one
+    level down; images that are not rows (degenerate ones) are dropped."""
+    algebra, field = labelings.algebra, labelings.field
     c_alg, action = _resolve_coefficients(algebra, coefficients)
-    bound = max(w for (_, w) in complex_.bases)
-    tables = _structure_tables(algebra, c_alg, action, bound)
-    pusher = _face_pusher(tables, algebra.unit)
-    for level in range(1, d + 2):
-        slots = [s for s in range(space.size(level))
-                 if s != space.basepoints[level]]
-        slots_low = [s for s in range(space.size(level - 1))
-                     if s != space.basepoints[level - 1]]
-        plans = _face_plans([space.face(level, i) for i in range(level + 1)],
-                            slots, slots_low, space.basepoints[level - 1])
-        labelings = [lab for (q, _), labs in complex_.bases.items()
-                     if q == level for lab in labs]
-        for plan in plans:
-            push = pusher(plan)
-            for lab in labelings:
-                expected = _push_labeling(algebra, c_alg, action, plan, lab,
-                                          field)
-                assert _collected(push(lab), field) == expected, \
-                    (level, plan, lab)
-    return _index_tables(tables, algebra, c_alg) is not None
-
-
-@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
-@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
-def test_table_face_equals_push_labeling(expr, algebra_spec, p, d, mode):
-    algebra = parse_algebra_expr(algebra_spec, p)
-    assert _assert_pushes_equal_reference(
-        build_space(expr, d + 1), algebra, _coefficients(mode, algebra), d)
-
-
-@pytest.mark.parametrize("mode", ["unit", "self"])
-@pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
-def test_table_face_on_non_monomial_presentation(field_tag, field, mode):
-    algebra = _cube_truncation_without_monomials(field_tag)
-    coefficients = _coefficients(mode, algebra)
-    for space, d in ((circle(4), 3), (build_space("sphere(2)", 2), 1)):
-        assert not _assert_pushes_equal_reference(space, algebra, coefficients,
-                                                  d)
+    blocks = {}
+    for key, cols in bases.items():
+        level, w = key[:-1], key[-1]
+        if not level[i]:
+            continue
+        rows = {lab: r for r, lab in enumerate(
+            bases.get(_lowered(level, i) + (w,), ()))}
+        entries = {}
+        for sign, plan in labelings.signed_plans(level, i):
+            for c, lab in enumerate(cols):
+                for image, v in _push_labeling(algebra, c_alg, action, plan,
+                                               lab, field).items():
+                    r = rows.get(image)
+                    if r is not None:
+                        entries[(r, c)] = field.add(
+                            entries.get((r, c), field.zero),
+                            v if sign > 0 else field.neg(v))
+        blocks[key] = {rc: v for rc, v in entries.items() if v != field.zero}
+    return blocks
 
 
 # the diagonal torus to degree 1: a degeneracy misses five of the eight top
@@ -206,40 +177,45 @@ def test_diagonal_torus_has_a_complement_of_several_slots():
         (space,), (level,), cells)) == 5
 
 
-def _assert_pull_equals_push(space, algebra, coefficients, d, monkeypatch,
-                             weight_bound=None):
-    """Pulled blocks equal the blocks pushed by terms, normalized or not."""
+def _assert_pull_equals_reference(space, algebra, coefficients, d,
+                                  weight_bound=None):
+    """Pulled blocks, the top's onto its listed labelings, equal the blocks
+    assembled by ``_push_labeling``, normalized or not."""
     for normalized in (True, False):
-        table = build_complex(space, algebra, coefficients, d, weight_bound,
-                              normalized=normalized)
-        with monkeypatch.context() as patch:
-            _generic_only(patch)
-            generic = build_complex(space, algebra, coefficients, d,
-                                    weight_bound, normalized=normalized)
-        assert table.bases == generic.bases
-        assert {k: m.entries for k, m in table.boundaries.items()} == \
-            {k: m.entries for k, m in generic.boundaries.items()}, normalized
+        complex_ = build_complex(space, algebra, coefficients, d, weight_bound,
+                                 normalized=normalized)
+        labelings = complex_._labelings
+        assert {k: m.entries for k, m in complex_.boundaries.items()} == \
+            _reference_blocks(labelings, coefficients, complex_.bases, 0), \
+            normalized
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
 @pytest.mark.parametrize("mode", ["unit", "self", "custom"])
 @pytest.mark.parametrize("expr,algebra_spec,p,d",
                          SMALL_INPUTS + [DIAGONAL_TORUS])
-def test_boundaries_equal_generic_path(expr, algebra_spec, p, d, mode, field,
-                                       monkeypatch):
+def test_boundaries_equal_reference(expr, algebra_spec, p, d, mode, field):
     algebra = parse_algebra_expr(algebra_spec, field)
-    _assert_pull_equals_push(build_space(expr, d + 1), algebra,
-                             _coefficients(mode, algebra), d, monkeypatch)
+    _assert_pull_equals_reference(build_space(expr, d + 1), algebra,
+                                  _coefficients(mode, algebra), d)
+
+
+@pytest.mark.parametrize("mode", ["unit", "self"])
+@pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
+def test_boundaries_on_non_monomial_presentation(field_tag, field, mode):
+    algebra = _cube_truncation_without_monomials(field_tag)
+    for space, d in ((circle(4), 3), (build_space("sphere(2)", 2), 1)):
+        _assert_pull_equals_reference(space, algebra,
+                                      _coefficients(mode, algebra), d)
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
-def test_pull_folds_cosplits_into_the_last_of_several_merges(field,
-                                                             monkeypatch):
+def test_pull_folds_cosplits_into_the_last_of_several_merges(field):
     """``_pull_faces`` folds the cosplit offsets into the split offsets of a
     face's last merged slot.  The degree-2 diagonal torus with self
     coefficients has faces that merge several slots and send several slots
     into the basepoint, where the coefficient t of ``truncpoly(2)`` has more
-    than one cosplit; its pulled blocks must equal the term push."""
+    than one cosplit; its pulled blocks must equal the reference."""
     algebra = truncated_poly(field, 2)
     coefficients = Coefficients.self_algebra()
     d, bound = 2, 4
@@ -251,11 +227,11 @@ def test_pull_folds_cosplits_into_the_last_of_several_merges(field,
               for j, (_, (pre, to_base)) in enumerate(
                   labelings.signed_plans(key, 0))
               if sum(len(srcs) > 1 for srcs in pre) >= 2
-              and max(len(labelings.unfold(1, c, len(to_base), 0))
+              and max(sum(map(len, labelings.unfold(1, c, len(to_base),
+                                                    0).values()))
                       for c in range(labelings.sizes[1])) > 1]
     assert ((3,), 0) in folded
-    _assert_pull_equals_push(space, algebra, coefficients, d, monkeypatch,
-                             bound)
+    _assert_pull_equals_reference(space, algebra, coefficients, d, bound)
 
 
 def _ranked_digest(complex_):
@@ -289,25 +265,27 @@ def test_deferred_pivot_sequence_is_pinned(expr, m, coefficients, d, bound,
     assert _ranked_digest(complex_) == digest
 
 
+def assert_grid_equals_reference(grid):
+    """The blocks of a deferred grid, pulled onto all their rows by a read
+    of ``.horizontal`` and ``.vertical``, equal those assembled by
+    ``_push_labeling`` along the plans of ``_Labelings.signed_plans``."""
+    labelings = grid._labelings
+    for i, name in enumerate(("horizontal", "vertical")):
+        assert ({k: m.entries for k, m in getattr(grid, name).items()}
+                == _reference_blocks(labelings, grid.coefficients, grid.terms,
+                                     i)), name
+
+
 @pytest.mark.parametrize("field", [2, 3, "Q"])
-def test_grid_bicomplex_equals_generic_path(field, monkeypatch):
-    algebra = truncated_poly(field, 2)
-    table = oracle.torus_bicomplex(algebra, Coefficients.unit(), 2)
-    _generic_only(monkeypatch)
-    generic = oracle.torus_bicomplex(algebra, Coefficients.unit(), 2)
-    for name in ("horizontal", "vertical"):
-        assert ({k: m.entries for k, m in getattr(table, name).items()}
-                == {k: m.entries for k, m in getattr(generic, name).items()})
+def test_grid_bicomplex_equals_reference(field):
+    assert_grid_equals_reference(oracle.torus_bicomplex(
+        truncated_poly(field, 2), Coefficients.unit(), 2))
 
 
 @pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
 def test_generic_path_on_non_monomial_presentation(field_tag, field):
     algebra = _cube_truncation_without_monomials(field_tag)
     reference = truncated_poly(field, 3)
-    for coefficients in (Coefficients.unit(), Coefficients.self_algebra()):
-        c_alg, action = _resolve_coefficients(algebra, coefficients)
-        tables = _structure_tables(algebra, c_alg, action, 8)
-        assert _index_tables(tables, algebra, c_alg) is None
     cases = ((circle(4), Coefficients.unit(), 3),
              (circle(4), Coefficients.self_algebra(), 3),
              (build_space("sphere(2)", 3), Coefficients.unit(), 2))
@@ -321,20 +299,86 @@ def test_generic_path_on_non_monomial_presentation(field_tag, field):
 @pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
 def test_grid_total_homology_on_non_monomial_presentation(field_tag, field,
                                                           monkeypatch):
-    """With tables that are not monomial the deferred grid pushes every
-    block of its total complex by terms, listing its top total degree; its
-    homology equals that of its assembled total complex and of the monomial
-    presentation of k[x]/x^3."""
+    """With tables that are not monomial the deferred grid pulls every block
+    of its total complex, listing no top total degree; its homology equals
+    that of its assembled total complex and of the monomial presentation of
+    k[x]/x^3."""
     algebra = _cube_truncation_without_monomials(field_tag)
     for coefficients in (Coefficients.unit(), Coefficients.self_algebra()):
         grid = oracle.torus_bicomplex(algebra, coefficients, 2)
         assert _blocks_made(monkeypatch,
-                            lambda: oracle.total_homology(grid)) == {"push"}
+                            lambda: oracle.total_homology(grid)) == {"pull"}
         deferred = oracle.total_homology(grid)
         assembled = homology_dims(oracle._total_complex(grid))
         monomial = oracle.total_homology(oracle.torus_bicomplex(
             truncated_poly(field, 3), coefficients, 2))
         assert deferred.dims == assembled.dims == monomial.dims, coefficients
+
+
+def test_non_integral_structure_constant(monkeypatch):
+    """k[x]/x^3 over Q with x*x = y/2: the one presentation whose pulled
+    rows hold ``Fraction``s, so its deferred blocks, and no others, go
+    through ``integer_rows``.  Its blocks equal the reference, and its
+    homology equals that of truncpoly(3): HH by the closed form of
+    criterion 12 (3 in degree 0, then 2), on sphere(2), on the weight-bounded
+    diagonal torus and on the grid, deferred and as its total complex."""
+    half = _cube_truncation_without_monomials("Q", "1/2")
+    unit, self_ = Coefficients.unit(), Coefficients.self_algebra()
+    _assert_pull_equals_reference(circle(4), half, self_, 3)
+    _assert_pull_equals_reference(build_space("sphere(2)", 2), half, unit, 1)
+    assert_grid_equals_reference(oracle.torus_bicomplex(half, unit, 1))
+    scaled = []
+
+    def spy(rows):
+        scaled.append(len(rows))
+        return integer_rows(rows)
+
+    monkeypatch.setattr(loday, "integer_rows", spy)
+    for square, fractional in ((2, False), ("1/2", True)):
+        scaled.clear()
+        algebra = _cube_truncation_without_monomials("Q", square)
+        hh = homology_dims(build_complex(circle(8), algebra, self_, 7))
+        assert hh.totals() == [3] + [2] * 7
+        assert bool(scaled) == fractional, square
+    reference = truncated_poly("Q", 3)
+    for expr, coefficients, d, bound in (("sphere(2)", unit, 2, None),
+                                         ("prod(S1,S1)", unit, 2, 4),
+                                         ("prod(S1,S1)", self_, 2, 4)):
+        space = build_space(expr, d + 1)
+        got, want = (homology_dims(build_complex(space, algebra, coefficients,
+                                                 d, bound))
+                     for algebra in (half, reference))
+        assert got.dims == want.dims, (expr, coefficients)
+    for coefficients in (unit, self_):
+        deferred = oracle.total_homology(
+            oracle.torus_bicomplex(half, coefficients, 2))
+        assembled = homology_dims(oracle._total_complex(
+            oracle.torus_bicomplex(half, coefficients, 2)))
+        monomial = oracle.total_homology(
+            oracle.torus_bicomplex(reference, coefficients, 2))
+        assert deferred.dims == assembled.dims == monomial.dims, coefficients
+
+
+@pytest.mark.parametrize("p,dropped", [(3, True), (5, False), (None, False)],
+                         ids=["F3", "F5", "Q"])
+def test_factorizations_sum_scalars_over_intermediate_elements(p, dropped):
+    """a*a = b + 2c and b*a = c*a = z: the tuple (a, a, a) reaches z through
+    b and through c, so its scalar is the sum 1*1 + 2*1 = 3, and the tuple
+    is dropped over F3.  No built-in algebra has a product of two terms."""
+    one, a, b, c, z = range(5)
+    mul = [[()] * 5 for _ in range(5)]
+    for x in range(5):
+        mul[one][x] = mul[x][one] = ((x, 1),)
+    mul[a][a] = ((b, 1), (c, 2))
+    mul[b][a] = mul[c][a] = ((z, 1),)
+    unfold = _factorizations((mul, ()), one, p)
+    want = {1: {(z, one, one), (one, z, one), (one, one, z),
+                (b, a, one), (b, one, a), (one, b, a),
+                (c, a, one), (c, one, a), (one, c, a)}}
+    if not dropped:
+        want[3] = {(a, a, a)}
+    assert {s: set(tuples) for s, tuples in unfold(0, z, 2, 0).items()} \
+        == want
 
 
 def _digest_update(h, bases, matrices):
@@ -534,8 +578,7 @@ def test_unit_listed_last(expr, d, bound, mode, field, monkeypatch):
     algebra, coefficients = _unit_last_inputs(field, mode)
     assert algebra.unit == 2
     space = build_space(expr, d + 1)
-    _assert_pull_equals_push(space, algebra, coefficients, d, monkeypatch,
-                             bound)
+    _assert_pull_equals_reference(space, algebra, coefficients, d, bound)
     _assert_implicit_equals_listed(space, algebra, coefficients, d, monkeypatch,
                                    bound)
 
@@ -556,8 +599,7 @@ def test_digit_widths(expr, algebra_spec, d, bound, bits, mode, monkeypatch):
     space = build_space(expr, d + 1)
     assert build_complex(space, algebra, coefficients, d,
                          bound)._labelings.bits == bits
-    _assert_pull_equals_push(space, algebra, coefficients, d, monkeypatch,
-                             bound)
+    _assert_pull_equals_reference(space, algebra, coefficients, d, bound)
     _assert_implicit_equals_listed(space, algebra, coefficients, d, monkeypatch,
                                    bound)
 
@@ -566,10 +608,12 @@ def test_digit_widths(expr, algebra_spec, d, bound, bits, mode, monkeypatch):
     ("prod(S1,S1)", truncated_poly(3, 2), Coefficients.unit(), 2, [1, 2, 3]),
     ("S1", truncated_poly(3, 4), Coefficients.self_algebra(), 7,
      [4] + [3] * 7),
-], ids=["torus-F3", "hochschild-t4-F3"])
+    ("S1", _cube_truncation_without_monomials("Fp:3"),
+     Coefficients.self_algebra(), 5, [3] * 6),
+], ids=["torus-F3", "hochschild-t4-F3", "hochschild-cube-F3"])
 def test_homology_lists_no_top_labeling(expr, algebra, coefficients, d,
                                         totals, monkeypatch):
-    """With monomial tables every top block is pulled from its rows, so no
+    """Whatever the tables, every top block is pulled from its rows, so no
     labeling of the top level is listed, not even where a block is about as
     wide as its rows."""
     space = build_space(expr, d + 1)
@@ -653,27 +697,29 @@ def test_empty_torus_top_lists_nothing(monkeypatch):
 
 
 def _blocks_made(monkeypatch, run):
-    """The kinds of the blocks that ``run()`` builds: "pull" or "push"."""
+    """The kinds of the blocks that ``run()`` builds: {"pull"} once it pulls
+    one."""
     made = set()
+    original = loday._pull_block
+
+    def record(*args):
+        made.add("pull")
+        return original(*args)
+
     with monkeypatch.context() as patch:
-        for name, kind in (("_pull_block", "pull"), ("_boundary_block", "push")):
-            def record(*args, original=getattr(loday, name), kind=kind):
-                made.add(kind)
-                return original(*args)
-            patch.setattr(loday, name, record)
+        patch.setattr(loday, "_pull_block", record)
         run()
     return made
 
 
-@pytest.mark.parametrize("algebra,kind", [
-    (truncated_poly(3, 4), "pull"),
-    (_cube_truncation_without_monomials("Fp:3"), "push"),
+@pytest.mark.parametrize("algebra", [
+    truncated_poly(3, 4), _cube_truncation_without_monomials("Fp:3"),
 ], ids=["monomial", "cube"])
-def test_the_tables_alone_choose_pull_or_push(algebra, kind, monkeypatch):
-    """Square blocks of the Hochschild complex are pulled with monomial
-    tables, by homology on their uncleared rows, by a ``.boundaries`` read
-    on all of them, and so are the grid's, by its total homology and by a
-    ``.horizontal`` read; with other tables every block is pushed."""
+def test_every_table_is_pulled(algebra, monkeypatch):
+    """Square blocks of the Hochschild complex are pulled, by homology on
+    their uncleared rows and by a ``.boundaries`` read on all of them, and
+    so are the grid's, by its total homology and by a ``.horizontal`` read,
+    with monomial tables and with others alike."""
     d = 5
     coefficients = Coefficients.self_algebra()
     for run in (lambda: homology_dims(build_complex(circle(d + 1), algebra,
@@ -684,7 +730,7 @@ def test_the_tables_alone_choose_pull_or_push(algebra, kind, monkeypatch):
                     oracle.torus_bicomplex(algebra, coefficients, 1)),
                 lambda: oracle.torus_bicomplex(algebra, coefficients,
                                                1).horizontal):
-        assert _blocks_made(monkeypatch, run) == {kind}
+        assert _blocks_made(monkeypatch, run) == {"pull"}
 
 
 @pytest.mark.parametrize("axes", [
