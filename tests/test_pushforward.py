@@ -5,10 +5,11 @@ Every block is pulled from its rows by ``_pull_block``, whatever the tables.
 face, re-deriving every product through ``algebra.mul`` and ``mul_lincomb``
 with field arithmetic, and the blocks it assembles from the listed bases
 must equal the pulled ones, on monomial tables and on presentations with
-other structure constants.  ``homology_dims`` builds each block on its
-uncleared rows, the top level's from the columns they reach, and its
-homology must equal that of the listed and assembled complex; the top
-blocks pulled onto all their rows must equal the listed ones once each
+other structure constants; so must each face pulled alone, from every
+basis labeling of the unnormalized complex.  ``homology_dims`` builds each
+block on its uncleared rows, the top level's from the columns they reach,
+and its homology must equal that of the listed and assembled complex; the
+top blocks pulled onto all their rows must equal the listed ones once each
 reached column code takes its listed number.
 """
 
@@ -26,7 +27,8 @@ from lodayhom.algebra import (
 )
 from lodayhom.exactlinalg import SparseMatrix, integer_rows, pivots
 from lodayhom.loday import (
-    Labeling, _factorizations, _lowered, _resolve_coefficients, build_complex,
+    Labeling, _decoder, _factorizations, _lowered, _matrix, _pull_block,
+    _pull_faces, _resolve_coefficients, _structure_tables, build_complex,
     homology_dims,
 )
 from lodayhom.simplicial import build_space, circle
@@ -129,6 +131,67 @@ def _cube_truncation_without_monomials(field_tag, square=2):
 
 
 CUBE_FIELDS = [("Fp:3", 3), ("Fp:5", 5), ("Q", "Q")]
+
+
+def _assert_faces_equal_reference(space, algebra, coefficients, d):
+    """Every face of the unnormalized complex through degree d, pulled alone
+    by ``_pull_faces`` and ``_pull_block`` onto every basis labeling one
+    level down, against ``_push_labeling`` from every basis labeling; the
+    pull reaches no column outside the basis.  Returns whether every entry
+    of the structure tables is zero or one basis element with scalar one."""
+    field = algebra.field
+    labelings = build_complex(space, algebra, coefficients, d,
+                              normalized=False)._labelings
+    c_alg, action = _resolve_coefficients(algebra, coefficients)
+    bits = labelings.bits
+    for key in sorted(labelings.slots):
+        if not key[0]:
+            continue
+        low = _lowered(key, 0)
+        n, n_low = len(labelings.slots[key]), len(labelings.slots[low])
+        cols, rows = labelings.level(key), labelings.level(low)
+        decode, decode_low = _decoder(n, bits), _decoder(n_low, bits)
+        for _, plan in labelings.signed_plans(key, 0):
+            faces = _pull_faces([(1, plan)], n, (), labelings.unfold,
+                                labelings.sizes, bits)
+            for w, col_codes in cols.items():
+                row_codes = rows.get(w, ())
+                col_index = {x: c for c, x in enumerate(col_codes)}
+                out, end = _pull_block(faces, row_codes, col_index, field,
+                                       bits, n_low, (),
+                                       [{} for _ in row_codes], 0)
+                assert end == len(col_codes), (key, plan, w)
+                row_of = {Labeling(*decode_low(x)): r
+                          for r, x in enumerate(row_codes)}
+                expected = {}
+                for c, x in enumerate(col_codes):
+                    for image, v in _push_labeling(
+                            algebra, c_alg, action, plan,
+                            Labeling(*decode(x)), field).items():
+                        expected[(row_of[image], c)] = v
+                assert _matrix((out, end), field).entries == expected, \
+                    (key, plan, w)
+    tables = _structure_tables(algebra, c_alg, action, labelings.bound)
+    return all(len(terms) <= 1 and all(s == 1 for _, s in terms)
+               for table in tables for row in table for terms in row)
+
+
+@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
+@pytest.mark.parametrize("expr,algebra_spec,p,d", SMALL_INPUTS)
+def test_table_face_equals_push_labeling(expr, algebra_spec, p, d, mode):
+    algebra = parse_algebra_expr(algebra_spec, p)
+    assert _assert_faces_equal_reference(
+        build_space(expr, d + 1), algebra, _coefficients(mode, algebra), d)
+
+
+@pytest.mark.parametrize("mode", ["unit", "self"])
+@pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
+def test_table_face_on_non_monomial_presentation(field_tag, field, mode):
+    algebra = _cube_truncation_without_monomials(field_tag)
+    coefficients = _coefficients(mode, algebra)
+    for space, d in ((circle(4), 3), (build_space("sphere(2)", 2), 1)):
+        assert not _assert_faces_equal_reference(space, algebra, coefficients,
+                                                 d)
 
 
 def _reference_blocks(labelings, coefficients, bases, i):
