@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Torus homology two ways.
 
-The grid bicomplex evaluates the labeling functor on S^1_n x S^1_m directly:
-the (n, m) term is one copy of the algebra for each of the (n+1)(m+1) - 1
-non-basepoint cells.  Totalizing with a sign twist must give the same
+The grid evaluates the labeling functor on S^1_n x S^1_m directly: the
+(n, m) term is one copy of the algebra for each of the (n+1)(m+1) - 1
+non-basepoint cells.  It is a ``LodayComplex`` like the diagonal one, over
+two circle axes instead of one, and ``homology_dims`` ranks its total
+complex, twisted by a sign, as it ranks any other; it must give the same
 dimensions as the diagonal product-space complex (Eilenberg-Zilber).  Both
-pipelines label cells, enumerate bases and assemble boundaries with the same
-core; what the check exercises independently is the bisimplicial cell
-structure of the grid, its per-axis face maps and the twisted totalization,
-against the diagonal simplicial.product.
+label cells, enumerate bases and pull boundaries with the same core; what
+the check exercises independently is the bisimplicial cell structure of the
+grid, its per-axis face maps and the twisted totalization, against the
+diagonal simplicial.product.
 """
 
 from lodayhom import (
     Coefficients, build_complex, build_space, homology_dims, torus_bicomplex,
-    total_homology, truncated_poly,
+    truncated_poly,
 )
 
 UNIT = Coefficients.unit()
@@ -29,7 +31,7 @@ for n in range(3):
     print("  " + "   ".join(row))
 print()
 
-via_grid = total_homology(bicomplex)
+via_grid = homology_dims(bicomplex)
 direct = homology_dims(build_complex(build_space("prod(S1,S1)", 3), A, UNIT, 2))
 print(f"total complex homology: {via_grid.totals()}")
 print(f"diagonal product model: {direct.totals()}")
@@ -38,7 +40,7 @@ print(f"blockwise equal: {via_grid.dims == direct.dims}")
 print("\nSame check over F_2 and Q:")
 for field in (2, "Q"):
     a = truncated_poly(field, 2)
-    grid = total_homology(torus_bicomplex(a, UNIT, 2))
+    grid = homology_dims(torus_bicomplex(a, UNIT, 2))
     diag = homology_dims(build_complex(build_space("prod(S1,S1)", 3), a, UNIT, 2))
     name = "Q" if field == "Q" else f"F{field}"
     print(f"  {name}: grid {grid.totals()} vs diagonal {diag.totals()} "

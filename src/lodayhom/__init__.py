@@ -4,10 +4,12 @@ The package assembles the chain complex whose p-chains place one basis label
 of a weight-graded commutative augmented algebra A on each non-basepoint
 p-simplex of a finite pointed simplicial set X (and a coefficient label at the
 basepoint), and computes its homology dimensions per (degree, weight) with
-exact sparse linear algebra.  Independent oracles (the two-circle grid
-bicomplex and Künneth convolution) cross-check the main pipeline, and the
-stability drivers phrase torus-versus-wedge comparisons as executable
-verdicts.
+exact sparse linear algebra.  One complex class, ``LodayComplex``, holds
+the labelings over one axis or several: ``homology_dims`` ranks every
+complex one way, and its eager reads are cached views.  Independent oracles
+(the same evaluator on the two-circle grid, and Künneth convolution)
+cross-check the main pipeline, and the stability drivers phrase
+torus-versus-wedge comparisons as executable verdicts.
 """
 
 from .exactlinalg import (
@@ -29,10 +31,7 @@ from .loday import (
     Labeling, LodayComplex, TruncationTooShallow, WeightBoundRequired,
     build_complex, chain_dims, homology_dims,
 )
-from .oracle import (
-    Bicomplex, CoefficientMismatch, torus_bicomplex, total_homology,
-    wedge_kunneth_dims,
-)
+from .oracle import CoefficientMismatch, torus_bicomplex, wedge_kunneth_dims
 from .stability import (
     ComparisonReport, NotConnected, PRESET_EQUIVALENT_PAIRS, compare_spaces,
     compare_tables, product_decomposition_check,
@@ -41,7 +40,7 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraAxiomError", "BasisSizeExceeded", "Bicomplex", "Coefficients",
+    "AlgebraAxiomError", "BasisSizeExceeded", "Coefficients",
     "CoefficientMismatch", "ComparisonReport", "DEFAULT_MAX_BLOCK",
     "FieldMismatch", "FieldSpec", "GradedAlgebra", "HomologyTable",
     "InvalidTruncation", "Labeling", "LodayComplex", "MalformedExpr",
@@ -54,7 +53,6 @@ __all__ = [
     "is_connected", "kernel_dim", "load_algebra", "make_field",
     "parse_algebra_expr", "parse_space_expr", "point", "polynomial", "product",
     "product_decomposition_check", "rank", "simplex_sphere", "smash",
-    "suspension", "torus_bicomplex",
-    "total_homology", "truncated_poly", "unit_coefficient_algebra",
-    "validate", "validate_algebra", "wedge", "wedge_kunneth_dims",
+    "suspension", "torus_bicomplex", "truncated_poly",
+    "unit_coefficient_algebra", "validate", "validate_algebra", "wedge", "wedge_kunneth_dims",
 ]

@@ -21,9 +21,7 @@ from .algebra import (
     Coefficients, parse_algebra_expr, parse_coeff_expr, polynomial,
 )
 from .loday import build_complex, homology_dims
-from .oracle import (
-    _total_complex, torus_bicomplex, total_homology, wedge_kunneth_dims,
-)
+from .oracle import torus_bicomplex, wedge_kunneth_dims
 from .simplicial import build_space, parse_space_expr
 from .stability import compare_tables, product_decomposition_check
 
@@ -50,41 +48,37 @@ class Workspace:
     def homology(self, space_expr: str, algebra_spec: str, field,
                  max_degree: int, weight_bound=None, normalized=True,
                  coeff="unit"):
-        key = (space_expr, algebra_spec, str(field), max_degree, weight_bound,
-               normalized, coeff)
-        if key in self.tables:
-            return self.tables[key]
-        algebra = parse_algebra_expr(algebra_spec, field)
-        space = build_space(parse_space_expr(space_expr), max_degree + 1)
-        coefficients = parse_coeff_expr(coeff, field)
-        complex_ = build_complex(space, algebra, coefficients, max_degree,
+        def make():
+            algebra = parse_algebra_expr(algebra_spec, field)
+            space = build_space(parse_space_expr(space_expr), max_degree + 1)
+            return build_complex(space, algebra,
+                                 parse_coeff_expr(coeff, field), max_degree,
                                  weight_bound, normalized)
-        # homology first, on the implicit top that the CLI runs; the square
-        # audit then lists the top level and checks it too
-        table = homology_dims(complex_)
-        violations = complex_.check_boundary_squares()
-        self.square_checks.append(
-            (f"{space_expr} / {algebra_spec} / {field} / {coeff} / "
-             f"norm={normalized}", not violations))
-        self.tables[key] = table
-        return table
+        return self._audited(
+            (space_expr, algebra_spec, str(field), max_degree, weight_bound,
+             normalized, coeff),
+            f"{space_expr} / {algebra_spec} / {field} / {coeff} / "
+            f"norm={normalized}", make)
 
     def bicomplex_homology(self, algebra_spec: str, field, max_degree: int,
                            weight_bound=None):
-        key = ("bicomplex", algebra_spec, str(field), max_degree, weight_bound)
-        if key in self.tables:
-            return self.tables[key]
-        algebra = parse_algebra_expr(algebra_spec, field)
-        bicomplex = torus_bicomplex(algebra, Coefficients.unit(), max_degree,
-                                    weight_bound)
-        # homology first, on the implicit top that the CLI runs; the square
-        # audit then assembles the grid and checks its total complex
-        table = total_homology(bicomplex)
-        self.square_checks.append(
-            (self.bicomplex_description(algebra_spec, field, max_degree),
-             not _total_complex(bicomplex).check_boundary_squares()))
-        self.tables[key] = table
-        return table
+        return self._audited(
+            ("bicomplex", algebra_spec, str(field), max_degree, weight_bound),
+            self.bicomplex_description(algebra_spec, field, max_degree),
+            lambda: torus_bicomplex(parse_algebra_expr(algebra_spec, field),
+                                    Coefficients.unit(), max_degree,
+                                    weight_bound))
+
+    def _audited(self, key, description, make):
+        """The memoized homology table of the complex ``make()``: homology
+        first, on the implicit top that the CLI runs; the square audit then
+        lists the top total degree and checks the total complex."""
+        if key not in self.tables:
+            complex_ = make()
+            self.tables[key] = homology_dims(complex_)
+            self.square_checks.append(
+                (description, not complex_.check_boundary_squares()))
+        return self.tables[key]
 
     @staticmethod
     def bicomplex_description(algebra_spec: str, field, max_degree: int):

@@ -511,7 +511,9 @@ def parse_algebra_expr(text: str, field):
 
 def parse_coeff_expr(text: str, field) -> Coefficients:
     """Evaluate the coefficient grammar unit | self | file(<path>) over the
-    given field; a file algebra is acted on through the augmentation of A."""
+    given field; a file algebra is acted on through the augmentation of A.
+    Surrounding whitespace is ignored, as in ``parse_algebra_expr``."""
+    text = text.strip()
     if text == "unit":
         return Coefficients.unit()
     if text == "self":

@@ -13,14 +13,13 @@ every update.  Scaling a row by a nonzero factor leaves its zero pattern
 alone, and the pivot order reads only zero patterns, so the pivots and the
 fill-in are those of field arithmetic.
 
-``row_pivots`` is the elimination entry: it takes a block as its rows,
+``row_pivots`` is the one elimination entry: it takes a block as its rows,
 ``{column: scalar}`` dicts, which ``loday`` builds row by row and hands over
-as they are, and returns the (row, column) pairs that elimination takes;
-``rank`` is their number.  ``pivots`` is the same on the rows of a
-``SparseMatrix`` and can leave a set of rows out.  ``loday.homology_dims``
-uses the pivot columns to clear boundary blocks: the pivot columns of
-``∂_p`` are left out of the rows of ``∂_{p+1}``, which by ``∂∂ = 0`` keeps
-the rank (Chen–Kerber's clearing, in the cohomology direction of
+as they are, and returns the (row, column) pairs that elimination takes.
+``rank`` of a ``SparseMatrix`` is their number on its rows.
+``loday.homology_dims`` uses the pivot columns to clear boundary blocks:
+the pivot columns of ``∂_p`` are left out of the rows of ``∂_{p+1}``, which
+by ``∂∂ = 0`` keeps the rank (Chen–Kerber's clearing, in the cohomology direction of
 de Silva–Morozov–Vejdemo-Johansson).
 """
 
@@ -336,7 +335,7 @@ def row_pivots(rows, cols: int, field: FieldSpec) -> list:
     nonsingular.
 
     This is the elimination entry: ``loday`` hands it the rows of each block
-    it builds, and ``pivots`` the rows of a ``SparseMatrix``.  Scalars are
+    it builds, and ``rank`` the rows of a ``SparseMatrix``.  Scalars are
     nonzero ints, reduced mod p over F_p; over Q rows of ``Fraction``s go
     through ``integer_rows`` first.  The rows are owned and overwritten.
     Elimination runs along the shorter side, which bounds the pivot count;
@@ -352,28 +351,15 @@ def row_pivots(rows, cols: int, field: FieldSpec) -> list:
     return [(r, c) for c, r in _row_elimination_rank(transposed, field)]
 
 
-def pivots(matrix: SparseMatrix, skip_rows=frozenset()) -> list:
-    """``row_pivots`` of the rows of ``matrix`` outside ``skip_rows`` (a set
-    of its row indices), as (row, column) pairs of ``matrix``, which is not
-    modified; over Q the rows are scaled to ints (``integer_rows``)."""
-    if not matrix.entries:
-        return []
-    kept = [r for r in range(matrix.rows) if r not in skip_rows]
-    number = dict(zip(kept, range(len(kept))))
-    rows = [{} for _ in kept]
+def rank(matrix: SparseMatrix) -> int:
+    """Exact rank of a sparse matrix over its field: the number of
+    ``row_pivots`` of its rows, scaled to ints over Q (``integer_rows``)."""
+    rows = [{} for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
-        i = number.get(r)
-        if i is not None:
-            rows[i][c] = v
+        rows[r][c] = v
     if matrix.field.p is None:
         integer_rows(rows)
-    return [(kept[i], c)
-            for i, c in row_pivots(rows, matrix.cols, matrix.field)]
-
-
-def rank(matrix: SparseMatrix) -> int:
-    """Exact rank of a sparse matrix over its field."""
-    return len(pivots(matrix))
+    return len(row_pivots(rows, matrix.cols, matrix.field))
 
 
 def kernel_dim(matrix: SparseMatrix) -> int:

@@ -15,8 +15,9 @@ All boundaries preserve the total weight, so every matrix is assembled and
 ranked blockwise per (degree, weight).
 
 One evaluator, ``_Labelings``, labels the cells of a product of simplicial
-sets (its axes) per tuple of levels and sums faces along each axis:
-``build_complex`` is one axis, ``oracle.torus_bicomplex`` two circles.  Its
+sets (its axes) per tuple of levels and sums faces along each axis, and one
+complex class, ``LodayComplex``, holds it: ``build_complex`` is one axis,
+``oracle.torus_bicomplex`` two circles, both made by ``_over_axes``.  Its
 chain complex is the total complex, whose differential twists the faces
 along axis i by (-1)^(n_1 + ... + n_{i-1}) (Dold–Puppe); one axis is its
 own total complex.  One ceiling bounds the labelings of the whole complex
@@ -24,10 +25,11 @@ before any is enumerated.
 
 Face pushforwards read one structure table per complex: every product of
 basis elements up to the weight bound and every coefficient action
-c . action(a), as (basis index, scalar) pairs.  ``build_complex`` lists
-total degrees 0..d, and ``homology_dims`` builds each block of the total
+c . action(a), as (basis index, scalar) pairs.  A complex lists total
+degrees 0..d, and ``homology_dims`` builds each block of the total
 differential when it ranks it, on the rows that clearing leaves (Ripser's
-implicit matrix with clearing; Bauer, J. Appl. Comput. Topol. 2021).
+implicit matrix with clearing; Bauer, J. Appl. Comput. Topol. 2021).  That
+is the only way a complex is ranked.
 
 A labeling is one packed int from enumeration to elimination: each slot's
 label in a fixed number of bits and the coefficient above the last slot
@@ -42,21 +44,20 @@ eliminates in place; over Q the pulled sums stay ints, unless some table
 scalar is no integer, and then the rows are scaled to ints
 (``exactlinalg.integer_rows``) before they are ranked.  ``Labeling`` tuples
 and ``SparseMatrix`` blocks are made only where a complex is read eagerly
-(``_Labelings.build``): by the first read of ``.bases`` or ``.boundaries``,
-or of the grid's ``.terms``, ``.horizontal`` or ``.vertical``.
+(``_Labelings.build``): by the first read of its cached views ``.terms``,
+``.axis_boundaries``, ``.bases`` or ``.boundaries``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, prod
 from typing import NamedTuple
 
-from .exactlinalg import (
-    FieldSpec, SparseMatrix, integer_rows, pivots, row_pivots,
-)
+from .exactlinalg import FieldSpec, SparseMatrix, integer_rows, row_pivots
 from .algebra import Coefficients, unit_coefficient_algebra
 from .simplicial import PointedSimplicialSet
 
@@ -305,67 +306,78 @@ class LodayComplex:
     the total complex of the labelings over the axes of a ``_Labelings``,
     keyed (degree, weight).
 
-    ``build_complex`` (one axis) and ``oracle.total_homology`` (the grid's
-    two) list the levels of total degree 0..max_degree as packed codes,
-    keyed ``level + (w,)``, assemble no block and keep their
-    ``_Labelings``: the cells, labeling counts and degeneracy complements
-    of the levels and the structure tables with their factorizations.
-    ``homology_dims`` then pulls each block of the total differential from
-    its uncleared rows (``_Labelings.implicit_blocks``), whatever the
-    tables, and never lists max_degree + 1.  The first read of
-    ``bases`` or ``boundaries`` lists the levels of total degree
-    max_degree + 1, assembles every block onto all its rows, decodes the
-    levels into ``Labeling`` tuples and totalizes them (``_totalize``),
-    after which the complex holds them like one made with its boundaries
-    (``oracle._total_complex``).
+    ``build_complex`` (one axis) and ``oracle.torus_bicomplex`` (two
+    circles) make it through one constructor (``_over_axes``), which lists
+    the levels of total degree 0..max_degree as packed codes, keyed
+    ``level + (w,)``, and assembles no block.  The complex keeps those codes
+    and its ``_Labelings`` (cells, labeling counts, degeneracy complements
+    and structure tables with their factorizations) for its whole life, and
+    takes its field, coefficient mode, degree and weight bound from them.
+    ``homology_dims`` ranks it one way: each block of the total differential
+    is pulled from its uncleared rows (``_Labelings.implicit_blocks``) and
+    max_degree + 1 is never listed.
+
+    The eager views are cached reads, made once on first read; they never
+    change how the complex is ranked.  ``terms`` and ``axis_boundaries``
+    list the levels of total degree max_degree + 1, assemble every block
+    onto all its rows, one dict per axis keyed like its columns, and decode
+    the levels into ``Labeling`` tuples keyed ``level + (w,)``; ``bases``
+    and ``boundaries`` totalize them (``_totalize``).  For one axis
+    ``terms`` is ``bases``.
     """
 
-    def __init__(self, field, coeff_mode, max_degree, weight_bound, bases,
-                 boundaries, labelings=None):
-        self.field = field
-        self.coeff_mode = coeff_mode
-        self.max_degree = max_degree
-        self.weight_bound = weight_bound
-        self._bases = bases            # (degree, weight) -> list of Labelings,
-                                       # level + (w,) -> codes while deferred
-        self._boundaries = boundaries  # (degree, weight) -> SparseMatrix
-        self._labelings = labelings    # deferred: blocks not yet assembled
+    def __init__(self, labelings, codes):
+        self._labelings = labelings
+        self._codes = codes  # level + (w,) -> packed codes, degrees 0..d
+        self.field = labelings.field
+        self.coeff_mode = labelings.coeff_mode
+        self.max_degree = labelings.max_degree
+        self.weight_bound = labelings.weight_bound
+
+    @cached_property
+    def _assembled(self):
+        labelings = self._labelings
+        return labelings.build(labelings.summands(self.max_degree + 1),
+                               self._codes)
+
+    @property
+    def terms(self) -> dict:
+        return self._assembled[0]
+
+    @property
+    def axis_boundaries(self) -> tuple:
+        return self._assembled[1]
+
+    @cached_property
+    def _total(self):
+        return _totalize(self.terms, self.axis_boundaries, self.field,
+                         self.max_degree + 1)
 
     @property
     def bases(self) -> dict:
-        self._assemble()
-        return self._bases
+        return self._total[0]
 
     @property
     def boundaries(self) -> dict:
-        self._assemble()
-        return self._boundaries
-
-    def _assemble(self):
-        if self._labelings is not None:
-            top = self.max_degree + 1
-            self._bases, self._boundaries = _totalize(
-                *self._labelings.build(self._labelings.summands(top),
-                                       self._bases), self.field, top)
-            self._labelings = None
+        return self._total[1]
 
     def _ranked(self, cleared):
-        """The pivots of every boundary block, ``((degree, weight), pivots)``
-        in key order, without the rows that ``cleared`` holds for the block
-        when it is reached; while assembly is deferred, each block is built
-        on those rows once the previous ones are ranked, and its rows go to
-        ``row_pivots`` as they were built."""
-        if self._labelings is None:
-            for key, matrix in sorted(self._boundaries.items()):
-                yield key, pivots(matrix, cleared.pop(key, frozenset()))
-            return
+        """The pivots of every block of the total differential,
+        ``((degree, weight), pivots)`` in key order, each block built on
+        the rows that ``cleared`` does not hold for it once the previous
+        ones are ranked, and its rows handed to ``row_pivots`` as they were
+        built."""
         for k in range(1, self.max_degree + 2):
             for key, (rows, cols) in self._labelings.implicit_blocks(
-                    k, self._bases, cleared):
+                    k, self._codes, cleared):
                 yield key, row_pivots(rows, cols, self.field)
 
     def check_boundary_squares(self):
-        """Verify boundary . boundary = 0 on every composable block pair."""
+        """Verify boundary . boundary = 0 on every composable block pair.
+        On several axes the square of the total differential sums the
+        squares of each axis's blocks and the signed commutators of every
+        two axes, which land in different summands, so it vanishes exactly
+        when each axis squares to zero and every two axes commute."""
         violations = []
         for (p, w), mat in sorted(self.boundaries.items()):
             nxt = self.boundaries.get((p + 1, w))
@@ -740,6 +752,8 @@ class _Labelings:
             raise WeightBoundRequired("custom coefficient algebras must be finite")
         self.axes, self.algebra = axes, algebra
         self.field, self.unit = algebra.field, algebra.unit
+        self.coeff_mode, self.max_degree = coefficients.mode, d
+        self.weight_bound = weight_bound
         self.c_alg, action = _resolve_coefficients(algebra, coefficients)
         self.basepoints = {key: tuple(axis.basepoints[p]
                                       for axis, p in zip(axes, key))
@@ -791,12 +805,12 @@ class _Labelings:
         return {key + (w,): codes
                 for key in keys for w, codes in self.level(key).items()}
 
-    def build(self, keys, bases=None):
+    def build(self, keys, bases):
         """The bases of every level, those of ``keys`` listed and added to
-        the codes ``bases``, and every boundary block assembled onto all its
-        rows, one dict per axis; each basis is decoded into ``Labeling``
-        tuples once its blocks are built."""
-        bases = {**(bases or {}), **self.listed(keys)}
+        the codes ``bases``, which are left as they are, and every boundary
+        block assembled onto all its rows, one dict per axis; each basis is
+        decoded into ``Labeling`` tuples once its blocks are built."""
+        bases = {**bases, **self.listed(keys)}
         boundaries = tuple({} for _ in self.axes)
         for key in self.slots:
             cols = {w: bases[key + (w,)] for w in range(self.bound + 1)
@@ -951,6 +965,19 @@ def _lowered(key, i):
     return key[:i] + (key[i] - 1,) + key[i + 1:]
 
 
+def _over_axes(axes, algebra, coefficients, d, weight_bound, normalized,
+               max_block_size) -> LodayComplex:
+    """The complex of the labelings over the product of ``axes`` through
+    total degree d + 1: the levels of total degree 0..d listed, those of
+    d + 1 and every boundary block deferred (``LodayComplex``)."""
+    keys = [key for key in product(range(d + 2), repeat=len(axes))
+            if sum(key) <= d + 1]
+    labelings = _Labelings(axes, keys, algebra, coefficients, d, weight_bound,
+                           normalized, max_block_size)
+    return LodayComplex(labelings, labelings.listed(
+        [key for key in keys if sum(key) <= d]))
+
+
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,
                   max_degree: int, weight_bound=None, normalized: bool = True,
                   max_block_size: int | None = None) -> LodayComplex:
@@ -958,16 +985,12 @@ def build_complex(space: PointedSimplicialSet, algebra, coefficients,
     and every boundary block (``LodayComplex``); ``max_block_size`` (default
     ``DEFAULT_MAX_BLOCK``) bounds the number of labelings of all levels, the
     top one included."""
-    d = max_degree
-    if space.top_level < d + 1:
+    if space.top_level < max_degree + 1:
         raise TruncationTooShallow(
-            f"degree {d} homology needs top_level >= {d + 1}, "
-            f"got {space.top_level}")
-    keys = [(p,) for p in range(d + 2)]
-    labelings = _Labelings((space,), keys, algebra, coefficients, d,
-                           weight_bound, normalized, max_block_size)
-    return LodayComplex(algebra.field, coefficients.mode, d, weight_bound,
-                        labelings.listed(keys[:-1]), None, labelings)
+            f"degree {max_degree} homology needs top_level >= "
+            f"{max_degree + 1}, got {space.top_level}")
+    return _over_axes((space,), algebra, coefficients, max_degree,
+                      weight_bound, normalized, max_block_size)
 
 
 def chain_dims(complex_: LodayComplex) -> dict:
@@ -987,30 +1010,26 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
     ``LodayComplex.check_boundary_squares`` and acceptance criterion 9
     verify.
 
-    While a complex defers its assembly (``build_complex``,
-    ``oracle.total_homology``), each block is built once every block below
-    it is ranked, on its uncleared rows alone, and dropped once ranked
-    (``_Labelings.implicit_blocks``); the top total degree d + 1 is read
-    only through the rank of ``∂_{d+1}`` and never listed.  Its bases are
-    then keyed by level and weight, and their sizes are summed per total
-    degree.
+    Each block is built once every block below it is ranked, on its
+    uncleared rows alone, and dropped once ranked
+    (``_Labelings.implicit_blocks``), whether or not the complex was read
+    eagerly; the top total degree d + 1 is read only through the rank of
+    ``∂_{d+1}`` and never listed.  The listed codes are keyed by level and
+    weight, and their sizes are summed per total degree.
     """
-    d = complex_.max_degree
     ranks = {}
     cleared = {}
     for (p, w), found in complex_._ranked(cleared):
         ranks[(p, w)] = len(found)
         cleared[(p + 1, w)] = {c for _, c in found}
     sizes = {}  # (total degree, weight) -> basis size
-    for key, labs in complex_._bases.items():
+    for key, codes in complex_._codes.items():
         total = (sum(key[:-1]), key[-1])
-        sizes[total] = sizes.get(total, 0) + len(labs)
+        sizes[total] = sizes.get(total, 0) + len(codes)
     dims = {}
     for (p, w), n in sizes.items():
-        if p > d:
-            continue
         value = n - ranks.get((p, w), 0) - ranks.get((p + 1, w), 0)
         if value:
             dims[(p, w)] = value
-    return HomologyTable(dims, d, complex_.weight_bound, complex_.coeff_mode,
-                         complex_.field)
+    return HomologyTable(dims, complex_.max_degree, complex_.weight_bound,
+                         complex_.coeff_mode, complex_.field)

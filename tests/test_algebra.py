@@ -9,7 +9,8 @@ import pytest
 from lodayhom.algebra import (
     AlgebraAxiomError, Coefficients, GradedAlgebra, InvalidTruncation,
     SchemaError, dump_algebra, exterior, load_algebra, parse_algebra_expr,
-    polynomial, truncated_poly, unit_coefficient_algebra, validate_algebra,
+    parse_coeff_expr, polynomial, truncated_poly, unit_coefficient_algebra,
+    validate_algebra,
 )
 from lodayhom.exactlinalg import make_field
 
@@ -219,6 +220,14 @@ class TestCoefficients:
             Coefficients(mode, action=[{0: 1}, {}])
         with pytest.raises(ValueError):
             Coefficients(mode, algebra=exterior(5), action=[{0: 1}, {}])
+
+    @pytest.mark.parametrize("text,mode", [
+        ("unit", "unit"), (" self", "self"), ("unit\t", "unit"),
+        ("  self  ", "self"),
+    ])
+    def test_parse_strips_surrounding_whitespace(self, text, mode):
+        # as parse_algebra_expr does
+        assert parse_coeff_expr(text, 3).mode == mode
 
     def test_unit_coefficient_algebra(self):
         k = unit_coefficient_algebra(make_field(7))

@@ -257,6 +257,14 @@ class TestOtherCommands:
         # H(S^1; k) tensored with the two-dimensional coefficient algebra
         assert "totals by degree: [2, 2, 2]" in out
 
+    def test_coefficients_with_surrounding_whitespace(self):
+        code, out, err = run_cli(["compute", "--space", "S1", "--algebra",
+                                  " truncpoly( 2 ) ", "--field", "F3",
+                                  "--coeff", " self", "--max-degree", "2"])
+        assert code == 0, err
+        # HH of F3[t]/t^2 on the circle
+        assert "totals by degree: [2, 1, 1]" in out
+
     def test_coefficient_file_over_another_field_exits_one(self, tmp_path):
         doc = dump_algebra(truncated_poly(5, 2))
         path = tmp_path / "coeffs_f5.json"

@@ -1,14 +1,15 @@
-"""Every benchmark job, with each deferred complex checked against its
-eagerly assembled form.
+"""Every benchmark job, with each complex checked against its eagerly
+assembled form.
 
-``homology_dims`` builds the blocks of a deferred complex on their uncleared
-rows and numbers the top total degree's columns by the packed codes its rows
+``homology_dims`` builds the blocks of a complex on their uncleared rows
+and numbers the top total degree's columns by the packed codes its rows
 reach.  A read of ``.boundaries`` lists the top total degree, pulls every
 block onto all its rows, with the listed columns encoded, and totalizes the
-grid's two axes.  For each job of ``bench/workloads.py`` both must give the
-same homology, and the job its frozen exit code and report.  The grid
-job's blocks, the top total degree's included, must also equal those that
-``_push_labeling`` assembles from its listed terms.
+grid's two axes; ranked apart from ``homology_dims``, with no clearing
+(``plain_rank_dims``), it must give the same homology, and the job its
+frozen exit code and report.  The grid job's blocks, the top total
+degree's included, must also equal those that ``_push_labeling``
+assembles from its listed terms.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from lodayhom import cli, loday, oracle, stability
+from test_loday import plain_rank_dims
 from test_pushforward import assert_grid_equals_reference
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -41,17 +43,15 @@ def test_deferred_equals_eager(job, monkeypatch):
 
     def homology_both_ways(complex_):
         table = loday.homology_dims(complex_)
-        if complex_._labelings is not None:
-            complex_.boundaries
-            assert loday.homology_dims(complex_).dims == table.dims
-            checked.append(complex_)
+        assert plain_rank_dims(complex_) == table.dims
+        checked.append(complex_)
         return table
 
     grids = []
 
     def kept_grid(*args, **kwargs):
-        grids.append(oracle.torus_bicomplex(*args, **kwargs))
-        return grids[-1]
+        grids.append((oracle.torus_bicomplex(*args, **kwargs), args[1]))
+        return grids[-1][0]
 
     for module in (cli, stability, oracle):
         monkeypatch.setattr(module, "homology_dims", homology_both_ways)
@@ -59,5 +59,5 @@ def test_deferred_equals_eager(job, monkeypatch):
     assert _run(job) == (job.exit_code, job.report)
     assert checked
     assert bool(grids) == (job.argv[0] == "oracle-bicomplex")
-    for grid in grids:
-        assert_grid_equals_reference(grid)
+    for grid, coefficients in grids:
+        assert_grid_equals_reference(grid, coefficients)

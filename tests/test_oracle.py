@@ -1,4 +1,4 @@
-"""The grid bicomplex, its total complex, and the Künneth convolution."""
+"""The grid, its total complex, and the Künneth convolution."""
 
 import pytest
 
@@ -6,13 +6,13 @@ from lodayhom.algebra import Coefficients, polynomial, truncated_poly
 from lodayhom.exactlinalg import SparseMatrix, make_field
 from lodayhom.loday import (
     BasisSizeExceeded, HomologyTable, Labeling, LodayComplex,
-    WeightBoundRequired, _Labelings, build_complex, homology_dims,
+    WeightBoundRequired, _Labelings, _over_axes, build_complex, homology_dims,
 )
 from lodayhom.oracle import (
-    Bicomplex, CoefficientMismatch, _total_complex, torus_bicomplex,
-    total_homology, wedge_kunneth_dims,
+    CoefficientMismatch, torus_bicomplex, wedge_kunneth_dims,
 )
 from lodayhom.simplicial import build_space, circle
+from test_loday import plain_rank_dims
 
 UNIT = Coefficients.unit()
 
@@ -41,7 +41,7 @@ class TestTermDims:
 
 def broken_identities(b):
     """Which of h.h = 0, v.v = 0 and h.v = v.h fail on the grid ``b``."""
-    h, v = b.horizontal, b.vertical
+    h, v = b.axis_boundaries
     broken = set()
     for (n, m, w), mat in h.items():
         low = h.get((n - 1, m, w))
@@ -58,80 +58,81 @@ def broken_identities(b):
     return broken
 
 
-def corrupted(b, direction, key, pos):
-    """``b`` with one entry of one horizontal or vertical block changed."""
-    mat = getattr(b, direction)[key]
+def corrupted(b, axis, key, pos):
+    """A new complex over the codes of the grid ``b`` with one entry of one
+    block along ``axis`` changed in its ``.axis_boundaries``, before its
+    total complex is first read."""
+    bad = LodayComplex(b._labelings, b._codes)
+    blocks = bad.axis_boundaries[axis]
+    mat = blocks[key]
     field = mat.field
     entries = dict(mat.entries)
     value = field.add(entries.pop(pos, field.zero), field.one)
     if value != field.zero:
         entries[pos] = value
-    blocks = {"horizontal": b.horizontal, "vertical": b.vertical}
-    blocks[direction] = {**blocks[direction],
-                         key: SparseMatrix(mat.rows, mat.cols, entries, field)}
-    return Bicomplex(b.algebra, b.coefficients, b.max_degree, b.weight_bound,
-                     b.terms, **blocks)
+    blocks[key] = SparseMatrix(mat.rows, mat.cols, entries, field)
+    return bad
 
 
 class TestSquares:
     @pytest.mark.parametrize("field", [3, 2, "Q"])
     def test_directions_square_and_commute(self, field):
         bicomplex = torus_bicomplex(truncated_poly(field, 2), UNIT, 2)
-        assert _total_complex(bicomplex).check_boundary_squares() == []
+        assert bicomplex.check_boundary_squares() == []
 
     def test_twisted_total_square_vanishes(self):
         # from degree 3 on, h.v and v.h meet in nonzero blocks, so the
         # audit sees the sign twist
         bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 3)
-        assert _total_complex(bicomplex).check_boundary_squares() == []
+        assert bicomplex.check_boundary_squares() == []
 
     def test_polynomial_grid(self):
         bicomplex = torus_bicomplex(polynomial(3), UNIT, 2, weight_bound=3)
-        assert _total_complex(bicomplex).check_boundary_squares() == []
+        assert bicomplex.check_boundary_squares() == []
 
     def test_total_audit_catches_each_broken_identity(self, bicomplex):
         # D^2 sums h.h, v.v and (-1)^n (h.v - v.h), which land in different
         # summands, so the total audit flags a corrupted grid exactly when
         # one of the three identities fails
         caught = set()
-        for direction in ("horizontal", "vertical"):
-            for key, mat in sorted(getattr(bicomplex, direction).items()):
+        for axis, blocks in enumerate(bicomplex.axis_boundaries):
+            for key, mat in sorted(blocks.items()):
                 if not (mat.rows and mat.cols):
                     continue
                 for pos in sorted({(0, 0), (mat.rows - 1, mat.cols - 1),
                                    *list(mat.entries)[:2]}):
-                    bad = corrupted(bicomplex, direction, key, pos)
+                    bad = corrupted(bicomplex, axis, key, pos)
                     broken = broken_identities(bad)
-                    flagged = _total_complex(bad).check_boundary_squares()
-                    assert bool(flagged) == bool(broken), (direction, key, pos)
+                    flagged = bad.check_boundary_squares()
+                    assert bool(flagged) == bool(broken), (axis, key, pos)
                     caught |= broken
         assert caught == {"h.h", "v.v", "h.v"}
 
 
 class TestTotalHomology:
     def test_odd_prime(self):
-        table = total_homology(torus_bicomplex(truncated_poly(3, 2), UNIT, 2))
+        table = homology_dims(torus_bicomplex(truncated_poly(3, 2), UNIT, 2))
         assert table.totals() == [1, 2, 3]
 
     def test_char_two(self):
-        table = total_homology(torus_bicomplex(truncated_poly(2, 2), UNIT, 2))
+        table = homology_dims(torus_bicomplex(truncated_poly(2, 2), UNIT, 2))
         assert table.totals() == [1, 2, 4]
         assert table.get(2, 2) == 3
 
     def test_rationals(self):
-        table = total_homology(torus_bicomplex(truncated_poly("Q", 2), UNIT, 2))
+        table = homology_dims(torus_bicomplex(truncated_poly("Q", 2), UNIT, 2))
         assert table.totals() == [1, 2, 3]
 
     @pytest.mark.parametrize("field", [3, 2, "Q"])
     def test_agrees_with_diagonal_product_blockwise(self, field):
-        via_grid = total_homology(
+        via_grid = homology_dims(
             torus_bicomplex(truncated_poly(field, 2), UNIT, 2))
         direct = homology_dims(build_complex(
             build_space("prod(S1,S1)", 3), truncated_poly(field, 2), UNIT, 2))
         assert via_grid.dims == direct.dims
 
     def test_polynomial_agrees_with_diagonal(self):
-        via_grid = total_homology(
+        via_grid = homology_dims(
             torus_bicomplex(polynomial(3), UNIT, 2, weight_bound=3))
         direct = homology_dims(build_complex(
             build_space("prod(S1,S1)", 3), polynomial(3), UNIT, 2,
@@ -140,29 +141,22 @@ class TestTotalHomology:
 
 
 def grid(axes, algebra, coefficients, d, normalized=False, weight_bound=None):
-    """The two-axis labeling bicomplex through total degree d + 1, deferred
-    as ``torus_bicomplex`` defers the two-circle grid."""
-    keys = [(n, m) for n in range(d + 2) for m in range(d + 2 - n)]
-    labelings = _Labelings(axes, keys, algebra, coefficients, d, weight_bound,
-                           normalized, None)
-    return Bicomplex(algebra, coefficients, d, weight_bound,
-                     labelings.listed([key for key in keys if sum(key) <= d]),
-                     None, None, labelings)
+    """The complex of the labelings over two axes through total degree
+    d + 1, made as ``torus_bicomplex`` makes the two-circle grid."""
+    return _over_axes(axes, algebra, coefficients, d, weight_bound,
+                      normalized, None)
 
 
 def deferred_and_assembled(bicomplex):
-    """``total_homology`` of a deferred grid, then the homology of its
-    assembled total complex."""
-    assert bicomplex._labelings is not None
-    deferred = total_homology(bicomplex)
-    assert bicomplex._labelings is not None
-    return deferred.dims, homology_dims(_total_complex(bicomplex)).dims
+    """``homology_dims`` of a grid, then, ranked apart from it, the
+    homology of its eagerly assembled total complex (``plain_rank_dims``)."""
+    return homology_dims(bicomplex).dims, plain_rank_dims(bicomplex)
 
 
 class TestDeferredTotal:
-    """``total_homology`` ranks a deferred grid on the uncleared rows of its
-    twisted total complex, never listing its top total degree; the result
-    equals the homology of the assembled total complex block by block."""
+    """``homology_dims`` ranks a grid on the uncleared rows of its twisted
+    total complex, never listing its top total degree; the result equals
+    the homology of the assembled total complex block by block."""
 
     @pytest.mark.parametrize("field", [2, 3, 5, "Q"])
     @pytest.mark.parametrize("make,bound,d", [
@@ -188,19 +182,26 @@ class TestDeferredTotal:
         assert deferred == assembled
 
     def test_eager_read_of_the_deferred_total_complex(self):
-        # a deferred total complex read eagerly lists its top total degree
-        # and totalizes the assembled grid, as ``_total_complex`` does
+        # an eager read lists the top total degree once, keeps its views,
+        # totalizes the levels per total degree and leaves the ranking as
+        # it was
         bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 2)
-        labelings = bicomplex._labelings
-        total = LodayComplex(labelings.field, "unit", 2, None,
-                             dict(bicomplex._terms), None, labelings)
-        assembled = _total_complex(bicomplex)
-        assert total.bases == assembled.bases
-        assert {k: m.entries for k, m in total.boundaries.items()} == \
-            {k: m.entries for k, m in assembled.boundaries.items()}
+        before = homology_dims(bicomplex).dims
+        views = (bicomplex.terms, bicomplex.axis_boundaries,
+                 bicomplex.bases, bicomplex.boundaries)
+        assert all(a is b for a, b in zip(views, (
+            bicomplex.terms, bicomplex.axis_boundaries, bicomplex.bases,
+            bicomplex.boundaries)))
+        sizes = {}
+        for (n, m, w), labs in bicomplex.terms.items():
+            sizes[(n + m, w)] = sizes.get((n + m, w), 0) + len(labs)
+        assert {k: len(labs) for k, labs in bicomplex.bases.items()} == sizes
+        assert max(k for k, _ in bicomplex.boundaries) == 3
+        assert homology_dims(bicomplex).dims == before == \
+            plain_rank_dims(bicomplex)
 
     def test_degree_five_over_f3(self):
-        table = total_homology(torus_bicomplex(truncated_poly(3, 2), UNIT, 5))
+        table = homology_dims(torus_bicomplex(truncated_poly(3, 2), UNIT, 5))
         assert table.totals() == [1, 2, 3, 6, 8, 13]
 
     def test_leaves_the_grid_unassembled(self, monkeypatch):
@@ -226,12 +227,11 @@ class TestDeferredTotal:
         monkeypatch.setattr(Labeling, "__new__", staticmethod(counted_new))
         monkeypatch.setattr(SparseMatrix, "_adopt", counted_adopt)
         monkeypatch.setattr(_Labelings, "level", spied_level)
-        assert total_homology(bicomplex).totals() == [1, 2, 3, 6]
+        assert homology_dims(bicomplex).totals() == [1, 2, 3, 6]
         assert made == [] and listed == []
-        assert bicomplex._labelings is not None
         assert all(type(code) is int
-                   for codes in bicomplex._terms.values() for code in codes)
-        assert max(n + m for n, m, _ in bicomplex._terms) == 3
+                   for codes in bicomplex._codes.values() for code in codes)
+        assert max(n + m for n, m, _ in bicomplex._codes) == 3
         assert max(n + m for n, m, _ in bicomplex.terms) == 4
         assert {key for key in listed if sum(key) == 4} == {
             (n, 4 - n) for n in range(5)}
@@ -248,7 +248,7 @@ class TestAnyAxes:
         # the twisted total complex of X x Y as a bicomplex computes the
         # homology of the diagonal prod(X, Y)
         axes = (build_space(left, 3), build_space(right, 3))
-        via_axes = total_homology(grid(axes, truncated_poly(field, 2), UNIT, 2))
+        via_axes = homology_dims(grid(axes, truncated_poly(field, 2), UNIT, 2))
         direct = homology_dims(build_complex(
             build_space(f"prod({left},{right})", 3), truncated_poly(field, 2),
             UNIT, 2))
@@ -266,7 +266,7 @@ class TestAnyAxes:
         s1 = circle(3)
         full = grid((s1, s1), algebra, coeffs, 2, weight_bound=bound)
         normalized = grid((s1, s1), algebra, coeffs, 2, True, bound)
-        assert total_homology(normalized).dims == total_homology(full).dims
+        assert homology_dims(normalized).dims == homology_dims(full).dims
         assert sum(map(len, normalized.terms.values())) < \
             sum(map(len, full.terms.values()))
 
@@ -313,16 +313,15 @@ class TestExplicitBoundaries:
         assert all(type(lab) is Labeling
                    for labs in bicomplex.terms.values() for lab in labs)
         assert all(type(mat) is SparseMatrix
-                   for boundaries in (bicomplex.horizontal,
-                                      bicomplex.vertical)
+                   for boundaries in bicomplex.axis_boundaries
                    for mat in boundaries.values())
 
     def test_bidegree_one_one_consists_of_cycles(self, bicomplex):
         # both circle faces at level 1 hit the basepoint, so the two face
         # pushforwards cancel and every (1,1) chain is a cycle
         for w in (1, 2, 3):
-            assert bicomplex.horizontal[(1, 1, w)].is_zero
-            assert bicomplex.vertical[(1, 1, w)].is_zero
+            assert bicomplex.axis_boundaries[0][(1, 1, w)].is_zero
+            assert bicomplex.axis_boundaries[1][(1, 1, w)].is_zero
 
     def column(self, mat, col):
         return {r: v for (r, c), v in mat.entries.items() if c == col}
@@ -333,16 +332,16 @@ class TestExplicitBoundaries:
         # dies on t*t = 0
         src = bicomplex.terms[(2, 1, 2)].index(((0, 0, 1, 0, 1), 0))
         dst = bicomplex.terms[(1, 1, 2)].index(((1, 0, 1), 0))
-        col = self.column(bicomplex.horizontal[(2, 1, 2)], src)
+        col = self.column(bicomplex.axis_boundaries[0][(2, 1, 2)], src)
         assert col == {dst: 2}
-        assert self.column(bicomplex.vertical[(2, 1, 2)], src) == {}
+        assert self.column(bicomplex.axis_boundaries[1][(2, 1, 2)], src) == {}
 
     def test_top_weight_candidate_is_a_boundary(self, bicomplex):
         # (1 1 / 1 t / t t) maps to (1 t / t t) on the nose: two faces die on
         # the augmentation of t, the outer face survives with coefficient 1
         src = bicomplex.terms[(2, 1, 3)].index(((0, 0, 1, 1, 1), 0))
         dst = bicomplex.terms[(1, 1, 3)].index(((1, 1, 1), 0))
-        assert self.column(bicomplex.horizontal[(2, 1, 3)], src) == {dst: 1}
+        assert self.column(bicomplex.axis_boundaries[0][(2, 1, 3)], src) == {dst: 1}
 
     def test_homologous_pair(self, bicomplex):
         # (1 1 / t 1 / 1 t) has boundary (1 t / t 1) - (1 1 / t t), making the
@@ -350,7 +349,7 @@ class TestExplicitBoundaries:
         src = bicomplex.terms[(2, 1, 2)].index(((0, 1, 0, 0, 1), 0))
         plus = bicomplex.terms[(1, 1, 2)].index(((1, 1, 0), 0))
         minus = bicomplex.terms[(1, 1, 2)].index(((0, 1, 1), 0))
-        col = self.column(bicomplex.horizontal[(2, 1, 2)], src)
+        col = self.column(bicomplex.axis_boundaries[0][(2, 1, 2)], src)
         assert col == {plus: 1, minus: 3 - 1}
 
     def test_vertical_counterpart(self, bicomplex):
@@ -359,17 +358,17 @@ class TestExplicitBoundaries:
         # (1 1 / t t)
         src = bicomplex.terms[(1, 2, 2)].index(((0, 0, 0, 1, 1), 0))
         dst = bicomplex.terms[(1, 1, 2)].index(((0, 1, 1), 0))
-        assert self.column(bicomplex.vertical[(1, 2, 2)], src) == {dst: 2}
-        assert self.column(bicomplex.horizontal[(1, 2, 2)], src) == {}
+        assert self.column(bicomplex.axis_boundaries[1][(1, 2, 2)], src) == {dst: 2}
+        assert self.column(bicomplex.axis_boundaries[0][(1, 2, 2)], src) == {}
 
     def test_factor_of_two_dies_in_characteristic_two(self):
         # the same chains bound nothing mod 2, which is where the extra
         # degree-2 torus class comes from
         char2 = torus_bicomplex(truncated_poly(2, 2), UNIT, 2)
         src = char2.terms[(2, 1, 2)].index(((0, 0, 1, 0, 1), 0))
-        assert self.column(char2.horizontal[(2, 1, 2)], src) == {}
+        assert self.column(char2.axis_boundaries[0][(2, 1, 2)], src) == {}
         src = char2.terms[(1, 2, 2)].index(((0, 0, 0, 1, 1), 0))
-        assert self.column(char2.vertical[(1, 2, 2)], src) == {}
+        assert self.column(char2.axis_boundaries[1][(1, 2, 2)], src) == {}
 
 
 class TestKunneth:

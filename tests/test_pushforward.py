@@ -8,8 +8,9 @@ must equal the pulled ones, on monomial tables and on presentations with
 other structure constants; so must each face pulled alone, from every
 basis labeling of the unnormalized complex.  ``homology_dims`` builds each
 block on its uncleared rows, the top level's from the columns they reach,
-and its homology must equal that of the listed and assembled complex; the
-top blocks pulled onto all their rows must equal the listed ones once each
+and its homology must equal that of the listed and assembled complex,
+ranked apart from it (``plain_rank_dims``), whether or not the complex was
+read eagerly first; the top blocks pulled onto all their rows must equal the listed ones once each
 reached column code takes its listed number.
 """
 
@@ -25,13 +26,14 @@ from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
     Coefficients, load_algebra, parse_algebra_expr, polynomial, truncated_poly,
 )
-from lodayhom.exactlinalg import SparseMatrix, integer_rows, pivots
+from lodayhom.exactlinalg import SparseMatrix, integer_rows
 from lodayhom.loday import (
     Labeling, _decoder, _factorizations, _lowered, _matrix, _pull_block,
     _pull_faces, _resolve_coefficients, _structure_tables, build_complex,
     homology_dims,
 )
 from lodayhom.simplicial import build_space, circle
+from test_loday import plain_rank_dims
 
 SMALL_INPUTS = random_small_inputs()
 
@@ -321,28 +323,32 @@ def _ranked_digest(complex_):
     ("prod(S1,S1)", 2, Coefficients.self_algebra(), 2, 4,
      "e0b69a17c74d3fd71613d7a472b83050d6d070047138e2b02116f51160632d99"),
 ], ids=["torus", "hochschild", "torus-self"])
+@pytest.mark.parametrize("eager_first", [False, True])
 def test_deferred_pivot_sequence_is_pinned(expr, m, coefficients, d, bound,
-                                           digest):
+                                           digest, eager_first):
+    """The pivots are the same whether or not the complex was read eagerly
+    before it is ranked."""
     complex_ = build_complex(build_space(expr, d + 1), truncated_poly(3, m),
                              coefficients, d, bound)
+    if eager_first:
+        complex_.boundaries
     assert _ranked_digest(complex_) == digest
 
 
-def assert_grid_equals_reference(grid):
-    """The blocks of a deferred grid, pulled onto all their rows by a read
-    of ``.horizontal`` and ``.vertical``, equal those assembled by
+def assert_grid_equals_reference(grid, coefficients):
+    """The blocks of a grid made with ``coefficients``, pulled onto all
+    their rows by a read of ``.axis_boundaries``, equal those assembled by
     ``_push_labeling`` along the plans of ``_Labelings.signed_plans``."""
-    labelings = grid._labelings
-    for i, name in enumerate(("horizontal", "vertical")):
-        assert ({k: m.entries for k, m in getattr(grid, name).items()}
-                == _reference_blocks(labelings, grid.coefficients, grid.terms,
-                                     i)), name
+    for i, blocks in enumerate(grid.axis_boundaries):
+        assert ({k: m.entries for k, m in blocks.items()}
+                == _reference_blocks(grid._labelings, coefficients,
+                                     grid.terms, i)), i
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
 def test_grid_bicomplex_equals_reference(field):
     assert_grid_equals_reference(oracle.torus_bicomplex(
-        truncated_poly(field, 2), Coefficients.unit(), 2))
+        truncated_poly(field, 2), Coefficients.unit(), 2), Coefficients.unit())
 
 
 @pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
@@ -362,20 +368,20 @@ def test_generic_path_on_non_monomial_presentation(field_tag, field):
 @pytest.mark.parametrize("field_tag,field", CUBE_FIELDS)
 def test_grid_total_homology_on_non_monomial_presentation(field_tag, field,
                                                           monkeypatch):
-    """With tables that are not monomial the deferred grid pulls every block
-    of its total complex, listing no top total degree; its homology equals
-    that of its assembled total complex and of the monomial presentation of
+    """With tables that are not monomial the grid pulls every block of its
+    total complex, listing no top total degree; its homology equals that of
+    its assembled total complex and of the monomial presentation of
     k[x]/x^3."""
     algebra = _cube_truncation_without_monomials(field_tag)
     for coefficients in (Coefficients.unit(), Coefficients.self_algebra()):
         grid = oracle.torus_bicomplex(algebra, coefficients, 2)
         assert _blocks_made(monkeypatch,
-                            lambda: oracle.total_homology(grid)) == {"pull"}
-        deferred = oracle.total_homology(grid)
-        assembled = homology_dims(oracle._total_complex(grid))
-        monomial = oracle.total_homology(oracle.torus_bicomplex(
+                            lambda: homology_dims(grid)) == {"pull"}
+        deferred = homology_dims(grid)
+        monomial = homology_dims(oracle.torus_bicomplex(
             truncated_poly(field, 3), coefficients, 2))
-        assert deferred.dims == assembled.dims == monomial.dims, coefficients
+        assert deferred.dims == plain_rank_dims(grid) == monomial.dims, \
+            coefficients
 
 
 def test_non_integral_structure_constant(monkeypatch):
@@ -389,7 +395,7 @@ def test_non_integral_structure_constant(monkeypatch):
     unit, self_ = Coefficients.unit(), Coefficients.self_algebra()
     _assert_pull_equals_reference(circle(4), half, self_, 3)
     _assert_pull_equals_reference(build_space("sphere(2)", 2), half, unit, 1)
-    assert_grid_equals_reference(oracle.torus_bicomplex(half, unit, 1))
+    assert_grid_equals_reference(oracle.torus_bicomplex(half, unit, 1), unit)
     scaled = []
 
     def spy(rows):
@@ -413,13 +419,11 @@ def test_non_integral_structure_constant(monkeypatch):
                      for algebra in (half, reference))
         assert got.dims == want.dims, (expr, coefficients)
     for coefficients in (unit, self_):
-        deferred = oracle.total_homology(
-            oracle.torus_bicomplex(half, coefficients, 2))
-        assembled = homology_dims(oracle._total_complex(
-            oracle.torus_bicomplex(half, coefficients, 2)))
-        monomial = oracle.total_homology(
+        grid = oracle.torus_bicomplex(half, coefficients, 2)
+        monomial = homology_dims(
             oracle.torus_bicomplex(reference, coefficients, 2))
-        assert deferred.dims == assembled.dims == monomial.dims, coefficients
+        assert homology_dims(grid).dims == plain_rank_dims(grid) \
+            == monomial.dims, coefficients
 
 
 @pytest.mark.parametrize("p,dropped", [(3, True), (5, False), (None, False)],
@@ -473,8 +477,8 @@ def test_boundary_matrices_are_pinned():
                 complex_ = build_complex(space, algebra, coefficients, d)
                 _digest_update(h, complex_.bases, complex_.boundaries)
             grid = oracle.torus_bicomplex(algebra, coefficients, 1)
-            _digest_update(h, grid.terms, grid.horizontal)
-            _digest_update(h, {}, grid.vertical)
+            _digest_update(h, grid.terms, grid.axis_boundaries[0])
+            _digest_update(h, {}, grid.axis_boundaries[1])
     assert h.hexdigest() == MATRIX_DIGEST
 
 
@@ -487,8 +491,9 @@ def _entries_digest(matrices):
 
 def _assert_blocks_pass_public_checks(complex_):
     """Boundary blocks are built without validation: each must pass the
-    public constructor's checks unchanged, and ranking them (the rank kernel
-    overwrites the rows it is handed) must leave their entries as they were."""
+    public constructor's checks unchanged, and ranking the complex and its
+    blocks (the rank kernel overwrites the rows it is handed) must leave
+    their entries as they were."""
     field = complex_.field
     for mat in complex_.boundaries.values():
         again = SparseMatrix(mat.rows, mat.cols, mat.entries, field)
@@ -496,7 +501,7 @@ def _assert_blocks_pass_public_checks(complex_):
         if field.is_rational:
             assert all(type(v) is Fraction for v in mat.entries.values())
     before = _entries_digest(complex_.boundaries)
-    homology_dims(complex_)
+    assert homology_dims(complex_).dims == plain_rank_dims(complex_)
     assert _entries_digest(complex_.boundaries) == before
 
 
@@ -514,18 +519,14 @@ def test_boundary_blocks_pass_public_checks(expr, algebra_spec, p, d, mode,
 def test_total_complex_blocks_pass_public_checks(field):
     grid = oracle.torus_bicomplex(truncated_poly(field, 2),
                                   Coefficients.unit(), 2)
-    _assert_blocks_pass_public_checks(oracle._total_complex(grid))
+    _assert_blocks_pass_public_checks(grid)
 
 
 def _implicit_and_listed(complex_):
-    """Homology of ``complex_`` with its assembly deferred, then with its
-    top level listed and every block assembled."""
-    assert complex_._labelings is not None
-    implicit = homology_dims(complex_)
-    assert complex_._labelings is not None
-    complex_.boundaries
-    assert complex_._labelings is None
-    return implicit.dims, homology_dims(complex_).dims
+    """``homology_dims`` of ``complex_``, then, ranked apart from it, the
+    homology of its top level listed and every block assembled
+    (``plain_rank_dims``)."""
+    return homology_dims(complex_).dims, plain_rank_dims(complex_)
 
 
 def _assert_top_reached_as_listed(complex_, monkeypatch):
@@ -537,7 +538,7 @@ def _assert_top_reached_as_listed(complex_, monkeypatch):
     key = (complex_.max_degree + 1,)
     top = labelings.level(key)
     # a weight the top does not list has no block (its count is zero)
-    rows = {w: labs for (p, w), labs in complex_._bases.items()
+    rows = {w: labs for (p, w), labs in complex_._codes.items()
             if p == key[0] - 1 and w in top}
     indexes = []  # per block: its column index, and what it held at the call
 
@@ -736,7 +737,7 @@ def test_every_level_is_pulled_from_its_uncleared_rows(monkeypatch):
     for (p, w), found, (rows, _) in ranked:
         below = pivot_columns.get((p - 1, w), set())
         assert rows == [
-            code for r, code in enumerate(complex_._bases[(p - 1, w)])
+            code for r, code in enumerate(complex_._codes[(p - 1, w)])
             if r not in below], (p, w)
         pivot_columns[(p, w)] = {c for _, c in found}
     assert sum(len(rows) for rows, _ in pulled) == 9851
@@ -781,7 +782,7 @@ def _blocks_made(monkeypatch, run):
 def test_every_table_is_pulled(algebra, monkeypatch):
     """Square blocks of the Hochschild complex are pulled, by homology on
     their uncleared rows and by a ``.boundaries`` read on all of them, and
-    so are the grid's, by its total homology and by a ``.horizontal`` read,
+    so are the grid's, by its homology and by an ``.axis_boundaries`` read,
     with monomial tables and with others alike."""
     d = 5
     coefficients = Coefficients.self_algebra()
@@ -789,10 +790,10 @@ def test_every_table_is_pulled(algebra, monkeypatch):
                                                     coefficients, d)),
                 lambda: build_complex(circle(d + 1), algebra, coefficients,
                                       d).boundaries,
-                lambda: oracle.total_homology(
+                lambda: homology_dims(
                     oracle.torus_bicomplex(algebra, coefficients, 1)),
                 lambda: oracle.torus_bicomplex(algebra, coefficients,
-                                               1).horizontal):
+                                               1).axis_boundaries):
         assert _blocks_made(monkeypatch, run) == {"pull"}
 
 
