@@ -664,26 +664,36 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
     and the coefficient, and the face is skipped when there are none.
     Otherwise its preimages are its moved runs plus every sum of one split
     offset per earlier merged slot and one final offset, listed in that
-    order.  The signs reaching one preimage are summed per row, and
-    each distinct preimage of the row costs one int-keyed lookup in
-    ``col_index``.  A preimage missing there is numbered
-    ``start + len(col_index)`` in the order the rows first reach it, unless
-    it is degenerate: the tables keep the unit off a lone complement, and
-    ``degenerate`` holds per complement of several slots the pairs
-    ``(mask, unit_pattern)`` of its digits and of the unit on all of them,
-    so ``code & mask == unit_pattern`` marks the labeling degenerate.  So
-    ``col_index`` may hold every column, numbered from ``start``, or start
-    empty, and pulls along several faces into one level may share it.  The
-    sums are reduced ``% p`` over F_p; over Q they stay ints, which
-    elimination takes as they are, unless a table scalar is no integer and
-    its faces' signs are ``Fraction``s."""
+    order.  Each preimage goes straight into the row in one pass: its code
+    costs one int-keyed lookup in ``col_index``, and a known column adds the
+    face's sign to the row's entry there.  A preimage missing there is
+    numbered ``start + len(col_index)`` in the order the rows first reach
+    it, and its entry is the sign, unless it is degenerate: the tables keep
+    the unit off a lone complement, and ``degenerate`` holds per complement
+    of several slots the pairs ``(mask, unit_pattern)`` of its digits and of
+    the unit on all of them, so ``code & mask == unit_pattern`` marks the
+    labeling degenerate.  So ``col_index`` may hold every column, numbered
+    from ``start``, or start empty, and pulls along several faces into one
+    level may share it.
+
+    The signs are reduced ``% p`` once per call over F_p; over Q they stay
+    ints, which elimination takes as they are, unless a table scalar is no
+    integer and its faces' signs are ``Fraction``s.  Only a row that reaches
+    some column twice holds a sum of several signs, which may be p or more,
+    or zero: the preimages placed in each row are counted, and only a row
+    whose dict grew by fewer entries than that count has its entries
+    reduced and its zeros dropped, keeping their order.  A dict in ``out``
+    may already hold the columns of other pulls into the same rows,
+    numbered apart from these, and keeps them."""
     p = field.p
+    if p:
+        faces = [(sign % p, *face) for sign, *face in faces]
     get = col_index.get
     digit = (1 << bits) - 1
     top = n_low * bits
     for code, row in zip(rows, out):
         c = code >> top
-        acc = {}
+        size, placed = len(row), 0
         for sign, runs, merges, last, fmask, final in faces:
             offsets = final[code >> last & fmask][c]
             if not offsets:
@@ -695,24 +705,31 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
             for shift, splits in merges:
                 codes = [x + o for x in codes
                          for o in splits[code >> shift & digit]]
+            placed += len(codes) * len(offsets)
             for x in codes:
                 for o in offsets:
                     y = x + o
-                    acc[y] = acc.get(y, 0) + sign
-        for y, t in acc.items():
-            col = get(y)
-            if col is None:
-                for m, u in degenerate:
-                    if y & m == u:
-                        break
-                else:
-                    col = col_index[y] = start + len(col_index)
-                if col is None:
-                    continue
-            if p:
-                t %= p
-            if t:
-                row[col] = t
+                    col = get(y)
+                    if col is not None:
+                        row[col] = row.get(col, 0) + sign
+                        continue
+                    for m, u in degenerate:
+                        if y & m == u:
+                            placed -= 1
+                            break
+                    else:
+                        col = col_index[y] = start + len(col_index)
+                        row[col] = sign
+        if len(row) - size < placed:
+            # some column was reached twice: reduce every sum and drop the
+            # zeros, rebuilding the dict so that it stays compact
+            entries = list(row.items())
+            row.clear()
+            for col, t in entries:
+                if p:
+                    t %= p
+                if t:
+                    row[col] = t
     return out, start + len(col_index)
 
 

@@ -122,8 +122,6 @@ def point(top_level: int) -> PointedSimplicialSet:
 
 def circle(top_level: int) -> PointedSimplicialSet:
     """Minimal model of S^1: one vertex, one non-degenerate 1-simplex."""
-    if top_level < 1:
-        raise ValueError("circle needs top_level >= 1")
     out = simplex_sphere(1, top_level)
     out.label = "S1"
     return out
@@ -245,8 +243,6 @@ def smash(x: PointedSimplicialSet, y: PointedSimplicialSet) -> PointedSimplicial
 
 def suspension(x: PointedSimplicialSet) -> PointedSimplicialSet:
     """Reduced suspension, modelled as S^1 smash X."""
-    if x.top_level < 1:
-        raise ValueError("suspension needs top_level >= 1")
     out = smash(circle(x.top_level), x)
     out.label = f"susp({x.label})"
     return out

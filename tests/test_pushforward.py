@@ -26,7 +26,7 @@ from lodayhom.acceptance import random_small_inputs
 from lodayhom.algebra import (
     Coefficients, load_algebra, parse_algebra_expr, polynomial, truncated_poly,
 )
-from lodayhom.exactlinalg import SparseMatrix, integer_rows
+from lodayhom.exactlinalg import SparseMatrix, integer_rows, make_field
 from lodayhom.loday import (
     Labeling, _decoder, _factorizations, _lowered, _matrix, _pull_block,
     _pull_faces, _resolve_coefficients, _structure_tables, build_complex,
@@ -299,6 +299,38 @@ def test_pull_folds_cosplits_into_the_last_of_several_merges(field):
     _assert_pull_equals_reference(space, algebra, coefficients, d, bound)
 
 
+@pytest.mark.parametrize("field", [2, 3, "Q"])
+def test_pull_adds_into_rows_another_pull_filled(field):
+    """``_pull_block`` adds into row dicts that already hold the columns of
+    another pull, as the total block of several axes fills its rows.  Three
+    faces with no slot, their offsets indexed by the row's coefficient
+    alone, reach from row 0 the known column 100 three times (sum 1), 200
+    twice (sum 2, zero over F2), 300 twice (sum 0) and the degenerate code
+    400; row 1 reaches 101 twice (sum 0) and 201 once; row 2 reaches 102
+    once with sign -1.  Every sum is reduced and every zero dropped, the
+    other pull's entries stay first and untouched, and a column whose sum
+    cancels still takes its number."""
+    field = make_field(field)
+    p = field.p
+    reduce = (lambda v: v % p) if p else (lambda v: v)
+    faces = [(sign, (), (), 0, 0, (table,)) for sign, table in (
+        (1, ((100, 200, 300), (101,), ())),
+        (1, ((100, 200), (201,), ())),
+        (-1, ((100, 300, 400), (101,), (102,))))]
+    other = [{0: 1, 3: reduce(-1)}, {4: 1}, {}]
+    out = [dict(row) for row in other]
+    col_index = {100: 5, 101: 6}
+    _, end = _pull_block(faces, [0, 1, 2], col_index, field, 2, 0,
+                         ((400, 400),), out, 5)
+    assert end == 11
+    assert col_index == {100: 5, 101: 6, 200: 7, 300: 8, 201: 9, 102: 10}
+    pulled = [{5: 1, 7: 2}, {9: 1}, {10: -1}]
+    want = [list(row.items()) + [(c, reduce(v)) for c, v in new.items()
+                                 if reduce(v)]
+            for row, new in zip(other, pulled)]
+    assert [list(row.items()) for row in out] == want
+
+
 def _ranked_digest(complex_):
     """sha256 of every block's pivots in the order ``homology_dims`` takes
     them, with its clearing."""
@@ -314,22 +346,33 @@ def _ranked_digest(complex_):
 # matrices of ``MATRIX_DIGEST`` cannot see them, as the top level they rank
 # is never listed and its columns are numbered as the rows reach them.  Only
 # the torus with self coefficients has faces with several splits and several
-# cosplits, whose nesting order sets that numbering.
-@pytest.mark.parametrize("expr,m,coefficients,d,bound,digest", [
-    ("prod(S1,S1)", 2, Coefficients.unit(), 2, None,
+# cosplits, whose nesting order sets that numbering.  The unnormalized torus
+# and the degree-5 grid were taken at the commit before ``_pull_block``
+# placed each preimage straight into its row: their rows reach columns
+# twice (8.5% and 23% of their preimages repeat within their row), where
+# sums cancel and are reduced, but a column keeps the number it took when
+# first reached.
+@pytest.mark.parametrize("axes,m,coefficients,d,bound,normalized,digest", [
+    (("prod(S1,S1)",), 2, Coefficients.unit(), 2, None, True,
      "0ff3f550433f92a4cfe3f3c69f9c6ff48aa3382c8f07cac6e68b013b1e93e282"),
-    ("S1", 4, Coefficients.self_algebra(), 7, None,
+    (("S1",), 4, Coefficients.self_algebra(), 7, None, True,
      "19f229685a825cb097c14561ec7ae5897b37fcc1100234043adefe4f35b6a882"),
-    ("prod(S1,S1)", 2, Coefficients.self_algebra(), 2, 4,
+    (("prod(S1,S1)",), 2, Coefficients.self_algebra(), 2, 4, True,
      "e0b69a17c74d3fd71613d7a472b83050d6d070047138e2b02116f51160632d99"),
-], ids=["torus", "hochschild", "torus-self"])
+    (("prod(S1,S1)",), 2, Coefficients.unit(), 2, None, False,
+     "ee8d5d4dc1556429049539026f60961de054c3618b280aa13cf7b52910f844f0"),
+    (("S1", "S1"), 2, Coefficients.unit(), 5, None, False,
+     "c7272809b11e4ea43029a49a5b93e87471d21d31e9aa4ceec082805f5ba0ef82"),
+], ids=["torus", "hochschild", "torus-self", "torus-unnormalized", "grid"])
 @pytest.mark.parametrize("eager_first", [False, True])
-def test_deferred_pivot_sequence_is_pinned(expr, m, coefficients, d, bound,
-                                           digest, eager_first):
+def test_deferred_pivot_sequence_is_pinned(axes, m, coefficients, d, bound,
+                                           normalized, digest, eager_first):
     """The pivots are the same whether or not the complex was read eagerly
-    before it is ranked."""
-    complex_ = build_complex(build_space(expr, d + 1), truncated_poly(3, m),
-                             coefficients, d, bound)
+    before it is ranked.  One axis is ``build_complex``'s complex, the two
+    circles are ``oracle.torus_bicomplex``'s grid."""
+    complex_ = loday._over_axes(
+        tuple(build_space(expr, d + 1) for expr in axes),
+        truncated_poly(3, m), coefficients, d, bound, normalized, None)
     if eager_first:
         complex_.boundaries
     assert _ranked_digest(complex_) == digest

@@ -156,10 +156,13 @@ class TestSpaceExpressions:
                    for p in range(1, 3) for i in range(p + 1))
 
     def test_every_constructor_output_validates(self):
-        for text in ["pt", "S1", "sphere(2)", "sphere(3)", "simplexsphere(2)",
-                     "torus(2)", "wedge(S1,sphere(2))", "smash(S1,S1)",
-                     "susp(simplexsphere(2))", "prod(S1,simplexsphere(2))"]:
-            assert validate(build_space(text, 3)).ok, text
+        """Also at top level 0, where the circle is its one vertex."""
+        for text in ["pt", "S1", "sphere(2)", "sphere(3)", "simplexsphere(1)",
+                     "simplexsphere(2)", "torus(2)", "wedge(S1,sphere(2))",
+                     "smash(S1,S1)", "susp(pt)", "susp(simplexsphere(2))",
+                     "prod(S1,simplexsphere(2))"]:
+            for top in (0, 3):
+                assert validate(build_space(text, top)).ok, (text, top)
 
 
 class TestValidateNegative:
