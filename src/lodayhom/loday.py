@@ -583,7 +583,11 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
       row's code, its split offsets indexed by the row's label there: one
       code per tuple of labels whose product has that label as a term
       (``unfold`` of the products, ``_factorizations``), placed on the
-      slot's preimages;
+      slot's preimages.  Their sums depend on those labels alone, so each
+      face carries ``mask``, the digits of these slots, and an empty dict
+      ``memo`` in which ``_pull_block`` keeps the sums per ``code & mask``;
+      the memo lives as long as the face list, which a kernel keeps for
+      every weight of its level (``_Labelings._filler``);
     - the final offsets ``final[x][c]``, read at the shift ``last`` of the
       last merged slot's digit under ``fmask``: every split offset of the
       label x there plus every cosplit offset of the row coefficient c, in
@@ -591,7 +595,12 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
       of labels acting on it with c as a term (``unfold`` of the actions),
       placed above the last slot and on the slots that fall into the
       basepoint.  A face with no merged slot has ``final = (cosplits,)``
-      and ``fmask`` zero.
+      and ``fmask`` zero; one with at most one has ``mask`` zero and its
+      memo stays empty.
+
+    A face is ``(sign, moved, merges, mask, memo, last, fmask, final)``,
+    ``merges`` pairing the shift of each merged slot but the last with its
+    split offsets.
 
     Every offset comes with the scalar of its tuple, which the kernel never
     reads: a plan gives one face per choice of a scalar for each merged slot
@@ -636,6 +645,8 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
         cosplits = _by_scalar(
             [unfold(1, c, len(to_base), banned) for c in range(n_coeffs)],
             lambda t: t[0] << top | _code(t[1:], to_base, bits))
+        # the digits of the merged slots but the last, which key the memo
+        mask = sum(digit << shift for shift in shifts[:-1])
         for choice in product(*merges, cosplits):
             scale = _exact(sign * prod(s for s, _ in choice))
             *splits, cos = [table for _, table in choice]
@@ -645,7 +656,7 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
                                     for os in cos) for ms in splits.pop())
             else:
                 last, fmask, final = 0, 0, (cos,)
-            faces.append((scale, moved, tuple(zip(shifts, splits)),
+            faces.append((scale, moved, tuple(zip(shifts, splits)), mask, {},
                           last, fmask, final))
     return faces
 
@@ -664,17 +675,19 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
     and the coefficient, and the face is skipped when there are none.
     Otherwise its preimages are its moved runs plus every sum of one split
     offset per earlier merged slot and one final offset, listed in that
-    order.  Each preimage goes straight into the row in one pass: its code
+    order.  The sums of the split offsets are read from the face's memo by
+    the row's digits in those slots, and built only when they are missing
+    there.  Each preimage goes straight into the row in one pass: its code
     costs one int-keyed lookup in ``col_index``, and a known column adds the
-    face's sign to the row's entry there.  A preimage missing there is
-    numbered ``start + len(col_index)`` in the order the rows first reach
-    it, and its entry is the sign, unless it is degenerate: the tables keep
-    the unit off a lone complement, and ``degenerate`` holds per complement
-    of several slots the pairs ``(mask, unit_pattern)`` of its digits and of
-    the unit on all of them, so ``code & mask == unit_pattern`` marks the
-    labeling degenerate.  So ``col_index`` may hold every column, numbered
-    from ``start``, or start empty, and pulls along several faces into one
-    level may share it.
+    face's sign to the row's entry there.  A preimage missing there takes
+    the next column number, counted on from ``start + len(col_index)``, in
+    the order the rows first reach it, and its entry is the sign, unless it
+    is degenerate: the tables keep the unit off a lone complement, and
+    ``degenerate`` holds per complement of several slots the pairs ``(mask,
+    unit_pattern)`` of its digits and of the unit on all of them, so ``code
+    & mask == unit_pattern`` marks the labeling degenerate.  So
+    ``col_index`` may hold every column, numbered from ``start``, or start
+    empty, and pulls along several faces into one level may share it.
 
     The signs are reduced ``% p`` once per call over F_p; over Q they stay
     ints, which elimination takes as they are, unless a table scalar is no
@@ -691,22 +704,32 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
     get = col_index.get
     digit = (1 << bits) - 1
     top = n_low * bits
+    end = start + len(col_index)
+    no_splits = (0,)
     for code, row in zip(rows, out):
         c = code >> top
         size, placed = len(row), 0
-        for sign, runs, merges, last, fmask, final in faces:
+        for sign, runs, merges, mask, memo, last, fmask, final in faces:
             offsets = final[code >> last & fmask][c]
             if not offsets:
                 continue
             base = 0
-            for mask, up, down in runs:
-                base |= (code & mask) << up >> down
-            codes = (base,)
-            for shift, splits in merges:
-                codes = [x + o for x in codes
-                         for o in splits[code >> shift & digit]]
-            placed += len(codes) * len(offsets)
-            for x in codes:
+            for m, up, down in runs:
+                base |= (code & m) << up >> down
+            if merges:
+                key = code & mask
+                sums = memo.get(key)
+                if sums is None:
+                    sums = no_splits
+                    for shift, splits in merges:
+                        sums = [x + o for x in sums
+                                for o in splits[code >> shift & digit]]
+                    sums = memo[key] = tuple(sums)
+            else:
+                sums = no_splits
+            placed += len(sums) * len(offsets)
+            for x in sums:
+                x += base
                 for o in offsets:
                     y = x + o
                     col = get(y)
@@ -718,8 +741,9 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
                             placed -= 1
                             break
                     else:
-                        col = col_index[y] = start + len(col_index)
-                        row[col] = sign
+                        col_index[y] = end
+                        row[end] = sign
+                        end += 1
         if len(row) - size < placed:
             # some column was reached twice: reduce every sum and drop the
             # zeros, rebuilding the dict so that it stays compact
@@ -730,7 +754,7 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
                     t %= p
                 if t:
                     row[col] = t
-    return out, start + len(col_index)
+    return out, end
 
 
 def _degenerate_complements(axes, key, slots):

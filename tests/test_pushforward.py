@@ -303,17 +303,17 @@ def test_pull_folds_cosplits_into_the_last_of_several_merges(field):
 def test_pull_adds_into_rows_another_pull_filled(field):
     """``_pull_block`` adds into row dicts that already hold the columns of
     another pull, as the total block of several axes fills its rows.  Three
-    faces with no slot, their offsets indexed by the row's coefficient
-    alone, reach from row 0 the known column 100 three times (sum 1), 200
-    twice (sum 2, zero over F2), 300 twice (sum 0) and the degenerate code
-    400; row 1 reaches 101 twice (sum 0) and 201 once; row 2 reaches 102
-    once with sign -1.  Every sum is reduced and every zero dropped, the
-    other pull's entries stay first and untouched, and a column whose sum
-    cancels still takes its number."""
+    faces with no slot (mask 0 and an empty memo), their offsets indexed by
+    the row's coefficient alone, reach from row 0 the known column 100
+    three times (sum 1), 200 twice (sum 2, zero over F2), 300 twice (sum 0)
+    and the degenerate code 400; row 1 reaches 101 twice (sum 0) and 201
+    once; row 2 reaches 102 once with sign -1.  Every sum is reduced and
+    every zero dropped, the other pull's entries stay first and untouched,
+    and a column whose sum cancels still takes its number."""
     field = make_field(field)
     p = field.p
     reduce = (lambda v: v % p) if p else (lambda v: v)
-    faces = [(sign, (), (), 0, 0, (table,)) for sign, table in (
+    faces = [(sign, (), (), 0, {}, 0, 0, (table,)) for sign, table in (
         (1, ((100, 200, 300), (101,), ())),
         (1, ((100, 200), (201,), ())),
         (-1, ((100, 300, 400), (101,), (102,))))]
@@ -329,6 +329,41 @@ def test_pull_adds_into_rows_another_pull_filled(field):
                                  if reduce(v)]
             for row, new in zip(other, pulled)]
     assert [list(row.items()) for row in out] == want
+
+
+@pytest.mark.parametrize("field", [3, "Q"])
+def test_split_memo_serves_rows_past_its_slots(field, monkeypatch):
+    """``_pull_faces`` gives a face that merges several slots a memo of the
+    split sums of its merged slots but the last, keyed by their labels and
+    shared by every row and weight its kernel pulls.  On the degree-2
+    diagonal torus over ``truncpoly(3)`` with self coefficients and weight
+    bound 4, rows that share those labels differ in the last merged label,
+    the coefficient or the moved labels, so each must read the memo's sums
+    and still get its own preimages: the pulled blocks equal the reference,
+    some face merges at least two slots, and some memo, filled across
+    several weights, holds fewer entries than the rows it served."""
+    algebra = truncated_poly(field, 3)
+    coefficients = Coefficients.self_algebra()
+    d, bound = 2, 4
+    served = {}  # id of a memo -> [memo, rows that read it, pulls]
+    original = loday._pull_block
+
+    def spy(faces, rows, col_index, field, bits, n_low, *args):
+        top = n_low * bits
+        for _, _, merges, _, memo, last, fmask, final in faces:
+            if merges:
+                use = served.setdefault(id(memo), [memo, 0, 0])
+                use[1] += sum(bool(final[x >> last & fmask][x >> top])
+                              for x in rows)
+                use[2] += 1
+        return original(faces, rows, col_index, field, bits, n_low, *args)
+
+    monkeypatch.setattr(loday, "_pull_block", spy)
+    _assert_pull_equals_reference(build_space("prod(S1,S1)", d + 1), algebra,
+                                  coefficients, d, bound)
+    assert served
+    assert any(0 < len(memo) < rows and pulls > 1
+               for memo, rows, pulls in served.values())
 
 
 def _ranked_digest(complex_):
@@ -351,28 +386,34 @@ def _ranked_digest(complex_):
 # placed each preimage straight into its row: their rows reach columns
 # twice (8.5% and 23% of their preimages repeat within their row), where
 # sums cancel and are reduced, but a column keeps the number it took when
-# first reached.
-@pytest.mark.parametrize("axes,m,coefficients,d,bound,normalized,digest", [
-    (("prod(S1,S1)",), 2, Coefficients.unit(), 2, None, True,
+# first reached.  The torus over k[t] with weight bound 4 was taken at the
+# commit before each face memoized the split sums of its merged slots but the
+# last: its faces merge several slots whose labels t^2, t^3 and t^4 have
+# several splits, and the rows of every weight share each face's memo.
+@pytest.mark.parametrize("axes,spec,coefficients,d,bound,normalized,digest", [
+    (("prod(S1,S1)",), "truncpoly(2)", Coefficients.unit(), 2, None, True,
      "0ff3f550433f92a4cfe3f3c69f9c6ff48aa3382c8f07cac6e68b013b1e93e282"),
-    (("S1",), 4, Coefficients.self_algebra(), 7, None, True,
+    (("S1",), "truncpoly(4)", Coefficients.self_algebra(), 7, None, True,
      "19f229685a825cb097c14561ec7ae5897b37fcc1100234043adefe4f35b6a882"),
-    (("prod(S1,S1)",), 2, Coefficients.self_algebra(), 2, 4, True,
+    (("prod(S1,S1)",), "truncpoly(2)", Coefficients.self_algebra(), 2, 4, True,
      "e0b69a17c74d3fd71613d7a472b83050d6d070047138e2b02116f51160632d99"),
-    (("prod(S1,S1)",), 2, Coefficients.unit(), 2, None, False,
+    (("prod(S1,S1)",), "truncpoly(2)", Coefficients.unit(), 2, None, False,
      "ee8d5d4dc1556429049539026f60961de054c3618b280aa13cf7b52910f844f0"),
-    (("S1", "S1"), 2, Coefficients.unit(), 5, None, False,
+    (("S1", "S1"), "truncpoly(2)", Coefficients.unit(), 5, None, False,
      "c7272809b11e4ea43029a49a5b93e87471d21d31e9aa4ceec082805f5ba0ef82"),
-], ids=["torus", "hochschild", "torus-self", "torus-unnormalized", "grid"])
+    (("prod(S1,S1)",), "poly", Coefficients.unit(), 2, 4, True,
+     "5d1d8ec7fb2f224eb44a0e423c511864c19005a7afde872f7c5919a55d253a1c"),
+], ids=["torus", "hochschild", "torus-self", "torus-unnormalized", "grid",
+        "torus-poly"])
 @pytest.mark.parametrize("eager_first", [False, True])
-def test_deferred_pivot_sequence_is_pinned(axes, m, coefficients, d, bound,
+def test_deferred_pivot_sequence_is_pinned(axes, spec, coefficients, d, bound,
                                            normalized, digest, eager_first):
     """The pivots are the same whether or not the complex was read eagerly
     before it is ranked.  One axis is ``build_complex``'s complex, the two
     circles are ``oracle.torus_bicomplex``'s grid."""
     complex_ = loday._over_axes(
         tuple(build_space(expr, d + 1) for expr in axes),
-        truncated_poly(3, m), coefficients, d, bound, normalized, None)
+        parse_algebra_expr(spec, 3), coefficients, d, bound, normalized, None)
     if eager_first:
         complex_.boundaries
     assert _ranked_digest(complex_) == digest
