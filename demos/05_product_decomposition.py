@@ -4,8 +4,10 @@
 The suspension of a product splits as the wedge of the factors and their
 smash, so a stable construction must satisfy this decomposition for every
 pair of connected spaces.  Smooth algebras do (shown here for k[t] per weight);
-the square-zero quotient k[t]/t^2 fails at the first opportunity, and the
-Künneth convolution of the factor homologies reproduces the wedge side
+the square-zero quotient k[t]/t^2 fails at the first opportunity.  With unit
+coefficients the check takes the wedge side as the Künneth convolution of
+the homologies of the factors and of their smash, and the product side on
+the factors' own axes; the direct wedge computation reproduces the former
 exactly.
 """
 

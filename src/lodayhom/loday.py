@@ -927,15 +927,20 @@ class _Labelings:
         ``fills`` of each column level, and its column count.  The column
         indexes live in this frame, so they are freed before the block is
         ranked: the top's hold the code of every labeling the block
-        reached."""
+        reached.  A listed level with no labeling of weight w has no
+        column there and is not filled: every preimage its rows reach is
+        degenerate, and an empty index would number them as the top's
+        does."""
         out, first = [], {}
         for low, codes in kept.items():
             first[low] = len(out)
             out.extend({} for _ in codes)
         start = 0
         for key, axis_fills in fills:
+            if cols is not None and key + (w,) not in cols:
+                continue
             columns = self._columns(
-                None if cols is None else cols.get(key + (w,), ()), start)
+                None if cols is None else cols[key + (w,)], start)
             for low, fill in axis_fills:
                 codes = kept[low]
                 if codes:

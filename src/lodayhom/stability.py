@@ -6,6 +6,14 @@ through the requested degree, or the first block where the dimensions differ
 (ordered by degree, then weight).  Equal dimensions are necessary for the
 spaces' constructions to be equivalent, so a discrepancy certifies failure;
 agreement is dimension-level evidence only.
+
+``compare_spaces`` ranks the diagonal complex of each side.  The product
+check computes each side from its structure: X x Y on the two factors' own
+axes (``loday._over_axes``), and with ``unit`` coefficients the wedge
+X v Y v (X smash Y) as the Künneth convolution of the homology of X, of Y
+and of X smash Y (``oracle.wedge_kunneth_dims``).  Künneth does not hold
+for ``self`` or custom coefficients, whose wedge side is its diagonal
+complex.
 """
 
 from __future__ import annotations
@@ -13,8 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Coefficients
-from .loday import HomologyTable, build_complex, homology_dims
-from .simplicial import SpaceExpr, build_space, is_connected, parse_space_expr
+from .loday import HomologyTable, _over_axes, build_complex, homology_dims
+from .oracle import wedge_kunneth_dims
+from .simplicial import (
+    SpaceExpr, build_space, is_connected, parse_space_expr, smash, wedge,
+)
 
 
 class NotConnected(ValueError):
@@ -101,6 +112,15 @@ def _as_expr(expr) -> SpaceExpr:
     return parse_space_expr(expr) if isinstance(expr, str) else expr
 
 
+def _report(left, right, lt: HomologyTable, rt: HomologyTable, algebra,
+            coefficients: Coefficients, max_degree: int,
+            weight_bound) -> ComparisonReport:
+    rows, verdict = compare_tables(lt, rt, max_degree)
+    return ComparisonReport(str(left), str(right), algebra.description,
+                            str(algebra.field), coefficients.mode, max_degree,
+                            weight_bound, rows, verdict)
+
+
 def compare_spaces(left, right, algebra, coefficients: Coefficients,
                    max_degree: int, weight_bound=None, normalized: bool = True,
                    max_block_size=None) -> ComparisonReport:
@@ -113,24 +133,43 @@ def compare_spaces(left, right, algebra, coefficients: Coefficients,
     rt = homology_dims(build_complex(build_space(re, top), algebra,
                                      coefficients, max_degree, weight_bound,
                                      normalized, max_block_size))
-    rows, verdict = compare_tables(lt, rt, max_degree)
-    return ComparisonReport(str(le), str(re), algebra.description,
-                            str(algebra.field), coefficients.mode, max_degree,
-                            weight_bound, rows, verdict)
+    return _report(le, re, lt, rt, algebra, coefficients, max_degree,
+                   weight_bound)
 
 
 def product_decomposition_check(x, y, algebra, coefficients: Coefficients,
                                 max_degree: int, weight_bound=None,
                                 normalized: bool = True,
                                 max_block_size=None) -> ComparisonReport:
-    """Compare X x Y against X v Y v (X smash Y) at the dimension level."""
+    """Compare X x Y against X v Y v (X smash Y) at the dimension level.
+
+    X and Y are built once, at top level max_degree + 1, and must be
+    connected.  The product side is ranked on the two factors' own axes
+    (``loday._over_axes``), per-axis normalized unless ``normalized`` is
+    off.  With ``unit`` coefficients the wedge side is the Künneth
+    convolution of the homology tables of X, of Y and of X smash Y, each
+    ranked on its diagonal complex; with ``self`` or custom coefficients
+    Künneth does not hold, and the wedge side is the diagonal complex of
+    the wedge.  ``max_block_size`` bounds each complex ranked."""
     xe, ye = _as_expr(x), _as_expr(y)
-    for expr in (xe, ye):
-        if not is_connected(build_space(expr, max_degree + 1)):
+    top = max_degree + 1
+    sx, sy = build_space(xe, top), build_space(ye, top)
+    for expr, space in ((xe, sx), (ye, sy)):
+        if not is_connected(space):
             raise NotConnected(f"{expr} is not connected")
-    return compare_spaces(
-        SpaceExpr("prod", (xe, ye)),
-        SpaceExpr("wedge", (SpaceExpr("wedge", (xe, ye)),
-                            SpaceExpr("smash", (xe, ye)))),
-        algebra, coefficients, max_degree, weight_bound, normalized,
-        max_block_size)
+    settings = (algebra, coefficients, max_degree, weight_bound, normalized,
+                max_block_size)
+    lt = homology_dims(_over_axes((sx, sy), *settings))
+
+    def h(space):
+        return homology_dims(build_complex(space, *settings))
+
+    if coefficients.mode == "unit":
+        rt = wedge_kunneth_dims(wedge_kunneth_dims(h(sx), h(sy), max_degree),
+                                h(smash(sx, sy)), max_degree)
+    else:
+        rt = h(wedge(wedge(sx, sy), smash(sx, sy)))
+    return _report(SpaceExpr("prod", (xe, ye)),
+                   SpaceExpr("wedge", (SpaceExpr("wedge", (xe, ye)),
+                                       SpaceExpr("smash", (xe, ye)))),
+                   lt, rt, algebra, coefficients, max_degree, weight_bound)

@@ -270,6 +270,21 @@ class TestAnyAxes:
         assert sum(map(len, normalized.terms.values())) < \
             sum(map(len, full.terms.values()))
 
+    @pytest.mark.parametrize("left,right", [("wedge(S1,S1)", "pt"),
+                                            ("pt", "wedge(S1,S1)")])
+    def test_level_listing_nothing_at_a_weight(self, left, right):
+        # per-axis normalized, every level positive on the point's axis is
+        # degenerate and lists nothing; the preimages its rows reach must
+        # take no column numbers, or the columns of the levels after it
+        # shift and clearing drops the wrong rows of the block above (with
+        # the point first, those levels come last and shift nothing)
+        algebra = polynomial(3)
+        axes = (build_space(left, 3), build_space(right, 3))
+        via_axes = homology_dims(grid(axes, algebra, UNIT, 2, True, 3))
+        direct = homology_dims(build_complex(
+            build_space(f"prod({left},{right})", 3), algebra, UNIT, 2, 3))
+        assert via_axes.dims == direct.dims
+
 
 class TestArgumentChecks:
     """The grid runs the same argument checks and basis guard as the

@@ -2,10 +2,11 @@
 
 import pytest
 
-from lodayhom.algebra import Coefficients, polynomial, truncated_poly
-from lodayhom.loday import homology_dims, build_complex
-from lodayhom.oracle import wedge_kunneth_dims
-from lodayhom.simplicial import PointedSimplicialSet, build_space
+from lodayhom.algebra import (
+    Coefficients, parse_algebra_expr, polynomial, truncated_poly,
+)
+from lodayhom.exactlinalg import make_field
+from lodayhom.simplicial import PointedSimplicialSet
 from lodayhom.stability import (
     NotConnected, PRESET_EQUIVALENT_PAIRS, compare_spaces,
     product_decomposition_check,
@@ -82,16 +83,33 @@ class TestProductDecomposition:
                                              UNIT, 2)
         assert report.agrees
 
-    def test_right_side_matches_the_kunneth_oracle(self):
-        report = product_decomposition_check("S1", "S1", truncated_poly(3, 2),
-                                             UNIT, 2)
-        h = lambda text: homology_dims(build_complex(
-            build_space(text, 3), truncated_poly(3, 2), UNIT, 2))
-        predicted = wedge_kunneth_dims(
-            wedge_kunneth_dims(h("S1"), h("S1"), 2), h("smash(S1,S1)"), 2)
-        rows = {(n, w): r for (n, w, _, r) in report.rows}
-        for (n, w), dim in predicted.dims.items():
-            assert rows.get((n, w), 0) == dim
+    @pytest.mark.parametrize("x,y,algebra,field,coeffs,degree,normalized", [
+        ("wedge(S1,S1)", "pt", "poly", "F3", "unit", 2, True),
+        ("pt", "wedge(S1,S1)", "poly", "F3", "unit", 2, True),
+        ("S1", "S1", "truncpoly(2)", "F3", "unit", 2, True),
+        ("S1", "S1", "truncpoly(2)", "F2", "unit", 2, False),
+        ("S1", "S1", "truncpoly(2)", "Q", "self", 2, True),
+        ("wedge(S1,S1)", "pt", "truncpoly(3)", "F2", "self", 2, False),
+        ("S1", "wedge(S1,S1)", "exterior", "Q", "unit", 1, True),
+        ("sphere(2)", "S1", "exterior", "F3", "self", 1, True),
+        ("S1", "sphere(2)", "truncpoly(2)", "F2", "unit", 1, True),
+        ("wedge(S1,S1)", "S1", "truncpoly(2)", "Q", "unit", 1, False),
+    ])
+    def test_each_side_matches_the_diagonal(self, x, y, algebra, field,
+                                            coeffs, degree, normalized):
+        # the product side runs on the factors' axes and, with unit
+        # coefficients, the wedge side is a Künneth convolution; the
+        # diagonal complexes of prod(X,Y) and of the wedge are the oracle
+        alg = parse_algebra_expr(algebra, make_field(field))
+        coefficients = UNIT if coeffs == "unit" else Coefficients.self_algebra()
+        bound = 3 if algebra == "poly" else None
+        report = product_decomposition_check(x, y, alg, coefficients, degree,
+                                             bound, normalized)
+        diagonal = compare_spaces(
+            f"prod({x},{y})", f"wedge(wedge({x},{y}),smash({x},{y}))", alg,
+            coefficients, degree, bound, normalized)
+        assert report.rows == diagonal.rows
+        assert report.verdict == diagonal.verdict
 
     def test_not_connected_rejected(self, monkeypatch):
         import lodayhom.stability as stability
