@@ -6,14 +6,15 @@ p-simplex of a finite pointed simplicial set X (and a coefficient label at the
 basepoint), and computes its homology dimensions per (degree, weight) with
 exact sparse linear algebra.  One complex class, ``LodayComplex``, holds
 the labelings over one axis or several: ``homology_dims`` ranks every
-complex one way, and its eager reads are cached views.  Independent oracles
+complex one way, and its eager reads (``.terms``, ``.bases``,
+``.boundaries``) are cached views of the same kernel.  Independent oracles
 (the same evaluator on the two-circle grid, and Künneth convolution)
 cross-check the main pipeline, and the stability drivers phrase
 torus-versus-wedge comparisons as executable verdicts.
 """
 
 from .exactlinalg import (
-    FieldSpec, NonPrimeModulus, SparseMatrix, kernel_dim, make_field, rank,
+    FieldSpec, NonPrimeModulus, SparseMatrix, make_field, rank,
 )
 from .simplicial import (
     MalformedExpr, PointedSimplicialSet, SpaceExpr, TruncationMismatch,
@@ -28,7 +29,7 @@ from .algebra import (
 )
 from .loday import (
     BasisSizeExceeded, DEFAULT_MAX_BLOCK, FieldMismatch, HomologyTable,
-    Labeling, LodayComplex, TruncationTooShallow, WeightBoundRequired,
+    LodayComplex, TruncationTooShallow, WeightBoundRequired,
     build_complex, chain_dims, homology_dims,
 )
 from .oracle import CoefficientMismatch, torus_bicomplex, wedge_kunneth_dims
@@ -43,14 +44,14 @@ __all__ = [
     "AlgebraAxiomError", "BasisSizeExceeded", "Coefficients",
     "CoefficientMismatch", "ComparisonReport", "DEFAULT_MAX_BLOCK",
     "FieldMismatch", "FieldSpec", "GradedAlgebra", "HomologyTable",
-    "InvalidTruncation", "Labeling", "LodayComplex", "MalformedExpr",
+    "InvalidTruncation", "LodayComplex", "MalformedExpr",
     "NonPrimeModulus", "NotConnected", "PRESET_EQUIVALENT_PAIRS",
     "PointedSimplicialSet", "PolynomialAlgebra", "SchemaError", "SpaceExpr",
     "SparseMatrix", "TruncationMismatch", "TruncationTooShallow",
     "WeightBoundRequired", "are_isomorphic", "build_complex", "build_space",
     "chain_dims", "circle", "compare_spaces",
     "compare_tables", "dump_algebra", "exterior", "homology_dims",
-    "is_connected", "kernel_dim", "load_algebra", "make_field",
+    "is_connected", "load_algebra", "make_field",
     "parse_algebra_expr", "parse_space_expr", "point", "polynomial", "product",
     "product_decomposition_check", "rank", "simplex_sphere", "smash",
     "suspension", "torus_bicomplex", "truncated_poly",

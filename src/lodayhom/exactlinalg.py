@@ -16,7 +16,9 @@ fill-in are those of field arithmetic.
 ``row_pivots`` is the one elimination entry: it takes a block as its rows,
 ``{column: scalar}`` dicts, which ``loday`` builds row by row and hands over
 as they are, and returns the (row, column) pairs that elimination takes.
-``rank`` of a ``SparseMatrix`` is their number on its rows.
+``SparseMatrix`` is only the form of the eager ``LodayComplex.boundaries``
+view and of matrices built outside the library; ``rank`` of one is the
+number of pivots on its rows.
 ``loday.homology_dims`` uses the pivot columns to clear boundary blocks:
 the pivot columns of ``∂_p`` are left out of the rows of ``∂_{p+1}``, which
 by ``∂∂ = 0`` keeps the rank (Chen–Kerber's clearing, in the cohomology direction of
@@ -208,24 +210,6 @@ class SparseMatrix:
             {(c, r): v for (r, c), v in self.entries.items()}, self.field,
         )
 
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        field = self.field
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc = {}
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                key = (r, c)
-                s = field.add(acc.get(key, field.zero), field.mul(a, b))
-                if s == field.zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return SparseMatrix._trusted(self.rows, other.cols, acc, field)
-
     def to_dense(self):
         out = [[self.field.zero] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -361,7 +345,3 @@ def rank(matrix: SparseMatrix) -> int:
         integer_rows(rows)
     return len(row_pivots(rows, matrix.cols, matrix.field))
 
-
-def kernel_dim(matrix: SparseMatrix) -> int:
-    """Dimension of the right kernel: cols - rank."""
-    return matrix.cols - rank(matrix)

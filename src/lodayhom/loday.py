@@ -42,10 +42,11 @@ gives a face more per scalar, its sign times that scalar.  The block is its
 rows, ``{column: scalar}`` dicts, which ``exactlinalg.row_pivots``
 eliminates in place; over Q the pulled sums stay ints, unless some table
 scalar is no integer, and then the rows are scaled to ints
-(``exactlinalg.integer_rows``) before they are ranked.  ``Labeling`` tuples
-and ``SparseMatrix`` blocks are made only where a complex is read eagerly
-(``_Labelings.build``): by the first read of its cached views ``.terms``,
-``.axis_boundaries``, ``.bases`` or ``.boundaries``.
+(``exactlinalg.integer_rows``) before they are ranked.  The eager views
+``.terms``, ``.bases`` and ``.boundaries`` and the square audit
+``check_boundary_squares`` read the same kernel: they list the top total
+degree and pull every block onto all its rows.  Only ``.boundaries`` makes
+``SparseMatrix`` blocks.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import comb, prod
-from typing import NamedTuple
 
 from .exactlinalg import FieldSpec, SparseMatrix, integer_rows, row_pivots
 from .algebra import Coefficients, unit_coefficient_algebra
@@ -80,13 +80,6 @@ class BasisSizeExceeded(RuntimeError):
 
 
 DEFAULT_MAX_BLOCK = 5_000_000  # ceiling on the labelings of one complex
-
-
-class Labeling(NamedTuple):
-    """Algebra labels per non-basepoint slot, plus the coefficient index."""
-
-    assignment: tuple
-    coeff: int
 
 
 def _resolve_coefficients(algebra, coefficients: Coefficients):
@@ -169,8 +162,9 @@ def _weight_multiplicities(algebra, bound):
 
 
 def _block_counts(algebra, c_alg, n_slots, bound):
-    """Labeling counts per total weight 0..bound, computed before enumeration:
-    the weight multiplicities of n_slots copies of A and one of C convolved."""
+    """Numbers of labelings per total weight 0..bound, computed before
+    enumeration: the weight multiplicities of n_slots copies of A and one
+    of C convolved."""
     mult = _weight_multiplicities(algebra, bound)
     counts = [1] + [0] * bound
     for factor in [mult] * n_slots + [_weight_multiplicities(c_alg, bound)]:
@@ -258,19 +252,6 @@ def _enumerate_block_bases(algebra, c_alg, n_slots, bound, bits,
     return {w: codes for w, codes in by_weight.items() if codes}
 
 
-def _decoder(n_slots, bits):
-    """The inverse of the packed code over ``n_slots`` slots: a function
-    ``code -> (assignment, coeff)``."""
-    digit = (1 << bits) - 1
-    shifts = [q * bits for q in range(n_slots)]
-    top = n_slots * bits
-
-    def decode(code):
-        return tuple([code >> s & digit for s in shifts]), code >> top
-
-    return decode
-
-
 @dataclass
 class HomologyTable:
     """Homology dimensions keyed by (degree, weight); zero blocks are
@@ -317,13 +298,13 @@ class LodayComplex:
     is pulled from its uncleared rows (``_Labelings.implicit_blocks``) and
     max_degree + 1 is never listed.
 
-    The eager views are cached reads, made once on first read; they never
-    change how the complex is ranked.  ``terms`` and ``axis_boundaries``
-    list the levels of total degree max_degree + 1, assemble every block
-    onto all its rows, one dict per axis keyed like its columns, and decode
-    the levels into ``Labeling`` tuples keyed ``level + (w,)``; ``bases``
-    and ``boundaries`` totalize them (``_totalize``).  For one axis
-    ``terms`` is ``bases``.
+    The eager views are cached reads, made once on first read, of the same
+    kernel; they never change how the complex is ranked.  ``terms`` adds the
+    levels of total degree max_degree + 1, listed, to the codes, keyed
+    ``level + (w,)``; ``bases`` stacks them per (total degree, weight) in
+    level order; ``boundaries`` holds every block of the total differential
+    onto all its rows, the listed top numbering its columns, as a
+    ``SparseMatrix`` keyed like its columns in ``bases``.
     """
 
     def __init__(self, labelings, codes):
@@ -335,31 +316,37 @@ class LodayComplex:
         self.weight_bound = labelings.weight_bound
 
     @cached_property
-    def _assembled(self):
-        labelings = self._labelings
-        return labelings.build(labelings.summands(self.max_degree + 1),
-                               self._codes)
-
-    @property
     def terms(self) -> dict:
-        return self._assembled[0]
-
-    @property
-    def axis_boundaries(self) -> tuple:
-        return self._assembled[1]
+        labelings = self._labelings
+        return {**self._codes,
+                **labelings.listed(labelings.summands(self.max_degree + 1))}
 
     @cached_property
-    def _total(self):
-        return _totalize(self.terms, self.axis_boundaries, self.field,
-                         self.max_degree + 1)
-
-    @property
     def bases(self) -> dict:
-        return self._total[0]
+        bases = {}
+        for key in sorted(self.terms):
+            bases.setdefault((sum(key[:-1]), key[-1]), []).extend(
+                self.terms[key])
+        return bases
 
-    @property
+    @cached_property
     def boundaries(self) -> dict:
-        return self._total[1]
+        return {key: _matrix(block, self.field)
+                for key, block in self._blocks()}
+
+    def _blocks(self):
+        """Every block of the total differential out of a positive degree of
+        ``bases``, ``((degree, weight), (rows, cols))`` in key order, pulled
+        by the ranking kernel (``_Labelings._total_block``) onto all its
+        rows, with the top total degree listed (``terms``)."""
+        labelings, terms = self._labelings, self.terms
+        for k in range(1, self.max_degree + 2):
+            weights = sorted(w for j, w in self.bases if j == k)
+            fills = labelings.fills(k) if weights else ()
+            for w in weights:
+                kept = {low: terms.get(low + (w,), ())
+                        for low in labelings.summands(k - 1)}
+                yield (k, w), labelings._total_block(fills, kept, terms, w)
 
     def _ranked(self, cleared):
         """The pivots of every block of the total differential,
@@ -373,53 +360,26 @@ class LodayComplex:
                 yield key, row_pivots(rows, cols, self.field)
 
     def check_boundary_squares(self):
-        """Verify boundary . boundary = 0 on every composable block pair.
-        On several axes the square of the total differential sums the
-        squares of each axis's blocks and the signed commutators of every
-        two axes, which land in different summands, so it vanishes exactly
-        when each axis squares to zero and every two axes commute."""
-        violations = []
-        for (p, w), mat in sorted(self.boundaries.items()):
-            nxt = self.boundaries.get((p + 1, w))
-            if nxt is None:
-                continue
-            if not mat.matmul(nxt).is_zero:
-                violations.append((p, w))
+        """The (degree p, weight) of every block ``∂_p`` whose product with
+        ``∂_{p+1}`` is not zero, each block pulled onto all its rows
+        (``_blocks``) and the two multiplied as row dicts.  On several axes
+        the square of the total differential sums the squares of each
+        axis's blocks and the signed commutators of every two axes, which
+        land in different summands, so it vanishes exactly when each axis
+        squares to zero and every two axes commute."""
+        p = self.field.p
+        below, violations = {}, []
+        for (k, w), (rows, _) in self._blocks():
+            for low in below.pop((k - 1, w), ()):
+                square = {}
+                for r, a in low.items():
+                    for c, b in rows[r].items():
+                        square[c] = square.get(c, 0) + a * b
+                if any(v % p if p else v for v in square.values()):
+                    violations.append((k - 1, w))
+                    break
+            below[(k, w)] = rows
         return violations
-
-
-def _totalize(bases, boundaries, field, top):
-    """The total complex through degree ``top`` of the levels ``bases``,
-    keyed ``level + (w,)`` over some axes, and of the blocks
-    ``boundaries``, one dict per axis keyed like their columns: its bases
-    and boundaries, keyed (degree, weight).
-
-    The summands of total degree k are stacked in level order, and the
-    block along axis i out of a level is twisted by the sign
-    (-1)^(level[0] + ... + level[i - 1]) (Dold–Puppe), so one axis is its
-    own total complex.
-    """
-    if len(boundaries) == 1:
-        return bases, boundaries[0]
-    total, offsets = {}, {}
-    for key in sorted(bases):
-        chains = total.setdefault((sum(key[:-1]), key[-1]), [])
-        offsets[key] = len(chains)
-        chains.extend(bases[key])
-    weights = sorted({w for _, w in total})
-    entries = {(k, w): {} for k in range(1, top + 1) for w in weights}
-    for i, blocks in enumerate(boundaries):
-        for key, mat in blocks.items():
-            low = key[:i] + (key[i] - 1,) + key[i + 1:]
-            row0, col0 = offsets.get(low, 0), offsets.get(key, 0)
-            twisted = sum(key[:i]) % 2
-            block = entries[(sum(key[:-1]), key[-1])]
-            for (r, c), v in mat.entries.items():
-                block[(row0 + r, col0 + c)] = field.neg(v) if twisted else v
-    return total, {
-        (k, w): SparseMatrix._trusted(len(total.get((k - 1, w), ())),
-                                      len(total.get((k, w), ())), block, field)
-        for (k, w), block in entries.items()}
 
 
 def _face_plans(fmaps, slots, slots_low, bp_low):
@@ -769,8 +729,8 @@ class _Labelings:
     """The labelings of the non-basepoint cells of the product of ``axes`` at
     the levels ``keys``, with what all their levels share: cells, weight
     bound, degeneracy complements and structure tables.  Bases are keyed
-    ``key + (w,)``; the boundary blocks out of the levels positive on an
-    axis go to that axis's dict.
+    ``key + (w,)``, and every block of the total differential is pulled
+    from its rows by one kernel per level and axis (``_filler``).
 
     A cell is a tuple of per-axis simplex identifiers, in lexicographic order;
     face j along axis i replaces coordinate i by its image under
@@ -846,29 +806,6 @@ class _Labelings:
         return {key + (w,): codes
                 for key in keys for w, codes in self.level(key).items()}
 
-    def build(self, keys, bases):
-        """The bases of every level, those of ``keys`` listed and added to
-        the codes ``bases``, which are left as they are, and every boundary
-        block assembled onto all its rows, one dict per axis; each basis is
-        decoded into ``Labeling`` tuples once its blocks are built."""
-        bases = {**bases, **self.listed(keys)}
-        boundaries = tuple({} for _ in self.axes)
-        for key in self.slots:
-            cols = {w: bases[key + (w,)] for w in range(self.bound + 1)
-                    if key + (w,) in bases}
-            for i, p in enumerate(key):
-                if p:
-                    low = _lowered(key, i)
-                    rows = {w: bases.get(low + (w,), ()) for w in cols}
-                    boundaries[i].update(
-                        (bkey, _matrix(block, self.field))
-                        for bkey, block in self.blocks(key, i, rows, cols))
-        decoded = {}
-        for bkey, codes in bases.items():
-            decode = _decoder(len(self.slots[bkey[:-1]]), self.bits)
-            decoded[bkey] = [Labeling(*decode(x)) for x in codes]
-        return decoded, boundaries
-
     def implicit_blocks(self, k, bases, cleared):
         """The blocks of the total differential out of total degree k, one
         per weight w and keyed (k, w), each onto its rows in the codes
@@ -879,12 +816,12 @@ class _Labelings:
         The levels of total degree k (``summands``) are stacked in key order
         as its columns, those of k - 1 as its rows, and the faces along axis
         i out of a level carry the sign (-1)^(level[0] + ... + level[i - 1])
-        (Dold–Puppe, the twist of ``_totalize``), so one axis is one summand
-        with sign +1.  Each kernel is built once per level and axis
-        (``_filler``).  A weight yields no block when no row is left or its
-        exact count is zero: ``counts`` summed over the summands, or on a
-        normalized complex their Dold–Kan inversion (``_normalized_counts``),
-        which is zero wherever a degeneracy complement is empty.  Listed
+        (Dold–Puppe, ``fills``), so one axis is one summand with sign +1.
+        Each kernel is built once per level and axis.  A weight yields no
+        block when no row is left or its exact count is zero: ``counts``
+        summed over the summands, or on a normalized complex their Dold–Kan
+        inversion (``_normalized_counts``), which is zero wherever a
+        degeneracy complement is empty.  Listed
         levels keep their column numbering, so the pivot columns of a block
         index the rows of the next.  The top total degree is never listed:
         each of its levels numbers the columns that its rows reach along any
@@ -910,10 +847,7 @@ class _Labelings:
         if not rows:
             return ()
         cols = bases if k < max(map(sum, self.slots)) else None
-        fills = [(key, [(_lowered(key, i),
-                         self._filler(key, i, (-1) ** sum(key[:i])))
-                        for i, p in enumerate(key) if p])
-                 for key in summands]
+        fills = self.fills(k)
         blocks = (((k, w), self._total_block(fills, kept, cols, w))
                   for w, kept in rows.items())
         if self.fractional:
@@ -921,16 +855,28 @@ class _Labelings:
                     for bkey, (block, n) in blocks)
         return blocks
 
+    def fills(self, k):
+        """The kernels (``_filler``) of the total differential out of the
+        levels of total degree k, ``(key, [(low, fill), ...])`` per level in
+        key order: along axis i into ``low``, each face's sign twisted by
+        (-1)^(key[0] + ... + key[i - 1]) (Dold–Puppe)."""
+        return [(key, [(_lowered(key, i),
+                        self._filler(key, i, (-1) ** sum(key[:i])))
+                       for i, p in enumerate(key) if p])
+                for key in self.summands(k)]
+
     def _total_block(self, fills, kept, cols, w):
-        """The block of weight w of ``implicit_blocks``: the row dicts of
-        the codes ``kept`` of each level, stacked, filled by the kernels
-        ``fills`` of each column level, and its column count.  The column
-        indexes live in this frame, so they are freed before the block is
-        ranked: the top's hold the code of every labeling the block
-        reached.  A listed level with no labeling of weight w has no
-        column there and is not filled: every preimage its rows reach is
-        degenerate, and an empty index would number them as the top's
-        does."""
+        """The block of weight w of the total differential: the row dicts
+        of the codes ``kept`` of each level, stacked, filled by the kernels
+        ``fills`` of each column level, and its column count; its columns
+        are numbered as the codes ``cols`` list them, or as the rows reach
+        them where ``cols`` is None (the unlisted top of
+        ``implicit_blocks``).  The column indexes live in this frame, so
+        they are freed before the block is ranked: the top's hold the code
+        of every labeling the block reached.  A listed level with no
+        labeling of weight w has no column there and is not filled: every
+        preimage its rows reach is degenerate, and an empty index would
+        number them as the top's does."""
         out, first = [], {}
         for low, codes in kept.items():
             first[low] = len(out)
@@ -990,20 +936,6 @@ class _Labelings:
             return _pull_block(faces, rows, columns, field, bits, n_low,
                                degenerate, out, start)
         return pull
-
-    def blocks(self, key, i, rows, cols):
-        """Yield ``(key + (w,), (rows, cols))``, the boundary along axis i
-        out of level ``key`` in weight w onto the codes ``rows[w]``, as its
-        rows ``{col: scalar}`` and its column count, for each weight of
-        ``rows``; its columns are numbered as the codes ``cols[w]`` list
-        them, or as the rows reach them when ``cols`` is None."""
-        fill = self._filler(key, i, 1)
-        for w, row_codes in rows.items():
-            # the column index is passed, not bound in this frame, so it is
-            # freed before the block is ranked
-            yield key + (w,), fill(
-                row_codes, self._columns(None if cols is None else cols[w], 0),
-                [{} for _ in row_codes], 0)
 
 
 def _lowered(key, i):

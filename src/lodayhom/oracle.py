@@ -8,9 +8,10 @@ each circle is the alternating face sum along it.  The grid is a
 ``LodayComplex`` like any other: its total complex carries the sign twist
 (-1)^n on the second circle's boundary at first degree n, ``homology_dims``
 ranks it as it ranks the diagonal complex, and its
-``check_boundary_squares`` is the grid's square audit.  The result must
+``check_boundary_squares``, which multiplies the row dicts of adjacent
+blocks of that total complex, is the grid's square audit.  The result must
 agree blockwise with the diagonal product complex; the check is
-independent in its two axes and the twisted totalization.
+independent in its two axes and the sign twist.
 
 ``wedge_kunneth_dims`` convolves homology tables over a field, predicting
 wedge homology from the factors.

@@ -3,13 +3,13 @@ assembled form.
 
 ``homology_dims`` builds the blocks of a complex on their uncleared rows
 and numbers the top total degree's columns by the packed codes its rows
-reach.  A read of ``.boundaries`` lists the top total degree, pulls every
-block onto all its rows, with the listed columns encoded, and totalizes the
-grid's two axes; ranked apart from ``homology_dims``, with no clearing
-(``plain_rank_dims``), it must give the same homology, and the job its
-frozen exit code and report.  The grid job's blocks, the top total
-degree's included, must also equal those that ``_push_labeling``
-assembles from its listed terms.
+reach.  A read of ``.boundaries`` lists the top total degree and pulls
+every block of the total differential onto all its rows, the listed top
+numbering its columns; ranked apart from ``homology_dims``, with no
+clearing (``plain_rank_dims``), it must give the same homology, and the
+job its frozen exit code and report.  The grid job's blocks along each
+axis, the top total degree's included, must also equal those that
+``_push_labeling`` assembles from its listed terms.
 """
 
 import importlib.util

@@ -1,6 +1,7 @@
 """Chain assembly, normalization and homology of the labelled complexes."""
 
 from random import Random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,9 +14,9 @@ from lodayhom.algebra import (
 )
 from lodayhom.exactlinalg import make_field, rank
 from lodayhom.loday import (
-    BasisSizeExceeded, FieldMismatch, Labeling, TruncationTooShallow,
+    BasisSizeExceeded, FieldMismatch, TruncationTooShallow,
     WeightBoundRequired, _block_counts, _degenerate_complements,
-    _decoder, _enumerate_block_bases, _normalized_counts,
+    _enumerate_block_bases, _normalized_counts,
     _resolve_coefficients, build_complex, chain_dims, homology_dims,
 )
 from lodayhom.simplicial import (
@@ -23,6 +24,32 @@ from lodayhom.simplicial import (
 )
 
 UNIT = Coefficients.unit()
+
+
+class Labeling(NamedTuple):
+    """A packed labeling code read back: the algebra label per
+    non-basepoint slot, and the coefficient index."""
+
+    assignment: tuple
+    coeff: int
+
+
+def decode(code, n_slots, bits):
+    """The ``Labeling`` of a packed code over ``n_slots`` slots of ``bits``
+    bits each, the coefficient above the last slot
+    (``loday._pull_faces``)."""
+    digit = (1 << bits) - 1
+    return Labeling(tuple(code >> q * bits & digit for q in range(n_slots)),
+                    code >> n_slots * bits)
+
+
+def decoded_terms(complex_):
+    """The ``terms`` of a complex, keyed ``level + (w,)``, as ``Labeling``
+    lists; for one axis they are its ``bases``."""
+    labelings = complex_._labelings
+    return {key: [decode(code, len(labelings.slots[key[:-1]]), labelings.bits)
+                  for code in codes]
+            for key, codes in complex_.terms.items()}
 
 
 def degree_totals(dims_by_block, degree):
@@ -97,8 +124,8 @@ class TestNormalizationCriterion:
         for p in range(1, 4):
             total = sum(len(v) for (q, w), v in full.bases.items() if q == p)
             kept = sum(len(v) for (q, w), v in norm.bases.items() if q == p)
-            below = [lab for (q, w), labs in full.bases.items() if q == p - 1
-                     for lab in labs]
+            below = [lab for (q, w), labs in decoded_terms(full).items()
+                     if q == p - 1 for lab in labs]
             degenerate = degenerate_span_count(space, algebra, 1, p, below,
                                                algebra.unit)
             assert kept == total - degenerate, (space_text, p)
@@ -166,8 +193,7 @@ class TestPrunedEnumeration:
         saw_degenerate_level = False
         for expr, p, slots, complements in enumeration_levels():
             bits = label_bits(algebra, c_alg, bound)
-            decode = _decoder(len(slots), bits)
-            got = {w: [Labeling(*decode(x)) for x in codes]
+            got = {w: [decode(x, len(slots), bits) for x in codes]
                    for w, codes in _enumerate_block_bases(
                        algebra, c_alg, len(slots), bound, bits,
                        complements).items()}

@@ -1,18 +1,21 @@
 """The grid, its total complex, and the Künneth convolution."""
 
+import copy
+
 import pytest
 
 from lodayhom.algebra import Coefficients, polynomial, truncated_poly
 from lodayhom.exactlinalg import SparseMatrix, make_field
 from lodayhom.loday import (
-    BasisSizeExceeded, HomologyTable, Labeling, LodayComplex,
-    WeightBoundRequired, _Labelings, _over_axes, build_complex, homology_dims,
+    BasisSizeExceeded, HomologyTable, LodayComplex, WeightBoundRequired,
+    _Labelings, _lowered, _over_axes, build_complex, homology_dims,
 )
 from lodayhom.oracle import (
     CoefficientMismatch, torus_bicomplex, wedge_kunneth_dims,
 )
 from lodayhom.simplicial import build_space, circle
-from test_loday import plain_rank_dims
+from test_loday import decoded_terms, plain_rank_dims
+from test_pushforward import axis_blocks
 
 UNIT = Coefficients.unit()
 
@@ -39,39 +42,68 @@ class TestTermDims:
         assert set(term_dims(bicomplex)) == expected
 
 
+def product(a, b):
+    """The nonzero entries of the matrix product a . b."""
+    field = a.field
+    by_row = {}
+    for (r, c), v in b.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    acc = {}
+    for (r, k), x in a.entries.items():
+        for c, y in by_row.get(k, ()):
+            acc[(r, c)] = field.add(acc.get((r, c), field.zero),
+                                    field.mul(x, y))
+    return {rc: v for rc, v in acc.items() if v != field.zero}
+
+
 def broken_identities(b):
-    """Which of h.h = 0, v.v = 0 and h.v = v.h fail on the grid ``b``."""
-    h, v = b.axis_boundaries
+    """Which of h.h = 0, v.v = 0 and h.v = v.h fail on the grid ``b``, its
+    blocks pulled one axis at a time (``axis_blocks``)."""
+    h, v = axis_blocks(b, 0), axis_blocks(b, 1)
     broken = set()
     for (n, m, w), mat in h.items():
         low = h.get((n - 1, m, w))
-        if low is not None and not low.matmul(mat).is_zero:
+        if low is not None and product(low, mat):
             broken.add("h.h")
         if (n, m, w) in v and (n - 1, m, w) in v and (n, m - 1, w) in h:
-            if (v[(n - 1, m, w)].matmul(mat).entries
-                    != h[(n, m - 1, w)].matmul(v[(n, m, w)]).entries):
+            if (product(v[(n - 1, m, w)], mat)
+                    != product(h[(n, m - 1, w)], v[(n, m, w)])):
                 broken.add("h.v")
     for (n, m, w), mat in v.items():
         low = v.get((n, m - 1, w))
-        if low is not None and not low.matmul(mat).is_zero:
+        if low is not None and product(low, mat):
             broken.add("v.v")
     return broken
 
 
 def corrupted(b, axis, key, pos):
-    """A new complex over the codes of the grid ``b`` with one entry of one
-    block along ``axis`` changed in its ``.axis_boundaries``, before its
-    total complex is first read."""
-    bad = LodayComplex(b._labelings, b._codes)
-    blocks = bad.axis_boundaries[axis]
-    mat = blocks[key]
-    field = mat.field
-    entries = dict(mat.entries)
-    value = field.add(entries.pop(pos, field.zero), field.one)
-    if value != field.zero:
-        entries[pos] = value
-    blocks[key] = SparseMatrix(mat.rows, mat.cols, entries, field)
-    return bad
+    """A new complex over the codes of the grid ``b`` whose kernel along
+    ``axis`` out of the level ``key[:-1]`` pulls one face term more: the
+    entry at ``pos`` (row, column) of its block of weight ``key[-1]`` gains
+    one, times the sign twist the kernel is made with.  The audit and
+    ``axis_blocks`` both read the corrupted kernel."""
+    level, w = key[:-1], key[-1]
+    row_code = b.terms[_lowered(level, axis) + (w,)][pos[0]]
+    col_code = b.terms[key][pos[1]]
+    labelings = copy.copy(b._labelings)
+    field, filler = labelings.field, labelings._filler
+
+    def corrupt_filler(k, i, twist):
+        fill = filler(k, i, twist)
+
+        def corrupt_fill(rows, columns, out, start):
+            pulled = fill(rows, columns, out, start)
+            if row_code in rows and col_code in columns:
+                row, c = out[rows.index(row_code)], columns[col_code]
+                value = field.add(row.pop(c, field.zero),
+                                  field.normalize(twist))
+                if value != field.zero:
+                    row[c] = value
+            return pulled
+        return corrupt_fill if (k, i) == (level, axis) else fill
+
+    labelings._filler = corrupt_filler
+    return LodayComplex(labelings, b._codes)
 
 
 class TestSquares:
@@ -95,8 +127,8 @@ class TestSquares:
         # summands, so the total audit flags a corrupted grid exactly when
         # one of the three identities fails
         caught = set()
-        for axis, blocks in enumerate(bicomplex.axis_boundaries):
-            for key, mat in sorted(blocks.items()):
+        for axis in (0, 1):
+            for key, mat in sorted(axis_blocks(bicomplex, axis).items()):
                 if not (mat.rows and mat.cols):
                     continue
                 for pos in sorted({(0, 0), (mat.rows - 1, mat.cols - 1),
@@ -183,15 +215,13 @@ class TestDeferredTotal:
 
     def test_eager_read_of_the_deferred_total_complex(self):
         # an eager read lists the top total degree once, keeps its views,
-        # totalizes the levels per total degree and leaves the ranking as
-        # it was
+        # stacks the levels per total degree and leaves the ranking as it
+        # was
         bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 2)
         before = homology_dims(bicomplex).dims
-        views = (bicomplex.terms, bicomplex.axis_boundaries,
-                 bicomplex.bases, bicomplex.boundaries)
+        views = (bicomplex.terms, bicomplex.bases, bicomplex.boundaries)
         assert all(a is b for a, b in zip(views, (
-            bicomplex.terms, bicomplex.axis_boundaries, bicomplex.bases,
-            bicomplex.boundaries)))
+            bicomplex.terms, bicomplex.bases, bicomplex.boundaries)))
         sizes = {}
         for (n, m, w), labs in bicomplex.terms.items():
             sizes[(n + m, w)] = sizes.get((n + m, w), 0) + len(labs)
@@ -205,15 +235,11 @@ class TestDeferredTotal:
         assert table.totals() == [1, 2, 3, 6, 8, 13]
 
     def test_leaves_the_grid_unassembled(self, monkeypatch):
-        """No ``Labeling`` tuple or ``SparseMatrix`` is made and no level of
-        the top total degree is listed; the grid still reads eagerly after."""
+        """No ``SparseMatrix`` is made and no level of the top total degree
+        is listed; the grid still reads eagerly after."""
         made, listed = [], []
-        new, adopt = Labeling.__new__, SparseMatrix._adopt
+        adopt = SparseMatrix._adopt
         level = _Labelings.level
-
-        def counted_new(cls, *args):
-            made.append("Labeling")
-            return new(cls, *args)
 
         def counted_adopt(self, *args):
             made.append("SparseMatrix")
@@ -224,7 +250,6 @@ class TestDeferredTotal:
             return level(self, key)
 
         bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 3)
-        monkeypatch.setattr(Labeling, "__new__", staticmethod(counted_new))
         monkeypatch.setattr(SparseMatrix, "_adopt", counted_adopt)
         monkeypatch.setattr(_Labelings, "level", spied_level)
         assert homology_dims(bicomplex).totals() == [1, 2, 3, 6]
@@ -235,7 +260,9 @@ class TestDeferredTotal:
         assert max(n + m for n, m, _ in bicomplex.terms) == 4
         assert {key for key in listed if sum(key) == 4} == {
             (n, 4 - n) for n in range(5)}
-        assert set(made) == {"Labeling", "SparseMatrix"}
+        assert made == []
+        assert max(k for k, _ in bicomplex.boundaries) == 4
+        assert set(made) == {"SparseMatrix"}
 
 
 class TestAnyAxes:
@@ -285,6 +312,41 @@ class TestAnyAxes:
             build_space(f"prod({left},{right})", 3), algebra, UNIT, 2, 3))
         assert via_axes.dims == direct.dims
 
+    @pytest.mark.parametrize("field", [2, 3, "Q"])
+    @pytest.mark.parametrize("left,right,make,bound,normalized", [
+        ("S1", "S1", lambda f: truncated_poly(f, 2), None, False),
+        ("wedge(S1,S1)", "pt", polynomial, 3, True),
+    ], ids=["grid", "wedge-pt"])
+    def test_views_stack_the_twisted_axes(self, field, left, right, make,
+                                          bound, normalized):
+        # ``bases`` stacks the levels of ``terms`` per total degree in level
+        # order, and each block of ``boundaries`` is the blocks along each
+        # axis (``axis_blocks``) placed at their levels' offsets, those
+        # along axis i out of a level twisted by (-1)^(level[0] + ... +
+        # level[i - 1]); a level listing nothing at a weight takes no place
+        axes = (build_space(left, 3), build_space(right, 3))
+        b = grid(axes, make(field), UNIT, 2, normalized, bound)
+        stacked, offsets = {}, {}
+        for key in sorted(b.terms):
+            codes = stacked.setdefault((sum(key[:-1]), key[-1]), [])
+            offsets[key] = len(codes)
+            codes.extend(b.terms[key])
+        assert b.bases == stacked
+        want = {key: {} for key in stacked if key[0]}
+        f = b.field
+        for i in (0, 1):
+            for key, mat in axis_blocks(b, i).items():
+                level, w = key[:-1], key[-1]
+                row0 = offsets.get(_lowered(level, i) + (w,), 0)
+                twisted = sum(level[:i]) % 2
+                for (r, c), v in mat.entries.items():
+                    want[(sum(level), w)][(row0 + r, offsets[key] + c)] = \
+                        f.neg(v) if twisted else v
+        assert {key: mat.entries for key, mat in b.boundaries.items()} == want
+        for (k, w), mat in b.boundaries.items():
+            assert (mat.rows, mat.cols) == (len(stacked.get((k - 1, w), ())),
+                                            len(stacked[(k, w)]))
+
 
 class TestArgumentChecks:
     """The grid runs the same argument checks and basis guard as the
@@ -323,20 +385,22 @@ class TestExplicitBoundaries:
     """
 
     def test_terms_are_labelings_and_boundaries_matrices(self, bicomplex):
-        # the grid is built eagerly: its terms are decoded from their codes
-        # and its blocks are matrices, as the tests below read them
-        assert all(type(lab) is Labeling
-                   for labs in bicomplex.terms.values() for lab in labs)
+        # the grid lists its terms as packed codes, read back below as
+        # labelings (``decoded_terms``), and its blocks along each axis are
+        # pulled by its kernels as matrices (``axis_blocks``)
+        assert all(type(code) is int
+                   for codes in bicomplex.terms.values() for code in codes)
         assert all(type(mat) is SparseMatrix
-                   for boundaries in bicomplex.axis_boundaries
-                   for mat in boundaries.values())
+                   for axis in (0, 1)
+                   for mat in axis_blocks(bicomplex, axis).values())
 
     def test_bidegree_one_one_consists_of_cycles(self, bicomplex):
         # both circle faces at level 1 hit the basepoint, so the two face
         # pushforwards cancel and every (1,1) chain is a cycle
+        h, v = axis_blocks(bicomplex, 0), axis_blocks(bicomplex, 1)
         for w in (1, 2, 3):
-            assert bicomplex.axis_boundaries[0][(1, 1, w)].is_zero
-            assert bicomplex.axis_boundaries[1][(1, 1, w)].is_zero
+            assert h[(1, 1, w)].is_zero
+            assert v[(1, 1, w)].is_zero
 
     def column(self, mat, col):
         return {r: v for (r, c), v in mat.entries.items() if c == col}
@@ -345,45 +409,52 @@ class TestExplicitBoundaries:
         # the (2,1) chain with label rows (1 1 / 1 t / 1 t) maps to twice the
         # chain (1 1 / 1 t): only the outer faces survive, the middle face
         # dies on t*t = 0
-        src = bicomplex.terms[(2, 1, 2)].index(((0, 0, 1, 0, 1), 0))
-        dst = bicomplex.terms[(1, 1, 2)].index(((1, 0, 1), 0))
-        col = self.column(bicomplex.axis_boundaries[0][(2, 1, 2)], src)
+        terms = decoded_terms(bicomplex)
+        src = terms[(2, 1, 2)].index(((0, 0, 1, 0, 1), 0))
+        dst = terms[(1, 1, 2)].index(((1, 0, 1), 0))
+        col = self.column(axis_blocks(bicomplex, 0)[(2, 1, 2)], src)
         assert col == {dst: 2}
-        assert self.column(bicomplex.axis_boundaries[1][(2, 1, 2)], src) == {}
+        assert self.column(axis_blocks(bicomplex, 1)[(2, 1, 2)], src) == {}
 
     def test_top_weight_candidate_is_a_boundary(self, bicomplex):
         # (1 1 / 1 t / t t) maps to (1 t / t t) on the nose: two faces die on
         # the augmentation of t, the outer face survives with coefficient 1
-        src = bicomplex.terms[(2, 1, 3)].index(((0, 0, 1, 1, 1), 0))
-        dst = bicomplex.terms[(1, 1, 3)].index(((1, 1, 1), 0))
-        assert self.column(bicomplex.axis_boundaries[0][(2, 1, 3)], src) == {dst: 1}
+        terms = decoded_terms(bicomplex)
+        src = terms[(2, 1, 3)].index(((0, 0, 1, 1, 1), 0))
+        dst = terms[(1, 1, 3)].index(((1, 1, 1), 0))
+        assert self.column(axis_blocks(bicomplex, 0)[(2, 1, 3)], src) == \
+            {dst: 1}
 
     def test_homologous_pair(self, bicomplex):
         # (1 1 / t 1 / 1 t) has boundary (1 t / t 1) - (1 1 / t t), making the
         # two weight-2 candidates homologous
-        src = bicomplex.terms[(2, 1, 2)].index(((0, 1, 0, 0, 1), 0))
-        plus = bicomplex.terms[(1, 1, 2)].index(((1, 1, 0), 0))
-        minus = bicomplex.terms[(1, 1, 2)].index(((0, 1, 1), 0))
-        col = self.column(bicomplex.axis_boundaries[0][(2, 1, 2)], src)
+        terms = decoded_terms(bicomplex)
+        src = terms[(2, 1, 2)].index(((0, 1, 0, 0, 1), 0))
+        plus = terms[(1, 1, 2)].index(((1, 1, 0), 0))
+        minus = terms[(1, 1, 2)].index(((0, 1, 1), 0))
+        col = self.column(axis_blocks(bicomplex, 0)[(2, 1, 2)], src)
         assert col == {plus: 1, minus: 3 - 1}
 
     def test_vertical_counterpart(self, bicomplex):
         # (1 1 1 / 1 t t) at bidegree (1,2): slots
         # [(0,1),(0,2),(1,0),(1,1),(1,2)]; its vertical boundary is twice
         # (1 1 / t t)
-        src = bicomplex.terms[(1, 2, 2)].index(((0, 0, 0, 1, 1), 0))
-        dst = bicomplex.terms[(1, 1, 2)].index(((0, 1, 1), 0))
-        assert self.column(bicomplex.axis_boundaries[1][(1, 2, 2)], src) == {dst: 2}
-        assert self.column(bicomplex.axis_boundaries[0][(1, 2, 2)], src) == {}
+        terms = decoded_terms(bicomplex)
+        src = terms[(1, 2, 2)].index(((0, 0, 0, 1, 1), 0))
+        dst = terms[(1, 1, 2)].index(((0, 1, 1), 0))
+        assert self.column(axis_blocks(bicomplex, 1)[(1, 2, 2)], src) == \
+            {dst: 2}
+        assert self.column(axis_blocks(bicomplex, 0)[(1, 2, 2)], src) == {}
 
     def test_factor_of_two_dies_in_characteristic_two(self):
         # the same chains bound nothing mod 2, which is where the extra
         # degree-2 torus class comes from
         char2 = torus_bicomplex(truncated_poly(2, 2), UNIT, 2)
-        src = char2.terms[(2, 1, 2)].index(((0, 0, 1, 0, 1), 0))
-        assert self.column(char2.axis_boundaries[0][(2, 1, 2)], src) == {}
-        src = char2.terms[(1, 2, 2)].index(((0, 0, 0, 1, 1), 0))
-        assert self.column(char2.axis_boundaries[1][(1, 2, 2)], src) == {}
+        terms = decoded_terms(char2)
+        src = terms[(2, 1, 2)].index(((0, 0, 1, 0, 1), 0))
+        assert self.column(axis_blocks(char2, 0)[(2, 1, 2)], src) == {}
+        src = terms[(1, 2, 2)].index(((0, 0, 0, 1, 1), 0))
+        assert self.column(axis_blocks(char2, 1)[(1, 2, 2)], src) == {}
 
 
 class TestKunneth:

@@ -10,8 +10,10 @@ basis labeling of the unnormalized complex.  ``homology_dims`` builds each
 block on its uncleared rows, the top level's from the columns they reach,
 and its homology must equal that of the listed and assembled complex,
 ranked apart from it (``plain_rank_dims``), whether or not the complex was
-read eagerly first; the top blocks pulled onto all their rows must equal the listed ones once each
-reached column code takes its listed number.
+read eagerly first; the top blocks pulled onto all their rows must equal
+the listed ones once each reached column code takes its listed number.
+Labelings stay packed codes in the library; the tests read them back as
+``Labeling`` tuples (``test_loday.decode``).
 """
 
 import hashlib
@@ -28,12 +30,11 @@ from lodayhom.algebra import (
 )
 from lodayhom.exactlinalg import SparseMatrix, integer_rows, make_field
 from lodayhom.loday import (
-    Labeling, _decoder, _factorizations, _lowered, _matrix, _pull_block,
-    _pull_faces, _resolve_coefficients, _structure_tables, build_complex,
-    homology_dims,
+    _factorizations, _lowered, _matrix, _pull_block, _pull_faces,
+    _resolve_coefficients, _structure_tables, build_complex, homology_dims,
 )
 from lodayhom.simplicial import build_space, circle
-from test_loday import plain_rank_dims
+from test_loday import Labeling, decode, decoded_terms, plain_rank_dims
 
 SMALL_INPUTS = random_small_inputs()
 
@@ -152,7 +153,6 @@ def _assert_faces_equal_reference(space, algebra, coefficients, d):
         low = _lowered(key, 0)
         n, n_low = len(labelings.slots[key]), len(labelings.slots[low])
         cols, rows = labelings.level(key), labelings.level(low)
-        decode, decode_low = _decoder(n, bits), _decoder(n_low, bits)
         for _, plan in labelings.signed_plans(key, 0):
             faces = _pull_faces([(1, plan)], n, (), labelings.unfold,
                                 labelings.sizes, bits)
@@ -163,13 +163,13 @@ def _assert_faces_equal_reference(space, algebra, coefficients, d):
                                        bits, n_low, (),
                                        [{} for _ in row_codes], 0)
                 assert end == len(col_codes), (key, plan, w)
-                row_of = {Labeling(*decode_low(x)): r
+                row_of = {decode(x, n_low, bits): r
                           for r, x in enumerate(row_codes)}
                 expected = {}
                 for c, x in enumerate(col_codes):
                     for image, v in _push_labeling(
                             algebra, c_alg, action, plan,
-                            Labeling(*decode(x)), field).items():
+                            decode(x, n, bits), field).items():
                         expected[(row_of[image], c)] = v
                 assert _matrix((out, end), field).entries == expected, \
                     (key, plan, w)
@@ -251,8 +251,8 @@ def _assert_pull_equals_reference(space, algebra, coefficients, d,
                                  normalized=normalized)
         labelings = complex_._labelings
         assert {k: m.entries for k, m in complex_.boundaries.items()} == \
-            _reference_blocks(labelings, coefficients, complex_.bases, 0), \
-            normalized
+            _reference_blocks(labelings, coefficients,
+                              decoded_terms(complex_), 0), normalized
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
@@ -419,14 +419,48 @@ def test_deferred_pivot_sequence_is_pinned(axes, spec, coefficients, d, bound,
     assert _ranked_digest(complex_) == digest
 
 
+def pulled_axis(labelings, key, i, rows, cols):
+    """Yield ``(key + (w,), (rows, cols))``, the block along axis i out of
+    level ``key`` in weight w onto the codes ``rows[w]``, pulled by its
+    kernel with no twist (``_filler(key, i, 1)``), as its row dicts and
+    its column count, for each weight of ``rows``; its columns are numbered
+    as the codes ``cols[w]`` list them, or as the rows reach them when
+    ``cols`` is None."""
+    fill = labelings._filler(key, i, 1)
+    for w, row_codes in rows.items():
+        columns = {} if cols is None else {x: c for c, x in enumerate(cols[w])}
+        yield key + (w,), fill(row_codes, columns, [{} for _ in row_codes], 0)
+
+
+def axis_blocks(complex_, i):
+    """The blocks along axis i out of every level of ``complex_.terms``
+    (``pulled_axis``) onto all their rows, as ``SparseMatrix``s keyed like
+    their columns: one summand of the total differential, before its
+    sign twist."""
+    labelings, terms = complex_._labelings, complex_.terms
+    blocks = {}
+    for key in labelings.slots:
+        if key[i]:
+            low = _lowered(key, i)
+            cols = {w: terms[key + (w,)] for w in range(labelings.bound + 1)
+                    if key + (w,) in terms}
+            rows = {w: terms.get(low + (w,), ()) for w in cols}
+            blocks.update((bkey, _matrix(block, labelings.field))
+                          for bkey, block in pulled_axis(labelings, key, i,
+                                                         rows, cols))
+    return blocks
+
+
 def assert_grid_equals_reference(grid, coefficients):
-    """The blocks of a grid made with ``coefficients``, pulled onto all
-    their rows by a read of ``.axis_boundaries``, equal those assembled by
-    ``_push_labeling`` along the plans of ``_Labelings.signed_plans``."""
-    for i, blocks in enumerate(grid.axis_boundaries):
-        assert ({k: m.entries for k, m in blocks.items()}
-                == _reference_blocks(grid._labelings, coefficients,
-                                     grid.terms, i)), i
+    """The blocks along each axis of a grid made with ``coefficients``,
+    pulled onto all their rows (``axis_blocks``), equal those
+    assembled by ``_push_labeling`` along the plans of
+    ``_Labelings.signed_plans``."""
+    terms = decoded_terms(grid)
+    for i in range(len(grid._labelings.axes)):
+        assert ({k: m.entries for k, m in axis_blocks(grid, i).items()}
+                == _reference_blocks(grid._labelings, coefficients, terms,
+                                     i)), i
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
@@ -541,7 +575,9 @@ def _digest_update(h, bases, matrices):
 
 # sha256 of the bases and boundary matrices below as assembled at the commit
 # before the face pushes were built on the structure tables (the lookup and
-# the generic push then lived in separate code)
+# the generic push then lived in separate code).  The bases are hashed as
+# ``Labeling`` tuples, read back from their codes (``decoded_terms``), and
+# the grid's blocks one axis at a time, before the sign twist (``axis_blocks``)
 MATRIX_DIGEST = \
     "a6430f9fe1dff8ac0dc453afc37d9c08a8e0b141c1b6f127ca0d17a9f9556800"
 
@@ -553,16 +589,17 @@ def test_boundary_matrices_are_pinned():
         for mode in ("unit", "self", "custom"):
             complex_ = build_complex(build_space(expr, d + 1), algebra,
                                      _coefficients(mode, algebra), d)
-            _digest_update(h, complex_.bases, complex_.boundaries)
+            _digest_update(h, decoded_terms(complex_), complex_.boundaries)
     for field_tag, _ in CUBE_FIELDS:
         algebra = _cube_truncation_without_monomials(field_tag)
         for coefficients in (Coefficients.unit(), Coefficients.self_algebra()):
             for space, d in ((circle(4), 3), (build_space("sphere(2)", 2), 1)):
                 complex_ = build_complex(space, algebra, coefficients, d)
-                _digest_update(h, complex_.bases, complex_.boundaries)
+                _digest_update(h, decoded_terms(complex_),
+                               complex_.boundaries)
             grid = oracle.torus_bicomplex(algebra, coefficients, 1)
-            _digest_update(h, grid.terms, grid.axis_boundaries[0])
-            _digest_update(h, {}, grid.axis_boundaries[1])
+            _digest_update(h, decoded_terms(grid), axis_blocks(grid, 0))
+            _digest_update(h, {}, axis_blocks(grid, 1))
     assert h.hexdigest() == MATRIX_DIGEST
 
 
@@ -633,8 +670,8 @@ def _assert_top_reached_as_listed(complex_, monkeypatch):
     original = loday._pull_block
     with monkeypatch.context() as patch:
         patch.setattr(loday, "_pull_block", spy)
-        reached = list(labelings.blocks(key, 0, rows, None))
-        listed = list(labelings.blocks(key, 0, rows, top))
+        reached = list(pulled_axis(labelings, key, 0, rows, None))
+        listed = list(pulled_axis(labelings, key, 0, rows, top))
     for (w, (block, _)), (_, (want, _)), (codes, _), (_, listed_codes) in zip(
             reached, listed, indexes, indexes[len(reached):]):
         assert set(codes) <= set(listed_codes), w
@@ -866,8 +903,8 @@ def _blocks_made(monkeypatch, run):
 def test_every_table_is_pulled(algebra, monkeypatch):
     """Square blocks of the Hochschild complex are pulled, by homology on
     their uncleared rows and by a ``.boundaries`` read on all of them, and
-    so are the grid's, by its homology and by an ``.axis_boundaries`` read,
-    with monomial tables and with others alike."""
+    so are the grid's, by its homology and by a ``.boundaries`` read of its
+    total complex, with monomial tables and with others alike."""
     d = 5
     coefficients = Coefficients.self_algebra()
     for run in (lambda: homology_dims(build_complex(circle(d + 1), algebra,
@@ -877,7 +914,7 @@ def test_every_table_is_pulled(algebra, monkeypatch):
                 lambda: homology_dims(
                     oracle.torus_bicomplex(algebra, coefficients, 1)),
                 lambda: oracle.torus_bicomplex(algebra, coefficients,
-                                               1).axis_boundaries):
+                                               1).boundaries):
         assert _blocks_made(monkeypatch, run) == {"pull"}
 
 
@@ -913,24 +950,19 @@ def test_every_face_plan_gives_each_low_slot_a_preimage(axes):
 def test_deferred_homology_builds_no_labeling_or_matrix(
         expr, algebra, coefficients, d, field, monkeypatch):
     """A deferred complex of monomial tables keeps its labelings as packed
-    codes and its blocks as rows from listing to elimination; ``Labeling``
-    tuples and ``SparseMatrix`` blocks appear only on an eager read."""
+    codes and its blocks as rows from listing to elimination;
+    ``SparseMatrix`` blocks appear only on an eager read."""
     made = []
-    new, adopt = Labeling.__new__, SparseMatrix._adopt
-
-    def counted_new(cls, *args):
-        made.append("Labeling")
-        return new(cls, *args)
+    adopt = SparseMatrix._adopt
 
     def counted_adopt(self, *args):
         made.append("SparseMatrix")
         return adopt(self, *args)
 
-    monkeypatch.setattr(Labeling, "__new__", staticmethod(counted_new))
     monkeypatch.setattr(SparseMatrix, "_adopt", counted_adopt)
     complex_ = build_complex(build_space(expr, d + 1), algebra(field),
                              coefficients, d)
     assert homology_dims(complex_).dims
     assert made == []
     complex_.boundaries
-    assert set(made) == {"Labeling", "SparseMatrix"}
+    assert set(made) == {"SparseMatrix"}
