@@ -4,8 +4,9 @@ The package assembles the chain complex whose p-chains place one basis label
 of a weight-graded commutative augmented algebra A on each non-basepoint
 p-simplex of a finite pointed simplicial set X (and a coefficient label at the
 basepoint), and computes its homology dimensions per (degree, weight) with
-exact sparse linear algebra.  One complex class, ``LodayComplex``, holds
-the labelings over one axis or several: ``homology_dims`` ranks every
+exact sparse linear algebra.  One complex class, ``LodayComplex``, is the
+evaluator over one axis or several, made by one constructor
+(``build_complex`` is its one-axis case): ``homology_dims`` ranks every
 complex one way, and its eager reads (``.terms``, ``.bases``,
 ``.boundaries``) are cached views of the same kernel.  Independent oracles
 (the same evaluator on the two-circle grid, and Künneth convolution)

@@ -139,7 +139,7 @@ def parse_args(argv) -> RunConfig:
         make_field(cfg.field)
     except ValueError as exc:
         parser.error(str(exc))
-    if cfg.algebra == "poly" and cfg.weight_bound is None:
+    if cfg.algebra.strip() == "poly" and cfg.weight_bound is None:
         parser.error("--max-weight is required for the algebra 'poly'")
     return cfg
 

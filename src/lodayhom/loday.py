@@ -14,11 +14,12 @@ assignments while it walks, so they are never built.
 All boundaries preserve the total weight, so every matrix is assembled and
 ranked blockwise per (degree, weight).
 
-One evaluator, ``_Labelings``, labels the cells of a product of simplicial
-sets (its axes) per tuple of levels and sums faces along each axis, and one
-complex class, ``LodayComplex``, holds it: ``build_complex`` is one axis,
-``oracle.torus_bicomplex`` two circles, both made by ``_over_axes``.  Its
-chain complex is the total complex, whose differential twists the faces
+One class, ``LodayComplex``, is the evaluator: it labels the cells of a
+product of simplicial sets (its axes) per tuple of levels and sums faces
+along each axis.  ``build_complex`` is one axis, ``oracle.torus_bicomplex``
+two circles and the product check of ``stability`` the two factors, all
+through its one constructor.
+Its chain complex is the total complex, whose differential twists the faces
 along axis i by (-1)^(n_1 + ... + n_{i-1}) (Dold–Puppe); one axis is its
 own total complex.  One ceiling bounds the labelings of the whole complex
 before any is enumerated.
@@ -46,7 +47,8 @@ scalar is no integer, and then the rows are scaled to ints
 ``.terms``, ``.bases`` and ``.boundaries`` and the square audit
 ``check_boundary_squares`` read the same kernel: they list the top total
 degree and pull every block onto all its rows.  Only ``.boundaries`` makes
-``SparseMatrix`` blocks.
+``SparseMatrix`` blocks.  ``chain_dims`` lists nothing: it sums the exact
+counts.
 """
 
 from __future__ import annotations
@@ -156,18 +158,14 @@ def _check_action(algebra, c_alg, table):
                     f"({algebra.name(i)}, {algebra.name(j)})")
 
 
-def _weight_multiplicities(algebra, bound):
-    """Number of basis elements per weight 0..bound."""
-    return [len(algebra.indices_of_weight(w)) for w in range(bound + 1)]
-
-
 def _block_counts(algebra, c_alg, n_slots, bound):
     """Numbers of labelings per total weight 0..bound, computed before
-    enumeration: the weight multiplicities of n_slots copies of A and one
-    of C convolved."""
-    mult = _weight_multiplicities(algebra, bound)
+    enumeration: the weight multiplicities (basis elements per weight) of
+    n_slots copies of A and one of C convolved."""
+    a_mult, c_mult = ([len(alg.indices_of_weight(w)) for w in range(bound + 1)]
+                      for alg in (algebra, c_alg))
     counts = [1] + [0] * bound
-    for factor in [mult] * n_slots + [_weight_multiplicities(c_alg, bound)]:
+    for factor in [a_mult] * n_slots + [c_mult]:
         nxt = [0] * (bound + 1)
         for w, c in enumerate(counts):
             if c:
@@ -280,125 +278,6 @@ class HomologyTable:
 
     def __str__(self) -> str:
         return f"HomologyTable(totals={self.totals()})"
-
-
-class LodayComplex:
-    """Blockwise chain data for one space/algebra/coefficient configuration:
-    the total complex of the labelings over the axes of a ``_Labelings``,
-    keyed (degree, weight).
-
-    ``build_complex`` (one axis) and ``oracle.torus_bicomplex`` (two
-    circles) make it through one constructor (``_over_axes``), which lists
-    the levels of total degree 0..max_degree as packed codes, keyed
-    ``level + (w,)``, and assembles no block.  The complex keeps those codes
-    and its ``_Labelings`` (cells, labeling counts, degeneracy complements
-    and structure tables with their factorizations) for its whole life, and
-    takes its field, coefficient mode, degree and weight bound from them.
-    ``homology_dims`` ranks it one way: each block of the total differential
-    is pulled from its uncleared rows (``_Labelings.implicit_blocks``) and
-    max_degree + 1 is never listed.
-
-    The eager views are cached reads, made once on first read, of the same
-    kernel; they never change how the complex is ranked.  ``terms`` adds the
-    levels of total degree max_degree + 1, listed, to the codes, keyed
-    ``level + (w,)``; ``bases`` stacks them per (total degree, weight) in
-    level order; ``boundaries`` holds every block of the total differential
-    onto all its rows, the listed top numbering its columns, as a
-    ``SparseMatrix`` keyed like its columns in ``bases``.
-    """
-
-    def __init__(self, labelings, codes):
-        self._labelings = labelings
-        self._codes = codes  # level + (w,) -> packed codes, degrees 0..d
-        self.field = labelings.field
-        self.coeff_mode = labelings.coeff_mode
-        self.max_degree = labelings.max_degree
-        self.weight_bound = labelings.weight_bound
-
-    @cached_property
-    def terms(self) -> dict:
-        labelings = self._labelings
-        return {**self._codes,
-                **labelings.listed(labelings.summands(self.max_degree + 1))}
-
-    @cached_property
-    def bases(self) -> dict:
-        bases = {}
-        for key in sorted(self.terms):
-            bases.setdefault((sum(key[:-1]), key[-1]), []).extend(
-                self.terms[key])
-        return bases
-
-    @cached_property
-    def boundaries(self) -> dict:
-        return {key: _matrix(block, self.field)
-                for key, block in self._blocks()}
-
-    def _blocks(self):
-        """Every block of the total differential out of a positive degree of
-        ``bases``, ``((degree, weight), (rows, cols))`` in key order, pulled
-        by the ranking kernel (``_Labelings._total_block``) onto all its
-        rows, with the top total degree listed (``terms``)."""
-        labelings, terms = self._labelings, self.terms
-        for k in range(1, self.max_degree + 2):
-            weights = sorted(w for j, w in self.bases if j == k)
-            fills = labelings.fills(k) if weights else ()
-            for w in weights:
-                kept = {low: terms.get(low + (w,), ())
-                        for low in labelings.summands(k - 1)}
-                yield (k, w), labelings._total_block(fills, kept, terms, w)
-
-    def _ranked(self, cleared):
-        """The pivots of every block of the total differential,
-        ``((degree, weight), pivots)`` in key order, each block built on
-        the rows that ``cleared`` does not hold for it once the previous
-        ones are ranked, and its rows handed to ``row_pivots`` as they were
-        built."""
-        for k in range(1, self.max_degree + 2):
-            for key, (rows, cols) in self._labelings.implicit_blocks(
-                    k, self._codes, cleared):
-                yield key, row_pivots(rows, cols, self.field)
-
-    def check_boundary_squares(self):
-        """The (degree p, weight) of every block ``∂_p`` whose product with
-        ``∂_{p+1}`` is not zero, each block pulled onto all its rows
-        (``_blocks``) and the two multiplied as row dicts.  On several axes
-        the square of the total differential sums the squares of each
-        axis's blocks and the signed commutators of every two axes, which
-        land in different summands, so it vanishes exactly when each axis
-        squares to zero and every two axes commute."""
-        p = self.field.p
-        below, violations = {}, []
-        for (k, w), (rows, _) in self._blocks():
-            for low in below.pop((k - 1, w), ()):
-                square = {}
-                for r, a in low.items():
-                    for c, b in rows[r].items():
-                        square[c] = square.get(c, 0) + a * b
-                if any(v % p if p else v for v in square.values()):
-                    violations.append((k - 1, w))
-                    break
-            below[(k, w)] = rows
-        return violations
-
-
-def _face_plans(fmaps, slots, slots_low, bp_low):
-    """Per face map (a lookup from the cells of ``slots`` to cells one level
-    down): preimages of each low slot and the list of source slot positions
-    falling into the basepoint ``bp_low``."""
-    pos_low = {cell: q for q, cell in enumerate(slots_low)}
-    plans = []
-    for fmap in fmaps:
-        pre = [[] for _ in slots_low]
-        to_base = []
-        for q, cell in enumerate(slots):
-            target = fmap[cell]
-            if target == bp_low:
-                to_base.append(q)
-            else:
-                pre[pos_low[target]].append(q)
-        plans.append((tuple(tuple(x) for x in pre), tuple(to_base)))
-    return plans
 
 
 def _structure_tables(algebra, c_alg, action, bound):
@@ -547,7 +426,7 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
       face carries ``mask``, the digits of these slots, and an empty dict
       ``memo`` in which ``_pull_block`` keeps the sums per ``code & mask``;
       the memo lives as long as the face list, which a kernel keeps for
-      every weight of its level (``_Labelings._filler``);
+      every weight of its level (``LodayComplex._filler``);
     - the final offsets ``final[x][c]``, read at the shift ``last`` of the
       last merged slot's digit under ``fmask``: every split offset of the
       label x there plus every cosplit offset of the row coefficient c, in
@@ -725,24 +604,39 @@ def _degenerate_complements(axes, key, slots):
                  for image in (set(axis.degeneracy(p - 1, j)) for j in range(p)))
 
 
-class _Labelings:
-    """The labelings of the non-basepoint cells of the product of ``axes`` at
-    the levels ``keys``, with what all their levels share: cells, weight
-    bound, degeneracy complements and structure tables.  Bases are keyed
-    ``key + (w,)``, and every block of the total differential is pulled
-    from its rows by one kernel per level and axis (``_filler``).
+class LodayComplex:
+    """Blockwise chain data for one space/algebra/coefficient configuration:
+    the total complex of the labelings of the non-basepoint cells of the
+    product of ``axes``, keyed (degree, weight).
 
     A cell is a tuple of per-axis simplex identifiers, in lexicographic order;
     face j along axis i replaces coordinate i by its image under
-    ``axes[i].face(key[i], j)``.  Lowering a positive coordinate of a key must
-    give a key again.
+    ``axes[i].face(key[i], j)``.  The levels are the tuples ``key`` of total
+    degree 0..max_degree + 1, and the complex keeps what they share for its
+    whole life: cells, labeling counts, weight bound, degeneracy complements
+    and structure tables with their factorizations.  The constructor checks
+    the ceiling ``max_block_size`` (default ``DEFAULT_MAX_BLOCK``) against
+    the labelings of every level, lists those of total degree 0..max_degree
+    as packed codes keyed ``level + (w,)`` (``_codes``), and assembles no
+    block.  ``homology_dims`` ranks the complex one way: each block of the
+    total differential is pulled from its uncleared rows
+    (``implicit_blocks``) by one kernel per level and axis (``_filler``),
+    and max_degree + 1 is never listed.
+
+    The eager views are cached reads, made once on first read, of the same
+    kernel; they never change how the complex is ranked.  ``terms`` adds the
+    levels of total degree max_degree + 1, listed, to the codes; ``bases``
+    stacks them per (total degree, weight) in level order; ``boundaries``
+    holds every block of the total differential onto all its rows, the
+    listed top numbering its columns, as a ``SparseMatrix`` keyed like its
+    columns in ``bases``.
     """
 
-    def __init__(self, axes, keys, algebra, coefficients, d, weight_bound,
-                 normalized, max_block_size):
+    def __init__(self, axes, algebra, coefficients, max_degree,
+                 weight_bound=None, normalized=True, max_block_size=None):
         if not isinstance(coefficients, Coefficients):
             raise TypeError("coefficients must be a Coefficients value")
-        if d < 0:
+        if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         if weight_bound is not None and weight_bound < 0:
             raise ValueError("weight_bound must be >= 0")
@@ -751,9 +645,11 @@ class _Labelings:
                 "the algebra has unbounded weights; supply a weight bound")
         if coefficients.mode == "custom" and not coefficients.algebra.is_finite:
             raise WeightBoundRequired("custom coefficient algebras must be finite")
+        keys = [key for key in product(range(max_degree + 2), repeat=len(axes))
+                if sum(key) <= max_degree + 1]
         self.axes, self.algebra = axes, algebra
         self.field, self.unit = algebra.field, algebra.unit
-        self.coeff_mode, self.max_degree = coefficients.mode, d
+        self.coeff_mode, self.max_degree = coefficients.mode, max_degree
         self.weight_bound = weight_bound
         self.c_alg, action = _resolve_coefficients(algebra, coefficients)
         self.basepoints = {key: tuple(axis.basepoints[p]
@@ -789,6 +685,72 @@ class _Labelings:
         self.fractional = self.field.p is None and any(
             v.denominator != 1 for table in tables for row in table
             for terms in row for _, v in terms)
+        self._codes = self.listed(
+            [key for key in keys if sum(key) <= max_degree])
+
+    @cached_property
+    def terms(self) -> dict:
+        return {**self._codes,
+                **self.listed(self.summands(self.max_degree + 1))}
+
+    @cached_property
+    def bases(self) -> dict:
+        bases = {}
+        for key in sorted(self.terms):
+            bases.setdefault((sum(key[:-1]), key[-1]), []).extend(
+                self.terms[key])
+        return bases
+
+    @cached_property
+    def boundaries(self) -> dict:
+        return {key: _matrix(block, self.field)
+                for key, block in self._blocks()}
+
+    def _blocks(self):
+        """Every block of the total differential out of a positive degree of
+        ``bases``, ``((degree, weight), (rows, cols))`` in key order, pulled
+        by the ranking kernel (``_total_block``) onto all its rows, with the
+        top total degree listed (``terms``)."""
+        terms = self.terms
+        for k in range(1, self.max_degree + 2):
+            weights = sorted(w for j, w in self.bases if j == k)
+            fills = self.fills(k) if weights else ()
+            for w in weights:
+                kept = {low: terms.get(low + (w,), ())
+                        for low in self.summands(k - 1)}
+                yield (k, w), self._total_block(fills, kept, terms, w)
+
+    def _ranked(self, cleared):
+        """The pivots of every block of the total differential,
+        ``((degree, weight), pivots)`` in key order, each block built on
+        the rows that ``cleared`` does not hold for it once the previous
+        ones are ranked, and its rows handed to ``row_pivots`` as they were
+        built."""
+        for k in range(1, self.max_degree + 2):
+            for key, (rows, cols) in self.implicit_blocks(k, cleared):
+                yield key, row_pivots(rows, cols, self.field)
+
+    def check_boundary_squares(self):
+        """The (degree p, weight) of every block ``∂_p`` whose product with
+        ``∂_{p+1}`` is not zero, each block pulled onto all its rows
+        (``_blocks``) and the two multiplied as row dicts.  On several axes
+        the square of the total differential sums the squares of each
+        axis's blocks and the signed commutators of every two axes, which
+        land in different summands, so it vanishes exactly when each axis
+        squares to zero and every two axes commute."""
+        p = self.field.p
+        below, violations = {}, []
+        for (k, w), (rows, _) in self._blocks():
+            for low in below.pop((k - 1, w), ()):
+                square = {}
+                for r, a in low.items():
+                    for c, b in rows[r].items():
+                        square[c] = square.get(c, 0) + a * b
+                if any(v % p if p else v for v in square.values()):
+                    violations.append((k - 1, w))
+                    break
+            below[(k, w)] = rows
+        return violations
 
     def level(self, key):
         """The packed codes of the labelings of level ``key`` per weight."""
@@ -806,10 +768,19 @@ class _Labelings:
         return {key + (w,): codes
                 for key in keys for w, codes in self.level(key).items()}
 
-    def implicit_blocks(self, k, bases, cleared):
+    def weight_counts(self, k):
+        """The exact number of labelings of total degree k per weight 0..bound,
+        none of them listed: ``counts`` summed over the summands, or on a
+        normalized complex their Dold–Kan inversion (``_normalized_counts``),
+        which is zero wherever a degeneracy complement is empty."""
+        return [sum(column) for column in zip(*(
+            _normalized_counts(self.counts, key) if self.complements[key]
+            else self.counts[key] for key in self.summands(k)))]
+
+    def implicit_blocks(self, k, cleared):
         """The blocks of the total differential out of total degree k, one
         per weight w and keyed (k, w), each onto its rows in the codes
-        ``bases`` outside the set it pops from ``cleared`` (block key ->
+        ``_codes`` outside the set it pops from ``cleared`` (block key ->
         indices of rows that are pivot columns of the block below, which
         cannot change its rank).
 
@@ -818,23 +789,17 @@ class _Labelings:
         i out of a level carry the sign (-1)^(level[0] + ... + level[i - 1])
         (Dold–Puppe, ``fills``), so one axis is one summand with sign +1.
         Each kernel is built once per level and axis.  A weight yields no
-        block when no row is left or its exact count is zero: ``counts``
-        summed over the summands, or on a normalized complex their Dold–Kan
-        inversion (``_normalized_counts``), which is zero wherever a
-        degeneracy complement is empty.  Listed
-        levels keep their column numbering, so the pivot columns of a block
-        index the rows of the next.  The top total degree is never listed:
-        each of its levels numbers the columns that its rows reach along any
-        axis, after the columns of the levels before it, and the unreached
-        ones are zero columns.  Over Q, rows pulled along a table scalar
-        that is no integer hold ``Fraction``s, which are scaled to ints
-        (``exactlinalg.integer_rows``) for elimination."""
-        summands, lows = self.summands(k), self.summands(k - 1)
-        counts = [sum(column) for column in zip(*(
-            _normalized_counts(self.counts, key) if self.complements[key]
-            else self.counts[key] for key in summands))]
+        block when no row is left or its exact count (``weight_counts``) is
+        zero.  Listed levels keep their column numbering, so the pivot
+        columns of a block index the rows of the next.  The top total degree
+        is never listed: each of its levels numbers the columns that its
+        rows reach along any axis, after the columns of the levels before
+        it, and the unreached ones are zero columns.  Over Q, rows pulled
+        along a table scalar that is no integer hold ``Fraction``s, which
+        are scaled to ints (``exactlinalg.integer_rows``) for elimination."""
+        bases, lows = self._codes, self.summands(k - 1)
         rows = {}
-        for w, n in enumerate(counts):
+        for w, n in enumerate(self.weight_counts(k)):
             skip = cleared.pop((k, w), ())
             kept, first = {}, 0
             for low in lows:
@@ -846,7 +811,7 @@ class _Labelings:
                 rows[w] = kept
         if not rows:
             return ()
-        cols = bases if k < max(map(sum, self.slots)) else None
+        cols = bases if k <= self.max_degree else None
         fills = self.fills(k)
         blocks = (((k, w), self._total_block(fills, kept, cols, w))
                   for w, kept in rows.items())
@@ -885,8 +850,8 @@ class _Labelings:
         for key, axis_fills in fills:
             if cols is not None and key + (w,) not in cols:
                 continue
-            columns = self._columns(
-                None if cols is None else cols[key + (w,)], start)
+            codes = () if cols is None else cols[key + (w,)]
+            columns = dict(zip(codes, range(start, start + len(codes))))
             for low, fill in axis_fills:
                 codes = kept[low]
                 if codes:
@@ -896,32 +861,36 @@ class _Labelings:
         return out, start
 
     def signed_plans(self, key, i):
-        """The plans (``_face_plans``) of the faces along axis i out of
-        level ``key``, each with its sign."""
-        p = key[i]
-        low = _lowered(key, i)
-        cells = self.slots[key]
-        fmaps = [{c: c[:i] + (face[c[i]],) + c[i + 1:] for c in cells}
-                 for face in (self.axes[i].face(p, j) for j in range(p + 1))]
-        return [(-1 if j % 2 else 1, plan) for j, plan in enumerate(
-            _face_plans(fmaps, cells, self.slots[low], self.basepoints[low]))]
-
-    def _columns(self, codes, start):
-        """What a kernel (``_filler``) reads of the columns of one level: an
-        index from each of the codes ``codes`` to its number from ``start``,
-        or an empty one when ``codes`` is None and the rows number the
-        columns they reach."""
-        if codes is None:
-            return {}
-        return dict(zip(codes, range(start, start + len(codes))))
+        """The plans of the faces along axis i out of level ``key``, each
+        with its sign, in face order: per face, the preimages of each low
+        slot (the positions of the cells it sends there) and the positions
+        of the cells it sends to the basepoint one level down."""
+        p, low = key[i], _lowered(key, i)
+        pos_low = {cell: q for q, cell in enumerate(self.slots[low])}
+        bp_low = self.basepoints[low]
+        plans = []
+        for j in range(p + 1):
+            face = self.axes[i].face(p, j)
+            pre = [[] for _ in pos_low]
+            to_base = []
+            for q, cell in enumerate(self.slots[key]):
+                target = cell[:i] + (face[cell[i]],) + cell[i + 1:]
+                if target == bp_low:
+                    to_base.append(q)
+                else:
+                    pre[pos_low[target]].append(q)
+            plans.append((-1 if j % 2 else 1,
+                          (tuple(map(tuple, pre)), tuple(to_base))))
+        return plans
 
     def _filler(self, key, i, twist):
         """The kernel of the blocks along axis i out of level ``key``, each
         face's sign times ``twist``: a function ``fill(rows, columns, out,
         start)`` that adds the block onto the codes ``rows`` to their row
-        dicts ``out``, its columns numbered from ``start`` as ``columns``
-        (``_columns``) gives them, and returns ``out`` and the end of its
-        columns.  The block is pulled from its rows (``_pull_block``)."""
+        dicts ``out`` and returns ``out`` and the end of its columns.
+        ``columns`` maps the code of each column to its number, counted
+        from ``start``, or is empty and the rows number the columns they
+        reach.  The block is pulled from its rows (``_pull_block``)."""
         n, n_low = len(self.slots[key]), len(self.slots[_lowered(key, i)])
         bits, field = self.bits, self.field
         signed = [(twist * sign, plan)
@@ -943,37 +912,28 @@ def _lowered(key, i):
     return key[:i] + (key[i] - 1,) + key[i + 1:]
 
 
-def _over_axes(axes, algebra, coefficients, d, weight_bound, normalized,
-               max_block_size) -> LodayComplex:
-    """The complex of the labelings over the product of ``axes`` through
-    total degree d + 1: the levels of total degree 0..d listed, those of
-    d + 1 and every boundary block deferred (``LodayComplex``)."""
-    keys = [key for key in product(range(d + 2), repeat=len(axes))
-            if sum(key) <= d + 1]
-    labelings = _Labelings(axes, keys, algebra, coefficients, d, weight_bound,
-                           normalized, max_block_size)
-    return LodayComplex(labelings, labelings.listed(
-        [key for key in keys if sum(key) <= d]))
-
-
 def build_complex(space: PointedSimplicialSet, algebra, coefficients,
                   max_degree: int, weight_bound=None, normalized: bool = True,
                   max_block_size: int | None = None) -> LodayComplex:
-    """List the levels 0..max_degree and defer the top level max_degree + 1
-    and every boundary block (``LodayComplex``); ``max_block_size`` (default
+    """The complex of ``space`` as the one axis of a ``LodayComplex``: the
+    levels 0..max_degree listed, the top level max_degree + 1 and every
+    boundary block deferred; ``max_block_size`` (default
     ``DEFAULT_MAX_BLOCK``) bounds the number of labelings of all levels, the
     top one included."""
     if space.top_level < max_degree + 1:
         raise TruncationTooShallow(
             f"degree {max_degree} homology needs top_level >= "
             f"{max_degree + 1}, got {space.top_level}")
-    return _over_axes((space,), algebra, coefficients, max_degree,
-                      weight_bound, normalized, max_block_size)
+    return LodayComplex((space,), algebra, coefficients, max_degree,
+                        weight_bound, normalized, max_block_size)
 
 
 def chain_dims(complex_: LodayComplex) -> dict:
-    """Basis sizes per (degree, weight), no rank computation."""
-    return {key: len(labs) for key, labs in sorted(complex_.bases.items())}
+    """Basis sizes per (degree, weight) through max_degree + 1, counted
+    exactly (``LodayComplex.weight_counts``): nothing is listed and no rank
+    is computed."""
+    return {(k, w): n for k in range(complex_.max_degree + 2)
+            for w, n in enumerate(complex_.weight_counts(k)) if n}
 
 
 def homology_dims(complex_: LodayComplex) -> HomologyTable:
@@ -990,7 +950,7 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
 
     Each block is built once every block below it is ranked, on its
     uncleared rows alone, and dropped once ranked
-    (``_Labelings.implicit_blocks``), whether or not the complex was read
+    (``LodayComplex.implicit_blocks``), whether or not the complex was read
     eagerly; the top total degree d + 1 is read only through the rank of
     ``∂_{d+1}`` and never listed.  The listed codes are keyed by level and
     weight, and their sizes are summed per total degree.

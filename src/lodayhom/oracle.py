@@ -1,14 +1,14 @@
 """Independent cross-checks for the main chain pipeline.
 
 ``torus_bicomplex`` evaluates the labeling functor on the bisimplicial grid
-S^1 x S^1 directly: ``loday``'s evaluator runs on two circle axes instead of
-the one diagonal axis, so the term in bidegree (n, m) is the labeling space of
-the (n+1)(m+1) - 1 non-basepoint cells of the grid, and the boundary along
-each circle is the alternating face sum along it.  The grid is a
-``LodayComplex`` like any other: its total complex carries the sign twist
-(-1)^n on the second circle's boundary at first degree n, ``homology_dims``
-ranks it as it ranks the diagonal complex, and its
-``check_boundary_squares``, which multiplies the row dicts of adjacent
+S^1 x S^1 directly: ``loday``'s evaluator, ``LodayComplex``, is constructed
+on two circle axes instead of the one diagonal axis, so the term in
+bidegree (n, m) is the labeling space of the (n+1)(m+1) - 1 non-basepoint
+cells of the grid, and the boundary along each circle is the alternating
+face sum along it.  The grid is a complex like any other: its total complex
+carries the sign twist (-1)^n on the second circle's boundary at first
+degree n, ``homology_dims`` ranks it as it ranks the diagonal complex, and
+its ``check_boundary_squares``, which multiplies the row dicts of adjacent
 blocks of that total complex, is the grid's square audit.  The result must
 agree blockwise with the diagonal product complex; the check is
 independent in its two axes and the sign twist.
@@ -20,7 +20,7 @@ wedge homology from the factors.
 from __future__ import annotations
 
 from .algebra import Coefficients
-from .loday import HomologyTable, LodayComplex, _over_axes, homology_dims
+from .loday import HomologyTable, LodayComplex, homology_dims
 from .simplicial import circle
 
 
@@ -31,11 +31,12 @@ class CoefficientMismatch(ValueError):
 def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
                     weight_bound=None, max_block_size=None) -> LodayComplex:
     """The unnormalized complex of the two-circle grid through total degree
-    max_degree + 1 (``loday._over_axes``); ``max_block_size`` bounds its
-    total number of labelings, those of the top total degree included."""
+    max_degree + 1 (a ``LodayComplex`` on two circle axes);
+    ``max_block_size`` bounds its total number of labelings, those of the
+    top total degree included."""
     s1 = circle(max_degree + 1)
-    return _over_axes((s1, s1), algebra, coefficients, max_degree,
-                      weight_bound, False, max_block_size)
+    return LodayComplex((s1, s1), algebra, coefficients, max_degree,
+                        weight_bound, False, max_block_size)
 
 
 def total_homology(bicomplex: LodayComplex) -> HomologyTable:

@@ -127,28 +127,6 @@ def circle(top_level: int) -> PointedSimplicialSet:
     return out
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller identifier as the class representative
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-
 def collapse(space: PointedSimplicialSet, doomed_by_level, label="") -> PointedSimplicialSet:
     """Collapse a pointed subcomplex to the basepoint.
 
@@ -156,19 +134,19 @@ def collapse(space: PointedSimplicialSet, doomed_by_level, label="") -> PointedS
     the basepoint there.  The listed simplices must be closed under faces and
     degeneracies for the quotient maps to be well-defined.
     """
-    n = space.top_level
-    finds = []
-    for p in range(n + 1):
-        uf = _UnionFind(space.size(p))
-        for d in doomed_by_level.get(p, ()):
-            uf.union(space.basepoints[p], d)
-        finds.append(uf.find)
+    quotients = []  # per level, each identifier's class representative
+    for p in range(space.top_level + 1):
+        # the only class of several simplices is the basepoint's, with the
+        # doomed ones; the smallest identifier represents it
+        point_class = {space.basepoints[p], *doomed_by_level.get(p, ())}
+        rep = min(point_class)
+        quotients.append([rep if x in point_class else x
+                          for x in range(space.size(p))])
     return _tabulate(
-        [sorted({find(x) for x in range(space.size(p))})
-         for p, find in enumerate(finds)],
-        [find(bp) for find, bp in zip(finds, space.basepoints)],
-        lambda p, i, rep: finds[p - 1](space.face(p, i)[rep]),
-        lambda p, i, rep: finds[p + 1](space.degeneracy(p, i)[rep]),
+        [sorted(set(q)) for q in quotients],
+        [q[bp] for q, bp in zip(quotients, space.basepoints)],
+        lambda p, i, rep: quotients[p - 1][space.face(p, i)[rep]],
+        lambda p, i, rep: quotients[p + 1][space.degeneracy(p, i)[rep]],
         label)
 
 
@@ -448,12 +426,18 @@ def is_connected(space: PointedSimplicialSet) -> bool:
         return True
     if space.top_level < 1:
         return False
-    uf = _UnionFind(space.size(0))
     d0, d1 = space.face(1, 0), space.face(1, 1)
+    neighbours = [[] for _ in range(space.size(0))]
     for e in range(space.size(1)):
-        uf.union(d0[e], d1[e])
-    root = uf.find(space.basepoints[0])
-    return all(uf.find(x) == root for x in range(space.size(0)))
+        neighbours[d0[e]].append(d1[e])
+        neighbours[d1[e]].append(d0[e])
+    reached, todo = {space.basepoints[0]}, [space.basepoints[0]]
+    while todo:
+        for y in neighbours[todo.pop()]:
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return len(reached) == space.size(0)
 
 
 def are_isomorphic(x: PointedSimplicialSet, y: PointedSimplicialSet) -> bool:

@@ -9,7 +9,7 @@ agreement is dimension-level evidence only.
 
 ``compare_spaces`` ranks the diagonal complex of each side.  The product
 check computes each side from its structure: X x Y on the two factors' own
-axes (``loday._over_axes``), and with ``unit`` coefficients the wedge
+axes (a ``LodayComplex`` on both), and with ``unit`` coefficients the wedge
 X v Y v (X smash Y) as the Künneth convolution of the homology of X, of Y
 and of X smash Y (``oracle.wedge_kunneth_dims``).  Künneth does not hold
 for ``self`` or custom coefficients, whose wedge side is its diagonal
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Coefficients
-from .loday import HomologyTable, _over_axes, build_complex, homology_dims
+from .loday import HomologyTable, LodayComplex, build_complex, homology_dims
 from .oracle import wedge_kunneth_dims
 from .simplicial import (
     SpaceExpr, build_space, is_connected, parse_space_expr, smash, wedge,
@@ -145,8 +145,8 @@ def product_decomposition_check(x, y, algebra, coefficients: Coefficients,
 
     X and Y are built once, at top level max_degree + 1, and must be
     connected.  The product side is ranked on the two factors' own axes
-    (``loday._over_axes``), per-axis normalized unless ``normalized`` is
-    off.  With ``unit`` coefficients the wedge side is the Künneth
+    (a ``LodayComplex`` on both), per-axis normalized unless ``normalized``
+    is off.  With ``unit`` coefficients the wedge side is the Künneth
     convolution of the homology tables of X, of Y and of X smash Y, each
     ranked on its diagonal complex; with ``self`` or custom coefficients
     Künneth does not hold, and the wedge side is the diagonal complex of
@@ -159,7 +159,7 @@ def product_decomposition_check(x, y, algebra, coefficients: Coefficients,
             raise NotConnected(f"{expr} is not connected")
     settings = (algebra, coefficients, max_degree, weight_bound, normalized,
                 max_block_size)
-    lt = homology_dims(_over_axes((sx, sy), *settings))
+    lt = homology_dims(LodayComplex((sx, sy), *settings))
 
     def h(space):
         return homology_dims(build_complex(space, *settings))

@@ -47,6 +47,13 @@ class TestParseArgs:
                         "--field", "Q", "--coeff", "unit", "--max-degree", "2"])
         assert err.value.code == 2
 
+    def test_poly_with_surrounding_whitespace_needs_weight_bound(self):
+        # the algebra grammar strips its text, so " poly" is poly
+        with pytest.raises(SystemExit) as err:
+            parse_args(["compute", "--space", "S1", "--algebra", " poly",
+                        "--field", "F3", "--max-degree", "2"])
+        assert err.value.code == 2
+
     def test_bad_field_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             parse_args(["compute", "--space", "S1", "--algebra",

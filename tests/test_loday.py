@@ -14,7 +14,7 @@ from lodayhom.algebra import (
 )
 from lodayhom.exactlinalg import make_field, rank
 from lodayhom.loday import (
-    BasisSizeExceeded, FieldMismatch, TruncationTooShallow,
+    BasisSizeExceeded, FieldMismatch, LodayComplex, TruncationTooShallow,
     WeightBoundRequired, _block_counts, _degenerate_complements,
     _enumerate_block_bases, _normalized_counts,
     _resolve_coefficients, build_complex, chain_dims, homology_dims,
@@ -46,8 +46,7 @@ def decode(code, n_slots, bits):
 def decoded_terms(complex_):
     """The ``terms`` of a complex, keyed ``level + (w,)``, as ``Labeling``
     lists; for one axis they are its ``bases``."""
-    labelings = complex_._labelings
-    return {key: [decode(code, len(labelings.slots[key[:-1]]), labelings.bits)
+    return {key: [decode(code, len(complex_.slots[key[:-1]]), complex_.bits)
                   for code in codes]
             for key, codes in complex_.terms.items()}
 
@@ -89,6 +88,48 @@ class TestChainDims:
         # t^2 (x) 1 and 1 (x) t^2 are degeneracy images
         assert dims[(2, 2)] == 1
         assert dims == {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 2): 1}
+
+
+class TestChainDimsListsNothing:
+    """``chain_dims`` sums the exact counts per (total degree, weight) and
+    lists no level; the counts are the sizes of the listed ``bases``."""
+
+    def test_calls_level_for_no_level(self, monkeypatch):
+        complex_ = build_complex(build_space("prod(S1,S1)", 3),
+                                 truncated_poly(3, 2), UNIT, 2)
+        listed, level = [], LodayComplex.level
+
+        def spied_level(self, key):
+            listed.append(key)
+            return level(self, key)
+
+        monkeypatch.setattr(LodayComplex, "level", spied_level)
+        dims = chain_dims(complex_)
+        assert listed == []
+        assert dims == {k: len(codes) for k, codes in complex_.bases.items()}
+        assert listed == [(3,)]
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("coeffs", [UNIT, Coefficients.self_algebra()],
+                             ids=["unit", "self"])
+    def test_counts_are_the_listed_sizes(self, coeffs, normalized):
+        complexes = [build_complex(build_space(expr, d + 1),
+                                   parse_algebra_expr(spec, p), coeffs, d,
+                                   normalized=normalized)
+                     for expr, spec, p, d in random_small_inputs()]
+        complexes += [
+            LodayComplex((circle(3), circle(3)), truncated_poly(3, 2), coeffs,
+                         2, None, normalized),
+            LodayComplex((build_space("wedge(S1,S1)", 2), build_space("pt", 2)),
+                         truncated_poly(2, 2), coeffs, 1, None, normalized),
+            build_complex(circle(4), polynomial(3), coeffs, 3, weight_bound=3,
+                          normalized=normalized),
+            build_complex(build_space("pt", 3), truncated_poly(3, 3), coeffs,
+                          2, normalized=normalized),
+        ]
+        for complex_ in complexes:
+            assert chain_dims(complex_) == {
+                k: len(codes) for k, codes in complex_.bases.items()}
 
 
 def degenerate_span_count(space, algebra, c_alg_dim, level, bases_below, unit):
@@ -229,18 +270,17 @@ def level_sizes(space, algebra, coefficients, levels, normalized=True,
     weight by weight, asserted equal to the counts the implicit top reads
     (the Dold–Kan inversion ``_normalized_counts`` of the stored counts of
     levels 0..p when normalized, the stored counts otherwise); returns the
-    level totals."""
-    keys = [(p,) for p in range(max(levels) + 1)]
-    labelings = loday._Labelings((space,), keys, algebra, coefficients, 0,
-                                 bound, normalized, None)
+    level totals.  The complex's top level is the highest of ``levels``."""
+    complex_ = LodayComplex((space,), algebra, coefficients, max(levels) - 1,
+                            bound, normalized)
     totals = []
     for p in levels:
-        counts = labelings.counts[(p,)]
+        counts = complex_.counts[(p,)]
         if normalized:
-            counts = _normalized_counts(labelings.counts, (p,))
-        blocks = labelings.level((p,))
+            counts = _normalized_counts(complex_.counts, (p,))
+        blocks = complex_.level((p,))
         assert counts == [len(blocks.get(w, ()))
-                          for w in range(labelings.bound + 1)], \
+                          for w in range(complex_.bound + 1)], \
             (space.label, p, normalized)
         totals.append(sum(counts))
     return totals

@@ -8,7 +8,7 @@ from lodayhom.algebra import Coefficients, polynomial, truncated_poly
 from lodayhom.exactlinalg import SparseMatrix, make_field
 from lodayhom.loday import (
     BasisSizeExceeded, HomologyTable, LodayComplex, WeightBoundRequired,
-    _Labelings, _lowered, _over_axes, build_complex, homology_dims,
+    _lowered, build_complex, homology_dims,
 )
 from lodayhom.oracle import (
     CoefficientMismatch, torus_bicomplex, wedge_kunneth_dims,
@@ -77,16 +77,19 @@ def broken_identities(b):
 
 
 def corrupted(b, axis, key, pos):
-    """A new complex over the codes of the grid ``b`` whose kernel along
-    ``axis`` out of the level ``key[:-1]`` pulls one face term more: the
-    entry at ``pos`` (row, column) of its block of weight ``key[-1]`` gains
-    one, times the sign twist the kernel is made with.  The audit and
-    ``axis_blocks`` both read the corrupted kernel."""
+    """A copy of the grid ``b`` whose kernel along ``axis`` out of the level
+    ``key[:-1]`` pulls one face term more: the entry at ``pos`` (row,
+    column) of its block of weight ``key[-1]`` gains one, times the sign
+    twist the kernel is made with.  The copy drops the views cached on
+    ``b``, so the audit and ``axis_blocks`` both read the corrupted
+    kernel."""
     level, w = key[:-1], key[-1]
     row_code = b.terms[_lowered(level, axis) + (w,)][pos[0]]
     col_code = b.terms[key][pos[1]]
-    labelings = copy.copy(b._labelings)
-    field, filler = labelings.field, labelings._filler
+    bad = copy.copy(b)
+    for view in ("terms", "bases", "boundaries"):
+        bad.__dict__.pop(view, None)
+    field, filler = bad.field, bad._filler
 
     def corrupt_filler(k, i, twist):
         fill = filler(k, i, twist)
@@ -102,8 +105,8 @@ def corrupted(b, axis, key, pos):
             return pulled
         return corrupt_fill if (k, i) == (level, axis) else fill
 
-    labelings._filler = corrupt_filler
-    return LodayComplex(labelings, b._codes)
+    bad._filler = corrupt_filler
+    return bad
 
 
 class TestSquares:
@@ -175,8 +178,8 @@ class TestTotalHomology:
 def grid(axes, algebra, coefficients, d, normalized=False, weight_bound=None):
     """The complex of the labelings over two axes through total degree
     d + 1, made as ``torus_bicomplex`` makes the two-circle grid."""
-    return _over_axes(axes, algebra, coefficients, d, weight_bound,
-                      normalized, None)
+    return LodayComplex(axes, algebra, coefficients, d, weight_bound,
+                        normalized)
 
 
 def deferred_and_assembled(bicomplex):
@@ -239,7 +242,7 @@ class TestDeferredTotal:
         is listed; the grid still reads eagerly after."""
         made, listed = [], []
         adopt = SparseMatrix._adopt
-        level = _Labelings.level
+        level = LodayComplex.level
 
         def counted_adopt(self, *args):
             made.append("SparseMatrix")
@@ -251,7 +254,7 @@ class TestDeferredTotal:
 
         bicomplex = torus_bicomplex(truncated_poly(3, 2), UNIT, 3)
         monkeypatch.setattr(SparseMatrix, "_adopt", counted_adopt)
-        monkeypatch.setattr(_Labelings, "level", spied_level)
+        monkeypatch.setattr(LodayComplex, "level", spied_level)
         assert homology_dims(bicomplex).totals() == [1, 2, 3, 6]
         assert made == [] and listed == []
         assert all(type(code) is int

@@ -143,19 +143,19 @@ def _assert_faces_equal_reference(space, algebra, coefficients, d):
     pull reaches no column outside the basis.  Returns whether every entry
     of the structure tables is zero or one basis element with scalar one."""
     field = algebra.field
-    labelings = build_complex(space, algebra, coefficients, d,
-                              normalized=False)._labelings
+    complex_ = build_complex(space, algebra, coefficients, d,
+                             normalized=False)
     c_alg, action = _resolve_coefficients(algebra, coefficients)
-    bits = labelings.bits
-    for key in sorted(labelings.slots):
+    bits = complex_.bits
+    for key in sorted(complex_.slots):
         if not key[0]:
             continue
         low = _lowered(key, 0)
-        n, n_low = len(labelings.slots[key]), len(labelings.slots[low])
-        cols, rows = labelings.level(key), labelings.level(low)
-        for _, plan in labelings.signed_plans(key, 0):
-            faces = _pull_faces([(1, plan)], n, (), labelings.unfold,
-                                labelings.sizes, bits)
+        n, n_low = len(complex_.slots[key]), len(complex_.slots[low])
+        cols, rows = complex_.level(key), complex_.level(low)
+        for _, plan in complex_.signed_plans(key, 0):
+            faces = _pull_faces([(1, plan)], n, (), complex_.unfold,
+                                complex_.sizes, bits)
             for w, col_codes in cols.items():
                 row_codes = rows.get(w, ())
                 col_index = {x: c for c, x in enumerate(col_codes)}
@@ -173,7 +173,7 @@ def _assert_faces_equal_reference(space, algebra, coefficients, d):
                         expected[(row_of[image], c)] = v
                 assert _matrix((out, end), field).entries == expected, \
                     (key, plan, w)
-    tables = _structure_tables(algebra, c_alg, action, labelings.bound)
+    tables = _structure_tables(algebra, c_alg, action, complex_.bound)
     return all(len(terms) <= 1 and all(s == 1 for _, s in terms)
                for table in tables for row in table for terms in row)
 
@@ -196,13 +196,13 @@ def test_table_face_on_non_monomial_presentation(field_tag, field, mode):
                                                  d)
 
 
-def _reference_blocks(labelings, coefficients, bases, i):
+def _reference_blocks(complex_, coefficients, bases, i):
     """The blocks along axis i of the levels ``bases`` (``Labeling`` lists
     keyed ``level + (w,)``) as ``{(row, col): scalar}``, keyed like their
-    columns: each face of ``labelings.signed_plans`` pushed by
+    columns: each face of ``complex_.signed_plans`` pushed by
     ``_push_labeling`` from every column, with its sign, onto the rows one
     level down; images that are not rows (degenerate ones) are dropped."""
-    algebra, field = labelings.algebra, labelings.field
+    algebra, field = complex_.algebra, complex_.field
     c_alg, action = _resolve_coefficients(algebra, coefficients)
     blocks = {}
     for key, cols in bases.items():
@@ -212,7 +212,7 @@ def _reference_blocks(labelings, coefficients, bases, i):
         rows = {lab: r for r, lab in enumerate(
             bases.get(_lowered(level, i) + (w,), ()))}
         entries = {}
-        for sign, plan in labelings.signed_plans(level, i):
+        for sign, plan in complex_.signed_plans(level, i):
             for c, lab in enumerate(cols):
                 for image, v in _push_labeling(algebra, c_alg, action, plan,
                                                lab, field).items():
@@ -249,9 +249,8 @@ def _assert_pull_equals_reference(space, algebra, coefficients, d,
     for normalized in (True, False):
         complex_ = build_complex(space, algebra, coefficients, d, weight_bound,
                                  normalized=normalized)
-        labelings = complex_._labelings
         assert {k: m.entries for k, m in complex_.boundaries.items()} == \
-            _reference_blocks(labelings, coefficients,
+            _reference_blocks(complex_, coefficients,
                               decoded_terms(complex_), 0), normalized
 
 
@@ -286,15 +285,14 @@ def test_pull_folds_cosplits_into_the_last_of_several_merges(field):
     d, bound = 2, 4
     space = build_space("prod(S1,S1)", d + 1)
     keys = [(p,) for p in range(d + 2)]
-    labelings = loday._Labelings((space,), keys, algebra, coefficients, d,
-                                 bound, True, None)
+    complex_ = loday.LodayComplex((space,), algebra, coefficients, d, bound)
     folded = [(key, j) for key in keys[1:]
               for j, (_, (pre, to_base)) in enumerate(
-                  labelings.signed_plans(key, 0))
+                  complex_.signed_plans(key, 0))
               if sum(len(srcs) > 1 for srcs in pre) >= 2
-              and max(sum(map(len, labelings.unfold(1, c, len(to_base),
-                                                    0).values()))
-                      for c in range(labelings.sizes[1])) > 1]
+              and max(sum(map(len, complex_.unfold(1, c, len(to_base),
+                                                   0).values()))
+                      for c in range(complex_.sizes[1])) > 1]
     assert ((3,), 0) in folded
     _assert_pull_equals_reference(space, algebra, coefficients, d, bound)
 
@@ -411,22 +409,22 @@ def test_deferred_pivot_sequence_is_pinned(axes, spec, coefficients, d, bound,
     """The pivots are the same whether or not the complex was read eagerly
     before it is ranked.  One axis is ``build_complex``'s complex, the two
     circles are ``oracle.torus_bicomplex``'s grid."""
-    complex_ = loday._over_axes(
+    complex_ = loday.LodayComplex(
         tuple(build_space(expr, d + 1) for expr in axes),
-        parse_algebra_expr(spec, 3), coefficients, d, bound, normalized, None)
+        parse_algebra_expr(spec, 3), coefficients, d, bound, normalized)
     if eager_first:
         complex_.boundaries
     assert _ranked_digest(complex_) == digest
 
 
-def pulled_axis(labelings, key, i, rows, cols):
+def pulled_axis(complex_, key, i, rows, cols):
     """Yield ``(key + (w,), (rows, cols))``, the block along axis i out of
     level ``key`` in weight w onto the codes ``rows[w]``, pulled by its
     kernel with no twist (``_filler(key, i, 1)``), as its row dicts and
     its column count, for each weight of ``rows``; its columns are numbered
     as the codes ``cols[w]`` list them, or as the rows reach them when
     ``cols`` is None."""
-    fill = labelings._filler(key, i, 1)
+    fill = complex_._filler(key, i, 1)
     for w, row_codes in rows.items():
         columns = {} if cols is None else {x: c for c, x in enumerate(cols[w])}
         yield key + (w,), fill(row_codes, columns, [{} for _ in row_codes], 0)
@@ -437,16 +435,16 @@ def axis_blocks(complex_, i):
     (``pulled_axis``) onto all their rows, as ``SparseMatrix``s keyed like
     their columns: one summand of the total differential, before its
     sign twist."""
-    labelings, terms = complex_._labelings, complex_.terms
+    terms = complex_.terms
     blocks = {}
-    for key in labelings.slots:
+    for key in complex_.slots:
         if key[i]:
             low = _lowered(key, i)
-            cols = {w: terms[key + (w,)] for w in range(labelings.bound + 1)
+            cols = {w: terms[key + (w,)] for w in range(complex_.bound + 1)
                     if key + (w,) in terms}
             rows = {w: terms.get(low + (w,), ()) for w in cols}
-            blocks.update((bkey, _matrix(block, labelings.field))
-                          for bkey, block in pulled_axis(labelings, key, i,
+            blocks.update((bkey, _matrix(block, complex_.field))
+                          for bkey, block in pulled_axis(complex_, key, i,
                                                          rows, cols))
     return blocks
 
@@ -455,12 +453,11 @@ def assert_grid_equals_reference(grid, coefficients):
     """The blocks along each axis of a grid made with ``coefficients``,
     pulled onto all their rows (``axis_blocks``), equal those
     assembled by ``_push_labeling`` along the plans of
-    ``_Labelings.signed_plans``."""
+    ``LodayComplex.signed_plans``."""
     terms = decoded_terms(grid)
-    for i in range(len(grid._labelings.axes)):
+    for i in range(len(grid.axes)):
         assert ({k: m.entries for k, m in axis_blocks(grid, i).items()}
-                == _reference_blocks(grid._labelings, coefficients, terms,
-                                     i)), i
+                == _reference_blocks(grid, coefficients, terms, i)), i
 
 
 @pytest.mark.parametrize("field", [2, 3, "Q"])
@@ -655,9 +652,8 @@ def _assert_top_reached_as_listed(complex_, monkeypatch):
     the rows reach them, equal the blocks pulled onto the listed top once
     each reached column takes its listed number: no column reached is
     degenerate and none is missed."""
-    labelings = complex_._labelings
     key = (complex_.max_degree + 1,)
-    top = labelings.level(key)
+    top = complex_.level(key)
     # a weight the top does not list has no block (its count is zero)
     rows = {w: labs for (p, w), labs in complex_._codes.items()
             if p == key[0] - 1 and w in top}
@@ -670,8 +666,8 @@ def _assert_top_reached_as_listed(complex_, monkeypatch):
     original = loday._pull_block
     with monkeypatch.context() as patch:
         patch.setattr(loday, "_pull_block", spy)
-        reached = list(pulled_axis(labelings, key, 0, rows, None))
-        listed = list(pulled_axis(labelings, key, 0, rows, top))
+        reached = list(pulled_axis(complex_, key, 0, rows, None))
+        listed = list(pulled_axis(complex_, key, 0, rows, top))
     for (w, (block, _)), (_, (want, _)), (codes, _), (_, listed_codes) in zip(
             reached, listed, indexes, indexes[len(reached):]):
         assert set(codes) <= set(listed_codes), w
@@ -783,7 +779,7 @@ def test_digit_widths(expr, algebra_spec, d, bound, bits, mode, monkeypatch):
     coefficients = _coefficients(mode, algebra)
     space = build_space(expr, d + 1)
     assert build_complex(space, algebra, coefficients, d,
-                         bound)._labelings.bits == bits
+                         bound).bits == bits
     _assert_pull_equals_reference(space, algebra, coefficients, d, bound)
     _assert_implicit_equals_listed(space, algebra, coefficients, d, monkeypatch,
                                    bound)
@@ -930,13 +926,13 @@ def test_every_face_plan_gives_each_low_slot_a_preimage(axes):
     top = min(axis.top_level for axis in axes)
     keys = [key for key in iter_product(range(top + 1), repeat=len(axes))
             if sum(key) <= top]
-    labelings = loday._Labelings(axes, keys, truncated_poly(3, 2),
-                                 Coefficients.unit(), 0, None, False, None)
+    complex_ = loday.LodayComplex(axes, truncated_poly(3, 2),
+                                  Coefficients.unit(), top - 1, None, False)
     planned = 0
     for key in keys:
         for i, p in enumerate(key):
             if p:
-                for _, (pre, _) in labelings.signed_plans(key, i):
+                for _, (pre, _) in complex_.signed_plans(key, i):
                     assert all(pre), (key, i)
                     planned += 1
     assert planned
