@@ -13,9 +13,11 @@ every update.  Scaling a row by a nonzero factor leaves its zero pattern
 alone, and the pivot order reads only zero patterns, so the pivots and the
 fill-in are those of field arithmetic.
 
-``row_pivots`` is the one elimination entry: it takes a block as its rows,
+``row_pivots`` is the one elimination: it takes a block as its rows,
 ``{column: scalar}`` dicts, which ``loday`` builds row by row and hands over
 as they are, and returns the (row, column) pairs that elimination takes.
+It takes the rows in the order given and leads each by its largest column,
+so a row whose largest column no earlier row reached pivots on sight.
 ``SparseMatrix`` is only the form of the eager ``LodayComplex.boundaries``
 view and of matrices built outside the library; ``rank`` of one is the
 number of pivots on its rows.
@@ -27,10 +29,8 @@ de Silva–Morozov–Vejdemo-Johansson).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 
@@ -242,22 +242,26 @@ def integer_rows(rows) -> list:
     return rows
 
 
-def _row_elimination_rank(rows, field) -> list:
-    """Left-looking Gaussian elimination on a list of {col: scalar} rows,
-    which it owns and overwrites; returns the (row, column) pivots in the
-    order they were taken, so their number is the rank.
+def row_pivots(rows, field: FieldSpec) -> list:
+    """Left-looking Gaussian elimination on the list of ``{column: scalar}``
+    rows ``rows``, which it owns and overwrites; returns the (row, column)
+    pivots in the order it takes them, so their number is the rank.  The
+    rows are distinct, the columns are distinct, and the square submatrix
+    they span is nonsingular.
 
-    The columns are ordered once, before any update, by how many rows hold
-    them, then by index.  Rows are taken sparsest first, ties on the smaller
-    index.  A row's lead is its first column in that order.  While another
-    row already pivots on the lead, that pivot row is subtracted, which
-    clears the lead and leaves only later columns; the first free lead
-    becomes the row's pivot, and a row that empties is dependent.  The only
-    state is the table of pivot rows keyed by lead (Bauer's Ripser reduction
-    has the same shape), and a pivot row is never touched again.  A column
-    that no other row holds sorts before every shared column of its row, so
-    such a row pivots there at once and costs no update, and no other row
-    can ever need it.
+    This is the one elimination: ``loday`` hands it the rows of each block
+    as it pulled them, and ``rank`` the rows of a ``SparseMatrix``.  Rows
+    are taken as given, and a row's lead is its largest column.  While
+    another row already pivots on the lead, that pivot row is subtracted,
+    which clears the lead and leaves only smaller columns; the first free
+    lead becomes the row's pivot, and a row that empties is dependent.  The
+    only state is the table of pivot rows keyed by lead (Bauer's Ripser
+    reduction has the same shape), and a pivot row is never touched again.
+    A stored row holds only columns that earlier rows reached, so a row
+    whose largest column no earlier row reached pivots there at once, with
+    no update: where the columns are numbered as the rows first reach them,
+    as ``loday`` numbers them, every row that reaches a new column is such
+    a row.
 
     Entries are nonzero ints, also over Q: rows made of ``Fraction``s are
     scaled to ints first (``integer_rows``) by whoever makes them.  Over F_p
@@ -270,15 +274,11 @@ def _row_elimination_rank(rows, field) -> list:
     those of elimination with field arithmetic.
     """
     p = field.p
-    counts = Counter(chain.from_iterable(rows))
-    width = max(counts, default=0) + 1
-    order = {c: n * width + c for c, n in counts.items()}.__getitem__
     by_lead: dict = {}
     pivots = []
-    for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-        jrow = rows[i]
+    for i, jrow in enumerate(rows):
         while jrow:
-            lead = min(jrow, key=order)
+            lead = max(jrow)
             prow = by_lead.get(lead)
             if prow is None:
                 by_lead[lead] = jrow
@@ -311,37 +311,14 @@ def _row_elimination_rank(rows, field) -> list:
     return pivots
 
 
-def row_pivots(rows, cols: int, field: FieldSpec) -> list:
-    """The (row, column) pivots that elimination takes on the matrix with
-    ``cols`` columns whose rows are the ``{column: scalar}`` dicts ``rows``,
-    in the order it takes them; their number is the rank.  The rows are
-    distinct, the columns are distinct, and the square submatrix they span is
-    nonsingular.
-
-    This is the elimination entry: ``loday`` hands it the rows of each block
-    it builds, and ``rank`` the rows of a ``SparseMatrix``.  Scalars are
-    nonzero ints, reduced mod p over F_p; over Q rows of ``Fraction``s go
-    through ``integer_rows`` first.  The rows are owned and overwritten.
-    Elimination runs along the shorter side, which bounds the pivot count;
-    when that is the column side the rows are transposed first and the
-    pairs flipped back, so they are always (row, column) of the matrix.
-    """
-    if len(rows) <= cols:
-        return _row_elimination_rank(rows, field)
-    transposed = [{} for _ in range(cols)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            transposed[c][r] = v
-    return [(r, c) for c, r in _row_elimination_rank(transposed, field)]
-
-
 def rank(matrix: SparseMatrix) -> int:
     """Exact rank of a sparse matrix over its field: the number of
-    ``row_pivots`` of its rows, scaled to ints over Q (``integer_rows``)."""
+    ``row_pivots`` of its rows, taken in row order and scaled to ints over Q
+    (``integer_rows``)."""
     rows = [{} for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
         rows[r][c] = v
     if matrix.field.p is None:
         integer_rows(rows)
-    return len(row_pivots(rows, matrix.cols, matrix.field))
+    return len(row_pivots(rows, matrix.field))
 

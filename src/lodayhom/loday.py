@@ -36,17 +36,20 @@ A labeling is one packed int from enumeration to elimination: each slot's
 label in a fixed number of bits and the coefficient above the last slot
 (``_pull_faces``).  Every block, whatever the tables, is pulled from its
 rows by ``_pull_block``: it inverts the tables (``_factorizations``), reads
-each row's labels by shift and mask, and numbers its columns as their level
-lists them, or as the rows reach them on the top total degree d + 1, which
-is never listed.  An entry with several terms or a scalar other than one
-gives a face more per scalar, its sign times that scalar.  The block is its
-rows, ``{column: scalar}`` dicts, which ``exactlinalg.row_pivots``
-eliminates in place; over Q the pulled sums stay ints, unless some table
-scalar is no integer, and then the rows are scaled to ints
+each row's labels by shift and mask, and numbers its columns as its rows
+first reach them; the top total degree d + 1 is never listed.  An entry
+with several terms or a scalar other than one gives a face more per
+scalar, its sign times that scalar.  The block is its rows, in listing
+order, as ``{column: scalar}`` dicts, which ``exactlinalg.row_pivots``
+eliminates in place, leading each row by its largest column: so a row that
+reaches a column no earlier row reached pivots there on sight, with no
+update.  Over Q the pulled sums stay ints, unless some table scalar is no
+integer, and then the rows are scaled to ints
 (``exactlinalg.integer_rows``) before they are ranked.  The eager views
 ``.terms``, ``.bases`` and ``.boundaries`` and the square audit
-``check_boundary_squares`` read the same kernel: they list the top total
-degree and pull every block onto all its rows.  Only ``.boundaries`` makes
+``check_boundary_squares`` read the same kernel, with each level's columns
+numbered as it lists them: they list the top total degree and pull every
+block onto all its rows.  Only ``.boundaries`` makes
 ``SparseMatrix`` blocks.  ``chain_dims`` lists nothing: it sums the exact
 counts.
 """
@@ -718,17 +721,21 @@ class LodayComplex:
             for w in weights:
                 kept = {low: terms.get(low + (w,), ())
                         for low in self.summands(k - 1)}
-                yield (k, w), self._total_block(fills, kept, terms, w)
+                rows, cols, _ = self._total_block(fills, kept, terms, w)
+                yield (k, w), (rows, cols)
 
     def _ranked(self, cleared):
         """The pivots of every block of the total differential,
         ``((degree, weight), pivots)`` in key order, each block built on
         the rows that ``cleared`` does not hold for it once the previous
         ones are ranked, and its rows handed to ``row_pivots`` as they were
-        built."""
+        built.  A pivot is ``(row, column)``, the column named ``(level,
+        code)`` on a listed total degree and by its number on the top."""
         for k in range(1, self.max_degree + 2):
-            for key, (rows, cols) in self.implicit_blocks(k, cleared):
-                yield key, row_pivots(rows, cols, self.field)
+            for key, (rows, names) in self.implicit_blocks(k, cleared):
+                found = row_pivots(rows, self.field)
+                yield key, (found if names is None
+                            else [(r, names[c]) for r, c in found])
 
     def check_boundary_squares(self):
         """The (degree p, weight) of every block ``∂_p`` whose product with
@@ -781,8 +788,11 @@ class LodayComplex:
         """The blocks of the total differential out of total degree k, one
         per weight w and keyed (k, w), each onto its rows in the codes
         ``_codes`` outside the set it pops from ``cleared`` (block key ->
-        indices of rows that are pivot columns of the block below, which
-        cannot change its rank).
+        the rows, named ``(level, code)``, that are pivot columns of the
+        block below, which cannot change its rank).  A block is its row
+        dicts and the name ``(level, code)`` of each of its columns, or
+        None for the names on the top total degree, whose pivots clear
+        nothing.
 
         The levels of total degree k (``summands``) are stacked in key order
         as its columns, those of k - 1 as its rows, and the faces along axis
@@ -790,35 +800,35 @@ class LodayComplex:
         (Dold–Puppe, ``fills``), so one axis is one summand with sign +1.
         Each kernel is built once per level and axis.  A weight yields no
         block when no row is left or its exact count (``weight_counts``) is
-        zero.  Listed levels keep their column numbering, so the pivot
-        columns of a block index the rows of the next.  The top total degree
-        is never listed: each of its levels numbers the columns that its
-        rows reach along any axis, after the columns of the levels before
-        it, and the unreached ones are zero columns.  Over Q, rows pulled
-        along a table scalar that is no integer hold ``Fraction``s, which
-        are scaled to ints (``exactlinalg.integer_rows``) for elimination."""
+        zero.  Rows stay in listing order, and every level, listed or not,
+        numbers the columns that its rows reach along any axis as they first
+        reach them, after the columns of the levels before it
+        (``_total_block``), so a row that reaches a new column pivots there
+        on sight (``exactlinalg.row_pivots``).  Over Q, rows pulled along a
+        table scalar that is no integer hold ``Fraction``s, which are scaled
+        to ints (``exactlinalg.integer_rows``) for elimination."""
         bases, lows = self._codes, self.summands(k - 1)
         rows = {}
         for w, n in enumerate(self.weight_counts(k)):
             skip = cleared.pop((k, w), ())
-            kept, first = {}, 0
-            for low in lows:
-                codes = bases.get(low + (w,), ())
-                kept[low] = [x for r, x in enumerate(codes, first)
-                             if r not in skip]
-                first += len(codes)
+            kept = {low: [x for x in bases.get(low + (w,), ())
+                          if (low, x) not in skip] for low in lows}
             if n and any(kept.values()):
                 rows[w] = kept
         if not rows:
             return ()
-        cols = bases if k <= self.max_degree else None
         fills = self.fills(k)
-        blocks = (((k, w), self._total_block(fills, kept, cols, w))
-                  for w, kept in rows.items())
-        if self.fractional:
-            return ((bkey, (integer_rows(block), n))
-                    for bkey, (block, n) in blocks)
-        return blocks
+        listed = k <= self.max_degree
+
+        def block(kept, w):
+            out, _, levels = self._total_block(fills, kept, {
+                key + (w,): () for key, _ in fills
+                if not listed or key + (w,) in bases}, w)
+            if self.fractional:
+                integer_rows(out)
+            return out, ([(key, code) for key, index in levels
+                          for code in index] if listed else None)
+        return (((k, w), block(kept, w)) for w, kept in rows.items())
 
     def fills(self, k):
         """The kernels (``_filler``) of the total differential out of the
@@ -833,32 +843,37 @@ class LodayComplex:
     def _total_block(self, fills, kept, cols, w):
         """The block of weight w of the total differential: the row dicts
         of the codes ``kept`` of each level, stacked, filled by the kernels
-        ``fills`` of each column level, and its column count; its columns
-        are numbered as the codes ``cols`` list them, or as the rows reach
-        them where ``cols`` is None (the unlisted top of
-        ``implicit_blocks``).  The column indexes live in this frame, so
-        they are freed before the block is ranked: the top's hold the code
-        of every labeling the block reached.  A listed level with no
-        labeling of weight w has no column there and is not filled: every
-        preimage its rows reach is degenerate, and an empty index would
-        number them as the top's does."""
+        ``fills`` of each column level; its column count; and ``(key,
+        index)`` per column level of a listed total degree, the index
+        mapping the code of each column to its number, in that order.
+
+        A level numbers first the codes that ``cols`` lists for it (keyed
+        ``key + (w,)``; the eager views list every column), then the
+        columns its rows reach as they first reach them, after the columns
+        of the levels before it.  A level of the top total degree would
+        index every labeling its rows reach, so its index is let go once
+        the level is filled.  A level that ``cols`` does not hold is not
+        filled: a listed level with no labeling of weight w has no column
+        there, as every preimage its rows reach is degenerate."""
         out, first = [], {}
         for low, codes in kept.items():
             first[low] = len(out)
             out.extend({} for _ in codes)
-        start = 0
+        levels, start = [], 0
         for key, axis_fills in fills:
-            if cols is not None and key + (w,) not in cols:
+            codes = cols.get(key + (w,))
+            if codes is None:
                 continue
-            codes = () if cols is None else cols[key + (w,)]
-            columns = dict(zip(codes, range(start, start + len(codes))))
+            index = dict(zip(codes, range(start, start + len(codes))))
             for low, fill in axis_fills:
                 codes = kept[low]
                 if codes:
-                    fill(codes, columns,
+                    fill(codes, index,
                          out[first[low]:first[low] + len(codes)], start)
-            start += len(columns)
-        return out, start
+            if sum(key) <= self.max_degree:
+                levels.append((key, index))
+            start += len(index)
+        return out, start, levels
 
     def signed_plans(self, key, i):
         """The plans of the faces along axis i out of level ``key``, each
@@ -941,19 +956,22 @@ def homology_dims(complex_: LodayComplex) -> HomologyTable:
 
     Each weight's boundary blocks are ranked from degree 1 upward, and the
     rank of ``∂_{p+1}`` leaves out the rows that are pivot columns of
-    ``∂_p`` (clearing, in the cohomology direction).  Those columns span a
-    subspace on which ``∂_p`` is injective, and ``im ∂_{p+1}`` lies in the
-    kernel of ``∂_p``, so the two meet only in zero and the rank is
-    unchanged.  This relies on ``∂∂ = 0``, which
+    ``∂_p``, each named by its level and code (clearing, in the cohomology
+    direction).  Those columns span a subspace on which ``∂_p`` is
+    injective, and ``im ∂_{p+1}`` lies in the kernel of ``∂_p``, so the two
+    meet only in zero and the rank is unchanged, whichever pivots
+    elimination takes.  This relies on ``∂∂ = 0``, which
     ``LodayComplex.check_boundary_squares`` and acceptance criterion 9
     verify.
 
     Each block is built once every block below it is ranked, on its
-    uncleared rows alone, and dropped once ranked
-    (``LodayComplex.implicit_blocks``), whether or not the complex was read
-    eagerly; the top total degree d + 1 is read only through the rank of
-    ``∂_{d+1}`` and never listed.  The listed codes are keyed by level and
-    weight, and their sizes are summed per total degree.
+    uncleared rows alone, in listing order, with its columns numbered as
+    those rows first reach them, so that a row reaching a new column
+    pivots there on sight (``exactlinalg.row_pivots``); it is dropped once
+    ranked (``LodayComplex.implicit_blocks``), whether or not the complex
+    was read eagerly.  The top total degree d + 1 is read only through the
+    rank of ``∂_{d+1}`` and never listed.  The listed codes are keyed by
+    level and weight, and their sizes are summed per total degree.
     """
     ranks = {}
     cleared = {}

@@ -1,6 +1,5 @@
 """Field construction and exact sparse rank."""
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
@@ -13,8 +12,8 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from lodayhom.exactlinalg import (
-    FieldSpec, NonPrimeModulus, SparseMatrix, _row_elimination_rank,
-    integer_rows, make_field, rank, row_pivots,
+    FieldSpec, NonPrimeModulus, SparseMatrix, integer_rows, make_field, rank,
+    row_pivots,
 )
 
 F2, F3, F5 = make_field(2), make_field(3), make_field(5)
@@ -283,27 +282,24 @@ def test_integer_kernel_rank_on_larger_matrices(seed, modulus):
     assert _sympy_rank(dense, ncols, field) == expected
     if field.is_rational:
         integer_rows(rows)
-    pivots = _row_elimination_rank(rows, field)
+    pivots = row_pivots(rows, field)
     assert len(pivots) == expected
     if field.is_rational:
         _assert_primitive_integer_rows(rows)
 
 
 def _field_method_elimination(row_data, field):
-    """The pivot rule of the integer kernel, run on field methods: columns
-    ordered once by (rows holding them, index), rows taken by (length,
-    index), each row reduced by the pivot row of its lead until the lead is
-    free or the row is empty.  The reference for the kernel's pivots and
-    rows."""
+    """The pivot rule of the integer kernel, run on field methods: rows
+    taken in order, each led by its largest column and reduced by the pivot
+    row of its lead until the lead is free or the row is empty.  The
+    reference for the kernel's pivots and rows."""
     rows = [dict(r) for r in row_data]
-    counts = Counter(c for row in rows for c in row)
     zero = field.zero
     by_lead = {}
     pivots = []
-    for i in sorted(range(len(rows)), key=lambda i: (len(rows[i]), i)):
-        row = rows[i]
+    for i, row in enumerate(rows):
         while row:
-            lead = min(row, key=lambda c: (counts[c], c))
+            lead = max(row)
             if lead not in by_lead:
                 by_lead[lead] = row
                 pivots.append((i, lead))
@@ -331,7 +327,7 @@ def test_integer_kernel_takes_the_field_method_pivots(field):
         got_rows = [dict(r) for r in rows]
         if field.is_rational:
             integer_rows(got_rows)
-        assert _row_elimination_rank(got_rows, field) == want_pivots
+        assert row_pivots(got_rows, field) == want_pivots
         if not field.is_rational:
             assert got_rows == want_rows
             continue
@@ -346,12 +342,53 @@ def test_integer_kernel_takes_the_field_method_pivots(field):
 
 @pytest.mark.parametrize("field", [F2, F3])
 def test_a_row_with_a_private_column_pivots_there_untouched(field):
-    """Columns 5 and 6 are each held by one row, so those rows pivot on them
-    with no update, although both share column 0 or 1 with the first row."""
+    """Columns 5 and 6 are each held by one row and are its largest, so
+    those rows pivot on them with no update, although both share column 0
+    or 1 with the first row, which pivots on its largest column, 1."""
     rows = [{0: 1, 1: 1}, {0: 1, 2: 1, 5: 1}, {1: 1, 2: 1, 6: 1}]
     got = [dict(r) for r in rows]
-    assert _row_elimination_rank(got, field) == [(0, 0), (1, 5), (2, 6)]
+    assert row_pivots(got, field) == [(0, 1), (1, 5), (2, 6)]
     assert got == rows
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q])
+def test_a_row_that_reaches_a_new_column_pivots_on_sight(field):
+    """Columns numbered as the rows first reach them, as ``loday`` numbers
+    them: every row that reaches a column no earlier row reached pivots on
+    its largest column, with its dict left as it was.  A later row that
+    holds only earlier columns, the sum of two earlier rows, is reduced and
+    empties."""
+    rng = Random(97)
+    top = field.p or 7
+    certified = 0
+    for _ in range(30):
+        rows, new = [], []
+        for _ in range(12):
+            reached = sum(map(len, new))
+            old = rng.sample(range(reached), min(reached, rng.randrange(4)))
+            fresh = range(reached, reached + rng.randrange(3))
+            rows.append({c: rng.randrange(1, top) for c in [*old, *fresh]})
+            new.append(fresh)
+        # two rows of different largest columns, so their sum is nonzero
+        i, j = rng.choice([(i, j) for i, a in enumerate(rows)
+                           for j, b in enumerate(rows)
+                           if a and b and max(a) < max(b)])
+        both = {c: rows[i].get(c, 0) + rows[j].get(c, 0)
+                for c in rows[i].keys() | rows[j].keys()}
+        rows.append({c: v % field.p if field.p else v
+                     for c, v in both.items()
+                     if (v % field.p if field.p else v)})
+        assert max(rows[-1]) == max(rows[j])
+        got = [dict(row) for row in rows]
+        found = row_pivots(got, field)
+        for r, fresh in enumerate(new):
+            if fresh:
+                certified += 1
+                assert (r, max(rows[r])) in found
+                assert got[r] == rows[r]
+        assert got[-1] == {}
+        assert len(rows) - 1 not in {r for r, _ in found}
+    assert certified > 200
 
 
 def _int_rows(dense, field):
@@ -374,7 +411,7 @@ def _assert_pivots_span_a_nonsingular_block(matrix):
     ``rank``, spanning a nonsingular square submatrix."""
     field = matrix.field
     dense = matrix.to_dense()
-    found = row_pivots(_int_rows(dense, field), matrix.cols, field)
+    found = row_pivots(_int_rows(dense, field), field)
     prows = [r for r, _ in found]
     pcols = [c for _, c in found]
     assert len(set(prows)) == len(prows)
@@ -388,7 +425,8 @@ def _assert_pivots_span_a_nonsingular_block(matrix):
 
 @pytest.mark.parametrize("field", [F2, F3, F5, Q])
 def test_pivots_of_tall_and_wide_matrices(field):
-    """Both orientations of the elimination."""
+    """Matrices with more rows than columns and with fewer, each
+    eliminated along its rows."""
     rng = Random(2011)
     shapes = {"tall": 0, "wide": 0}
     for _ in range(40):

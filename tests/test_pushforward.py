@@ -366,7 +366,9 @@ def test_split_memo_serves_rows_past_its_slots(field, monkeypatch):
 
 def _ranked_digest(complex_):
     """sha256 of every block's pivots in the order ``homology_dims`` takes
-    them, with its clearing."""
+    them, with its clearing by the codes of the pivot columns: each pivot
+    is (row, column), the column named (level, code) on a listed total
+    degree and by its number on the top."""
     cleared, found = {}, []
     for (p, w), block_pivots in complex_._ranked(cleared):
         found.append(((p, w), block_pivots))
@@ -374,33 +376,32 @@ def _ranked_digest(complex_):
     return hashlib.sha256(repr(found).encode()).hexdigest()
 
 
-# the deferred path's pivot sequences over F3 as taken at the commit before
-# the cosplit offsets were folded into the last merge's splits; the listed
-# matrices of ``MATRIX_DIGEST`` cannot see them, as the top level they rank
-# is never listed and its columns are numbered as the rows reach them.  Only
-# the torus with self coefficients has faces with several splits and several
-# cosplits, whose nesting order sets that numbering.  The unnormalized torus
-# and the degree-5 grid were taken at the commit before ``_pull_block``
-# placed each preimage straight into its row: their rows reach columns
-# twice (8.5% and 23% of their preimages repeat within their row), where
-# sums cancel and are reduced, but a column keeps the number it took when
-# first reached.  The torus over k[t] with weight bound 4 was taken at the
-# commit before each face memoized the split sums of its merged slots but the
-# last: its faces merge several slots whose labels t^2, t^3 and t^4 have
-# several splits, and the rows of every weight share each face's memo.
+# the deferred path's pivot sequences over F3, taken when every block came
+# to be ranked in row order, led by its largest column, its columns
+# numbered as its rows first reach them.  The listed matrices of
+# ``MATRIX_DIGEST`` cannot see them: the pivots name the columns of listed
+# levels by code and number those of the top, which is never listed, as
+# the rows reach them.  Only the torus with self coefficients has faces with
+# several splits and several cosplits, whose nesting order sets that
+# numbering.  The rows of the unnormalized torus and of the degree-5 grid
+# reach columns twice (8.5% and 23% of their preimages repeat within their
+# row), where sums cancel and are reduced, but a column keeps the number it
+# took when first reached.  The torus over k[t] with weight bound 4 has
+# faces that merge several slots whose labels t^2, t^3 and t^4 have several
+# splits, and the rows of every weight share each face's memo.
 @pytest.mark.parametrize("axes,spec,coefficients,d,bound,normalized,digest", [
     (("prod(S1,S1)",), "truncpoly(2)", Coefficients.unit(), 2, None, True,
-     "0ff3f550433f92a4cfe3f3c69f9c6ff48aa3382c8f07cac6e68b013b1e93e282"),
+     "fd38be55275048110692e141628268b20561469e5ad83473ea0b17da1f008c64"),
     (("S1",), "truncpoly(4)", Coefficients.self_algebra(), 7, None, True,
-     "19f229685a825cb097c14561ec7ae5897b37fcc1100234043adefe4f35b6a882"),
+     "8b8378009606af7ecad24664bcfddccbb622718d6eb8f9827ccc15fd62d5b518"),
     (("prod(S1,S1)",), "truncpoly(2)", Coefficients.self_algebra(), 2, 4, True,
-     "e0b69a17c74d3fd71613d7a472b83050d6d070047138e2b02116f51160632d99"),
+     "dd1129c10fd7dd9975fbb1ed74189a4ca55ebc7a67548105bd4eac7cd7a5252d"),
     (("prod(S1,S1)",), "truncpoly(2)", Coefficients.unit(), 2, None, False,
-     "ee8d5d4dc1556429049539026f60961de054c3618b280aa13cf7b52910f844f0"),
+     "515095d1a449275b32400a7f62c7af75589684750d8dabf5a6120e03247131fe"),
     (("S1", "S1"), "truncpoly(2)", Coefficients.unit(), 5, None, False,
-     "c7272809b11e4ea43029a49a5b93e87471d21d31e9aa4ceec082805f5ba0ef82"),
+     "673b261dc72c60857d8a41616f62604472bb2b8d5cfcc1cee1046a75f6ed2da4"),
     (("prod(S1,S1)",), "poly", Coefficients.unit(), 2, 4, True,
-     "5d1d8ec7fb2f224eb44a0e423c511864c19005a7afde872f7c5919a55d253a1c"),
+     "8c12602c6e4713c052df88dac0df5ec1bb4e735c9ae28687b006507757e5deb6"),
 ], ids=["torus", "hochschild", "torus-self", "torus-unnormalized", "grid",
         "torus-poly"])
 @pytest.mark.parametrize("eager_first", [False, True])
@@ -816,9 +817,9 @@ def test_homology_lists_no_top_labeling(expr, algebra, coefficients, d,
 
 def test_every_level_is_pulled_from_its_uncleared_rows(monkeypatch):
     """HH of F3[t]/t^4 to degree 7: at every level, each block is pulled
-    from the rows of its level that are not pivot columns of the block
-    below it, which index those rows because a listed level keeps its
-    column numbering, and its rows go to elimination as they were pulled."""
+    from the listed codes of its level less those that are pivot columns of
+    the block below it, which name their columns ``(level, code)``, and its
+    rows go to elimination as they were pulled."""
     d = 7
     complex_ = build_complex(circle(d + 1), truncated_poly(3, 4),
                              Coefficients.self_algebra(), d)
@@ -838,9 +839,9 @@ def test_every_level_is_pulled_from_its_uncleared_rows(monkeypatch):
         pulled.append((rows, block[0]))
         return block
 
-    def spy_pivots(rows, cols, field):
+    def spy_pivots(rows, field):
         eliminated.append(rows)
-        return original_pivots(rows, cols, field)
+        return original_pivots(rows, field)
 
     monkeypatch.setattr(complex_, "_ranked", spy_ranked)
     monkeypatch.setattr(loday, "_pull_block", spy_pull)
@@ -853,11 +854,62 @@ def test_every_level_is_pulled_from_its_uncleared_rows(monkeypatch):
     pivot_columns = {}
     for (p, w), found, (rows, _) in ranked:
         below = pivot_columns.get((p - 1, w), set())
-        assert rows == [
-            code for r, code in enumerate(complex_._codes[(p - 1, w)])
-            if r not in below], (p, w)
+        assert rows == [code for code in complex_._codes[(p - 1, w)]
+                        if ((p - 1,), code) not in below], (p, w)
+        if p <= d:
+            assert {c for _, c in found} <= {
+                ((p,), code) for code in complex_._codes[(p, w)]}, (p, w)
         pivot_columns[(p, w)] = {c for _, c in found}
     assert sum(len(rows) for rows, _ in pulled) == 9851
+
+
+def test_top_rows_that_reach_a_new_column_pivot_on_sight(monkeypatch):
+    """HH of F3[t]/t^4 to degree 7: the top's columns are numbered as its
+    rows first reach them, so every top row that reaches a column no earlier
+    row reached has that column as its largest, pivots on it and leaves
+    elimination untouched, and it is most rows.  Clearing keeps the 9 851
+    rows pulled over all blocks."""
+    d = 7
+    complex_ = build_complex(circle(d + 1), truncated_poly(3, 4),
+                             Coefficients.self_algebra(), d)
+    pulled, degree, tops = [], [], []  # tops: (rows as pulled, pivots)
+    original_pull, original_pivots = loday._pull_block, loday.row_pivots
+    original_blocks = complex_.implicit_blocks
+
+    def spy_blocks(k, cleared):
+        degree.append(k)
+        return original_blocks(k, cleared)
+
+    def spy_pull(faces, rows, *args):
+        pulled.append(len(rows))
+        return original_pull(faces, rows, *args)
+
+    def spy_pivots(rows, field):
+        before = [dict(row) for row in rows]
+        found = original_pivots(rows, field)
+        if degree[-1] == d + 1:
+            tops.append((before, rows, found))
+        return found
+
+    monkeypatch.setattr(complex_, "implicit_blocks", spy_blocks)
+    monkeypatch.setattr(loday, "_pull_block", spy_pull)
+    monkeypatch.setattr(loday, "row_pivots", spy_pivots)
+    assert homology_dims(complex_).totals() == [4] + [3] * 7
+    assert sum(pulled) == 9851
+    assert tops
+    certified = rows_seen = 0
+    for before, after, found in tops:
+        pivot_of = dict(found)
+        reached = set()
+        for r, (row, left) in enumerate(zip(before, after)):
+            if not row.keys() <= reached:
+                assert max(row) not in reached
+                assert pivot_of[r] == max(row)
+                assert left == row
+                certified += 1
+            reached |= row.keys()
+        rows_seen += len(before)
+    assert certified > rows_seen // 2
 
 
 def test_empty_torus_top_lists_nothing(monkeypatch):
