@@ -206,51 +206,88 @@ def _enumerate_block_bases(algebra, c_alg, n_slots, bound, bits,
     each as its packed code (``_pull_faces``): label ``a[q]`` in the ``bits``
     bits at shift ``q * bits``, the coefficient above the last slot.
 
-    The walk visits only the labels that fit the weight left, from one list
-    per weight left in index order.  ``complements`` (normalized complexes)
-    holds per degeneracy the slot positions outside its image; an assignment
-    that is the unit on all of one is degenerate.  The walk never puts the
-    unit on a slot that is a whole complement, and skips the subtree when it
-    puts the unit on a complement's last position and its earlier positions
-    are unit too, so degenerate labelings are never built.
+    ``complements`` (normalized complexes) holds per degeneracy the slot
+    positions outside its image, in increasing order; an assignment that is
+    the unit on all of one is degenerate.  A lone complement's slot never
+    takes the unit, and the last slot of a complement of several slots
+    takes it only where the prefix is not the unit on all the complement's
+    earlier positions (its digits there, under a mask, are not the
+    unit's), so degenerate labelings are never built.
+
+    The walk fills one slot at a time, over two parallel lists of the
+    prefixes so far in lexicographic order: their codes and their rooms.
+    A room is the weight left over the least that the slots still to fill
+    must take (the lightest label other than the unit on each lone slot,
+    and the lightest coefficient), so every prefix completes.  Each prefix
+    grows, in index order, by the labels its room fits, read off a list per
+    room made once per call for each kind of slot that needs it: any label,
+    any label but the unit, or a lone slot's label.  The coefficient is the
+    last slot, and each code is then sorted into its weight's list in walk
+    order.
     """
     if not all(complements):
         return {}
     unit = algebra.unit
-    closing = [set() for _ in range(n_slots)]
+    digit = (1 << bits) - 1
+    lone = {comp[0] for comp in complements if len(comp) == 1}
+    closers = [[] for _ in range(n_slots)]  # (mask, unit digits) per slot
     for comp in complements:
-        last = max(comp)
-        closing[last].add(sum(1 << q for q in comp if q != last))
+        if len(comp) > 1:
+            *rest, last = comp
+            closers[last].append((_code([digit] * len(rest), rest, bits),
+                                  _code([unit] * len(rest), rest, bits)))
     labels = [(i, algebra.weight(i)) for i in algebra.basis_indices(bound)]
-    with_unit = [[(i, w) for i, w in labels if w <= left]
-                 for left in range(bound + 1)]
-    without_unit = [[(i, w) for i, w in fits if i != unit]
-                    for fits in with_unit]
-    fitting = [without_unit if 0 in masks else with_unit for masks in closing]
-    by_weight = {w: [] for w in range(bound + 1)}
+    others = [(i, w) for i, w in labels if i != unit]
+    floor = min((w for _, w in others), default=0)
+    coeffs = [(c, c_alg.weight(c)) for c in c_alg.basis_indices(bound)]
+    c_floor = min(w for _, w in coeffs)
+    start = bound - c_floor - floor * len(lone)
+    if start < 0:
+        return {}
+    made = {}
+
+    def by_room(pairs, least):
+        # per room r, the labels of ``pairs`` that a slot whose least
+        # weight is ``least`` fits, and the room each leaves
+        key = (pairs is labels, least)
+        if key not in made:
+            made[key] = [([i for i, w in pairs if w - least <= r],
+                          [r - w + least for _, w in pairs if w - least <= r])
+                         for r in range(start + 1)]
+        return made[key]
+
+    codes, rooms = [0], [start]
+    for q in range(n_slots):
+        shift, closing = q * bits, closers[q]
+        if q in lone:
+            fits, closing = by_room(others, floor), ()
+        else:
+            fits = by_room(labels, 0)
+        grown, left = [], []
+        if closing:
+            closed = by_room(others, 0)
+            for code, r in zip(codes, rooms):
+                xs, rs = (closed if any(code & m == u for m, u in closing)
+                          else fits)[r]
+                grown += [code | x << shift for x in xs]
+                left += rs
+        else:
+            for code, r in zip(codes, rooms):
+                xs, rs = fits[r]
+                grown += [code | x << shift for x in xs]
+                left += rs
+        codes, rooms = grown, left
+    # the coefficient: a room r ends at weight bound - r
     top = n_slots * bits
-    coeff_by_budget = {}
-    for i in c_alg.basis_indices(bound):
-        coeff_by_budget.setdefault(c_alg.weight(i), []).append(i << top)
-    coeff_budgets = sorted(coeff_by_budget.items())
-
-    def rec(code, used, units, q):
-        if q == n_slots:
-            for budget, coeffs in coeff_budgets:
-                if used + budget > bound:
-                    break
-                by_weight[used + budget].extend([code | c for c in coeffs])
-            return
-        shift = q * bits
-        masks = closing[q]
-        for i, w in fitting[q][bound - used]:
-            if i != unit:
-                rec(code | i << shift, used + w, units, q + 1)
-            elif not any(units & m == m for m in masks):
-                rec(code | i << shift, used + w, units | 1 << q, q + 1)
-
-    rec(0, 0, 0, 0)
-    return {w: codes for w, codes in by_weight.items() if codes}
+    coeff_fits = [[(c << top, r - w + c_floor) for c, w in coeffs
+                   if w - c_floor <= r] for r in range(start + 1)]
+    buckets = [[] for _ in range(bound + 1)]  # by room, bound - weight
+    put = [bucket.append for bucket in buckets]
+    for code, r in zip(codes, rooms):
+        for c, end in coeff_fits[r]:
+            put[end](code | c)
+    return {bound - r: buckets[r] for r in reversed(range(bound + 1))
+            if buckets[r]}
 
 
 @dataclass
@@ -407,7 +444,8 @@ def _code(labels, slots, bits):
     return code
 
 
-def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
+def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits,
+                tables):
     """Per signed face plan, what ``_pull_block`` reads to list the preimages
     of a row as packed codes.
 
@@ -415,7 +453,7 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
     ``a[q]`` in the ``bits`` bits at shift ``q * bits`` and the coefficient
     c above the last slot, at shift ``n_slots * bits``; a row is coded the
     same way over its own slots.  Along a face, a preimage's code is the sum
-    of three parts, each read off a table built here once per level:
+    of three parts, each read off a table:
 
     - the labels of the low slots with one preimage, moved straight out of
       the row's code as runs ``(mask, up, down)``: the row digits under
@@ -460,11 +498,29 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
     the only cell outside the image of a degeneracy one level down, so a row
     holding the unit there is degenerate and never listed.  ``sizes`` are
     the numbers of labels and of coefficients the tables index.
+
+    The split, cosplit and final tables are read from ``tables``, a dict
+    the complex keeps for its whole life (``LodayComplex.face_tables``),
+    and built there on first use, so faces that merge the same cells, on
+    one level or several, share them.  A key names what its table is built
+    from: ``("split", srcs, banned)`` by the positions of the merged cells
+    and the bits of the ones whose unit is banned, ``("cosplit", to_base,
+    banned, top)`` by the positions sent to the basepoint, their banned
+    bits and the coefficient's shift, and ``("final", split, s, cosplit,
+    t)`` by the keys and scalars of the two tables it combines.  The dict
+    holds the ``_by_scalar`` lists of the first two kinds and the final
+    tables; the memos stay per face.
     """
     lone = {comp[0] for comp in complements if len(comp) == 1}
     n_labels, n_coeffs = sizes
     digit = (1 << bits) - 1
     top = n_slots * bits
+
+    def placed(key, build):
+        if key not in tables:
+            tables[key] = build()
+        return tables[key]
+
     faces = []
     for sign, (pre, to_base) in signed_plans:
         runs = {}  # shift -> mask of the row digits it moves
@@ -479,23 +535,28 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits):
             if len(srcs) > 1:
                 banned = sum(1 << i for i, q in enumerate(srcs) if q in lone)
                 shifts.append(r * bits)
-                merges.append(_by_scalar(
+                split_key = ("split", srcs, banned)  # the final reads the last
+                merges.append(placed(split_key, lambda: _by_scalar(
                     [unfold(0, x, len(srcs) - 1, banned)
                      for x in range(n_labels)],
-                    lambda t: _code(t, srcs, bits)))
+                    lambda t: _code(t, srcs, bits))))
         banned = sum(2 << i for i, q in enumerate(to_base) if q in lone)
-        cosplits = _by_scalar(
+        cos_key = ("cosplit", to_base, banned, top)
+        cosplits = placed(cos_key, lambda: _by_scalar(
             [unfold(1, c, len(to_base), banned) for c in range(n_coeffs)],
-            lambda t: t[0] << top | _code(t[1:], to_base, bits))
+            lambda t: t[0] << top | _code(t[1:], to_base, bits)))
         # the digits of the merged slots but the last, which key the memo
         mask = sum(digit << shift for shift in shifts[:-1])
         for choice in product(*merges, cosplits):
-            scale = _exact(sign * prod(s for s, _ in choice))
-            *splits, cos = [table for _, table in choice]
+            scalars, (*splits, cos) = zip(*choice)
+            scale = _exact(sign * prod(scalars))
             if splits:
                 last, fmask = shifts[-1], digit
-                final = tuple(tuple(tuple(m + o for m in ms for o in os)
-                                    for os in cos) for ms in splits.pop())
+                ends = splits.pop()
+                final = placed(
+                    ("final", split_key, scalars[-2], cos_key, scalars[-1]),
+                    lambda: tuple(tuple(tuple(m + o for m in ms for o in os)
+                                        for os in cos) for ms in ends))
             else:
                 last, fmask, final = 0, 0, (cos,)
             faces.append((scale, moved, tuple(zip(shifts, splits)), mask, {},
@@ -601,7 +662,8 @@ def _pull_block(faces, rows, col_index, field, bits, n_low, degenerate, out,
 
 def _degenerate_complements(axes, key, slots):
     """Per degeneracy s_j along axis i into level ``key``, the positions of
-    the cells of ``slots`` whose coordinate i is outside its image."""
+    the cells of ``slots`` whose coordinate i is outside its image, in
+    increasing order."""
     return tuple(tuple(q for q, cell in enumerate(slots) if cell[i] not in image)
                  for i, (axis, p) in enumerate(zip(axes, key))
                  for image in (set(axis.degeneracy(p - 1, j)) for j in range(p)))
@@ -616,8 +678,11 @@ class LodayComplex:
     face j along axis i replaces coordinate i by its image under
     ``axes[i].face(key[i], j)``.  The levels are the tuples ``key`` of total
     degree 0..max_degree + 1, and the complex keeps what they share for its
-    whole life: cells, labeling counts, weight bound, degeneracy complements
-    and structure tables with their factorizations.  The constructor checks
+    whole life: cells, labeling counts, weight bound, degeneracy complements,
+    structure tables with their factorizations, and ``face_tables``, the
+    dict of offset tables that every kernel's faces read (``_pull_faces``),
+    each built on first use, keyed by what it is built from, and kept until
+    the complex goes.  The constructor checks
     the ceiling ``max_block_size`` (default ``DEFAULT_MAX_BLOCK``) against
     the labelings of every level, lists those of total degree 0..max_degree
     as packed codes keyed ``level + (w,)`` (``_codes``), and assembles no
@@ -684,6 +749,7 @@ class LodayComplex:
         self.sizes = tuple(map(len, tables))
         self.bits = max(1, (max(self.sizes) - 1).bit_length())
         self.unfold = _factorizations(tables, self.unit, self.field.p)
+        self.face_tables = {}
         # over Q a scalar that is no integer leaves Fractions in pulled rows
         self.fractional = self.field.p is None and any(
             v.denominator != 1 for table in tables for row in table
@@ -905,13 +971,17 @@ class LodayComplex:
         dicts ``out`` and returns ``out`` and the end of its columns.
         ``columns`` maps the code of each column to its number, counted
         from ``start``, or is empty and the rows number the columns they
-        reach.  The block is pulled from its rows (``_pull_block``)."""
+        reach.  The block is pulled from its rows (``_pull_block``) along
+        faces whose offset tables come from, or are first built into, the
+        complex's ``face_tables``; only the faces' split memos are the
+        kernel's own."""
         n, n_low = len(self.slots[key]), len(self.slots[_lowered(key, i)])
         bits, field = self.bits, self.field
         signed = [(twist * sign, plan)
                   for sign, plan in self.signed_plans(key, i)]
         comps = self.complements[key]
-        faces = _pull_faces(signed, n, comps, self.unfold, self.sizes, bits)
+        faces = _pull_faces(signed, n, comps, self.unfold, self.sizes, bits,
+                            self.face_tables)
         degenerate = tuple((_code([(1 << bits) - 1] * len(comp), comp, bits),
                             _code([self.unit] * len(comp), comp, bits))
                            for comp in comps if len(comp) > 1)

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +298,30 @@ class TestOtherCommands:
 def test_main_returns_exit_code():
     assert main(["compute", "--space", "pt", "--algebra", "truncpoly(2)",
                  "--field", "F3", "--max-degree", "1"]) == 0
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter on this checkout's
+    ``src``, writing no bytecode, as a ``loday`` process starts."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300, check=False)
+
+
+def test_only_seed_suite_imports_the_acceptance_criteria():
+    """Importing the CLI leaves ``acceptance`` unimported, so no other
+    command compiles it; ``seed-suite`` still imports it to run a criterion
+    and to reject a number outside the criteria as a usage error."""
+    probe = _fresh_python("-c", "import sys, lodayhom.cli; "
+                          "print('lodayhom.acceptance' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "False\n"
+    passed = _fresh_python("-m", "lodayhom.cli", "seed-suite", "--only", "2")
+    assert passed.returncode == 0, passed.stderr
+    assert "criterion  2: PASS" in passed.stdout
+    assert "1/1 criteria passed" in passed.stdout
+    unknown = _fresh_python("-m", "lodayhom.cli", "seed-suite", "--only", "14")
+    assert unknown.returncode == 2
+    assert "--only takes comma-separated criterion numbers" in unknown.stderr

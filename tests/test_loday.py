@@ -1,5 +1,6 @@
 """Chain assembly, normalization and homology of the labelled complexes."""
 
+import json
 from random import Random
 from typing import NamedTuple
 
@@ -12,7 +13,8 @@ from sympy.polys.matrices import DomainMatrix
 from lodayhom import loday, oracle
 from lodayhom.acceptance import hochschild_closed_form, random_small_inputs
 from lodayhom.algebra import (
-    Coefficients, exterior, parse_algebra_expr, polynomial, truncated_poly,
+    Coefficients, exterior, load_algebra, parse_algebra_expr, polynomial,
+    truncated_poly,
 )
 from lodayhom.exactlinalg import make_field
 from lodayhom.loday import (
@@ -225,6 +227,23 @@ def label_bits(algebra, c_alg, bound):
     return max(1, top.bit_length())
 
 
+def cube_unit_second():
+    """k[x]/x^3 over F3 on the basis x, 1, y (weights 1, 0, 2), so that its
+    unit is index 1: a label and a coefficient algebra whose unit is not the
+    first index."""
+    products = [{"left": "1", "right": b, "value": [{"basis": b, "coeff": 1}]}
+                for b in ("x", "1", "y")]
+    return load_algebra(json.dumps({
+        "field": "Fp:3",
+        "basis": [{"name": "x", "weight": 1}, {"name": "1", "weight": 0},
+                  {"name": "y", "weight": 2}],
+        "unit": "1",
+        "structure": products + [{"left": "x", "right": "x",
+                                  "value": [{"basis": "y", "coeff": 1}]}],
+        "augmentation": [{"basis": "1", "coeff": 1}],
+    }))
+
+
 class TestPrunedEnumeration:
     @pytest.mark.parametrize("algebra,bound", [
         (truncated_poly(3, 2), 30), (exterior(3), 30), (polynomial(3), 4),
@@ -247,6 +266,43 @@ class TestPrunedEnumeration:
                 saw_degenerate_level = True
                 assert got == {}, (expr, p)
         assert saw_degenerate_level
+
+    @pytest.mark.parametrize("algebra,bound", [
+        (truncated_poly(3, 2), 30), (polynomial(3), 4),
+        (cube_unit_second(), 5),
+    ], ids=["truncpoly(2)", "poly", "cube-unit-second"])
+    @pytest.mark.parametrize("coeffs", [
+        UNIT, Coefficients.self_algebra(),
+        Coefficients.custom(cube_unit_second(), None),
+    ], ids=["unit", "self", "custom"])
+    @pytest.mark.parametrize("axes,max_degree", [
+        (("S1", "S1"), 3), (("wedge(S1,S1)", "pt"), 3),
+        (("S1", "simplexsphere(2)"), 2),
+    ], ids=["S1xS1", "wedge-x-pt", "S1xS2"])
+    def test_matches_filtered_enumeration_on_several_axes(
+            self, algebra, bound, coeffs, axes, max_degree):
+        """Per-axis normalized levels of products, whose degeneracies miss
+        several slots at once, list the same codes in the same order as the
+        filtered reference; the coefficients of the custom algebra, the
+        algebra of ``self`` on the cube, and the cube's labels have several
+        weights and a unit that is not the first index."""
+        c_alg, _ = _resolve_coefficients(algebra, coeffs)
+        bits = label_bits(algebra, c_alg, bound)
+        spaces = tuple(build_space(expr, max_degree + 1) for expr in axes)
+        complex_ = LodayComplex(spaces, algebra, UNIT, max_degree, bound)
+        several = False
+        for key, slots in complex_.slots.items():
+            complements = _degenerate_complements(spaces, key, slots)
+            several |= any(len(comp) > 1 for comp in complements)
+            got = {w: [decode(x, len(slots), bits) for x in codes]
+                   for w, codes in _enumerate_block_bases(
+                       algebra, c_alg, len(slots), bound, bits,
+                       complements).items()}
+            want = filtered_block_bases(algebra, c_alg, len(slots), bound,
+                                        complements)
+            assert got == want, key
+            assert list(got) == sorted(want), key
+        assert several
 
 
 class TestBlockCounts:

@@ -155,7 +155,7 @@ def _assert_faces_equal_reference(space, algebra, coefficients, d):
         cols, rows = complex_.level(key), complex_.level(low)
         for _, plan in complex_.signed_plans(key, 0):
             faces = _pull_faces([(1, plan)], n, (), complex_.unfold,
-                                complex_.sizes, bits)
+                                complex_.sizes, bits, {})
             for w, col_codes in cols.items():
                 row_codes = rows.get(w, ())
                 col_index = {x: c for c, x in enumerate(col_codes)}
@@ -362,6 +362,98 @@ def test_split_memo_serves_rows_past_its_slots(field, monkeypatch):
     assert served
     assert any(0 < len(memo) < rows and pulls > 1
                for memo, rows, pulls in served.values())
+
+
+def _assert_shared_tables_give_fresh_faces(complex_):
+    """Rank the complex, which fills its shared offset tables, then build
+    the faces of every (level, axis) kernel with that dict and with a fresh
+    one: they are equal in every field but the split memo, which each face
+    owns.  Returns whether ranking placed any table."""
+    homology_dims(complex_)
+    placed = bool(complex_.face_tables)
+    for key in sorted(complex_.slots):
+        for i, p in enumerate(key):
+            if not p:
+                continue
+            signed = [((-1) ** sum(key[:i]) * sign, plan)
+                      for sign, plan in complex_.signed_plans(key, i)]
+            args = (signed, len(complex_.slots[key]), complex_.complements[key],
+                    complex_.unfold, complex_.sizes, complex_.bits)
+            shared = _pull_faces(*args, complex_.face_tables)
+            fresh = _pull_faces(*args, {})
+            assert [face[:4] + face[5:] for face in shared] == \
+                [face[:4] + face[5:] for face in fresh], (key, i)
+            assert all(not face[4] for face in shared), (key, i)
+    return placed
+
+
+@pytest.mark.parametrize("field", [2, 3, "Q"])
+@pytest.mark.parametrize("mode", ["unit", "self", "custom"])
+def test_shared_face_tables_equal_fresh_ones(field, mode):
+    """Over every random small input, normalized and not, a kernel built
+    from the tables other kernels placed in the complex's dict has the
+    faces it would build alone."""
+    placed = []
+    for expr, algebra_spec, _, d in SMALL_INPUTS:
+        algebra = parse_algebra_expr(algebra_spec, field)
+        for normalized in (True, False):
+            placed.append(_assert_shared_tables_give_fresh_faces(build_complex(
+                build_space(expr, d + 1), algebra,
+                _coefficients(mode, algebra), d, normalized=normalized)))
+    assert sum(placed) > len(placed) // 2
+
+
+@pytest.mark.parametrize("mode", ["unit", "self"])
+@pytest.mark.parametrize("field_tag,square", [
+    (tag, 2) for tag, _ in CUBE_FIELDS] + [("Q", "1/2")],
+    ids=[f"{tag}-2y" for tag, _ in CUBE_FIELDS] + ["Q-y/2"])
+def test_shared_face_tables_on_non_monomial_presentations(field_tag, square,
+                                                          mode):
+    """The same on the cube k[x]/x^3 with x·x = 2y, and over Q also with
+    x·x = y/2, whose faces carry scalars other than one, so a plan gives a
+    face per scalar and the final tables are keyed by those scalars."""
+    algebra = _cube_truncation_without_monomials(field_tag, square)
+    for space, d in ((circle(4), 3), (build_space("sphere(2)", 2), 1)):
+        for normalized in (True, False):
+            assert _assert_shared_tables_give_fresh_faces(build_complex(
+                space, algebra, _coefficients(mode, algebra), d,
+                normalized=normalized))
+
+
+def test_each_offset_table_is_placed_once_per_complex(monkeypatch):
+    """HH of F3[t]/t^4 to degree 7: the inner faces of the circle merge the
+    same two cells on every level above them, and every inner face of a
+    level sends nothing to the basepoint, so ``_by_scalar`` runs once per
+    distinct split (merged positions, banned units) and cosplit
+    (positions sent to the basepoint, banned units, level), not once per
+    face and merged slot."""
+    calls, seen = [], []
+    by_scalar, pull_faces = loday._by_scalar, loday._pull_faces
+
+    def spy_by_scalar(rows, place):
+        calls.append(len(rows))
+        return by_scalar(rows, place)
+
+    def spy_pull_faces(signed_plans, n_slots, complements, *args):
+        seen.append((signed_plans, n_slots, complements))
+        return pull_faces(signed_plans, n_slots, complements, *args)
+
+    monkeypatch.setattr(loday, "_by_scalar", spy_by_scalar)
+    monkeypatch.setattr(loday, "_pull_faces", spy_pull_faces)
+    complex_ = build_complex(circle(8), truncated_poly(3, 4),
+                             Coefficients.self_algebra(), 7)
+    assert homology_dims(complex_).totals() == [4] + [3] * 7
+    distinct, per_face = set(), 0
+    for signed_plans, n_slots, complements in seen:
+        lone = {comp[0] for comp in complements if len(comp) == 1}
+        for _, (pre, to_base) in signed_plans:
+            merged = [srcs for srcs in pre if len(srcs) > 1]
+            per_face += len(merged) + 1
+            distinct |= {("split", srcs, tuple(q in lone for q in srcs))
+                         for srcs in merged}
+            distinct.add(("cosplit", to_base,
+                          tuple(q in lone for q in to_base), n_slots))
+    assert len(calls) == len(distinct) < per_face
 
 
 def _ranked_digest(complex_):
