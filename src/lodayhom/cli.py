@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import parse_algebra_expr, parse_coeff_expr
 from .exactlinalg import make_field
@@ -44,7 +45,12 @@ class RunConfig:
     only: tuple | None = None  # seed-suite criterion numbers
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the ``loday`` command line, built on the first
+    call (``parse_args``), never at import, and reused by every later call
+    in the process: a parse keeps no state in it, so a rejected argv leaves
+    the next parse as it would be alone."""
     parser = argparse.ArgumentParser(
         prog="loday",
         description="homology of algebra-labelled complexes over pointed "

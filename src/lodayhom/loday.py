@@ -56,6 +56,7 @@ counts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -161,19 +162,26 @@ def _check_action(algebra, c_alg, table):
                     f"({algebra.name(i)}, {algebra.name(j)})")
 
 
-def _block_counts(algebra, c_alg, n_slots, bound):
+def _block_counts(algebra, c_alg, n_slots, bound, fewer=None):
     """Numbers of labelings per total weight 0..bound, computed before
     enumeration: the weight multiplicities (basis elements per weight) of
-    n_slots copies of A and one of C convolved."""
-    a_mult, c_mult = ([len(alg.indices_of_weight(w)) for w in range(bound + 1)]
-                      for alg in (algebra, c_alg))
-    counts = [1] + [0] * bound
-    for factor in [a_mult] * n_slots + [c_mult]:
+    n_slots copies of A and one of C convolved.
+
+    ``fewer``, when given, is ``(m, counts)``: the counts of m <= n_slots
+    slots, onto which only the n_slots - m copies of A they lack are
+    convolved.  ``LodayComplex`` passes each level the counts of the level
+    with the next fewer slots, so a level with one slot more than another
+    costs one convolution."""
+    if fewer is None:
+        fewer = 0, [len(c_alg.indices_of_weight(w)) for w in range(bound + 1)]
+    m, counts = fewer
+    a_mult = [len(algebra.indices_of_weight(w)) for w in range(bound + 1)]
+    for _ in range(n_slots - m):
         nxt = [0] * (bound + 1)
         for w, c in enumerate(counts):
             if c:
-                for dw, m in enumerate(factor[:bound + 1 - w]):
-                    nxt[w + dw] += c * m
+                for dw, k in enumerate(a_mult[:bound + 1 - w]):
+                    nxt[w + dw] += c * k
         counts = nxt
     return counts
 
@@ -504,12 +512,19 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits,
     and built there on first use, so faces that merge the same cells, on
     one level or several, share them.  A key names what its table is built
     from: ``("split", srcs, banned)`` by the positions of the merged cells
-    and the bits of the ones whose unit is banned, ``("cosplit", to_base,
+    and the bits of the ones whose unit is banned; ``("cosplit", to_base,
     banned, top)`` by the positions sent to the basepoint, their banned
-    bits and the coefficient's shift, and ``("final", split, s, cosplit,
-    t)`` by the keys and scalars of the two tables it combines.  The dict
-    holds the ``_by_scalar`` lists of the first two kinds and the final
-    tables; the memos stay per face.
+    bits and the coefficient's shift ``top``, which is None where C has one
+    basis element, as every coefficient is then placed as ``0 << top``;
+    and ``("final", split, s, cos, t)`` by the key and scalar of the split
+    table it combines and the cosplit offsets ``cos`` of scalar t
+    themselves.  So with one coefficient a final depends on no level, and
+    every level whose faces merge the same cells shares it (the inner
+    faces of the circle with unit coefficients, on every level above
+    them), even where they send different cells to the basepoint but place
+    the same cosplit offsets; with a larger C each level keeps its own.
+    The dict holds the ``_by_scalar`` lists of the first two kinds and the
+    final tables; the memos stay per face.
     """
     lone = {comp[0] for comp in complements if len(comp) == 1}
     n_labels, n_coeffs = sizes
@@ -541,7 +556,7 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits,
                      for x in range(n_labels)],
                     lambda t: _code(t, srcs, bits))))
         banned = sum(2 << i for i, q in enumerate(to_base) if q in lone)
-        cos_key = ("cosplit", to_base, banned, top)
+        cos_key = ("cosplit", to_base, banned, top if n_coeffs > 1 else None)
         cosplits = placed(cos_key, lambda: _by_scalar(
             [unfold(1, c, len(to_base), banned) for c in range(n_coeffs)],
             lambda t: t[0] << top | _code(t[1:], to_base, bits)))
@@ -554,7 +569,7 @@ def _pull_faces(signed_plans, n_slots, complements, unfold, sizes, bits,
                 last, fmask = shifts[-1], digit
                 ends = splits.pop()
                 final = placed(
-                    ("final", split_key, scalars[-2], cos_key, scalars[-1]),
+                    ("final", split_key, scalars[-2], cos, scalars[-1]),
                     lambda: tuple(tuple(tuple(m + o for m in ms for o in os)
                                         for os in cos) for ms in ends))
             else:
@@ -734,9 +749,11 @@ class LodayComplex:
                           * max(map(len, self.slots.values()))
                           + self.c_alg.max_basis_weight)
         ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-        self.counts = {key: _block_counts(algebra, self.c_alg, len(cells),
-                                          self.bound)
-                       for key, cells in self.slots.items()}
+        self.counts, fewer = {}, None
+        for key in sorted(self.slots, key=lambda key: len(self.slots[key])):
+            n = len(self.slots[key])
+            fewer = n, _block_counts(algebra, self.c_alg, n, self.bound, fewer)
+            self.counts[key] = fewer[1]
         total = sum(map(sum, self.counts.values()))
         if total > ceiling:
             raise BasisSizeExceeded(
@@ -798,10 +815,19 @@ class LodayComplex:
         built.  A pivot is ``(row, column)``, the column named ``(level,
         code)`` on a listed total degree and by its number on the top."""
         for k in range(1, self.max_degree + 2):
-            for key, (rows, names) in self.implicit_blocks(k, cleared):
+            for key, (rows, levels) in self.implicit_blocks(k, cleared):
                 found = row_pivots(rows, self.field)
-                yield key, (found if names is None
-                            else [(r, names[c]) for r, c in found])
+                if levels is None:
+                    yield key, found
+                    continue
+                # the columns are numbered level after level, each level's
+                # in the order of its index
+                codes, ends = [], []
+                for _, index in levels:
+                    codes.extend(index)
+                    ends.append(len(codes))
+                yield key, [(r, (levels[bisect_right(ends, c)][0], codes[c]))
+                            for r, c in found]
 
     def check_boundary_squares(self):
         """The (degree p, weight) of every block ``∂_p`` whose product with
@@ -855,10 +881,12 @@ class LodayComplex:
         per weight w and keyed (k, w), each onto its rows in the codes
         ``_codes`` outside the set it pops from ``cleared`` (block key ->
         the rows, named ``(level, code)``, that are pivot columns of the
-        block below, which cannot change its rank).  A block is its row
-        dicts and the name ``(level, code)`` of each of its columns, or
-        None for the names on the top total degree, whose pivots clear
-        nothing.
+        block below, which cannot change its rank).  That set is grouped
+        into one set of codes per level, and only a level that has some
+        loses them from its list.  A block is its row dicts and ``(key,
+        index)`` per column level (``_total_block``), from which
+        ``_ranked`` names only the pivot columns ``(level, code)``, or None
+        on the top total degree, whose pivots clear nothing.
 
         The levels of total degree k (``summands``) are stacked in key order
         as its columns, those of k - 1 as its rows, and the faces along axis
@@ -876,9 +904,14 @@ class LodayComplex:
         bases, lows = self._codes, self.summands(k - 1)
         rows = {}
         for w, n in enumerate(self.weight_counts(k)):
-            skip = cleared.pop((k, w), ())
-            kept = {low: [x for x in bases.get(low + (w,), ())
-                          if (low, x) not in skip] for low in lows}
+            skip = {}
+            for low, x in cleared.pop((k, w), ()):
+                skip.setdefault(low, set()).add(x)
+            kept = {}
+            for low in lows:
+                codes, gone = bases.get(low + (w,), ()), skip.get(low)
+                kept[low] = [x for x in codes if x not in gone] if gone \
+                    else codes
             if n and any(kept.values()):
                 rows[w] = kept
         if not rows:
@@ -892,8 +925,7 @@ class LodayComplex:
                 if not listed or key + (w,) in bases}, w)
             if self.fractional:
                 integer_rows(out)
-            return out, ([(key, code) for key, index in levels
-                          for code in index] if listed else None)
+            return out, levels if listed else None
         return (((k, w), block(kept, w)) for w, kept in rows.items())
 
     def fills(self, k):

@@ -144,16 +144,19 @@ def product_decomposition_check(x, y, algebra, coefficients: Coefficients,
     """Compare X x Y against X v Y v (X smash Y) at the dimension level.
 
     X and Y are built once, at top level max_degree + 1, and must be
-    connected.  The product side is ranked on the two factors' own axes
-    (a ``LodayComplex`` on both), per-axis normalized unless ``normalized``
-    is off.  With ``unit`` coefficients the wedge side is the Künneth
-    convolution of the homology tables of X, of Y and of X smash Y, each
-    ranked on its diagonal complex; with ``self`` or custom coefficients
-    Künneth does not hold, and the wedge side is the diagonal complex of
-    the wedge.  ``max_block_size`` bounds each complex ranked."""
+    connected; when they are the same expression Y is X's space.  The
+    product side is ranked on the two factors' own axes (a ``LodayComplex``
+    on both), per-axis normalized unless ``normalized`` is off.  With
+    ``unit`` coefficients the wedge side is the Künneth convolution of the
+    homology tables of X, of Y and of X smash Y, each ranked on its
+    diagonal complex, and Y's is X's when they are the same expression;
+    with ``self`` or custom coefficients Künneth does not hold, and the
+    wedge side is the diagonal complex of the wedge.  ``max_block_size``
+    bounds each complex ranked."""
     xe, ye = _as_expr(x), _as_expr(y)
     top = max_degree + 1
-    sx, sy = build_space(xe, top), build_space(ye, top)
+    sx = build_space(xe, top)
+    sy = sx if ye == xe else build_space(ye, top)
     for expr, space in ((xe, sx), (ye, sy)):
         if not is_connected(space):
             raise NotConnected(f"{expr} is not connected")
@@ -165,7 +168,9 @@ def product_decomposition_check(x, y, algebra, coefficients: Coefficients,
         return homology_dims(build_complex(space, *settings))
 
     if coefficients.mode == "unit":
-        rt = wedge_kunneth_dims(wedge_kunneth_dims(h(sx), h(sy), max_degree),
+        hx = h(sx)
+        hy = hx if sy is sx else h(sy)
+        rt = wedge_kunneth_dims(wedge_kunneth_dims(hx, hy, max_degree),
                                 h(smash(sx, sy)), max_degree)
     else:
         rt = h(wedge(wedge(sx, sy), smash(sx, sy)))

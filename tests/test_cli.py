@@ -325,3 +325,63 @@ def test_only_seed_suite_imports_the_acceptance_criteria():
     unknown = _fresh_python("-m", "lodayhom.cli", "seed-suite", "--only", "14")
     assert unknown.returncode == 2
     assert "--only takes comma-separated criterion numbers" in unknown.stderr
+
+
+def test_importing_the_cli_builds_no_parser():
+    """``import lodayhom.cli`` builds no ``ArgumentParser``; the first
+    ``parse_args`` builds the one parser and a second call reuses it."""
+    probe = _fresh_python("-c", """
+import argparse
+made = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from lodayhom import cli
+print(len(made))
+cli.parse_args(["validate", "--space", "pt"])
+first = len(made)
+cli.parse_args(["compute", "--space", "S1", "--algebra", "truncpoly(2)",
+                "--field", "F3", "--max-degree", "1"])
+print(first > 0, len(made) == first)
+""")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "0\nTrue True\n"
+
+
+def test_reused_parser_returns_independent_configs():
+    first = parse_args(COMPARE_ARGS)
+    second = parse_args(["compute", "--space", "S1", "--algebra", "poly",
+                         "--field", "Q", "--max-degree", "3",
+                         "--max-weight", "4", "--no-normalize"])
+    assert first is not second
+    second.max_degree = 9
+    assert first == RunConfig(command="compare", space=TORUS, space_b=WEDGE,
+                              algebra="truncpoly(2)", field="F3",
+                              coeff="unit", max_degree=2)
+    assert parse_args(COMPARE_ARGS) == first
+    assert second.space == "S1" and not second.normalized
+
+
+@pytest.mark.parametrize("rejected", [
+    ["compute", "--space", "S1", "--algebra", "poly", "--field", "F3",
+     "--max-degree", "2"],
+    ["compare", "--space-a", "S1", "--algebra", "poly", "--field", "F3",
+     "--max-degree", "2", "--max-weight", "2", "--no-normalize"],
+    ["validate", "--space", "pt", "--top-level", "-1", "--format", "json"],
+    ["seed-suite", "--only", "99"],
+], ids=["poly-without-bound", "missing-space-b", "negative-top", "bad-only"])
+def test_a_rejected_argv_leaves_the_next_parse_alone(rejected):
+    """After a usage error (exit 2) the reused parser parses a valid argv
+    as a fresh interpreter does."""
+    valid = ["compare", "--space-a", "S1", "--space-b", "sphere(2)",
+             "--algebra", "truncpoly(2)", "--field", "F2", "--max-degree", "1"]
+    with pytest.raises(SystemExit) as err:
+        parse_args(rejected)
+    assert err.value.code == 2
+    alone = _fresh_python("-c", "import sys; from lodayhom.cli import "
+                          "parse_args; print(repr(parse_args(sys.argv[1:])))",
+                          *valid)
+    assert alone.returncode == 0, alone.stderr
+    assert repr(parse_args(valid)) + "\n" == alone.stdout

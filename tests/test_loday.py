@@ -321,6 +321,32 @@ class TestBlockCounts:
             assert _block_counts(algebra, c_alg, n_slots, bound) == \
                 [len(blocks.get(w, ())) for w in range(bound + 1)], n_slots
 
+    @staticmethod
+    def _assert_derived_counts_equal_fresh_ones(complex_):
+        for key, cells in complex_.slots.items():
+            assert complex_.counts[key] == _block_counts(
+                complex_.algebra, complex_.c_alg, len(cells),
+                complex_.bound), key
+
+    @pytest.mark.parametrize("coeffs", [UNIT, Coefficients.self_algebra()],
+                             ids=["unit", "self"])
+    def test_derived_level_counts_equal_fresh_ones(self, coeffs):
+        """Each level's counts, derived from the level with the most slots
+        below it, equal the convolution from scratch: on every level of
+        the random small inputs, of a two-axis product and of a
+        weight-bounded complex over k[t]."""
+        for expr, algebra_spec, p, d in random_small_inputs():
+            algebra = parse_algebra_expr(algebra_spec, p)
+            self._assert_derived_counts_equal_fresh_ones(build_complex(
+                build_space(expr, d + 1), algebra, coeffs, d))
+        grid = LodayComplex((circle(4), build_space("sphere(2)", 4)),
+                            truncated_poly(3, 2), coeffs, 3)
+        assert len({len(cells) for cells in grid.slots.values()}) > 4
+        self._assert_derived_counts_equal_fresh_ones(grid)
+        self._assert_derived_counts_equal_fresh_ones(build_complex(
+            build_space("wedge(S1,sphere(2))", 5), polynomial(3), coeffs, 4,
+            weight_bound=6))
+
 
 def level_sizes(space, algebra, coefficients, levels, normalized=True,
                 bound=None):

@@ -456,6 +456,26 @@ def test_each_offset_table_is_placed_once_per_complex(monkeypatch):
     assert len(calls) == len(distinct) < per_face
 
 
+@pytest.mark.parametrize("make,finals", [
+    (lambda: build_complex(circle(9), polynomial(3), Coefficients.unit(), 8,
+                           12), 8),
+    (lambda: oracle.torus_bicomplex(truncated_poly(3, 2), Coefficients.unit(),
+                                    4), 30),
+    (lambda: build_complex(circle(8), truncated_poly(3, 4),
+                           Coefficients.self_algebra(), 7), 28),
+], ids=["circle-poly", "grid", "hochschild"])
+def test_final_tables_placed_per_complex(make, finals):
+    """The final tables a ranked complex holds.  With unit coefficients C
+    has one basis element, so a final depends on no level: the circle over
+    F3[t] to degree 8 and weight 12 shares one per split table, and the
+    degree-4 grid one per split table and distinct cosplit offsets.  HH of
+    F3[t]/t^4 to degree 7 places its coefficient at each level's own shift,
+    and keeps one final per level and face."""
+    complex_ = make()
+    homology_dims(complex_)
+    assert [key[0] for key in complex_.face_tables].count("final") == finals
+
+
 def _ranked_digest(complex_):
     """sha256 of every block's pivots in the order ``homology_dims`` takes
     them, with its clearing by the codes of the pivot columns: each pivot

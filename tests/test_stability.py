@@ -111,6 +111,30 @@ class TestProductDecomposition:
         assert report.rows == diagonal.rows
         assert report.verdict == diagonal.verdict
 
+    @pytest.mark.parametrize("y", ["S1", "sphere(2)"])
+    def test_a_factor_repeated_is_ranked_once(self, monkeypatch, y):
+        """With unit coefficients the wedge side ranks the diagonal complex
+        of X once and reuses its table for Y when Y is the same expression;
+        a Y of its own is ranked on its own.  Either way the report is the
+        diagonal complexes'."""
+        import lodayhom.stability as stability
+        spaces, original = [], stability.build_complex
+
+        def spy(space, *args):
+            spaces.append(space.label)
+            return original(space, *args)
+
+        monkeypatch.setattr(stability, "build_complex", spy)
+        alg = polynomial(3)
+        report = product_decomposition_check("S1", y, alg, UNIT, 2, 5)
+        factors = [label for label in spaces if "smash" not in label]
+        assert factors == (["S1"] if y == "S1" else ["S1", y])
+        diagonal = compare_spaces(
+            f"prod(S1,{y})", f"wedge(wedge(S1,{y}),smash(S1,{y}))", alg,
+            UNIT, 2, 5)
+        assert (report.rows, report.verdict) == \
+            (diagonal.rows, diagonal.verdict)
+
     def test_not_connected_rejected(self, monkeypatch):
         import lodayhom.stability as stability
         # two disjoint vertices: connected fails, so the check must refuse
