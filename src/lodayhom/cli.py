@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Commands: compute, compare, check-product, oracle-bicomplex, validate and
-seed-suite.  Reports go to stdout in text, csv or json form; diagnostics go to
-stderr.  Output bytes depend only on the configuration.
+seed-suite.  Reports go to stdout in text, csv or json form (validate: text
+or json); diagnostics go to stderr.  Output bytes depend only on the
+configuration.
 
 Exit codes: 0 success/agreement; 10 a comparison reported a discrepancy;
 2 arguments rejected by ``parse_args``; 1 anything ``run`` rejects, including
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from .algebra import parse_algebra_expr, parse_coeff_expr
@@ -25,24 +25,8 @@ from .loday import DEFAULT_MAX_BLOCK, build_complex, homology_dims
 from .oracle import torus_bicomplex, total_homology
 from .simplicial import build_space, parse_space_expr, validate
 from .stability import (
-    EVIDENCE_NOTE, ComparisonReport, compare_spaces, product_decomposition_check,
+    EVIDENCE_NOTE, compare_spaces, product_decomposition_check,
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    space: str | None = None
-    space_b: str | None = None
-    algebra: str | None = None
-    field: str | None = None
-    coeff: str = "unit"
-    max_degree: int = 2
-    weight_bound: int | None = None
-    normalized: bool = True
-    output: str = "text"
-    max_basis: int | None = None
-    only: tuple | None = None  # seed-suite criterion numbers
 
 
 @cache
@@ -85,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("validate", help="validate a space expression")
     vp.add_argument("--space", required=True)
     vp.add_argument("--top-level", type=int, default=3)
-    vp.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    vp.add_argument("--format", choices=("text", "json"), default="text")
     sp = sub.add_parser("seed-suite", help="run the acceptance suite")
     sp.add_argument("--only", default=None,
                     help="comma-separated criterion numbers")
@@ -107,158 +91,86 @@ def _parse_criteria(text: str, parser) -> tuple:
     return numbers
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
+    """argparse's namespace for ``argv``, which ``run`` reads as it is, once
+    it passes the checks argparse does not make (a failed one exits 2)."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    if ns.command == "validate":
-        if ns.top_level < 0:
-            parser.error("--top-level must be >= 0")
-        cfg.space = ns.space
-        cfg.max_degree = ns.top_level
-        cfg.output = ns.format
-        return cfg
     if ns.command == "seed-suite":
         if ns.only is not None:
-            cfg.only = _parse_criteria(ns.only, parser)
-        return cfg
-    cfg.algebra = ns.algebra
-    cfg.field = ns.field
-    cfg.coeff = ns.coeff
-    cfg.max_degree = ns.max_degree
-    cfg.weight_bound = ns.max_weight
-    cfg.output = ns.format
-    cfg.max_basis = ns.max_basis
-    if ns.command in ("compare", "check-product"):
-        cfg.space = ns.space_a
-        cfg.space_b = ns.space_b
-    elif ns.command == "compute":
-        cfg.space = ns.space
-    if ns.command != "oracle-bicomplex":
-        cfg.normalized = not ns.no_normalize
-    for flag, value in (("--max-degree", cfg.max_degree),
-                        ("--max-weight", cfg.weight_bound),
-                        ("--max-basis", cfg.max_basis)):
-        if value is not None and value < 0:
-            parser.error(f"{flag} must be >= 0")
+            ns.only = _parse_criteria(ns.only, parser)
+        return ns
+    for name in ("top_level", "max_degree", "max_weight", "max_basis"):
+        if (getattr(ns, name, None) or 0) < 0:
+            parser.error(f"--{name.replace('_', '-')} must be >= 0")
+    if ns.command == "validate":
+        return ns
     try:
-        make_field(cfg.field)
+        make_field(ns.field)
     except ValueError as exc:
         parser.error(str(exc))
-    if cfg.algebra.strip() == "poly" and cfg.weight_bound is None:
+    if ns.algebra.strip() == "poly" and ns.max_weight is None:
         parser.error("--max-weight is required for the algebra 'poly'")
-    return cfg
-
-
-def _json_dims(table, weight_bound):
-    if weight_bound is None:
-        return {str(n): table.total(n) for n in range(table.max_degree + 1)}
-    out = {}
-    for n in range(table.max_degree + 1):
-        out[str(n)] = {str(w): table.get(n, w) for w in table.weights()
-                       if table.get(n, w)}
-    return out
-
-
-def _json_pair_dims(report: ComparisonReport):
-    if report.weight_bound is None:
-        left, right = report.left_totals(), report.right_totals()
-        return {str(n): [left[n], right[n]]
-                for n in range(report.max_degree + 1)}
-    out = {}
-    for n in range(report.max_degree + 1):
-        block = {str(w): [l, r] for (m, w, l, r) in report.rows
-                 if m == n and (l or r)}
-        out[str(n)] = block
-    return out
+    return ns
 
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit_table(cfg: RunConfig, table, space_name: str) -> str:
-    if cfg.output == "json":
+def _report(ns, sides, columns, rows, totals, verdict=None) -> str:
+    """A homology table (one column ``dim``, no verdict) or a comparison
+    (a column per side, and its verdict) in ``ns.format``.
+
+    ``sides`` are ``(label, space)`` pairs, ``rows`` the nonzero
+    ``(degree, weight, *dims)`` in order and ``totals`` each column's
+    totals by degree.  A text column is as wide as its name."""
+    if ns.format == "json":
+        def cell(dims):
+            return dims[0] if len(dims) == 1 else list(dims)
+        if ns.max_weight is None:
+            dims = {str(n): cell(at_n) for n, at_n in enumerate(zip(*totals))}
+        else:
+            dims = {str(n): {} for n in range(ns.max_degree + 1)}
+            for n, w, *at_nw in rows:
+                dims[str(n)][str(w)] = cell(at_nw)
         return _dump_json({
-            "command": cfg.command,
-            "space": space_name,
-            "algebra": cfg.algebra,
-            "field": cfg.field,
-            "coeff": cfg.coeff,
-            "max_degree": cfg.max_degree,
-            "weight_bound": cfg.weight_bound,
-            "dims": _json_dims(table, cfg.weight_bound),
-            "verdict": None,
+            "command": ns.command,
+            "space": sides[0][1] if len(sides) == 1 else dict(sides),
+            "algebra": ns.algebra, "field": ns.field, "coeff": ns.coeff,
+            "max_degree": ns.max_degree, "weight_bound": ns.max_weight,
+            "dims": dims, "verdict": verdict,
         })
-    if cfg.output == "csv":
-        lines = ["degree,weight,dimension"]
-        for (n, w), dim in table.nonzero_blocks():
-            lines.append(f"{n},{w},{dim}")
+    names = ["degree", "weight", *columns]
+    if ns.format == "csv":
+        header = names[:2] + ["dimension"] if len(columns) == 1 else names
+        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
         return "\n".join(lines) + "\n"
-    lines = [
-        f"command: {cfg.command}",
-        f"space: {space_name}",
-        f"algebra: {cfg.algebra}",
-        f"field: {cfg.field}",
-        f"coeff: {cfg.coeff}",
-        f"max degree: {cfg.max_degree}",
-        f"weight bound: {'none' if cfg.weight_bound is None else cfg.weight_bound}",
-        "degree weight dim",
-    ]
-    for (n, w), dim in table.nonzero_blocks():
-        lines.append(f"{n:>6} {w:>6} {dim:>3}")
-    lines.append(f"totals by degree: {table.totals()}")
+    lines = [f"command: {ns.command}",
+             *(f"{label}: {space}" for label, space in sides),
+             f"algebra: {ns.algebra}",
+             f"field: {ns.field}",
+             f"coeff: {ns.coeff}",
+             f"max degree: {ns.max_degree}",
+             f"weight bound: {'none' if ns.max_weight is None else ns.max_weight}",
+             " ".join(names)]
+    lines += [" ".join(f"{v:>{len(name)}}" for v, name in zip(row, names))
+              for row in rows]
+    lines += [f"{'' if len(columns) == 1 else column + ' '}totals by degree: "
+              f"{t}" for column, t in zip(columns, totals)]
+    if verdict is not None:
+        lines += [f"verdict: {verdict}", f"note: {EVIDENCE_NOTE}"]
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(cfg: RunConfig, report: ComparisonReport) -> str:
-    if cfg.output == "json":
-        return _dump_json({
-            "command": cfg.command,
-            "space": {"left": report.left_expr, "right": report.right_expr},
-            "algebra": cfg.algebra,
-            "field": cfg.field,
-            "coeff": cfg.coeff,
-            "max_degree": cfg.max_degree,
-            "weight_bound": cfg.weight_bound,
-            "dims": _json_pair_dims(report),
-            "verdict": report.verdict,
-        })
-    if cfg.output == "csv":
-        lines = ["degree,weight,left,right"]
-        for (n, w, l, r) in report.rows:
-            if l or r:
-                lines.append(f"{n},{w},{l},{r}")
-        return "\n".join(lines) + "\n"
-    lines = [
-        f"command: {cfg.command}",
-        f"left: {report.left_expr}",
-        f"right: {report.right_expr}",
-        f"algebra: {cfg.algebra}",
-        f"field: {cfg.field}",
-        f"coeff: {cfg.coeff}",
-        f"max degree: {cfg.max_degree}",
-        f"weight bound: {'none' if cfg.weight_bound is None else cfg.weight_bound}",
-        "degree weight left right",
-    ]
-    for (n, w, l, r) in report.rows:
-        if l or r:
-            lines.append(f"{n:>6} {w:>6} {l:>4} {r:>5}")
-    lines.append(f"left totals by degree: {report.left_totals()}")
-    lines.append(f"right totals by degree: {report.right_totals()}")
-    lines.append(f"verdict: {report.verdict}")
-    lines.append(f"note: {EVIDENCE_NOTE}")
-    return "\n".join(lines) + "\n"
-
-
-def run(cfg: RunConfig, out=None, err=None) -> int:
-    """Execute a validated configuration; returns the exit code."""
+def run(ns: argparse.Namespace, out=None, err=None) -> int:
+    """Execute the namespace ``parse_args`` returns; returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        if cfg.command == "seed-suite":
+        if ns.command == "seed-suite":
             from . import acceptance
-            results = acceptance.run_all(only=cfg.only,
+            results = acceptance.run_all(only=ns.only,
                                          log=lambda s: print(s, file=err))
             failed = [r for r in results if not r.passed]
             for r in results:
@@ -268,15 +180,14 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
             print(f"{len(results) - len(failed)}/{len(results)} criteria passed",
                   file=out)
             return 0 if not failed else 1
-        if cfg.command == "validate":
-            expr = parse_space_expr(cfg.space)
-            space = build_space(expr, cfg.max_degree)
-            report = validate(space)
-            if cfg.output == "json":
+        if ns.command == "validate":
+            expr = parse_space_expr(ns.space)
+            report = validate(build_space(expr, ns.top_level))
+            if ns.format == "json":
                 out.write(_dump_json({
                     "command": "validate",
                     "space": str(expr),
-                    "top_level": cfg.max_degree,
+                    "top_level": ns.top_level,
                     "violations": list(report.violations),
                     "ok": report.ok,
                 }))
@@ -285,36 +196,35 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
                 out.write("result: pass\n" if report.ok else
                           "result: fail\n" + "\n".join(report.violations) + "\n")
             return 0 if report.ok else 1
-        field = make_field(cfg.field)
-        algebra = parse_algebra_expr(cfg.algebra, field)
-        coefficients = parse_coeff_expr(cfg.coeff, field)
-        if cfg.command == "compute":
-            expr = parse_space_expr(cfg.space)
-            space = build_space(expr, cfg.max_degree + 1)
-            complex_ = build_complex(space, algebra, coefficients,
-                                     cfg.max_degree, cfg.weight_bound,
-                                     cfg.normalized, cfg.max_basis)
-            out.write(_emit_table(cfg, homology_dims(complex_), str(expr)))
-            return 0
-        if cfg.command == "oracle-bicomplex":
-            bicomplex = torus_bicomplex(algebra, coefficients, cfg.max_degree,
-                                        cfg.weight_bound, cfg.max_basis)
-            table = total_homology(bicomplex)
-            out.write(_emit_table(cfg, table, "prod(S1,S1)"))
-            return 0
-        if cfg.command == "compare":
-            report = compare_spaces(cfg.space, cfg.space_b, algebra,
-                                    coefficients, cfg.max_degree,
-                                    cfg.weight_bound, cfg.normalized,
-                                    cfg.max_basis)
+        field = make_field(ns.field)
+        algebra = parse_algebra_expr(ns.algebra, field)
+        coefficients = parse_coeff_expr(ns.coeff, field)
+        if ns.command == "compute":
+            expr = parse_space_expr(ns.space)
+            table = homology_dims(build_complex(
+                build_space(expr, ns.max_degree + 1), algebra, coefficients,
+                ns.max_degree, ns.max_weight, not ns.no_normalize,
+                ns.max_basis))
+        elif ns.command == "oracle-bicomplex":
+            expr = "prod(S1,S1)"
+            table = total_homology(torus_bicomplex(
+                algebra, coefficients, ns.max_degree, ns.max_weight,
+                ns.max_basis))
         else:
-            report = product_decomposition_check(cfg.space, cfg.space_b,
-                                                 algebra, coefficients,
-                                                 cfg.max_degree,
-                                                 cfg.weight_bound,
-                                                 cfg.normalized, cfg.max_basis)
-        out.write(_emit_report(cfg, report))
-        return 0 if report.agrees else 10
+            check = (compare_spaces if ns.command == "compare"
+                     else product_decomposition_check)
+            report = check(ns.space_a, ns.space_b, algebra, coefficients,
+                           ns.max_degree, ns.max_weight, not ns.no_normalize,
+                           ns.max_basis)
+            out.write(_report(
+                ns, (("left", report.left_expr), ("right", report.right_expr)),
+                ("left", "right"), [r for r in report.rows if any(r[2:])],
+                (report.left_totals(), report.right_totals()), report.verdict))
+            return 0 if report.agrees else 10
+        out.write(_report(ns, (("space", str(expr)),), ("dim",),
+                          [(n, w, d) for (n, w), d in table.nonzero_blocks()],
+                          (table.totals(),)))
+        return 0
     except Exception as exc:  # internal errors map to exit code 1
         print(f"error: {exc}", file=err)
         return 1

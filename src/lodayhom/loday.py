@@ -749,12 +749,18 @@ class LodayComplex:
                           * max(map(len, self.slots.values()))
                           + self.c_alg.max_basis_weight)
         ceiling = DEFAULT_MAX_BLOCK if max_block_size is None else max_block_size
-        self.counts, fewer = {}, None
-        for key in sorted(self.slots, key=lambda key: len(self.slots[key])):
-            n = len(self.slots[key])
-            fewer = n, _block_counts(algebra, self.c_alg, n, self.bound, fewer)
-            self.counts[key] = fewer[1]
-        total = sum(map(sum, self.counts.values()))
+        # without a weight bound every labeling fits, so the total has a
+        # closed form, checked before any convolution
+        total = 0 if weight_bound is not None else self.c_alg.dim * sum(
+            algebra.dim ** len(cells) for cells in self.slots.values())
+        if total <= ceiling:
+            self.counts, fewer = {}, None
+            for key in sorted(self.slots, key=lambda key: len(self.slots[key])):
+                n = len(self.slots[key])
+                fewer = n, _block_counts(algebra, self.c_alg, n, self.bound,
+                                         fewer)
+                self.counts[key] = fewer[1]
+            total = sum(map(sum, self.counts.values()))
         if total > ceiling:
             raise BasisSizeExceeded(
                 f"the complex needs {total} labelings, ceiling is {ceiling}")

@@ -42,7 +42,7 @@ def torus_bicomplex(algebra, coefficients: Coefficients, max_degree: int,
 def total_homology(bicomplex: LodayComplex) -> HomologyTable:
     """``homology_dims`` of the grid.  It stays a name of its own only
     because the benchmark's trace hooks it (``bench/spans.py``), and it goes
-    with the benchmark-only change of ROADMAP item 2."""
+    with the benchmark-only change to that trace."""
     return homology_dims(bicomplex)
 
 

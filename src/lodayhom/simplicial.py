@@ -17,10 +17,11 @@ Conventions for the built-in constructors:
   ``circle`` is ``simplex_sphere(1)``, i.e. Delta^1/boundary.
 * products are levelwise cartesian products with identifier x*|Y_p| + y; in a
   wedge X keeps its identifiers and Y's non-basepoint ones follow in order.
-* ``collapse`` identifies simplices with the basepoint using a union-find
-  whose class representative is the smallest identifier, and keeps the
-  representatives in order; the smash is the product collapsed along both
-  axes through the basepoint.
+* ``collapse`` identifies simplices with the basepoint: per level the
+  basepoint and the collapsed simplices form the one class of several
+  simplices, whose smallest identifier represents it, and the representatives
+  keep their order; the smash is the product collapsed along both axes
+  through the basepoint.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from lodayhom import cli
-from lodayhom.cli import RunConfig, main, parse_args, run
+from lodayhom.cli import main, parse_args, run
 from lodayhom.algebra import dump_algebra, truncated_poly
 from lodayhom.simplicial import ValidationReport
 
@@ -36,14 +36,16 @@ class TestParseArgs:
         cfg = parse_args(["compute", "--space", "S1", "--algebra",
                           "truncpoly(2)", "--field", "F3", "--coeff", "unit",
                           "--max-degree", "3"])
-        assert cfg == RunConfig(command="compute", space="S1",
-                                algebra="truncpoly(2)", field="F3",
-                                coeff="unit", max_degree=3)
+        assert vars(cfg) == dict(command="compute", space="S1",
+                                 algebra="truncpoly(2)", field="F3",
+                                 coeff="unit", max_degree=3, max_weight=None,
+                                 no_normalize=False, format="text",
+                                 max_basis=None)
 
     def test_compare(self):
         cfg = parse_args(COMPARE_ARGS)
         assert cfg.command == "compare"
-        assert cfg.space == TORUS and cfg.space_b == WEDGE
+        assert cfg.space_a == TORUS and cfg.space_b == WEDGE
 
     def test_poly_needs_weight_bound(self):
         with pytest.raises(SystemExit) as err:
@@ -233,6 +235,12 @@ class TestOtherCommands:
         assert code == 0
         assert "result: pass" in out
 
+    def test_validate_has_no_csv_format(self):
+        # a validation report is no table, so it has text and json forms only
+        with pytest.raises(SystemExit) as err:
+            parse_args(["validate", "--space", "S1", "--format", "csv"])
+        assert err.value.code == 2
+
     def test_validate_malformed_expression(self):
         code, out, err = run_cli(["validate", "--space", "wedge(S1)"])
         assert code == 1
@@ -357,11 +365,13 @@ def test_reused_parser_returns_independent_configs():
                          "--max-weight", "4", "--no-normalize"])
     assert first is not second
     second.max_degree = 9
-    assert first == RunConfig(command="compare", space=TORUS, space_b=WEDGE,
-                              algebra="truncpoly(2)", field="F3",
-                              coeff="unit", max_degree=2)
+    assert vars(first) == dict(command="compare", space_a=TORUS,
+                               space_b=WEDGE, algebra="truncpoly(2)",
+                               field="F3", coeff="unit", max_degree=2,
+                               max_weight=None, no_normalize=False,
+                               format="text", max_basis=None)
     assert parse_args(COMPARE_ARGS) == first
-    assert second.space == "S1" and not second.normalized
+    assert second.space == "S1" and second.no_normalize
 
 
 @pytest.mark.parametrize("rejected", [

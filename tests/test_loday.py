@@ -707,6 +707,19 @@ class TestErrors:
             build_complex(build_space("prod(S1,S1)", 3), truncated_poly(2, 3),
                           UNIT, 2)
 
+    def test_ceiling_without_weight_bound_fails_before_counting(self,
+                                                              monkeypatch):
+        # level p of the 4-torus has (p + 1)^4 - 1 slots; without a weight
+        # bound every labeling fits, so the total needs no convolution
+        def count_nothing(*args):
+            raise AssertionError("convolved past the ceiling")
+        monkeypatch.setattr(loday, "_block_counts", count_nothing)
+        total = sum(2 ** ((p + 1) ** 4 - 1) for p in range(5))
+        with pytest.raises(BasisSizeExceeded,
+                           match=f"needs {total} labelings, ceiling is 10$"):
+            build_complex(build_space("torus(4)", 4), truncated_poly(3, 2),
+                          UNIT, 3, max_block_size=10)
+
     def test_negative_weight_bound(self):
         with pytest.raises(ValueError, match="weight_bound"):
             build_complex(circle(2), polynomial(3), UNIT, 1, weight_bound=-1)
