@@ -25,11 +25,37 @@ class SchemaError(ValueError):
 
 
 class AlgebraAxiomError(ValueError):
-    """A constructed algebra violates one of its axioms."""
+    """A constructed algebra or a custom action violates one of its axioms."""
 
     def __init__(self, axiom: str, message: str):
         self.axiom = axiom
         super().__init__(f"{axiom}: {message}")
+
+
+class FieldMismatch(ValueError):
+    """Algebra and coefficient algebra live over different fields."""
+
+
+def _cleaned(field: FieldSpec, lincomb: dict) -> dict:
+    """``lincomb`` with int keys and scalars normalized in ``field``, its
+    zero terms dropped."""
+    return {int(k): n for k, v in lincomb.items()
+            if (n := field.normalize(v)) != field.zero}
+
+
+def multiply(algebra, x: dict, y: dict) -> dict:
+    """The product x . y in ``algebra`` of two sparse linear combinations,
+    each basis element of x on the left.  The result has no zero terms,
+    and lists its terms in the order the products first reach them."""
+    field = algebra.field
+    zero = field.zero
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            ab = field.mul(a, b)
+            for k, c in algebra.mul(i, j).items():
+                out[k] = field.add(out.get(k, zero), field.mul(ab, c))
+    return {k: v for k, v in out.items() if v != zero}
 
 
 class GradedAlgebra:
@@ -44,15 +70,8 @@ class GradedAlgebra:
         self.names = tuple(names)
         self.weights = tuple(int(w) for w in weights)
         self.unit = int(unit)
-        table = {}
-        for (i, j), lin in structure.items():
-            cleaned = {}
-            for k, v in lin.items():
-                v = field.normalize(v)
-                if v != field.zero:
-                    cleaned[int(k)] = v
-            table[(int(i), int(j))] = cleaned
-        self._table = table
+        self._table = {(int(i), int(j)): _cleaned(field, lin)
+                       for (i, j), lin in structure.items()}
         self._aug = tuple(field.normalize(v) for v in augmentation)
         by_weight = {}
         for i, w in enumerate(self.weights):
@@ -103,17 +122,7 @@ class GradedAlgebra:
 
     def mul_lincomb(self, lincomb: dict, j: int) -> dict:
         """Multiply a sparse linear combination by the basis element j."""
-        field = self.field
-        zero = field.zero
-        out = {}
-        for k, c in lincomb.items():
-            for r, s in self.mul(k, j).items():
-                v = field.add(out.get(r, zero), field.mul(c, s))
-                if v == zero:
-                    out.pop(r, None)
-                else:
-                    out[r] = v
-        return out
+        return multiply(self, lincomb, {j: self.field.one})
 
     def __repr__(self) -> str:
         return f"<GradedAlgebra {self.description} dim={self.dim} over {self.field}>"
@@ -167,11 +176,7 @@ class PolynomialAlgebra:
         return range(weight_bound + 1)
 
     def mul_lincomb(self, lincomb: dict, j: int) -> dict:
-        field = self.field
-        out = {}
-        for k, c in lincomb.items():
-            out[k + j] = c if k + j not in out else field.add(out[k + j], c)
-        return {k: v for k, v in out.items() if v != field.zero}
+        return multiply(self, lincomb, {j: self.field.one})
 
     def __repr__(self) -> str:
         return f"<PolynomialAlgebra over {self.field}>"
@@ -222,18 +227,46 @@ class AlgebraValidationReport:
         )
 
 
-def _lincomb_eq(a: dict, b: dict, zero) -> bool:
-    keys = set(a) | set(b)
-    return all(a.get(k, zero) == b.get(k, zero) for k in keys)
+def _through_augmentation(algebra, unit: int):
+    """The map sending basis element i of ``algebra`` to aug(i) times the
+    basis element ``unit`` of another algebra."""
+    zero = algebra.field.zero
+    return lambda i: {unit: algebra.aug(i)} if algebra.aug(i) != zero else {}
+
+
+def ring_map_violations(axiom: str, source, target, image, indices) -> list:
+    """How ``image`` fails to be a ring map from ``source`` to ``target``,
+    as ``(axiom, detail)`` pairs: it must send 1 to 1, keep weights and be
+    multiplicative on the basis elements ``indices``.  ``image(i)`` is the
+    image of basis element i in ``target``, with no zero terms."""
+    field = source.field
+    zero = field.zero
+    v = []
+    if image(source.unit) != {target.unit: field.one}:
+        v.append((axiom, "1 is not sent to 1"))
+    for i in indices:
+        if any(target.weight(k) != source.weight(i) for k in image(i)):
+            v.append((axiom, f"{source.name(i)} is not sent into weight "
+                             f"{source.weight(i)}"))
+    for i in indices:
+        for j in indices:
+            sent = {}  # the image of i * j, by linearity
+            for k, c in source.mul(i, j).items():
+                for r, s in image(k).items():
+                    sent[r] = field.add(sent.get(r, zero), field.mul(c, s))
+            sent = {r: s for r, s in sent.items() if s != zero}
+            if multiply(target, image(i), image(j)) != sent:
+                v.append((axiom, f"{source.name(i)} * {source.name(j)} is "
+                                 "not sent to the product of their images"))
+    return v
 
 
 def validate_algebra(algebra, weight_bound=None) -> AlgebraValidationReport:
     """Check commutativity, associativity, unit law, weight-additivity and the
-    augmentation axioms on all basis tuples (up to weight_bound for lazily
-    presented algebras)."""
+    augmentation, a ring map A -> k, on all basis tuples (up to weight_bound
+    for lazily presented algebras)."""
     v = []
-    field = algebra.field
-    zero, one = field.zero, field.one
+    one = algebra.field.one
     if not algebra.is_finite and weight_bound is None:
         raise ValueError("a weight bound is required for lazily presented algebras")
     indices = list(algebra.basis_indices(weight_bound))
@@ -245,12 +278,13 @@ def validate_algebra(algebra, weight_bound=None) -> AlgebraValidationReport:
         v.append(("weight", "weight-0 component is not spanned by the unit alone"))
     if any(algebra.weight(i) < 0 for i in indices):
         v.append(("weight", "negative weight in the basis"))
+    # products carry no zero terms, so dict equality is equality
     for j in indices:
-        if not _lincomb_eq(algebra.mul(unit, j), {j: one}, zero):
+        if algebra.mul(unit, j) != {j: one}:
             v.append(("unit", f"1 * {algebra.name(j)} != {algebra.name(j)}"))
     for i in indices:
         for j in indices:
-            if not _lincomb_eq(algebra.mul(i, j), algebra.mul(j, i), zero):
+            if algebra.mul(i, j) != algebra.mul(j, i):
                 v.append(("commutativity",
                           f"{algebra.name(i)} * {algebra.name(j)} is asymmetric"))
             for k, c in algebra.mul(i, j).items():
@@ -261,35 +295,15 @@ def validate_algebra(algebra, weight_bound=None) -> AlgebraValidationReport:
                               f"{algebra.weight(i) + algebra.weight(j)}"))
     for i in indices:
         for j in indices:
-            ij = algebra.mul(i, j)
             for k in indices:
-                left = {}
-                for r, c in ij.items():
-                    for s, d in algebra.mul(r, k).items():
-                        left[s] = field.add(left.get(s, zero), field.mul(c, d))
-                jk = algebra.mul(j, k)
-                right = {}
-                for r, c in jk.items():
-                    for s, d in algebra.mul(i, r).items():
-                        right[s] = field.add(right.get(s, zero), field.mul(c, d))
-                if not _lincomb_eq(left, right, zero):
+                if multiply(algebra, algebra.mul(i, j), {k: one}) != \
+                        multiply(algebra, {i: one}, algebra.mul(j, k)):
                     v.append(("associativity",
                               f"({algebra.name(i)}*{algebra.name(j)})*{algebra.name(k)}"
                               f" != {algebra.name(i)}*({algebra.name(j)}*{algebra.name(k)})"))
-    if algebra.aug(unit) != one:
-        v.append(("augmentation", "aug(1) != 1"))
-    for i in indices:
-        if algebra.weight(i) > 0 and algebra.aug(i) != zero:
-            v.append(("augmentation",
-                      f"aug({algebra.name(i)}) != 0 in positive weight"))
-        for j in indices:
-            lhs = zero
-            for k, c in algebra.mul(i, j).items():
-                lhs = field.add(lhs, field.mul(c, algebra.aug(k)))
-            if lhs != field.mul(algebra.aug(i), algebra.aug(j)):
-                v.append(("augmentation",
-                          f"aug({algebra.name(i)} * {algebra.name(j)}) is not "
-                          "multiplicative"))
+    v += ring_map_violations("augmentation", algebra,
+                             unit_coefficient_algebra(algebra.field),
+                             _through_augmentation(algebra, 0), indices)
     return AlgebraValidationReport(v)
 
 
@@ -448,12 +462,40 @@ class Coefficients:
             raise ValueError(f"unknown coefficient mode {mode!r}")
         if mode == "custom" and algebra is None:
             raise ValueError("custom coefficients need a coefficient algebra")
+        if mode == "custom" and not algebra.is_finite:
+            raise ValueError("custom coefficient algebras must be finite")
         if mode != "custom" and (algebra is not None or action is not None):
             raise ValueError(f"{mode} coefficients take no algebra or action")
         self.mode = mode
         self.algebra = algebra
         # action=None in custom mode means: act through the augmentation of A
         self.action = None if action is None else tuple(dict(a) for a in action)
+
+    def resolve(self, algebra):
+        """``(C, action)`` for labels in ``algebra``: the coefficient algebra
+        C and ``action(i)``, the image in C of basis element i of A with no
+        zero terms.  A custom action that is no ring map A -> C raises
+        ``AlgebraAxiomError`` with the axiom ``custom action``."""
+        field = algebra.field
+        if self.mode == "self":
+            return algebra, (lambda i: {i: field.one})
+        c_alg = (unit_coefficient_algebra(field) if self.mode == "unit"
+                 else self.algebra)
+        if c_alg.field != field:
+            raise FieldMismatch(
+                f"coefficient algebra over {c_alg.field}, algebra over {field}")
+        if self.action is None:
+            return c_alg, _through_augmentation(algebra, c_alg.unit)
+        if not algebra.is_finite:
+            raise ValueError("explicit custom actions need a finite algebra")
+        if len(self.action) != algebra.dim:
+            raise ValueError("action must list an image per basis element of A")
+        action = [_cleaned(field, row) for row in self.action].__getitem__
+        violations = ring_map_violations("custom action", algebra, c_alg,
+                                         action, range(algebra.dim))
+        if violations:
+            raise AlgebraAxiomError(*violations[0])
+        return c_alg, action
 
     @classmethod
     def unit(cls) -> "Coefficients":

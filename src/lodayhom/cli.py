@@ -73,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("seed-suite", help="run the acceptance suite")
     sp.add_argument("--only", default=None,
                     help="comma-separated criterion numbers")
+    parser.commands = sub.choices  # each command's own parser
     return parser
 
 
@@ -93,9 +94,10 @@ def _parse_criteria(text: str, parser) -> tuple:
 
 def parse_args(argv) -> argparse.Namespace:
     """argparse's namespace for ``argv``, which ``run`` reads as it is, once
-    it passes the checks argparse does not make (a failed one exits 2)."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    it passes the checks argparse does not make (a failed one exits 2 through
+    the command's own parser, as argparse's own errors do)."""
+    ns = build_parser().parse_args(argv)
+    parser = build_parser().commands[ns.command]
     if ns.command == "seed-suite":
         if ns.only is not None:
             ns.only = _parse_criteria(ns.only, parser)

@@ -26,7 +26,10 @@ before any is enumerated.
 
 Face pushforwards read one structure table per complex: every product of
 basis elements up to the weight bound and every coefficient action
-c . action(a), as (basis index, scalar) pairs.  A complex lists total
+c . action(a), as (basis index, scalar) pairs.  C and the action come from
+``Coefficients.resolve``, which checks a custom action, and each
+c . action(a) is an ``algebra.multiply``: this module builds and checks no
+coefficient system.  A complex lists total
 degrees 0..d, and ``homology_dims`` builds each block of the total
 differential when it ranks it, on the rows that clearing leaves (Ripser's
 implicit matrix with clearing; Bauer, J. Appl. Comput. Topol. 2021).  That
@@ -64,7 +67,8 @@ from itertools import product
 from math import comb, prod
 
 from .exactlinalg import FieldSpec, SparseMatrix, integer_rows, row_pivots
-from .algebra import Coefficients, unit_coefficient_algebra
+# FieldMismatch stays importable from here
+from .algebra import Coefficients, FieldMismatch, multiply
 from .simplicial import PointedSimplicialSet
 
 
@@ -76,90 +80,12 @@ class WeightBoundRequired(ValueError):
     """The algebra has unbounded weights and no weight bound was supplied."""
 
 
-class FieldMismatch(ValueError):
-    """Algebra and coefficient algebra live over different fields."""
-
-
 class BasisSizeExceeded(RuntimeError):
     """The labelings of a whole complex, predicted before any is built, would
     exceed the ceiling."""
 
 
 DEFAULT_MAX_BLOCK = 5_000_000  # ceiling on the labelings of one complex
-
-
-def _resolve_coefficients(algebra, coefficients: Coefficients):
-    """Return (C_algebra, action) where action maps an A basis index to its
-    image in C as a sparse linear combination."""
-    field = algebra.field
-    mode = coefficients.mode
-    if mode == "self":
-        one = field.one
-        return algebra, (lambda i: {i: one})
-    if mode == "unit":
-        c_alg = unit_coefficient_algebra(field)
-    else:
-        c_alg = coefficients.algebra
-        if c_alg.field != field:
-            raise FieldMismatch(
-                f"coefficient algebra over {c_alg.field}, algebra over {field}")
-    if mode == "unit" or coefficients.action is None:
-        # act through the augmentation of A
-        unit_c = c_alg.unit
-        action = lambda i: ({unit_c: algebra.aug(i)}
-                            if algebra.aug(i) != field.zero else {})
-        return c_alg, action
-    if not algebra.is_finite:
-        raise ValueError("explicit custom actions need a finite algebra")
-    rows = coefficients.action
-    if len(rows) != algebra.dim:
-        raise ValueError("action must list an image per basis element of A")
-    table = []
-    for i in range(algebra.dim):
-        lin = {}
-        for k, v in rows[i].items():
-            v = field.normalize(v)
-            if v != field.zero:
-                lin[int(k)] = v
-        table.append(lin)
-    _check_action(algebra, c_alg, table)
-    return c_alg, (lambda i: table[i])
-
-
-def _check_action(algebra, c_alg, table):
-    """A custom action must be a weight-preserving ring map sending 1 to 1."""
-    field = algebra.field
-    zero, one = field.zero, field.one
-    if table[algebra.unit] != {c_alg.unit: one}:
-        raise ValueError("custom action does not send 1 to 1")
-    for i in range(algebra.dim):
-        for k in table[i]:
-            if c_alg.weight(k) != algebra.weight(i):
-                raise ValueError(
-                    f"custom action is not weight-preserving on {algebra.name(i)}")
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            left = {}
-            for k, c in table[i].items():
-                for k2, c2 in table[j].items():
-                    for r, s in c_alg.mul(k, k2).items():
-                        v = field.add(left.get(r, zero), field.mul(field.mul(c, c2), s))
-                        if v == zero:
-                            left.pop(r, None)
-                        else:
-                            left[r] = v
-            right = {}
-            for k, c in algebra.mul(i, j).items():
-                for r, s in table[k].items():
-                    v = field.add(right.get(r, zero), field.mul(c, s))
-                    if v == zero:
-                        right.pop(r, None)
-                    else:
-                        right[r] = v
-            if left != right:
-                raise ValueError(
-                    f"custom action is not multiplicative on "
-                    f"({algebra.name(i)}, {algebra.name(j)})")
 
 
 def _block_counts(algebra, c_alg, n_slots, bound, fewer=None):
@@ -318,9 +244,6 @@ class HomologyTable:
     def totals(self):
         return [self.total(n) for n in range(self.max_degree + 1)]
 
-    def weights(self):
-        return sorted({w for (_, w) in self.dims})
-
     def nonzero_blocks(self):
         return sorted((k, d) for k, d in self.dims.items() if d)
 
@@ -337,8 +260,7 @@ def _structure_tables(algebra, c_alg, action, bound):
     bound; no labeling of a block can reach the latter, since every partial
     product of its labels has at most the block's weight.
     """
-    field = algebra.field
-    zero = field.zero
+    one = algebra.field.one
     a_idx = list(algebra.basis_indices(bound))
     c_idx = list(c_alg.basis_indices(bound))
     mul = [[()] * (a_idx[-1] + 1) for _ in range(a_idx[-1] + 1)]
@@ -346,16 +268,11 @@ def _structure_tables(algebra, c_alg, action, bound):
     for i in a_idx:
         for j in a_idx:
             if algebra.weight(i) + algebra.weight(j) <= bound:
-                mul[i][j] = tuple((k, v) for k, v in algebra.mul(i, j).items()
-                                  if v != zero)
+                mul[i][j] = tuple(algebra.mul(i, j).items())
     for c in c_idx:
         for a in a_idx:
             if c_alg.weight(c) + algebra.weight(a) <= bound:
-                lin = {}
-                for k, v in action(a).items():
-                    for r, s in c_alg.mul(c, k).items():
-                        lin[r] = field.add(lin.get(r, zero), field.mul(v, s))
-                act[c][a] = tuple((r, v) for r, v in lin.items() if v != zero)
+                act[c][a] = tuple(multiply(c_alg, {c: one}, action(a)).items())
     return mul, act
 
 
@@ -726,15 +643,13 @@ class LodayComplex:
         if not algebra.is_finite and weight_bound is None:
             raise WeightBoundRequired(
                 "the algebra has unbounded weights; supply a weight bound")
-        if coefficients.mode == "custom" and not coefficients.algebra.is_finite:
-            raise WeightBoundRequired("custom coefficient algebras must be finite")
         keys = [key for key in product(range(max_degree + 2), repeat=len(axes))
                 if sum(key) <= max_degree + 1]
         self.axes, self.algebra = axes, algebra
         self.field, self.unit = algebra.field, algebra.unit
         self.coeff_mode, self.max_degree = coefficients.mode, max_degree
         self.weight_bound = weight_bound
-        self.c_alg, action = _resolve_coefficients(algebra, coefficients)
+        self.c_alg, action = coefficients.resolve(algebra)
         self.basepoints = {key: tuple(axis.basepoints[p]
                                       for axis, p in zip(axes, key))
                            for key in keys}

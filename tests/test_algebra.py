@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,107 @@ class TestCorruptedStructure:
         report = validate_algebra(bad)
         assert any(axiom in ("associativity", "weight")
                    for axiom, _ in report.violations)
+
+    def test_associativity_alone(self):
+        """A commutative, weight-additive table that is not associative:
+        x*y = y*y = u and x*u = v, every other product of non-units 0."""
+        field = make_field(5)
+        names = ("ee", "xx", "yy", "uu", "vv")
+        structure = {(0, i): {i: 1} for i in range(5)}
+        structure.update({(1, 2): {3: 1}, (2, 1): {3: 1}, (2, 2): {3: 1},
+                          (1, 3): {4: 1}, (3, 1): {4: 1}})
+        bad = GradedAlgebra(field, names, (0, 1, 1, 2, 3), 0, structure,
+                            (1, 0, 0, 0, 0))
+        report = validate_algebra(bad)
+        assert {axiom for axiom, _ in report.violations} == {"associativity"}
+        triples = [flagged(detail)[:3] for _, detail in report.violations]
+        assert ("xx", "yy", "yy") in triples  # (x*y)*y = 0 != x*(y*y) = v
+        # and (x*x)*y = 0 != x*(x*y) = v, with both their mirror images
+        assert sorted(triples) == [("xx", "xx", "yy"), ("xx", "yy", "yy"),
+                                   ("yy", "xx", "xx"), ("yy", "yy", "xx")]
+
+
+# names no detail wording can contain, so that a violation's detail names
+# the elements it flags whatever its wording
+NAMES = ("ee", "tt", "uu", "xx", "yy", "vv")
+
+
+def flagged(detail):
+    """The basis elements a violation's detail names, in order."""
+    return tuple(re.findall(r"\b(%s)\b" % "|".join(NAMES), detail))
+
+
+def square_zero_f3(augmentation, unit_square=1):
+    """F3[t]/t^2 on the basis ee (the unit), tt, with the given
+    augmentation and ee * ee = unit_square * ee."""
+    structure = {(0, 0): {0: unit_square}, (0, 1): {1: 1}, (1, 1): {}}
+    return GradedAlgebra(make_field(3), ("ee", "tt"), (0, 1), 0, structure,
+                         augmentation)
+
+
+class TestAugmentationViolations:
+    """The augmentation must be a ring map A -> k: it sends 1 to 1, kills
+    the positive weights and is multiplicative.  Each test pins the axiom
+    and the elements its violations flag, not their wording."""
+
+    def augmentation_flags(self, algebra):
+        report = validate_algebra(algebra)
+        return sorted(flagged(detail) for axiom, detail in report.violations
+                      if axiom == "augmentation")
+
+    def test_unit_not_sent_to_one(self):
+        # aug(1) = 2, and then aug(1 * 1) = 2 != aug(1) * aug(1) = 1
+        assert self.augmentation_flags(square_zero_f3((2, 0))) == \
+            [(), ("ee", "ee")]
+
+    def test_nonzero_in_positive_weight(self):
+        # aug(t) = 1, and then aug(t * t) = 0 != aug(t) * aug(t) = 1
+        assert self.augmentation_flags(square_zero_f3((1, 1))) == \
+            [("tt",), ("tt", "tt")]
+
+    def test_not_multiplicative(self):
+        # 1 * 1 = 2 * 1 breaks the unit law, and aug(1 * 1) = 2 != 1
+        algebra = square_zero_f3((1, 0), unit_square=2)
+        assert self.augmentation_flags(algebra) == [("ee", "ee")]
+        assert "unit" in {axiom for axiom, _ in
+                          validate_algebra(algebra).violations}
+
+    def test_a_file_algebra_names_the_axiom(self):
+        doc = dump_algebra(truncated_poly(3, 2))
+        doc["augmentation"].append({"basis": "t", "coeff": 1})
+        with pytest.raises(AlgebraAxiomError) as err:
+            load_algebra(doc)
+        assert err.value.axiom == "augmentation"
+
+
+class TestMulLincomb:
+    """``mul_lincomb`` against products worked out by hand."""
+
+    def test_finite_over_f3_cancels(self):
+        # x*x = x*y = u, so (x + 2y) * x = 3u = 0 and (x + 2y) * 1 = x + 2y
+        structure = {(0, i): {i: 1} for i in range(4)}
+        structure.update({(1, 1): {3: 1}, (1, 2): {3: 1}})
+        a = GradedAlgebra(make_field(3), ("1", "x", "y", "u"), (0, 1, 1, 2),
+                          0, structure, (1, 0, 0, 0))
+        assert a.mul_lincomb({1: 1, 2: 2}, 1) == {}
+        assert a.mul_lincomb({1: 1, 2: 2}, 0) == {1: 1, 2: 2}
+        assert a.mul_lincomb({0: 2, 1: 1}, 2) == {2: 2, 3: 1}
+
+    def test_finite_over_q(self):
+        a = truncated_poly("Q", 3)
+        got = a.mul_lincomb({0: Fraction(1, 2), 1: Fraction(-3)}, 1)
+        assert got == {1: Fraction(1, 2), 2: Fraction(-3)}
+        assert a.mul_lincomb({1: Fraction(1, 2), 2: Fraction(5)}, 1) == \
+            {2: Fraction(1, 2)}
+        assert a.mul_lincomb({2: Fraction(7)}, 2) == {}
+
+    def test_polynomial_over_f3_and_q(self):
+        assert polynomial(3).mul_lincomb({0: 1, 2: 2}, 3) == {3: 1, 5: 2}
+        assert polynomial(3).mul_lincomb({1: 0, 2: 1}, 1) == {3: 1}
+        q = polynomial("Q")
+        assert q.mul_lincomb({1: Fraction(2, 3), 4: Fraction(-1)}, 0) == \
+            {1: Fraction(2, 3), 4: Fraction(-1)}
+        assert q.mul_lincomb({}, 5) == {}
 
 
 class TestFileSchema:

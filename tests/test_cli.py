@@ -91,6 +91,34 @@ class TestParseArgs:
                         "--max-weight", "1", flag, "-1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--space", "S1", "--algebra", "truncpoly(2)", "--field",
+         "F4", "--max-degree", "2"],
+        ["compare", "--space-a", "S1", "--space-b", "S1", "--algebra",
+         "poly", "--field", "F3", "--max-degree", "2"],
+        ["check-product", "--space-a", "S1", "--space-b", "S1", "--algebra",
+         "truncpoly(2)", "--field", "F3", "--max-degree", "2",
+         "--max-basis", "-1"],
+        ["validate", "--space", "pt", "--top-level", "-2"],
+        ["seed-suite", "--only", "99"],
+    ], ids=["field", "poly-without-bound", "negative-bound", "negative-top",
+            "only"])
+    def test_checks_after_argparse_report_through_the_subcommand(
+            self, argv, capsys):
+        """A check argparse does not make prints the subcommand's usage and
+        ``loday <command>: error:``, as argparse's own errors do."""
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"usage: loday {argv[0]} [-h]")
+        assert f"\nloday {argv[0]}: error: " in stderr
+        with pytest.raises(SystemExit):  # argparse's own: a missing value
+            parse_args(argv[:2])
+        own = capsys.readouterr().err
+        assert f"\nloday {argv[0]}: error: " in own
+        assert own.splitlines()[0] == stderr.splitlines()[0]
+
     def test_negative_top_level_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             parse_args(["validate", "--space", "pt", "--top-level", "-2"])

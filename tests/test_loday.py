@@ -1,6 +1,7 @@
 """Chain assembly, normalization and homology of the labelled complexes."""
 
 import json
+import re
 from random import Random
 from typing import NamedTuple
 
@@ -13,15 +14,15 @@ from sympy.polys.matrices import DomainMatrix
 from lodayhom import loday, oracle
 from lodayhom.acceptance import hochschild_closed_form, random_small_inputs
 from lodayhom.algebra import (
-    Coefficients, exterior, load_algebra, parse_algebra_expr, polynomial,
-    truncated_poly,
+    AlgebraAxiomError, Coefficients, GradedAlgebra, exterior, load_algebra,
+    parse_algebra_expr, polynomial, truncated_poly,
 )
 from lodayhom.exactlinalg import make_field
 from lodayhom.loday import (
     BasisSizeExceeded, FieldMismatch, LodayComplex, TruncationTooShallow,
     WeightBoundRequired, _block_counts, _degenerate_complements,
-    _enumerate_block_bases, _normalized_counts,
-    _resolve_coefficients, build_complex, chain_dims, homology_dims,
+    _enumerate_block_bases, _normalized_counts, build_complex, chain_dims,
+    homology_dims,
 )
 from lodayhom.simplicial import (
     PointedSimplicialSet, build_space, circle, point, simplex_sphere, validate,
@@ -251,7 +252,7 @@ class TestPrunedEnumeration:
     @pytest.mark.parametrize("coeffs", [UNIT, Coefficients.self_algebra()],
                              ids=["unit", "self"])
     def test_matches_filtered_enumeration(self, algebra, bound, coeffs):
-        c_alg, _ = _resolve_coefficients(algebra, coeffs)
+        c_alg, _ = coeffs.resolve(algebra)
         saw_degenerate_level = False
         for expr, p, slots, complements in enumeration_levels():
             bits = label_bits(algebra, c_alg, bound)
@@ -286,7 +287,7 @@ class TestPrunedEnumeration:
         filtered reference; the coefficients of the custom algebra, the
         algebra of ``self`` on the cube, and the cube's labels have several
         weights and a unit that is not the first index."""
-        c_alg, _ = _resolve_coefficients(algebra, coeffs)
+        c_alg, _ = coeffs.resolve(algebra)
         bits = label_bits(algebra, c_alg, bound)
         spaces = tuple(build_space(expr, max_degree + 1) for expr in axes)
         complex_ = LodayComplex(spaces, algebra, UNIT, max_degree, bound)
@@ -314,7 +315,7 @@ class TestBlockCounts:
                              ids=["unit", "self"])
     def test_counts_equal_unnormalized_block_sizes(self, algebra, bound,
                                                    coeffs):
-        c_alg, _ = _resolve_coefficients(algebra, coeffs)
+        c_alg, _ = coeffs.resolve(algebra)
         for n_slots in range(6):
             blocks = _enumerate_block_bases(algebra, c_alg, n_slots, bound,
                                             label_bits(algebra, c_alg, bound))
@@ -617,6 +618,32 @@ class TestSelfAndCustomCoefficients:
                           Coefficients.custom(target, [{0: 1}, {1: 1}, {1: 1}]),
                           1)
 
+    @staticmethod
+    def cube_f3():
+        """F3[t]/t^3 on the basis ee (the unit), tt, uu = t^2: names no
+        detail wording can contain."""
+        structure = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                     (1, 1): {2: 1}, (1, 2): {}, (2, 2): {}}
+        return GradedAlgebra(make_field(3), ("ee", "tt", "uu"), (0, 1, 2), 0,
+                             structure, (1, 0, 0))
+
+    @pytest.mark.parametrize("action,flagged", [
+        ([{0: 2}, {1: 1}, {2: 1}], ()),  # 1 -> 2
+        ([{0: 1}, {2: 1}, {}], ("tt",)),  # t -> t^2 leaves weight 1
+        ([{0: 1}, {1: 1}, {2: 2}], ("tt", "tt")),  # t^2 -> 2t^2 != t * t
+    ], ids=["unit", "weight", "multiplicative"])
+    def test_custom_action_violation_flags(self, action, flagged):
+        """A custom action that is no ring map is refused with the axiom
+        ``custom action``, naming the first element or pair it fails on
+        (pinned, not the wording)."""
+        cube = self.cube_f3()
+        with pytest.raises(AlgebraAxiomError) as err:
+            build_complex(circle(3), cube, Coefficients.custom(cube, action),
+                          1)
+        assert err.value.axiom == "custom action"
+        names = re.findall(r"\b(ee|tt|uu)\b", str(err.value))
+        assert tuple(names) == flagged
+
     def test_custom_action_field_mismatch(self):
         source = truncated_poly(3, 2)
         target = truncated_poly(5, 2)
@@ -690,6 +717,11 @@ class TestErrors:
     def test_weight_bound_required(self):
         with pytest.raises(WeightBoundRequired):
             build_complex(circle(3), polynomial(3), UNIT, 2)
+
+    def test_custom_coefficient_algebra_must_be_finite(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_complex(circle(3), truncated_poly(3, 2),
+                          Coefficients.custom(polynomial(3), None), 1)
 
     def test_basis_ceiling(self):
         with pytest.raises(BasisSizeExceeded):

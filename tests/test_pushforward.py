@@ -31,7 +31,7 @@ from lodayhom.algebra import (
 from lodayhom.exactlinalg import SparseMatrix, integer_rows, make_field
 from lodayhom.loday import (
     _factorizations, _lowered, _matrix, _pull_block, _pull_faces,
-    _resolve_coefficients, _structure_tables, build_complex, homology_dims,
+    _structure_tables, build_complex, homology_dims,
 )
 from lodayhom.simplicial import build_space, circle
 from test_loday import Labeling, decode, decoded_terms, plain_rank_dims
@@ -145,7 +145,7 @@ def _assert_faces_equal_reference(space, algebra, coefficients, d):
     field = algebra.field
     complex_ = build_complex(space, algebra, coefficients, d,
                              normalized=False)
-    c_alg, action = _resolve_coefficients(algebra, coefficients)
+    c_alg, action = coefficients.resolve(algebra)
     bits = complex_.bits
     for key in sorted(complex_.slots):
         if not key[0]:
@@ -203,7 +203,7 @@ def _reference_blocks(complex_, coefficients, bases, i):
     ``_push_labeling`` from every column, with its sign, onto the rows one
     level down; images that are not rows (degenerate ones) are dropped."""
     algebra, field = complex_.algebra, complex_.field
-    c_alg, action = _resolve_coefficients(algebra, coefficients)
+    c_alg, action = coefficients.resolve(algebra)
     blocks = {}
     for key, cols in bases.items():
         level, w = key[:-1], key[-1]
